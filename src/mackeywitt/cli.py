@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .hochschild import hh, twisted_cyclic_nerve
+from .hochschild import MackeyHomology, moore_complex, twisted_cyclic_nerve
 from .geomfix import tr_tower
 from .mackey import GroupContext, RingData, fixed_point_mackey, is_prime
 from .norm import norm_trivial_ring
@@ -109,16 +109,14 @@ def cmd_norm(args) -> int:
 
 
 def cmd_hh(args) -> int:
-    from .hochschild import moore_complex
-
     ring = _parse_ring(args.ring)
     nm = norm_trivial_ring(ring, args.n)
     nerve = twisted_cyclic_nerve(nm, args.max_degree + 1)
     cx = moore_complex(nerve, check=False)
-    entries = []
-    for k in range(args.max_degree + 1):
-        hk = hh(nm, k, nerve=nerve)
-        entries.append({"degree": k, "mackey": hk.to_json()})
+    entries = [
+        {"degree": k, "mackey": MackeyHomology(cx, k).mackey.to_json()}
+        for k in range(args.max_degree + 1)
+    ]
     complex_json = {
         "degrees": [m.to_json() for m in cx.degrees],
         "boundaries": [

@@ -107,27 +107,42 @@ class _SNF:
     block, which bounds entry growth at the matrix sizes used here.  V's
     inverse is tracked alongside so that generator coordinates can be
     converted to and from diagonal coordinates.
+
+    D is kept as its ``diagonal`` (length min(rows, cols), zeros last).
+    Each question reads only what it needs:
+
+    - canonical forms and ranks read ``diagonal`` and ``rank``;
+    - ``in_rowspan``, ``FgAbGroup.reduce``, ``element_order`` and
+      ``elements`` read ``diagonal`` and ``v`` / ``vinv`` (since
+      m·V = U⁻¹·D has the row span of D);
+    - ``solve_left``, ``kernel_basis`` and ``snf`` also read ``u``.
+
+    ``u`` (rows × rows) is built on first access by replaying the logged row
+    operations on the identity, so a question that never reads it never
+    pays for it.
     """
 
     def __init__(self, m: Matrix):
         rows = len(m)
         cols = len(m[0]) if rows else 0
         a = [list(r) for r in m]
-        u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
         v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
         vinv = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+        # row operations, replayed by ``u``: (i, j) swaps rows i and j;
+        # (dst, src, q) adds q·row src to row dst; (i,) negates row i;
+        # (i, j, x, y, c, e) replaces rows i, j by x·ri + y·rj, c·ri + e·rj.
+        ops: list[tuple[int, ...]] = []
+        log = ops.append
 
         def row_swap(i1, i2):
             a[i1], a[i2] = a[i2], a[i1]
-            u[i1], u[i2] = u[i2], u[i1]
+            log((i1, i2))
 
         def row_add(dst, src, q):
             arow, asrc = a[dst], a[src]
             for j in range(cols):
                 arow[j] += q * asrc[j]
-            urow, usrc = u[dst], u[src]
-            for j in range(rows):
-                urow[j] += q * usrc[j]
+            log((dst, src, q))
 
         def col_swap(j1, j2):
             for r in a:
@@ -148,7 +163,7 @@ class _SNF:
 
         def negate_row(i):
             a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
+            log((i,))
 
         t = 0
         while True:
@@ -177,7 +192,7 @@ class _SNF:
             for i in range(t + 1, rows):
                 x = a[i][t]
                 if x:
-                    q = -(x // p) if x % p == 0 else -(x // p)
+                    q = -(x // p)
                     row_add(i, t, q)
                     if a[i][t]:
                         dirty = True
@@ -212,13 +227,9 @@ class _SNF:
                     x, y = _xgcd(di, dj)
                     # row ops: new row i = x*row_i + y*row_{i+1}
                     ri, rj = a[i], a[i + 1]
-                    ui, uj = u[i], u[i + 1]
-                    nri = [x * p + y * q for p, q in zip(ri, rj)]
-                    nrj = [(-dj // g) * p + (di // g) * q for p, q in zip(ri, rj)]
-                    a[i], a[i + 1] = nri, nrj
-                    nui = [x * p + y * q for p, q in zip(ui, uj)]
-                    nuj = [(-dj // g) * p + (di // g) * q for p, q in zip(ui, uj)]
-                    u[i], u[i + 1] = nui, nuj
+                    a[i] = [x * p + y * q for p, q in zip(ri, rj)]
+                    a[i + 1] = [(-dj // g) * p + (di // g) * q for p, q in zip(ri, rj)]
+                    log((i, i + 1, x, y, -dj // g, di // g))
                     # clear the off-diagonal entries the fold introduced
                     if a[i][i + 1]:
                         col_add(i + 1, i, -(a[i][i + 1] // a[i][i]))
@@ -228,12 +239,36 @@ class _SNF:
                         negate_row(i + 1)
                     changed = True
         # the pivot loop fills positions 0..rank-1, so zeros already sit last
-        self.u = mat(u)
-        self.d = mat(a)
+        self._rows = rows
+        self._row_ops = ops
         self.v = mat(v)
         self.vinv = mat(vinv)
         self.diagonal = tuple(a[i][i] for i in range(k))
         self.rank = sum(1 for x in self.diagonal if x)
+
+    @cached_property
+    def u(self) -> Matrix:
+        rows = self._rows
+        u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+        for op in self._row_ops:
+            if len(op) == 3:
+                dst, src, q = op
+                udst = u[dst]
+                for j, x in enumerate(u[src]):
+                    if x:
+                        udst[j] += q * x
+            elif len(op) == 2:
+                i1, i2 = op
+                u[i1], u[i2] = u[i2], u[i1]
+            elif len(op) == 1:
+                u[op[0]] = [-x for x in u[op[0]]]
+            else:
+                i, j, x, y, c, e = op
+                ri, rj = u[i], u[j]
+                u[i] = [x * p + y * q for p, q in zip(ri, rj)]
+                u[j] = [c * p + e * q for p, q in zip(ri, rj)]
+        del self._row_ops  # no longer needed once U exists
+        return mat(u)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int]:
@@ -258,47 +293,67 @@ def snf(m) -> tuple[Matrix, Matrix, Matrix]:
     """
     m = mat(m)
     s = _SNF(m)
-    if mat_mul(mat_mul(s.u, m), s.v) != s.d:
+    cols = len(m[0]) if m else 0
+    diag = s.diagonal
+    d = tuple(
+        tuple(diag[i] if i == j else 0 for j in range(cols)) for i in range(len(m))
+    )
+    if mat_mul(mat_mul(s.u, m), s.v) != d:
         raise AssertionError("Smith normal form round-trip failed")
-    return s.u, s.d, s.v
+    return s.u, d, s.v
+
+
+def _diagonal_solve(s: _SNF, b: Row) -> list[int] | None:
+    """y with y·D = b·V (so (y·U)·m = b), or None when b ∉ rowspan(m).
+
+    m·V = U⁻¹·D has the row span of D, so b is in the span iff each
+    coordinate of b·V is divisible by its diagonal entry, and is zero where
+    there is none.  Reads the diagonal and V only; y has length rank.
+    """
+    if len(b) != len(s.v):
+        raise ValueError("rhs length mismatch")
+    diag = s.diagonal
+    y = []
+    for j, t in enumerate(vec_mat(b, s.v)):
+        d = diag[j] if j < len(diag) else 0
+        if d:
+            if t % d:
+                return None
+            y.append(t // d)
+        elif t:
+            return None
+    return y
 
 
 def solve_left(m: Matrix, b: Row, _snf_cache: _SNF | None = None) -> Row | None:
-    """Solve x · m = b over ℤ; returns one solution or None."""
+    """Solve x · m = b over ℤ; returns one solution or None.
+
+    A caller that solves against the same m repeatedly passes its ``_SNF``
+    so that m is factored once.
+    """
     if not m:
         return () if not any(b) else None
     s = _snf_cache if _snf_cache is not None else _SNF(m)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if len(b) != cols:
-        raise ValueError("rhs length mismatch")
-    bv = vec_mat(b, s.v) if cols else ()
-    y = [0] * rows
-    for j in range(cols):
-        d = s.d[j][j] if j < min(rows, cols) else 0
-        t = bv[j]
-        if j < rows and d:
-            if t % d:
-                return None
-            y[j] = t // d
-        elif t:
-            return None
-    return vec_mat(tuple(y), s.u) if rows else ()
+    y = _diagonal_solve(s, b)
+    if y is None:
+        return None
+    return vec_mat(tuple(y) + (0,) * (len(m) - s.rank), s.u)
 
 
 def kernel_basis(m: Matrix) -> Matrix:
     """Basis of the lattice {x : x · m = 0}."""
-    rows = len(m)
-    if rows == 0:
+    if not m:
         return ()
     s = _SNF(mat(m))
-    return tuple(s.u[i] for i in range(rows) if i >= len(s.diagonal) or not s.diagonal[i])
+    return s.u[s.rank:]
 
 
 def in_rowspan(rel: Matrix, b: Row, _snf_cache: _SNF | None = None) -> bool:
+    """Whether b lies in the row span of rel; never builds U."""
     if not rel:
         return not any(b)
-    return solve_left(rel, b, _snf_cache) is not None
+    s = _snf_cache if _snf_cache is not None else _SNF(rel)
+    return _diagonal_solve(s, b) is not None
 
 
 def stack(*mats: Matrix) -> Matrix:
@@ -597,8 +652,9 @@ class AbHom:
         )
         rel_rows = []
         lat_m = mat(lat)
+        lat_snf = _SNF(lat_m) if self.source.relations else None
         for r in self.source.relations:
-            coeffs = solve_left(lat_m, r)
+            coeffs = solve_left(lat_m, r, lat_snf)
             if coeffs is None:
                 raise AssertionError("source relations must lie in the kernel lattice")
             rel_rows.append(coeffs)
@@ -665,7 +721,7 @@ class Subquotient:
 
     Keeps the cycle lattice so that elements of the ambient group can be
     projected to homology classes and chain maps can be pushed to induced
-    maps on homology.
+    maps on homology.  The lattice is factored once, on the first solve.
     """
 
     def __init__(self, ambient: FgAbGroup, cycle_rows: Matrix, boundary_rows: Matrix):
@@ -674,14 +730,18 @@ class Subquotient:
         self.cycle_basis = lat
         rel = []
         for r in stack(boundary_rows, ambient.relations):
-            coeffs = solve_left(lat, r)
+            coeffs = solve_left(lat, r, self._cycle_snf)
             if coeffs is None:
                 raise NotInSubgroupError("boundary not contained in cycles")
             rel.append(coeffs)
         self.group = FgAbGroup(len(lat), rel)
 
+    @cached_property
+    def _cycle_snf(self) -> _SNF:
+        return _SNF(self.cycle_basis)
+
     def project(self, x: Row) -> Row:
-        coeffs = solve_left(self.cycle_basis, tuple(x))
+        coeffs = solve_left(self.cycle_basis, tuple(x), self._cycle_snf)
         if coeffs is None:
             raise NotInSubgroupError("element is not a cycle")
         return coeffs

@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import product
 from math import gcd
 
-from .fgab import AbHom, FgAbGroup, identity_matrix, in_rowspan, solve_left
+from .fgab import _SNF, AbHom, FgAbGroup, identity_matrix, in_rowspan
 from .mackey import (
     GreenFunctor,
     GroupContext,
@@ -405,14 +405,16 @@ def quotient_by_green_ideal(g: GreenFunctor, gens) -> GreenFunctor:
     n = ctx.n
     rows: dict[int, list] = {d: [] for d in ctx.divisors}
     hnf: dict[int, tuple] = {d: m.level[d].subgroup_hnf(()) for d in ctx.divisors}
+    hnf_snf = {d: _SNF(h) for d, h in hnf.items()}
     queue = []
 
     def push(d, row):
         row = tuple(row)
-        if solve_left(hnf[d], row) is not None:
+        if in_rowspan(hnf[d], row, hnf_snf[d]):
             return
         rows[d].append(row)
         hnf[d] = m.level[d].subgroup_hnf(tuple(rows[d]))
+        hnf_snf[d] = _SNF(hnf[d])
         queue.append((d, row))
 
     for d, row in gens:

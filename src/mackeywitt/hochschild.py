@@ -9,7 +9,7 @@ normalized one.
 
 from __future__ import annotations
 
-from .fgab import AbHom, FgAbGroup, Subquotient, identity_matrix
+from .fgab import AbHom, FgAbGroup, Subquotient, identity_matrix, preimage_basis
 from .green import (
     BoxPresentation,
     box_power,
@@ -199,8 +199,6 @@ class MackeyHomology:
             comp = d_in.compose(d_out)
             if not comp.is_zero():
                 raise SimplicialIdentityError("∂∘∂ != 0 at homology assembly")
-            from .fgab import preimage_basis
-
             cycles = preimage_basis(d_out.matrix, d_out.target.relations)
             self.subquotients[d] = Subquotient(mid.level[d], cycles, d_in.matrix)
 

@@ -18,6 +18,7 @@ from .fgab import (
     AbHom,
     FgAbGroup,
     NotWellDefinedError,
+    _SNF,
     free_group,
     identity_matrix,
     preimage_basis,
@@ -25,28 +26,11 @@ from .fgab import (
     solve_left,
     stack,
 )
+from .wittcore import is_prime, prime_factors
 
 
 def divisors(n: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, n + 1) if n % d == 0)
-
-
-def prime_factors(n: int) -> tuple[int, ...]:
-    out = []
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            if p not in out:
-                out.append(p)
-            n //= p
-        p += 1
-    if n > 1 and n not in out:
-        out.append(n)
-    return tuple(out)
-
-
-def is_prime(n: int) -> bool:
-    return n > 1 and prime_factors(n) == (n,)
 
 
 class GroupContext:
@@ -431,6 +415,7 @@ def fixed_point_mackey(ctx: GroupContext, group: FgAbGroup, action, ring: RingDa
         raise ValueError("action order must divide n")
 
     fixed_basis = {}
+    fixed_snf = {}
     level = {}
     for d in ctx.divisors:
         a_d = act.power(n // d)
@@ -440,16 +425,17 @@ def fixed_point_mackey(ctx: GroupContext, group: FgAbGroup, action, ring: RingDa
             group.num_generators,
         )
         fixed_basis[d] = lat
+        fixed_snf[d] = _SNF(lat)
         rel = []
         for r in group.relations:
-            coeffs = solve_left(lat, r)
+            coeffs = solve_left(lat, r, fixed_snf[d])
             if coeffs is None:
                 raise AssertionError("relations are fixed by every subgroup")
             rel.append(coeffs)
         level[d] = FgAbGroup(len(lat), rel)
 
     def in_coords(d: int, ambient_row):
-        coeffs = solve_left(fixed_basis[d], tuple(ambient_row))
+        coeffs = solve_left(fixed_basis[d], tuple(ambient_row), fixed_snf[d])
         if coeffs is None:
             raise AssertionError(f"element not fixed at level {d}")
         return coeffs

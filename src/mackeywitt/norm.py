@@ -10,9 +10,10 @@ is Witt multiplication.  Over ℤ the additive basis is {V_e([1]) : e | d}
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import wittcore
-from .fgab import AbHom, FgAbGroup, solve_left
+from .fgab import _SNF, AbHom, FgAbGroup, solve_left
 from .mackey import GreenFunctor, GroupContext, MackeyFunctor, divisors, prime_edges
 from .wittcore import (
     BaseRing,
@@ -95,10 +96,14 @@ class WittLevel:
         self.group = FgAbGroup(width, [r + (0,) * (width - len(r)) for r in relations])
         self._ghost_rows = None
 
+    @cached_property
+    def _ghost_snf(self) -> _SNF:
+        return _SNF(self._ghost_rows)
+
     def coords(self, w: WittVector) -> tuple[int, ...]:
         if self.ring.is_torsion_free:
             target = tuple(ghost(w)[m] for m in self.truncation.sorted())
-            sol = solve_left(self._ghost_rows, target)
+            sol = solve_left(self._ghost_rows, target, self._ghost_snf)
             if sol is None:
                 raise AssertionError("integral Witt vector outside the V-basis lattice")
             return sol

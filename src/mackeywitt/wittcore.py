@@ -35,6 +35,24 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
+def prime_factors(n: int) -> tuple[int, ...]:
+    out = []
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            if p not in out:
+                out.append(p)
+            n //= p
+        p += 1
+    if n > 1 and n not in out:
+        out.append(n)
+    return tuple(out)
+
+
+def is_prime(n: int) -> bool:
+    return n > 1 and prime_factors(n) == (n,)
+
+
 class TruncationSet:
     """A finite, divisor-closed set of positive integers."""
 
@@ -119,12 +137,23 @@ class BaseRing:
 
     @staticmethod
     def parse(text: str) -> "BaseRing":
+        """``Z``, ``Z/m`` with m ≥ 2, or the prime field ``F_p`` (also ``Fp``)."""
         t = text.strip().replace(" ", "")
         if t in ("Z", "ℤ"):
             return BaseRing.integers()
         for prefix in ("Z/", "F_", "F"):
             if t.startswith(prefix):
-                return BaseRing.integers_mod(int(t[len(prefix):]))
+                digits = t[len(prefix):]
+                if not (digits.isascii() and digits.isdigit()):
+                    raise UnsupportedRingError(
+                        f"cannot parse ring {text!r}: {digits!r} is not a positive integer"
+                    )
+                m = int(digits)
+                if prefix != "Z/" and not is_prime(m):
+                    raise UnsupportedRingError(
+                        f"cannot parse ring {text!r}: F_q needs q prime, got {m}"
+                    )
+                return BaseRing.integers_mod(m)
         raise UnsupportedRingError(f"cannot parse ring {text!r}")
 
 

@@ -104,3 +104,11 @@ def test_validation_errors(capsys, tmp_path):
     code, out, err = run_cli(capsys, "monoid", "--file", str(tmp_path / "missing.json"),
                              "--ring", "Z", "--n", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("ring", ["F_4", "F6", "F_x", "Z/abc", "Z/-3"])
+def test_unsupported_ring_is_one_line_exit_2(capsys, ring):
+    code, out, err = run_cli(capsys, "norm", "--ring", ring, "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

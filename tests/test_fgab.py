@@ -1,17 +1,23 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mackeywitt.fgab import (
     AbHom,
     CompositeNotZeroError,
     FgAbGroup,
     NotWellDefinedError,
+    Subquotient,
+    _SNF,
     cyclic_group,
     direct_sum,
     free_group,
     homology,
     identity_matrix,
+    in_rowspan,
     kernel_basis,
     mat,
     mat_mul,
@@ -22,6 +28,7 @@ from mackeywitt.fgab import (
     tensor,
     tensor_hom,
 )
+from mackeywitt.mackey import GroupContext, fixed_point_mackey
 
 
 def check_snf(m):
@@ -265,3 +272,108 @@ def test_subgroup_hnf_equality():
     c = g.subgroup_hnf(((2, 0), (0, 2)))
     assert a == c
     assert b != c
+
+
+# ---------------------------------------------------------------------------
+# properties of the factorization on random small matrices
+
+entries = st.one_of(st.just(0), st.integers(-9, 9))
+
+
+@st.composite
+def shaped_matrices(draw):
+    """(cols, m): empty, zero, tall and wide integer matrices up to 6 × 6."""
+    cols = draw(st.integers(0, 6))
+    rows = draw(st.integers(0, 6))
+    m = mat(draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows)))
+    return cols, m
+
+
+def _combination(x, m, cols):
+    return tuple(sum(c * row[j] for c, row in zip(x, m)) for j in range(cols))
+
+
+@settings(deadline=None)
+@given(shaped_matrices(), st.data())
+def test_in_rowspan_agrees_with_solve_left_without_building_u(shaped, data):
+    cols, m = shaped
+    b = tuple(data.draw(st.lists(entries, min_size=cols, max_size=cols)))
+    s = _SNF(m)
+    member = in_rowspan(m, b, s)
+    x = solve_left(m, b)
+    assert member == (x is not None)
+    assert x is None or _combination(x, m, cols) == b
+    # an independent decision: adding b leaves the Hermite basis unchanged
+    assert member == (row_hnf(m + (b,), cols) == row_hnf(m, cols))
+    x = data.draw(st.lists(entries, min_size=len(m), max_size=len(m)))
+    assert in_rowspan(m, _combination(x, m, cols), s)
+    assert "u" not in vars(s), "membership must not build U"
+
+
+@settings(deadline=None)
+@given(shaped_matrices())
+def test_snf_roundtrips_with_lazily_built_u(shaped):
+    _cols, m = shaped
+    check_snf(m)
+    s = _SNF(m)
+    assert "u" not in vars(s)
+    u, d, v = snf(m)
+    assert s.u == u and s.v == v
+    assert tuple(d[i][i] for i in range(len(s.diagonal))) == s.diagonal
+
+
+def test_group_questions_read_no_u():
+    # Z^2 / <(2,1),(0,4)> = Z/8 on e1, with e2 = -2·e1
+    g = FgAbGroup(2, [(2, 1), (0, 4)])
+    assert g.canonical_form == ((8,), 0)
+    assert g.is_zero_element((4, 2)) and not g.is_zero_element((0, 2))
+    assert g.element_order((0, 1)) == 4
+    assert g.reduce((2, 1)) == g.reduce((0, 0))
+    f = AbHom(g, g, identity_matrix(2))  # certified: relations land in relations
+    assert f == AbHom(g, g, [(1, 0), (2, 2)])
+    assert "u" not in vars(g._rel_snf)
+
+
+# ---------------------------------------------------------------------------
+# a lattice that is solved against repeatedly is factored once
+
+
+@pytest.fixture
+def snf_counts(monkeypatch):
+    """Factorizations per matrix while the test runs."""
+    counts = Counter()
+    init = _SNF.__init__
+
+    def counting_init(self, m):
+        counts[mat(m)] += 1
+        init(self, m)
+
+    monkeypatch.setattr(_SNF, "__init__", counting_init)
+    return counts
+
+
+def test_kernel_factors_its_lattice_once(snf_counts):
+    src = FgAbGroup(3, [(4, 0, 0), (0, 6, 0), (0, 0, 10)])
+    f = AbHom(src, cyclic_group(2), [(1,), (1,), (1,)])
+    k, incl = f.kernel()
+    assert k.order() == 120
+    assert snf_counts[incl.matrix] == 1
+
+
+def test_subquotient_factors_its_cycle_lattice_once(snf_counts):
+    ambient = FgAbGroup(3, [(0, 0, 6)])
+    cycles = mat([(1, 1, 0), (0, 2, 0), (0, 0, 1)])
+    sq = Subquotient(ambient, cycles, mat([(2, 2, 0), (0, 4, 0), (0, 0, 3)]))
+    assert sq.group.canonical_form == ((2, 6), 0)
+    for x in [(1, 1, 0), (0, 2, 1), (3, 5, 2)]:
+        sq.project(x)
+    assert snf_counts[sq.cycle_basis] == 1
+
+
+def test_fixed_point_mackey_factors_each_fixed_lattice_once(snf_counts):
+    rotation = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+    m = fixed_point_mackey(GroupContext(3), free_group(3), rotation)
+    assert m.level[3].canonical_form == ((), 1)
+    assert snf_counts[identity_matrix(3)] == 1  # C_1 fixes every vector
+    assert snf_counts[((1, 1, 1),)] == 1  # C_3 fixes the diagonal
