@@ -3,8 +3,9 @@
 Subcommands: norm, hh, witt, tr, check, monoid.  All configuration is by
 flags; identical invocations (including --seed) produce byte-identical
 output.  Results go to stdout, diagnostics to stderr.  Exit status 2 means
-invalid parameters; exit status 1 means an internal invariant violation (a
-bug, never user error).
+invalid parameters, including an enumeration over
+``wittcore.ENUMERATION_BUDGET``; exit status 1 means an internal invariant
+violation (a bug, never user error).  Either way stderr gets one line.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ import argparse
 import json
 import sys
 
+from .fgab import CompositeNotZeroError, NotInSubgroupError, NotWellDefinedError
 from .hochschild import MackeyHomology, moore_complex, twisted_cyclic_nerve
 from .geomfix import tr_tower
 from .mackey import GroupContext, RingData, fixed_point_mackey, is_prime
 from .norm import norm_trivial_ring
 from .suites import SUITES, run_all, run_suites
-from .wittcore import BaseRing, TruncationSet, UnsupportedRingError
+from .wittcore import BaseRing, EnumerationBudgetError, TruncationSet, UnsupportedRingError
 from .wittgreen import compare_with_classical, witt_green
 
 SCHEMA = "mackey-witt/1"
@@ -303,12 +305,22 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValidationError, EnumerationBudgetError) as exc:
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
         return 2
-    except (AssertionError, ArithmeticError) as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
+    except (
+        AssertionError,
+        ArithmeticError,
+        NotWellDefinedError,
+        CompositeNotZeroError,
+        NotInSubgroupError,
+    ) as exc:
+        print(f"internal invariant violation: {_one_line(exc)}", file=sys.stderr)
         return 1
+
+
+def _one_line(exc: Exception) -> str:
+    return " ".join(str(exc).split())
 
 
 if __name__ == "__main__":

@@ -372,18 +372,13 @@ def tr_tower(ring: BaseRing, p: int, stages: int, degree: int) -> TowerReport:
                 _c[e] = truncation_rows(_big, e, _small, e // p)
             return _c[e]
 
-        top_maps = []
-        for j in (degree, degree + 1):
-            psi = _psi_degree(nerve_big.presentations[j], p, slot_rows, nerve_small.presentations[j])
-            # top-level chain map: project to the transfer quotient, then Ψ
-            quot = AbHom(
-                nerve_big.degrees[j].level[n],
-                psi.source.level[n // p],
-                identity_matrix(nerve_big.degrees[j].level[n].num_generators),
-                check=False,
-            )
-            top_maps.append(quot.compose(psi.maps[n // p]))
-        induced = h_big.subquotients[n].induced(top_maps[0], h_small.subquotients[n // p])
+        psi = _psi_degree(nerve_big.presentations[degree], p, slot_rows, nerve_small.presentations[degree])
+        # top-level chain map: project to the transfer quotient, then Ψ
+        top = nerve_big.degrees[degree].level[n]
+        quot = AbHom(top, psi.source.level[n // p], identity_matrix(top.num_generators), check=False)
+        induced = h_big.subquotients[n].induced(
+            quot.compose(psi.maps[n // p]), h_small.subquotients[n // p]
+        )
         maps.insert(0, induced)
 
     limit_desc, precision = _classify_limit(p, towers, maps)

@@ -26,11 +26,7 @@ from .fgab import (
     solve_left,
     stack,
 )
-from .wittcore import is_prime, prime_factors
-
-
-def divisors(n: int) -> tuple[int, ...]:
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
+from .wittcore import divisors, is_prime, prime_factors
 
 
 class GroupContext:

@@ -157,10 +157,16 @@ class NormGreenFunctor:
 
 
 def norm_trivial_ring(ring: BaseRing, n: int) -> NormGreenFunctor:
-    """The norm Green functor of a trivial-action base ring (ℤ or ℤ/m)."""
+    """The norm Green functor of a trivial-action base ring (ℤ or ℤ/m).
+
+    Over ℤ/m the top level's enumeration is checked against the budget
+    before any level is built.
+    """
     if not isinstance(ring, BaseRing):
         raise UnsupportedRingError("base ring must be ℤ or ℤ/m")
     ctx = GroupContext(n)
+    if not ring.is_torsion_free:
+        wittcore.require_enumerable(ring.modulus, len(ctx.divisors))
     levels = {d: WittLevel(ring, d) for d in ctx.divisors}
     group = {d: levels[d].group for d in ctx.divisors}
     res = {}

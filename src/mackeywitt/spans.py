@@ -18,9 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from math import gcd
 
-
-def divisors(n: int) -> tuple[int, ...]:
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
+from .wittcore import divisors
 
 
 def span_basis(n: int, t: int, s: int) -> tuple[tuple[int, int], ...]:

@@ -15,6 +15,7 @@ components and memoized per (operation, d).
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from itertools import product
 
 Monomial = tuple[tuple[object, int], ...]  # sorted ((variable, exponent), ...)
 
@@ -29,6 +30,25 @@ class UnsupportedRingError(ValueError):
 
 class InexactWittDivision(ArithmeticError):
     """Integrality of a Witt solve failed; indicates an implementation bug."""
+
+
+# The most Witt vectors a finite enumeration may visit: W_S(ℤ/m) has m^{#S}.
+# The largest case in the tests, the acceptance suite, the README and the
+# benchmark is W_⟨12⟩(ℤ/4) with 4^6 = 4096; `norm --ring F_2 --n 360` would
+# need 2^24.  Moduli above it are refused when a ring is parsed.
+ENUMERATION_BUDGET = 1 << 16
+
+
+class EnumerationBudgetError(ValueError):
+    """A finite enumeration over ENUMERATION_BUDGET, refused before it starts."""
+
+
+def require_enumerable(modulus: int, length: int) -> None:
+    """Refuse enumerating W_S(ℤ/modulus), #S = length, over the budget."""
+    if modulus**length > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"{modulus}^{length} Witt vectors exceed the enumeration budget of {ENUMERATION_BUDGET}"
+        )
 
 
 def divisors(n: int) -> tuple[int, ...]:
@@ -137,7 +157,10 @@ class BaseRing:
 
     @staticmethod
     def parse(text: str) -> "BaseRing":
-        """``Z``, ``Z/m`` with m ≥ 2, or the prime field ``F_p`` (also ``Fp``)."""
+        """``Z``, ``Z/m`` with m ≥ 2, or the prime field ``F_p`` (also ``Fp``).
+
+        A modulus over ENUMERATION_BUDGET raises EnumerationBudgetError.
+        """
         t = text.strip().replace(" ", "")
         if t in ("Z", "ℤ"):
             return BaseRing.integers()
@@ -149,6 +172,11 @@ class BaseRing:
                         f"cannot parse ring {text!r}: {digits!r} is not a positive integer"
                     )
                 m = int(digits)
+                if m > ENUMERATION_BUDGET:
+                    raise EnumerationBudgetError(
+                        f"ring {text!r}: modulus {m} exceeds the enumeration budget "
+                        f"of {ENUMERATION_BUDGET}"
+                    )
                 if prefix != "Z/" and not is_prime(m):
                     raise UnsupportedRingError(
                         f"cannot parse ring {text!r}: F_q needs q prime, got {m}"
@@ -435,18 +463,12 @@ def verschiebung(r: int, w: WittVector, out_truncation: TruncationSet) -> WittVe
 
 
 def all_vectors(truncation: TruncationSet, ring: BaseRing):
-    """Iterate every Witt vector (finite base rings only)."""
+    """Iterate every Witt vector (finite base rings, at most ENUMERATION_BUDGET)."""
     if ring.is_torsion_free:
         raise ValueError("infinite base ring")
     order = truncation.sorted()
-
-    def rec(i, acc):
-        if i == len(order):
-            yield WittVector(truncation, ring, dict(acc))
-            return
-        for v in ring.elements():
-            acc[order[i]] = v
-            yield from rec(i + 1, acc)
-            del acc[order[i]]
-
-    yield from rec(0, {})
+    require_enumerable(ring.modulus, len(order))
+    return (
+        WittVector(truncation, ring, dict(zip(order, comps)))
+        for comps in product(ring.elements(), repeat=len(order))
+    )

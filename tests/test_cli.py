@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from mackeywitt import cli, norm, wittcore
 from mackeywitt.cli import main
+from mackeywitt.fgab import CompositeNotZeroError, NotInSubgroupError, NotWellDefinedError
 
 
 def run_cli(capsys, *argv):
@@ -112,3 +114,43 @@ def test_unsupported_ring_is_one_line_exit_2(capsys, ring):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [NotWellDefinedError, CompositeNotZeroError, NotInSubgroupError])
+def test_internal_certificate_failure_is_one_line_exit_1(capsys, monkeypatch, error):
+    def broken(args):
+        raise error("map not well defined:\nrelation (1, 2) maps to (3,)")
+
+    monkeypatch.setattr(cli, "cmd_norm", broken)
+    code, out, err = run_cli(capsys, "norm", "--ring", "F_2", "--n", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal invariant violation: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# (argv, what runs before the refusal): a huge modulus is refused before
+# its primality is tested, a huge truncation before any norm level is built
+@pytest.mark.parametrize("argv,allowed", [
+    (("norm", "--ring", "F_1000000000000000003", "--n", "1"), []),
+    (("norm", "--ring", "Z/1000000000000000003", "--n", "1"), []),
+    (("norm", "--ring", "F_2", "--n", "360"), ["is_prime"]),
+    (("witt", "--ring", "F_2", "--n", "360"), ["is_prime"]),
+])
+def test_enumeration_over_budget_is_refused_up_front(capsys, monkeypatch, argv, allowed):
+    started = []
+
+    def record(name, real):
+        def wrapper(*a, **k):
+            started.append(name)
+            return real(*a, **k)
+        return wrapper
+
+    monkeypatch.setattr(wittcore, "is_prime", record("is_prime", wittcore.is_prime))
+    monkeypatch.setattr(norm, "WittLevel", record("WittLevel", norm.WittLevel))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "enumeration budget" in err
+    assert started == allowed

@@ -1,11 +1,16 @@
+import copy
+import dataclasses
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from mackeywitt.fgab import FgAbGroup
 from mackeywitt.mackey import GroupContext, burnside
 from mackeywitt.norm import norm_trivial_ring
-from mackeywitt.wittcore import BaseRing, UnsupportedRingError
+from mackeywitt.wittcore import BaseRing, UnsupportedRingError, witt_scalar
 from mackeywitt.wittgreen import (
+    GreenWittVectors,
     compare_with_classical,
     ghost_coordinate,
     teichmuller_green,
@@ -126,3 +131,101 @@ def test_teichmuller_natural_in_ring_quotients():
 
         reduced = WittVector(w_int.truncation, Z4, {d: v % 4 for d, v in w_int.components.items()})
         assert wm.top().elements_equal(lvm.coords(reduced), tm)
+
+
+# ---------------------------------------------------------------------------
+# the comparison certificate refuses inputs with one ingredient broken
+
+
+def _broken(w, relations=None, gens=None, mult=None, unit=None):
+    """w with the top relations, the Witt images, the products or the unit replaced."""
+    n = w.ctx.n
+    top = w.top()
+    if relations is not None:
+        top = FgAbGroup(top.num_generators, relations)
+    green = SimpleNamespace(
+        ctx=w.ctx,
+        level={n: top},
+        mult={n: w.green.mult[n] if mult is None else mult},
+        unit={n: w.green.unit[n] if unit is None else unit},
+    )
+    norm = w.norm
+    if gens is not None:
+        lv = copy.copy(norm.witt_levels[n])
+        lv.gens = gens
+        norm = dataclasses.replace(norm, witt_levels={**norm.witt_levels, n: lv})
+    return GreenWittVectors(green, w.source, norm)
+
+
+def _bump(row, i=0):
+    return tuple(c + (k == i) for k, c in enumerate(row))
+
+
+# (ring, n, c) with c·W_<n>(R) a proper subgroup of W_<n>(R)
+CERTIFIED = [(Z4, 4, 2), (F3, 3, 3), (Z, 4, 2)]
+
+
+@pytest.mark.parametrize("ring,n,c", CERTIFIED)
+def test_certificate_accepts_unbroken_stand_in(ring, n, c):
+    w = witt_green(ring, n)
+    assert repr(compare_with_classical(_broken(w), ring, n)) == repr(compare_with_classical(w, ring, n))
+
+
+@pytest.mark.parametrize("ring,n", [(Z4, 4), (F3, 3)])
+def test_certificate_refuses_removed_relation(ring, n):
+    w = witt_green(ring, n)
+    verdict = compare_with_classical(_broken(w, relations=w.top().relations[1:]), ring, n)
+    assert not verdict.isomorphic
+    assert verdict.detail == "orders differ"
+
+
+def test_certificate_refuses_added_relation_over_Z():
+    w = witt_green(Z, 4)
+    relations = w.top().relations + ((2, 0, 0),)
+    verdict = compare_with_classical(_broken(w, relations=relations), Z, 4)
+    assert not verdict.isomorphic
+    assert verdict.detail.startswith("additive form")
+
+
+@pytest.mark.parametrize("ring,n", [(Z4, 4), (F3, 3)])
+def test_certificate_refuses_relation_not_mapping_to_zero(ring, n):
+    w = witt_green(ring, n)
+    relations = list(w.top().relations)
+    relations[1] = _bump(relations[1])
+    broken = _broken(w, relations=relations)
+    assert broken.top().order() == w.top().order()
+    verdict = compare_with_classical(broken, ring, n)
+    assert not verdict.isomorphic
+    assert verdict.detail == "relation 1 does not map to 0"
+
+
+@pytest.mark.parametrize("ring,n,c", CERTIFIED)
+def test_certificate_refuses_images_that_do_not_span(ring, n, c):
+    w = witt_green(ring, n)
+    gens = [witt_scalar(c, g) for g in w.norm.witt_levels[n].gens]
+    verdict = compare_with_classical(_broken(w, gens=gens), ring, n)
+    assert not verdict.isomorphic
+    if ring.is_torsion_free:
+        assert verdict.detail == "generator images are not a basis"
+    else:
+        size = ring.modulus ** len(gens)
+        assert verdict.detail.startswith("generator images span ")
+        assert verdict.detail.endswith(f" of {size} elements")
+
+
+@pytest.mark.parametrize("ring,n,c", CERTIFIED)
+def test_certificate_refuses_perturbed_product(ring, n, c):
+    w = witt_green(ring, n)
+    mult = [list(rows) for rows in w.green.mult[n]]
+    mult[0][0] = _bump(mult[0][0])
+    verdict = compare_with_classical(_broken(w, mult=mult), ring, n)
+    assert not verdict.isomorphic
+    assert verdict.detail == "product of generators 0,0"
+
+
+@pytest.mark.parametrize("ring,n,c", CERTIFIED)
+def test_certificate_refuses_perturbed_unit(ring, n, c):
+    w = witt_green(ring, n)
+    verdict = compare_with_classical(_broken(w, unit=_bump(w.green.unit[n])), ring, n)
+    assert not verdict.isomorphic
+    assert verdict.detail == "unit mismatch"
