@@ -20,7 +20,13 @@ from .geomfix import tr_tower
 from .mackey import GroupContext, RingData, fixed_point_mackey, is_prime
 from .norm import norm_trivial_ring
 from .suites import SUITES, run_all, run_suites
-from .wittcore import BaseRing, EnumerationBudgetError, TruncationSet, UnsupportedRingError
+from .wittcore import (
+    ENUMERATION_BUDGET,
+    BaseRing,
+    EnumerationBudgetError,
+    TruncationSet,
+    UnsupportedRingError,
+)
 from .wittgreen import compare_with_classical, witt_green
 
 SCHEMA = "mackey-witt/1"
@@ -164,6 +170,10 @@ def cmd_witt(args) -> int:
 
 
 def cmd_tr(args) -> int:
+    if args.p > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"--p {args.p} exceeds the enumeration budget of {ENUMERATION_BUDGET}"
+        )
     if not is_prime(args.p):
         raise ValidationError(f"tr requires a prime p, got {args.p}")
     ring = _parse_ring(args.ring) if args.ring else BaseRing.integers_mod(args.p)
@@ -292,8 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "n", 1) is not None and getattr(args, "n", 1) < 1:
+    n = getattr(args, "n", None)
+    if n is not None and n < 1:
         print("error: n must be a positive integer", file=sys.stderr)
+        return 2
+    if n is not None and n > ENUMERATION_BUDGET:
+        print(f"error: --n {n} exceeds the enumeration budget of {ENUMERATION_BUDGET}", file=sys.stderr)
         return 2
     for attr in ("max_degree", "stages", "degree"):
         v = getattr(args, attr, None)

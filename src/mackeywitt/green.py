@@ -9,13 +9,16 @@ follow the double-coset formula, and the Weyl generator acts diagonally.
 
 The tag data is kept on the quotient presentation, so morphisms out of a
 box product are written down on tags and certified well-defined against
-the relations.
+the relations.  The Green structure of a box product is filled on read:
+``mult[d][a][b]`` computes the product of tags a and b the first time it
+is read, so a table of T² products costs only the products that are used.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from .fgab import _SNF, AbHom, FgAbGroup, identity_matrix, in_rowspan
 from .mackey import (
@@ -37,6 +40,7 @@ class BoxPresentation:
         self.result = result
         self.tags = tags          # d -> tuple of (e, gen_index_tuple)
         self.tag_pos = tag_pos    # d -> {tag: position}
+        self._twisted: dict[tuple, tuple] = {}
 
     @property
     def mackey(self) -> MackeyFunctor:
@@ -46,20 +50,92 @@ class BoxPresentation:
     def expand(self, d: int, e: int, slot_rows) -> tuple[int, ...]:
         """Multilinear expansion of per-slot element rows into tag coordinates."""
         out = [0] * len(self.tags[d])
-        pos = self.tag_pos[d]
-        k = len(slot_rows)
-        indices = [[i for i, c in enumerate(row) if c] for row in slot_rows]
-        for combo in product(*indices):
-            coeff = 1
-            for s in range(k):
-                coeff *= slot_rows[s][combo[s]]
-            out[pos[(e, combo)]] += coeff
+        _expand_into(out, self.tag_pos[d], e, slot_rows)
         return tuple(out)
 
     def hom_on_tags(self, d: int, target: FgAbGroup, fn, check: bool = True) -> AbHom:
         """AbHom out of level d defined by a function on tags."""
         rows = [fn(e, tup) for (e, tup) in self.tags[d]]
         return AbHom(self.mackey.level[d], target, rows, check=check)
+
+    def twisted_res(self, s: int, e: int, g: int, k: int):
+        """Matrix of res_{e→g} followed by weyl^k on factor s, built once per key."""
+        m = _unwrap(self.factors[s])
+        key = (s, e, g, k % (m.ctx.n // g))
+        rows = self._twisted.get(key)
+        if rows is None:
+            rows = self._twisted[key] = m.res_full(e, g).compose(m.weyl_power(g, k)).matrix
+        return rows
+
+    def tag_product(self, d: int, a: int, b: int) -> tuple[int, ...]:
+        """Product of tags a and b at level d by the double-coset formula."""
+        (e, tup), (f, tup2) = self.tags[d][a], self.tags[d][b]
+        g0 = gcd(e, f)
+        step = _unwrap(self.factors[0]).ctx.n // d
+        out = [0] * len(self.tags[d])
+        for j in range(d // lcm(e, f)):
+            slot_rows = []
+            for s, (fct, x, y) in enumerate(zip(self.factors, tup, tup2)):
+                x_row = _unwrap(fct).res_full(e, g0).matrix[x]
+                y_row = self.twisted_res(s, f, g0, j * step)[y]
+                slot_rows.append(fct.multiply(g0, x_row, y_row))
+            _expand_into(out, self.tag_pos[d], g0, slot_rows)
+        return tuple(out)
+
+
+def _expand_into(out: list, pos, e: int, slot_rows, sign: int = 1) -> None:
+    """Add sign × the multilinear expansion of slot_rows (tags at e) to out."""
+    indices = [[i for i, c in enumerate(row) if c] for row in slot_rows]
+    for combo in product(*indices):
+        coeff = sign
+        for row, i in zip(slot_rows, combo):
+            coeff *= row[i]
+        out[pos[(e, combo)]] += coeff
+
+
+class _ProductRow:
+    """One row of a _ProductTable; entry b is computed on first read."""
+
+    __slots__ = ("_a", "_cells", "_product")
+
+    def __init__(self, a: int, k: int, product_fn):
+        self._a = a
+        self._cells = [None] * k
+        self._product = product_fn
+
+    def __len__(self):
+        return len(self._cells)
+
+    def __getitem__(self, b: int):
+        v = self._cells[b]
+        if v is None:
+            v = self._cells[b] = self._product(self._a, b)
+        return v
+
+    def __iter__(self):
+        return (self[b] for b in range(len(self._cells)))
+
+
+class _ProductTable:
+    """k×k product table of a box-product level, filled on read and memoised.
+
+    ``table[a][b]`` computes the product of tags a and b when first read;
+    ``len`` and row iteration compute nothing.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, k: int, product_fn):
+        self._rows = tuple(_ProductRow(a, k, product_fn) for a in range(k))
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, a: int):
+        return self._rows[a]
+
+    def __iter__(self):
+        return iter(self._rows)
 
 
 def _unwrap(factor):
@@ -70,7 +146,8 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
     """Box product of a list of Mackey functors over one group context.
 
     With green=True (or when every factor is a Green functor and green is
-    None) the result carries the induced Green structure.
+    None) the result carries the induced Green structure, whose product
+    tables are filled on read.
     """
     if not factors:
         raise ValueError("need at least one factor")
@@ -101,26 +178,10 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
 
     pres = BoxPresentation(factors, None, tags, tag_pos)
 
-    def expand(d, e, slot_rows):
-        out = [0] * len(tags[d])
-        pos = tag_pos[d]
-        indices = [[i for i, c in enumerate(row) if c] for row in slot_rows]
-        for combo in product(*indices):
-            coeff = 1
-            for s, row in enumerate(slot_rows):
-                coeff *= row[combo[s]]
-            out[pos[(e, combo)]] += coeff
-        return out
-
-    def unit_rows(d, e, tup):
-        return [
-            identity_matrix(f.level[e].num_generators)[i]
-            for f, i in zip(macks, tup)
-        ]
-
     for d in ctx.divisors:
         rels = []
         ntags = len(tags[d])
+        pos = tag_pos[d]
         for e in divisors(d):
             gen_counts = [f.level[e].num_generators for f in macks]
             # multilinearity: relations of each factor in each slot
@@ -132,14 +193,15 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
                         for i, c in enumerate(r):
                             if c:
                                 tup = rest[:s] + (i,) + rest[s:]
-                                row[tag_pos[d][(e, tup)]] += c
+                                row[pos[(e, tup)]] += c
                         rels.append(tuple(row))
             # Weyl-diagonal identification for the generator of C_d/C_e
             if e != d:
                 tw = [f.weyl_power(e, n // d).matrix for f in macks]
                 for tup in product(*[range(c) for c in gen_counts]):
-                    row = expand(d, e, [tw[s][tup[s]] for s in range(k)])
-                    row[tag_pos[d][(e, tup)]] -= 1
+                    row = [0] * ntags
+                    _expand_into(row, pos, e, [tw[s][tup[s]] for s in range(k)])
+                    row[pos[(e, tup)]] -= 1
                     rels.append(tuple(row))
         # Frobenius: transfer one slot up == restrict the other slots down
         for e in divisors(d):
@@ -147,11 +209,11 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
                 f_lv = e * p
                 res_rows = [f.res[(e, f_lv)].matrix for f in macks]
                 tr_rows = [f.tr[(e, f_lv)].matrix for f in macks]
-                counts_e = [f.level[e].num_generators for f in macks]
-                counts_f = [f.level[f_lv].num_generators for f in macks]
+                eye_e = [identity_matrix(f.level[e].num_generators) for f in macks]
+                eye_f = [identity_matrix(f.level[f_lv].num_generators) for f in macks]
                 for s in range(k):
-                    others = [range(counts_f[t]) for t in range(k) if t != s]
-                    for x in range(counts_e[s]):
+                    others = [range(len(eye_f[t])) for t in range(k) if t != s]
+                    for x in range(len(eye_e[s])):
                         for rest in product(*others):
                             up_slots = []
                             down_slots = []
@@ -159,15 +221,16 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
                             for t in range(k):
                                 if t == s:
                                     up_slots.append(tr_rows[s][x])
-                                    down_slots.append(identity_matrix(counts_e[s])[x])
+                                    down_slots.append(eye_e[s][x])
                                 else:
                                     j = rest[ri]
                                     ri += 1
-                                    up_slots.append(identity_matrix(counts_f[t])[j])
+                                    up_slots.append(eye_f[t][j])
                                     down_slots.append(res_rows[t][j])
-                            row_up = expand(d, f_lv, up_slots)
-                            row_down = expand(d, e, down_slots)
-                            rels.append(tuple(a - b for a, b in zip(row_up, row_down)))
+                            row = [0] * ntags
+                            _expand_into(row, pos, f_lv, up_slots)
+                            _expand_into(row, pos, e, down_slots, -1)
+                            rels.append(tuple(row))
         level[d] = FgAbGroup(ntags, rels)
 
     # structure maps
@@ -184,15 +247,10 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
         rows = []
         for (e, tup) in tags[dhi]:
             g0 = gcd(dlo, e)
-            l = e * dlo // g0
             acc = [0] * len(tags[dlo])
-            for j in range(dhi // l):
-                slot_rows = []
-                for f, i in zip(macks, tup):
-                    hom = f.res_full(e, g0).compose(f.weyl_power(g0, j * (n // dhi)))
-                    slot_rows.append(hom.matrix[i])
-                row = expand(dlo, g0, slot_rows)
-                acc = [a + b for a, b in zip(acc, row)]
+            for j in range(dhi // lcm(e, dlo)):
+                slot_rows = [pres.twisted_res(s, e, g0, j * (n // dhi))[i] for s, i in enumerate(tup)]
+                _expand_into(acc, tag_pos[dlo], g0, slot_rows)
             rows.append(tuple(acc))
         res[(dlo, dhi)] = AbHom(level[dhi], level[dlo], rows)
 
@@ -201,7 +259,7 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
         rows = []
         for (e, tup) in tags[d]:
             slot_rows = [f.weyl[e].matrix[i] for f, i in zip(macks, tup)]
-            rows.append(tuple(expand(d, e, slot_rows)))
+            rows.append(pres.expand(d, e, slot_rows))
         weyl[d] = AbHom(level[d], level[d], rows)
 
     result = MackeyFunctor(ctx, level, res, tr, weyl, name=name or "box")
@@ -209,29 +267,8 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
     if not green:
         return pres
 
-    mult = {}
-    unit = {}
-    for d in ctx.divisors:
-        table = []
-        for (e, tup) in tags[d]:
-            rowtab = []
-            for (f_lv, tup2) in tags[d]:
-                g0 = gcd(e, f_lv)
-                l = e * f_lv // g0
-                acc = [0] * len(tags[d])
-                for j in range(d // l):
-                    slot_rows = []
-                    for s, fct in enumerate(factors):
-                        m = _unwrap(fct)
-                        x = m.res_full(e, g0).matrix[tup[s]]
-                        y = m.res_full(f_lv, g0).compose(m.weyl_power(g0, j * (n // d))).matrix[tup2[s]]
-                        slot_rows.append(fct.multiply(g0, x, y))
-                    row = expand(d, g0, slot_rows)
-                    acc = [a + b for a, b in zip(acc, row)]
-                rowtab.append(tuple(acc))
-            table.append(tuple(rowtab))
-        mult[d] = tuple(table)
-        unit[d] = tuple(expand(d, d, [fct.unit[d] for fct in factors]))
+    mult = {d: _ProductTable(len(tags[d]), partial(pres.tag_product, d)) for d in ctx.divisors}
+    unit = {d: pres.expand(d, d, [fct.unit[d] for fct in factors]) for d in ctx.divisors}
     pres.result = GreenFunctor(result, mult, unit)
     return pres
 

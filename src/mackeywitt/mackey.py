@@ -89,6 +89,7 @@ class MackeyFunctor:
         self.name = name
         self._res_cache: dict[tuple[int, int], AbHom] = {}
         self._tr_cache: dict[tuple[int, int], AbHom] = {}
+        self._weyl_cache: dict[tuple[int, int], AbHom] = {}
         self._validate()
 
     def _validate(self):
@@ -132,11 +133,14 @@ class MackeyFunctor:
         return self._tr_cache[key]
 
     def weyl_power(self, d: int, k: int) -> AbHom:
-        k %= self.ctx.n // d
-        h = AbHom.identity(self.level[d])
-        for _ in range(k):
-            h = h.compose(self.weyl[d])
-        return h
+        """The generator's action on level d raised to the k-th power."""
+        key = (d, k % (self.ctx.n // d))
+        if key not in self._weyl_cache:
+            h = AbHom.identity(self.level[d])
+            for _ in range(key[1]):
+                h = h.compose(self.weyl[d])
+            self._weyl_cache[key] = h
+        return self._weyl_cache[key]
 
     def to_json(self) -> dict:
         n = self.ctx.n
@@ -234,13 +238,17 @@ class GreenFunctor:
     row; ``unit[d]`` is the multiplicative unit.  Restrictions are ring
     maps, Weyl actions are ring automorphisms, and transfers satisfy
     Frobenius reciprocity: all checked by check_axioms, never assumed.
+    Tables given as tuples or lists are stored with int entries; a box
+    product passes tables that compute each product when it is first read,
+    and those are stored as given.
     """
 
     def __init__(self, underlying: MackeyFunctor, mult, unit):
         self.underlying = underlying
         self.mult = {
-            d: tuple(tuple(tuple(int(x) for x in row) for row in gen_rows) for gen_rows in mult[d])
-            for d in mult
+            d: tuple(tuple(tuple(int(x) for x in row) for row in gen_rows) for gen_rows in table)
+            if isinstance(table, (tuple, list)) else table
+            for d, table in mult.items()
         }
         self.unit = {d: tuple(int(x) for x in unit[d]) for d in unit}
         for d in underlying.ctx.divisors:

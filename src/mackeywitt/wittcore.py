@@ -52,7 +52,16 @@ def require_enumerable(modulus: int, length: int) -> None:
 
 
 def divisors(n: int) -> tuple[int, ...]:
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
+    """The positive divisors of n in increasing order (none for n < 1)."""
+    if n < 1:
+        return ()
+    out = [1]
+    for p in prime_factors(n):
+        e = 0
+        while n % p ** (e + 1) == 0:
+            e += 1
+        out = [d * p**i for d in out for i in range(e + 1)]
+    return tuple(sorted(out))
 
 
 def prime_factors(n: int) -> tuple[int, ...]:

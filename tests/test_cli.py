@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mackeywitt import cli, norm, wittcore
+from mackeywitt import cli, mackey, norm, wittcore
 from mackeywitt.cli import main
 from mackeywitt.fgab import CompositeNotZeroError, NotInSubgroupError, NotWellDefinedError
 
@@ -154,3 +154,29 @@ def test_enumeration_over_budget_is_refused_up_front(capsys, monkeypatch, argv, 
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "enumeration budget" in err
     assert started == allowed
+
+
+@pytest.mark.parametrize("command,ring", [("norm", "Z"), ("hh", "F_2"), ("witt", "Z")])
+def test_group_order_over_budget_is_refused_before_any_group(capsys, monkeypatch, command, ring):
+    def never(*a, **k):
+        raise AssertionError("a group context was built")
+
+    monkeypatch.setattr(mackey.GroupContext, "__init__", never)
+    code, out, err = run_cli(capsys, command, "--ring", ring, "--n", "1000000000000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "enumeration budget" in err
+
+
+def test_tr_prime_over_budget_is_refused_before_primality(capsys, monkeypatch):
+    def never(p):
+        raise AssertionError("primality tested")
+
+    monkeypatch.setattr(cli, "is_prime", never)
+    monkeypatch.setattr(wittcore, "is_prime", never)
+    code, out, err = run_cli(capsys, "tr", "--p", "1000000000000000003", "--stages", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "enumeration budget" in err

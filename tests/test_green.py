@@ -1,8 +1,11 @@
 import random
+from itertools import product
+from math import gcd
 
 import pytest
 
-from mackeywitt.fgab import free_group
+from mackeywitt.cycmonoid import PointedGMonoid, monoid_algebra, splitting_check
+from mackeywitt.fgab import AbHom, free_group
 from mackeywitt.mackey import (
     GroupContext,
     RingData,
@@ -12,6 +15,7 @@ from mackeywitt.mackey import (
     representable,
 )
 from mackeywitt.green import (
+    BoxPresentation,
     box,
     box_list,
     box_power,
@@ -212,3 +216,131 @@ def test_box_associativity_canonical_forms():
     flat = box_power(b, 3)
     for d in ctx.divisors:
         assert left.mackey.level[d].canonical_form == flat.mackey.level[d].canonical_form
+
+
+# ---------------------------------------------------------------------------
+# box-product Green tables are filled on read
+
+
+def _reference_expand(pres, d, e, slot_rows):
+    out = [0] * len(pres.tags[d])
+    indices = [[i for i, c in enumerate(row) if c] for row in slot_rows]
+    for combo in product(*indices):
+        coeff = 1
+        for s, row in enumerate(slot_rows):
+            coeff *= row[combo[s]]
+        out[pres.tag_pos[d][(e, combo)]] += coeff
+    return out
+
+
+def _reference_table(pres, d):
+    """The whole product table of level d, computed eagerly tag pair by tag pair."""
+    n = pres.mackey.ctx.n
+    table = []
+    for (e, tup) in pres.tags[d]:
+        rowtab = []
+        for (f_lv, tup2) in pres.tags[d]:
+            g0 = gcd(e, f_lv)
+            l = e * f_lv // g0
+            acc = [0] * len(pres.tags[d])
+            for j in range(d // l):
+                slot_rows = []
+                for s, fct in enumerate(pres.factors):
+                    m = fct.underlying
+                    x = m.res_full(e, g0).matrix[tup[s]]
+                    h = AbHom.identity(m.level[g0])
+                    for _ in range(j * (n // d)):
+                        h = h.compose(m.weyl[g0])
+                    y = m.res_full(f_lv, g0).compose(h).matrix[tup2[s]]
+                    slot_rows.append(fct.multiply(g0, x, y))
+                row = _reference_expand(pres, d, g0, slot_rows)
+                acc = [a + b for a, b in zip(acc, row)]
+            rowtab.append(tuple(acc))
+        table.append(tuple(rowtab))
+    return tuple(table)
+
+
+def _dual_numbers_algebra(n):
+    ctx = GroupContext(n)
+    rows = [["0", "0", "0"], ["0", "1", "x"], ["0", "x", "0"]]
+    m = PointedGMonoid.from_lists(ctx, ["0", "1", "x"], "0", "1", rows, ["0", "1", "x"])
+    return m, monoid_algebra(trivial_Z(ctx), m).result
+
+
+def _assert_matches_reference(pres):
+    for d in pres.mackey.ctx.divisors:
+        table = pres.result.mult[d]
+        ref = _reference_table(pres, d)
+        assert len(table) == len(ref)
+        for a, ref_row in enumerate(ref):
+            assert len(table[a]) == len(ref_row)
+            for b, ref_entry in enumerate(ref_row):
+                assert table[a][b] == ref_entry
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_lazy_box_table_matches_eager_reference(n):
+    b = burnside(GroupContext(n))
+    _assert_matches_reference(box(b, b))
+
+
+def test_lazy_box_power_of_dual_numbers_matches_eager_reference():
+    _, rm = _dual_numbers_algebra(2)
+    _assert_matches_reference(box_power(rm, 2, green=True))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_weyl_power_matches_uncached_power(n):
+    ctx = GroupContext(n)
+    for m in (representable(ctx, [1, 2]), product_ring_swap(ctx).underlying):
+        for d in ctx.divisors:
+            for k in range(-n, 2 * n + 1):
+                h = AbHom.identity(m.level[d])
+                for _ in range(k % (n // d)):
+                    h = h.compose(m.weyl[d])
+                assert m.weyl_power(d, k) == h
+                assert m.weyl_power(d, k).matrix == h.matrix
+
+
+def _count_products(monkeypatch):
+    calls = []
+    real = BoxPresentation.tag_product
+
+    def counted(self, d, a, b):
+        calls.append((self, d, a, b))
+        return real(self, d, a, b)
+
+    monkeypatch.setattr(BoxPresentation, "tag_product", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_axiom_check_reads_every_box_product(monkeypatch, n):
+    calls = _count_products(monkeypatch)
+    b = burnside(GroupContext(n))
+    pres = box(b, b)
+    assert calls == []
+    assert check_axioms(pres.result).passed
+    assert len(set(calls)) == len(calls) == sum(len(t) ** 2 for t in pres.tags.values())
+
+
+def test_box_power_computes_products_only_when_read(monkeypatch):
+    calls = _count_products(monkeypatch)
+    _, rm = _dual_numbers_algebra(2)
+    pres = box_power(rm, 3, green=True)
+    assert calls == []
+    mult = pres.result.mult[2]
+    first = mult[3][5]
+    computed = len(calls)
+    assert mult[3][5] == first
+    assert len(calls) == computed
+    # the factors' own products are filled on read too; count the box's
+    assert [(d, a, b) for (p, d, a, b) in calls if p is pres] == [(2, 3, 5)]
+
+
+def test_splitting_check_reads_few_box_products(monkeypatch):
+    calls = _count_products(monkeypatch)
+    m, _ = _dual_numbers_algebra(2)
+    rep = splitting_check(trivial_Z(GroupContext(2)), m, 1)
+    assert rep.passed
+    assert 0 < len(calls) <= 500

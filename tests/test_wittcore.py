@@ -9,6 +9,7 @@ from mackeywitt.wittcore import (
     TruncationSet,
     UnsupportedRingError,
     all_vectors,
+    divisors,
     frobenius,
     from_ghost,
     ghost,
@@ -226,3 +227,15 @@ def test_mod_m_ring_axioms():
     assert witt_add(witt_add(a, b), c) == witt_add(a, witt_add(b, c))
     assert witt_mul(witt_mul(a, b), c) == witt_mul(a, witt_mul(b, c))
     assert witt_mul(a, witt_add(b, c)) == witt_add(witt_mul(a, b), witt_mul(a, c))
+
+
+def test_divisors_agree_with_trial_division():
+    for n in range(-3, 2001):
+        assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)
+
+
+def test_divisors_of_a_large_number_from_its_prime_factors():
+    ds = divisors(10**12)
+    assert len(ds) == 13 * 13
+    assert ds[:4] == (1, 2, 4, 5) and ds[-1] == 10**12
+    assert all(10**12 % d == 0 for d in ds)
