@@ -572,14 +572,7 @@ class AbHom:
     __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix, check: bool = True):
-        self.source = source
-        self.target = target
-        self.matrix = mat(matrix)
-        if len(self.matrix) != source.num_generators:
-            raise ValueError("matrix has wrong number of rows")
-        for r in self.matrix:
-            if len(r) != target.num_generators:
-                raise ValueError("matrix has wrong number of columns")
+        self._set(source, target, mat(matrix))
         if check:
             tsnf = target._rel_snf
             for r in source.relations:
@@ -589,16 +582,33 @@ class AbHom:
                         f"relation {r} maps to {img}, not in target relations"
                     )
 
+    def _set(self, source: FgAbGroup, target: FgAbGroup, matrix: Matrix) -> None:
+        self.source = source
+        self.target = target
+        self.matrix = matrix
+        if len(matrix) != source.num_generators:
+            raise ValueError("matrix has wrong number of rows")
+        for r in matrix:
+            if len(r) != target.num_generators:
+                raise ValueError("matrix has wrong number of columns")
+
+    @classmethod
+    def _unchecked(cls, source: FgAbGroup, target: FgAbGroup, matrix: Matrix) -> "AbHom":
+        """An uncertified hom on a matrix of int tuples that this module built."""
+        hom = cls.__new__(cls)
+        hom._set(source, target, matrix)
+        return hom
+
     def __repr__(self):
         return f"AbHom({self.source!r} -> {self.target!r})"
 
     @staticmethod
     def identity(g: FgAbGroup) -> "AbHom":
-        return AbHom(g, g, identity_matrix(g.num_generators), check=False)
+        return AbHom._unchecked(g, g, identity_matrix(g.num_generators))
 
     @staticmethod
     def zero(source: FgAbGroup, target: FgAbGroup) -> "AbHom":
-        return AbHom(source, target, zero_matrix(source.num_generators, target.num_generators), check=False)
+        return AbHom._unchecked(source, target, zero_matrix(source.num_generators, target.num_generators))
 
     def apply(self, x: Row) -> Row:
         return vec_mat(tuple(x), self.matrix)
@@ -607,21 +617,21 @@ class AbHom:
         """self followed by `then`."""
         if self.target.num_generators != then.source.num_generators:
             raise ValueError("composition shape mismatch")
-        return AbHom(self.source, then.target, mat_mul(self.matrix, then.matrix), check=False)
+        return AbHom._unchecked(self.source, then.target, mat_mul(self.matrix, then.matrix))
 
     def add(self, other: "AbHom") -> "AbHom":
-        return AbHom(self.source, self.target, mat_add(self.matrix, other.matrix), check=False)
+        return AbHom._unchecked(self.source, self.target, mat_add(self.matrix, other.matrix))
 
     def sub(self, other: "AbHom") -> "AbHom":
-        return AbHom(self.source, self.target, mat_sub(self.matrix, other.matrix), check=False)
+        return AbHom._unchecked(self.source, self.target, mat_sub(self.matrix, other.matrix))
 
     def scale(self, c: int) -> "AbHom":
-        return AbHom(self.source, self.target, mat_scale(c, self.matrix), check=False)
+        return AbHom._unchecked(self.source, self.target, mat_scale(c, self.matrix))
 
     def power(self, k: int) -> "AbHom":
         if self.source is not self.target and self.source != self.target:
             raise ValueError("power of non-endomorphism")
-        return AbHom(self.source, self.target, mat_pow(self.matrix, k), check=False)
+        return AbHom._unchecked(self.source, self.target, mat_pow(self.matrix, k))
 
     def __eq__(self, other):
         """Equality modulo target relations."""
@@ -659,13 +669,13 @@ class AbHom:
                 raise AssertionError("source relations must lie in the kernel lattice")
             rel_rows.append(coeffs)
         k = FgAbGroup(len(lat), rel_rows)
-        incl = AbHom(k, self.source, lat_m, check=False)
+        incl = AbHom._unchecked(k, self.source, lat_m)
         return k, incl
 
     def cokernel(self) -> tuple[FgAbGroup, "AbHom"]:
         """Cokernel on the target's own generators, with the projection."""
         q = FgAbGroup(self.target.num_generators, stack(self.target.relations, self.matrix))
-        proj = AbHom(self.target, q, identity_matrix(self.target.num_generators), check=False)
+        proj = AbHom._unchecked(self.target, q, identity_matrix(self.target.num_generators))
         return q, proj
 
     def image_hnf(self) -> Matrix:
@@ -713,7 +723,7 @@ def tensor_hom(f: AbHom, g: AbHom, source: FgAbGroup | None = None, target: FgAb
     for frow in f.matrix:
         for grow in g.matrix:
             rows.append(tuple(x * y for x in frow for y in grow))
-    return AbHom(src, tgt, rows, check=False)
+    return AbHom._unchecked(src, tgt, tuple(rows))
 
 
 class Subquotient:

@@ -24,7 +24,13 @@ from .mackey import (
     prime_edges,
 )
 from .norm import NormGreenFunctor, norm_trivial_ring, truncation_rows
-from .wittcore import BaseRing
+from .wittcore import (
+    ENUMERATION_BUDGET,
+    BaseRing,
+    EnumerationBudgetError,
+    divisors,
+    require_enumerable,
+)
 
 
 def _maximal_non_multiples(d: int, m: int) -> list[int]:
@@ -348,7 +354,11 @@ def tr_tower(ring: BaseRing, p: int, stages: int, degree: int) -> TowerReport:
     geometric-fixed-point maps through the cyclotomic isomorphism.  The
     limit is reported as a stabilized description, never a fabricated
     infinite object.
+
+    The top stage n = p^(stages-1) is checked against ENUMERATION_BUDGET
+    (and, over ℤ/m, its Witt vector enumeration) before stage 0 is built.
     """
+    _require_top_stage(ring, p, stages)
     homologies = []
     towers = []
     for nexp in range(0, stages):
@@ -383,6 +393,18 @@ def tr_tower(ring: BaseRing, p: int, stages: int, degree: int) -> TowerReport:
 
     limit_desc, precision = _classify_limit(p, towers, maps)
     return TowerReport(p, degree, towers, maps, limit_desc, precision)
+
+
+def _require_top_stage(ring: BaseRing, p: int, stages: int) -> None:
+    n = 1
+    for _ in range(stages - 1):
+        n *= p
+        if n > ENUMERATION_BUDGET:
+            raise EnumerationBudgetError(
+                f"top stage n = {p}^{stages - 1} exceeds the enumeration budget of {ENUMERATION_BUDGET}"
+            )
+    if not ring.is_torsion_free:
+        require_enumerable(ring.modulus, len(divisors(n)))
 
 
 def _classify_limit(p: int, stages, maps) -> tuple[str, int]:

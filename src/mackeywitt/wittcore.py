@@ -7,14 +7,19 @@ Components are indexed by a divisor-closed truncation set S; the ghost map
 
 characterizes the ring structure over ℤ, where every operation is solved
 recursively through exactly divisible ghost equations.  Over ℤ/m, where the
-ghost map is not injective, operations evaluate universal integer
-polynomials computed once by the same recursive solve with symbolic
-components and memoized per (operation, d).
+ghost map is not injective, an operation reads the stored components (in
+[0, m)) as an integer Witt vector, runs the same ghost solve over ℤ and
+reduces each component mod m.  This is exact: reduction ℤ → ℤ/m induces the
+componentwise ring map W_S(ℤ) → W_S(ℤ/m), which commutes with F_r, so the
+universal integer polynomial of an operation, evaluated at the lifts and
+reduced, is the ℤ-operation on the lifts, reduced.  The universal
+polynomials themselves (`_universal_poly`) are kept only as the symbolic
+oracle the tests compare against.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
 
 Monomial = tuple[tuple[object, int], ...]  # sorted ((variable, exponent), ...)
@@ -250,12 +255,18 @@ def one(truncation: TruncationSet, ring: BaseRing) -> WittVector:
 # ghost coordinates over ℤ
 
 
+def _lift_ghost(w: WittVector, d: int) -> int:
+    """gh_d of w's components read as integers (w's own ghost over ℤ)."""
+    return sum(e * a ** (d // e) for e, a in w.components.items() if d % e == 0)
+
+
 def ghost_component(w: WittVector, d: int) -> int:
     if not w.ring.is_torsion_free:
         raise TorsionRingError("ghost coordinates require a torsion-free base ring")
     if d not in w.truncation:
         raise ValueError(f"{d} not in truncation set")
-    return sum(e * w.components[e] ** (d // e) for e in divisors(d) if e in w.truncation)
+    return _lift_ghost(w, d)
+
 
 def ghost(w: WittVector) -> dict[int, int]:
     return {d: ghost_component(w, d) for d in w.truncation.sorted()}
@@ -268,21 +279,25 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
+def _solve_ghost(truncation: TruncationSet, gh: dict[int, int]) -> dict[int, int]:
+    comps: dict[int, int] = {}
+    for d in truncation.sorted():
+        partial = sum(e * a ** (d // e) for e, a in comps.items() if d % e == 0)
+        comps[d] = _exact_div(gh[d] - partial, d)
+    return comps
+
+
 def from_ghost(truncation: TruncationSet, gh: dict[int, int]) -> WittVector:
     """The unique integral Witt vector with the given ghost coordinates.
 
     Raises InexactWittDivision when no integral solution exists, which for
     ghosts produced by ring operations on integral vectors is a bug.
     """
-    comps: dict[int, int] = {}
-    for d in truncation.sorted():
-        partial = sum(e * comps[e] ** (d // e) for e in divisors(d) if e in comps and e != d)
-        comps[d] = _exact_div(gh[d] - partial, d)
-    return WittVector(truncation, BaseRing.integers(), comps)
+    return WittVector(truncation, BaseRing.integers(), _solve_ghost(truncation, gh))
 
 
 # ---------------------------------------------------------------------------
-# sparse multivariate integer polynomials (for the universal operations)
+# sparse multivariate integer polynomials (the universal operations, a test oracle)
 
 
 class Poly:
@@ -378,6 +393,10 @@ def _sym_ghost(prefix: str, d: int) -> Poly:
 def _universal_poly(op: str, d: int, r: int = 0) -> Poly:
     """Component-d polynomial for a Witt operation, solved via symbolic ghosts.
 
+    The symbolic test oracle: no ring operation evaluates it.  The tests
+    check that each operation over ℤ/m, computed on integer lifts, equals
+    this polynomial evaluated at the components and reduced mod m.
+
     op ∈ {"add", "mul", "neg", "frob"}; "frob" takes the extra parameter r.
     Memoized per (op, d, r); the recursion only ever consults smaller d.
     """
@@ -397,20 +416,6 @@ def _universal_poly(op: str, d: int, r: int = 0) -> Poly:
     return target.exact_div(d)
 
 
-def _apply_universal(op: str, a: WittVector, b: WittVector | None, r: int = 0,
-                     out_truncation: TruncationSet | None = None) -> WittVector:
-    S = out_truncation if out_truncation is not None else a.truncation
-    ring = a.ring
-    assignment = {("x", e): v for e, v in a.components.items()}
-    if b is not None:
-        assignment.update({("y", e): v for e, v in b.components.items()})
-    comps = {
-        d: _universal_poly(op, d, r).evaluate(assignment, ring.reduce)
-        for d in S.elements
-    }
-    return WittVector(S, ring, comps)
-
-
 def _require_compatible(a: WittVector, b: WittVector):
     if a.truncation != b.truncation or a.ring != b.ring:
         raise ValueError("mismatched truncation sets or base rings")
@@ -418,25 +423,19 @@ def _require_compatible(a: WittVector, b: WittVector):
 
 def witt_add(a: WittVector, b: WittVector) -> WittVector:
     _require_compatible(a, b)
-    if a.ring.is_torsion_free:
-        gh = {d: ghost_component(a, d) + ghost_component(b, d) for d in a.truncation.elements}
-        return from_ghost(a.truncation, gh)
-    return _apply_universal("add", a, b)
+    gh = {d: _lift_ghost(a, d) + _lift_ghost(b, d) for d in a.truncation.elements}
+    return WittVector(a.truncation, a.ring, _solve_ghost(a.truncation, gh))
 
 
 def witt_mul(a: WittVector, b: WittVector) -> WittVector:
     _require_compatible(a, b)
-    if a.ring.is_torsion_free:
-        gh = {d: ghost_component(a, d) * ghost_component(b, d) for d in a.truncation.elements}
-        return from_ghost(a.truncation, gh)
-    return _apply_universal("mul", a, b)
+    gh = {d: _lift_ghost(a, d) * _lift_ghost(b, d) for d in a.truncation.elements}
+    return WittVector(a.truncation, a.ring, _solve_ghost(a.truncation, gh))
 
 
 def witt_neg(a: WittVector) -> WittVector:
-    if a.ring.is_torsion_free:
-        gh = {d: -ghost_component(a, d) for d in a.truncation.elements}
-        return from_ghost(a.truncation, gh)
-    return _apply_universal("neg", a, None)
+    gh = {d: -_lift_ghost(a, d) for d in a.truncation.elements}
+    return WittVector(a.truncation, a.ring, _solve_ghost(a.truncation, gh))
 
 
 def witt_sub(a: WittVector, b: WittVector) -> WittVector:
@@ -444,21 +443,16 @@ def witt_sub(a: WittVector, b: WittVector) -> WittVector:
 
 
 def witt_scalar(n: int, a: WittVector) -> WittVector:
-    """n-fold Witt sum of a (n may be negative)."""
-    acc = zero(a.truncation, a.ring)
-    step = a if n >= 0 else witt_neg(a)
-    for _ in range(abs(n)):
-        acc = witt_add(acc, step)
-    return acc
+    """n-fold Witt sum of a (n may be negative): one scaling of the ghosts."""
+    gh = {d: n * _lift_ghost(a, d) for d in a.truncation.elements}
+    return WittVector(a.truncation, a.ring, _solve_ghost(a.truncation, gh))
 
 
 def frobenius(r: int, w: WittVector) -> WittVector:
     """F_r : W_S → W_{S/r}, characterized by gh_d(F_r w) = gh_{rd}(w)."""
     S_out = w.truncation.quotient(r)
-    if w.ring.is_torsion_free:
-        gh = {d: ghost_component(w, r * d) for d in S_out.elements}
-        return from_ghost(S_out, gh)
-    return _apply_universal("frob", w, None, r, out_truncation=S_out)
+    gh = {d: _lift_ghost(w, r * d) for d in S_out.elements}
+    return WittVector(S_out, w.ring, _solve_ghost(S_out, gh))
 
 
 def verschiebung(r: int, w: WittVector, out_truncation: TruncationSet) -> WittVector:

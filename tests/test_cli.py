@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mackeywitt import cli, mackey, norm, wittcore
+from mackeywitt import cli, geomfix, mackey, norm, wittcore
 from mackeywitt.cli import main
 from mackeywitt.fgab import CompositeNotZeroError, NotInSubgroupError, NotWellDefinedError
 
@@ -180,3 +180,32 @@ def test_tr_prime_over_budget_is_refused_before_primality(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "enumeration budget" in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [("--stages", "100"), ("--stages", "1000000000000"), ("--stages", "17"), ("--stages", "18", "--ring", "Z")],
+)
+def test_tr_over_budget_top_stage_is_refused_before_any_stage(capsys, monkeypatch, extra):
+    def never(*a, **k):
+        raise AssertionError("a tower stage was built")
+
+    monkeypatch.setattr(geomfix, "norm_trivial_ring", never)
+    code, out, err = run_cli(capsys, "tr", "--p", "2", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "enumeration budget" in err
+
+
+def test_mod_m_witt_arithmetic_builds_no_universal_polynomial(capsys):
+    wittcore._universal_poly.cache_clear()
+    assert run_cli(capsys, "norm", "--ring", "F_2", "--n", "16")[0] == 0
+    assert run_cli(capsys, "witt", "--ring", "Z/4", "--n", "6")[0] == 0
+    assert wittcore._universal_poly.cache_info().misses == 0
+
+
+def test_witt_f2_n30_is_isomorphic(capsys):
+    code, out, err = run_cli(capsys, "witt", "--ring", "F_2", "--n", "30", "--json")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "isomorphic"

@@ -155,6 +155,37 @@ def test_hom_well_definedness():
     AbHom(z2, z4, [(2,)])
 
 
+def is_int_matrix(m):
+    return type(m) is tuple and all(type(r) is tuple and all(type(x) is int for x in r) for r in m)
+
+
+def test_public_hom_constructor_normalises_lists_and_bools():
+    z2 = cyclic_group(2)
+    f = AbHom(free_group(2), direct_sum(z2, z2), [[True, False], [0, 1]])
+    assert f.matrix == ((1, 0), (0, 1))
+    assert is_int_matrix(f.matrix)
+    with pytest.raises(NotWellDefinedError):
+        AbHom(z2, cyclic_group(4), [[True]])
+
+
+def test_internally_built_homs_keep_int_tuples_and_shape_checks():
+    z, z2 = free_group(1), cyclic_group(2)
+    f = AbHom(free_group(2), z, [[3], [True]])
+    g = AbHom(z, z2, [[1]])
+    built = [
+        AbHom.identity(z2), AbHom.zero(z, z2), f.compose(g), f.add(f), f.sub(f), f.scale(2),
+        AbHom(z, z, [[2]]).power(3), f.kernel()[1], f.cokernel()[1], tensor_hom(f, g),
+    ]
+    for h in built:
+        assert is_int_matrix(h.matrix)
+        assert len(h.matrix) == h.source.num_generators
+        assert all(len(r) == h.target.num_generators for r in h.matrix)
+    with pytest.raises(ValueError):
+        AbHom._unchecked(z, z2, ((1,), (0,)))
+    with pytest.raises(ValueError):
+        AbHom._unchecked(z, z2, ((1, 0),))
+
+
 def test_hom_equality_mod_relations():
     z3 = cyclic_group(3)
     f = AbHom(z3, z3, [(1,)])

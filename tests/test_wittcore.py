@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mackeywitt.fgab import FgAbGroup
 from mackeywitt.wittcore import (
+    _universal_poly,
     BaseRing,
     TorsionRingError,
     TruncationSet,
@@ -239,3 +242,76 @@ def test_divisors_of_a_large_number_from_its_prime_factors():
     assert len(ds) == 13 * 13
     assert ds[:4] == (1, 2, 4, 5) and ds[-1] == 10**12
     assert all(10**12 % d == 0 for d in ds)
+
+
+# The lift-and-reduce operations over ℤ/m against the symbolic oracle: the
+# universal integer polynomial of each operation evaluated at the components.
+
+ORACLE_MODULI = (2, 3, 4, 6, 8, 9, 10**9)
+
+
+def oracle(op, a, b=None, r=0):
+    S = a.truncation.quotient(r) if op == "frob" else a.truncation
+    assignment = {("x", e): v for e, v in a.components.items()}
+    if b is not None:
+        assignment.update({("y", e): v for e, v in b.components.items()})
+    return witt(S, a.ring, {d: _universal_poly(op, d, r).evaluate(assignment, a.ring.reduce) for d in S.elements})
+
+
+def assert_unary_ops_match_oracle(a):
+    assert witt_neg(a) == oracle("neg", a)
+    for r in (2, 3):
+        assert frobenius(r, a) == oracle("frob", a, r=r)
+
+
+def assert_binary_ops_match_oracle(a, b):
+    assert witt_add(a, b) == oracle("add", a, b)
+    assert witt_mul(a, b) == oracle("mul", a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ORACLE_MODULI), st.integers(1, 12), st.data())
+def test_lifted_operations_match_universal_polynomials(m, n, data):
+    ring = BaseRing.integers_mod(m)
+    S = W(n)
+    comps = st.lists(st.integers(0, m - 1), min_size=len(S.elements), max_size=len(S.elements))
+    a = witt(S, ring, data.draw(comps))
+    b = witt(S, ring, data.draw(comps))
+    assert_unary_ops_match_oracle(a)
+    assert_binary_ops_match_oracle(a, b)
+
+
+def test_lifted_operations_match_universal_polynomials_exhaustively():
+    # every vector wherever W_S(ℤ/m) has at most 256; every pair where it has
+    # at most 16, and otherwise every vector against four fixed partners
+    rng = random.Random(31)
+    cases = 0
+    for m in ORACLE_MODULI:
+        ring = BaseRing.integers_mod(m)
+        for n in range(1, 13):
+            S = W(n)
+            if m ** len(S.elements) > 256:
+                continue
+            vectors = list(all_vectors(S, ring))
+            partners = vectors if len(vectors) <= 16 else rng.sample(vectors, 4)
+            for a in vectors:
+                assert_unary_ops_match_oracle(a)
+                for b in partners:
+                    assert_binary_ops_match_oracle(a, b)
+            cases += 1
+    assert cases == 54
+
+
+@pytest.mark.parametrize("ring", [Z, BaseRing.integers_mod(4), F3], ids=repr)
+def test_witt_scalar_is_iterated_addition(ring):
+    rng = random.Random(37)
+    for n in (1, 4, 6, 12):
+        S = W(n)
+        for _ in range(3):
+            a = rand_vector(rng, S, ring, 4)
+            for k in range(-5, 6):
+                acc = zero(S, ring)
+                step = a if k >= 0 else witt_neg(a)
+                for _ in range(abs(k)):
+                    acc = witt_add(acc, step)
+                assert witt_scalar(k, a) == acc
