@@ -19,7 +19,7 @@ from .hochschild import MackeyHomology, moore_complex, twisted_cyclic_nerve
 from .geomfix import tr_tower
 from .mackey import GroupContext, RingData, fixed_point_mackey, is_prime
 from .norm import norm_trivial_ring
-from .suites import SUITES, run_all, run_suites
+from .suites import SUITES, run_suites
 from .wittcore import (
     ENUMERATION_BUDGET,
     BaseRing,

@@ -427,9 +427,10 @@ class FgAbGroup:
     """A finitely generated abelian group presented by integer relations.
 
     ``FgAbGroup(k, rows)`` is the quotient of ℤ^k by the row span of
-    ``rows``.  The presentation keeps its generators; the canonical form
-    (invariant factors + free rank) is computed lazily from SNF and is a
-    complete isomorphism invariant.
+    ``rows`` (for k = 0 the rows are empty, and none is kept).  The
+    presentation keeps its generators; the canonical form (invariant
+    factors + free rank) is computed lazily from SNF and is a complete
+    isomorphism invariant.
     """
 
     __slots__ = ("num_generators", "relations", "__dict__")
@@ -440,7 +441,7 @@ class FgAbGroup:
         for r in rel:
             if len(r) != self.num_generators:
                 raise ValueError("relation row has wrong length")
-        self.relations = rel
+        self.relations = rel if self.num_generators else ()
 
     def __repr__(self):
         inv, rank = self.canonical_form

@@ -10,20 +10,20 @@ certifies that it commutes with every face, degeneracy, and structure map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fgab import AbHom, FgAbGroup, identity_matrix
 from .green import BoxPresentation
-from .hochschild import MackeyHomology, SimplicialMackey, moore_complex, twisted_cyclic_nerve
+from .hochschild import MackeyHomology, moore_complex, twisted_cyclic_nerve
 from .mackey import (
     GreenFunctor,
     GroupContext,
     MackeyFunctor,
     MackeyHom,
-    divisors,
+    Report,
     prime_edges,
 )
-from .norm import NormGreenFunctor, norm_trivial_ring, truncation_rows
+from .norm import norm_trivial_ring, truncation_rows
 from .wittcore import (
     ENUMERATION_BUDGET,
     BaseRing,
@@ -41,10 +41,7 @@ def _maximal_non_multiples(d: int, m: int) -> list[int]:
 
 def tilde_ef(obj, m: int):
     """ẼF_{C_m} M: kill levels without C_m, quotient the rest by transfers."""
-    green = obj if isinstance(obj, (GreenFunctor, NormGreenFunctor)) else None
-    if isinstance(obj, NormGreenFunctor):
-        obj = obj.green
-        green = obj
+    green = obj if isinstance(obj, GreenFunctor) else None
     mk = obj.underlying if green else obj
     ctx = mk.ctx
     if ctx.n % m:
@@ -140,20 +137,8 @@ def phi_box_comparison(m_fun, n_fun, m: int) -> MackeyHom:
 # cyclotomic comparison
 
 
-@dataclass
-class ComparisonReport:
-    checks: list = field(default_factory=list)
-
-    def note(self, ok: bool, msg: str):
-        self.checks.append((bool(ok), msg))
-
-    @property
-    def passed(self):
-        return all(ok for ok, _ in self.checks)
-
-    def __repr__(self):
-        lines = [("ok  " if ok else "FAIL") + " " + m for ok, m in self.checks]
-        return "ComparisonReport(\n  " + "\n  ".join(lines) + "\n)"
+# perfbench/tracer.py counts report notes through this name.
+ComparisonReport = Report
 
 
 def _phi_nerve_degree(pres: BoxPresentation, m: int) -> MackeyFunctor:
@@ -189,7 +174,7 @@ def cyclotomic_check(
     m: int,
     slot_rows_for_level,
     max_degree: int,
-) -> ComparisonReport:
+) -> Report:
     """Degreewise comparison Φ^{C_m}(HC^{C_n}(R)) ≅ HC^{C_n/m}(Φ R).
 
     slot_rows_for_level(e) must give the matrix of the generator-level
@@ -197,7 +182,7 @@ def cyclotomic_check(
     The report records, per degree, that the comparison map is a natural
     isomorphism commuting with all faces and degeneracies.
     """
-    report = ComparisonReport()
+    report = Report("cyclotomic comparison")
     nerve_big = twisted_cyclic_nerve(r_big, max_degree)
     nerve_small = twisted_cyclic_nerve(r_small, max_degree)
     psis = []
@@ -234,7 +219,7 @@ def cyclotomic_check(
     return report
 
 
-def cyclotomic_check_norm(ring: BaseRing, n: int, m: int, max_degree: int) -> ComparisonReport:
+def cyclotomic_check_norm(ring: BaseRing, n: int, m: int, max_degree: int) -> Report:
     """Cyclotomic comparison for R = norm of a base ring; Φ is Witt truncation."""
     if n % m:
         raise ValueError("m must divide n")
@@ -250,7 +235,7 @@ def cyclotomic_check_norm(ring: BaseRing, n: int, m: int, max_degree: int) -> Co
     return cyclotomic_check(big, small, m, slot_rows, max_degree)
 
 
-def edgewise_comparison_norm(ring: BaseRing, n: int, j: int, max_degree: int) -> ComparisonReport:
+def edgewise_comparison_norm(ring: BaseRing, n: int, j: int, max_degree: int) -> Report:
     """i_J^* HC^{C_n}(norm R) ≅ sd_{n/j} HC^{C_j}(norm R) degreewise.
 
     The comparison map groups each block of n/j consecutive box slots into
@@ -259,12 +244,11 @@ def edgewise_comparison_norm(ring: BaseRing, n: int, j: int, max_degree: int) ->
     source, the restricted ones on the target).
     """
     from .hochschild import edgewise_subdivision, restrict_simplicial
-    from .mackey import restrict
 
     if n % j:
         raise ValueError("j must divide n")
     r = n // j
-    report = ComparisonReport()
+    report = Report("edgewise comparison")
     big = norm_trivial_ring(ring, n)
     small = norm_trivial_ring(ring, j)
     nerve_small = twisted_cyclic_nerve(small, r * (max_degree + 1) - 1)

@@ -151,7 +151,6 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
     """
     if not factors:
         raise ValueError("need at least one factor")
-    factors = [getattr(f, "green", f) for f in factors]
     macks = [_unwrap(f) for f in factors]
     ctx = macks[0].ctx
     for f in macks:

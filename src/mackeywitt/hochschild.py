@@ -161,7 +161,6 @@ def twisted_cyclic_nerve(r, k_max: int, green: bool = False, check: bool = True)
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    r = getattr(r, "green", r)
     pres = [box_power(r, j + 1, green=green) for j in range(k_max + 1)]
     degrees = [p.mackey for p in pres]
     faces: list = [None]
@@ -240,7 +239,6 @@ def hh0_oracle(r) -> GreenFunctor:
     Computed as the quotient by the Green ideal generated by g·x − x over
     every level and generator.
     """
-    r = getattr(r, "green", r)
     m = r.underlying
     gens = []
     for d in m.ctx.divisors:
@@ -258,7 +256,6 @@ def hh0_green(r, nerve: SimplicialMackey | None = None):
     Returns (green_quotient, boundary_image_rows) where the rows, per
     level, span the image of ∂_1 transported along R^{□1} ≅ R.
     """
-    r = getattr(r, "green", r)
     if nerve is None:
         nerve = twisted_cyclic_nerve(r, 1)
     iota = full_transfer_identification(nerve.presentations[0])

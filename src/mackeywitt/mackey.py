@@ -514,30 +514,38 @@ def restrict(m, j: int):
 
 
 @dataclass
-class AxiomReport:
-    checked: int = 0
-    failures: list = field(default_factory=list)
+class Report:
+    """A named list of (ok, message) checks; every certificate check returns one."""
 
-    def note(self, ok: bool, message: str):
-        self.checked += 1
-        if not ok:
-            self.failures.append(message)
+    name: str
+    checks: list = field(default_factory=list)
+
+    def note(self, ok, msg: str) -> None:
+        self.checks.append((bool(ok), msg))
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return all(ok for ok, _ in self.checks)
+
+    @property
+    def failures(self) -> list[str]:
+        return [msg for ok, msg in self.checks if not ok]
+
+    @property
+    def cases(self) -> int:
+        return len(self.checks)
 
     def __repr__(self):
         status = "pass" if self.passed else "FAIL"
-        body = "" if self.passed else "\n  " + "\n  ".join(self.failures)
-        return f"AxiomReport({status}, {self.checked} identities checked){body}"
+        body = "".join("\n  FAIL " + msg for msg in self.failures)
+        return f"Report({self.name}: {status}, {self.cases} checks){body}"
 
 
-def check_axioms(obj) -> AxiomReport:
+def check_axioms(obj) -> Report:
     """Verify every Mackey (and Green) functor invariant; diagnostic, never raises."""
-    rep = AxiomReport()
     green = obj if isinstance(obj, GreenFunctor) else None
     m = obj.underlying if green else obj
+    rep = Report(f"axioms of {m.name}")
     ctx = m.ctx
     n = ctx.n
 

@@ -9,12 +9,11 @@ is Witt multiplication.  Over ℤ the additive basis is {V_e([1]) : e | d}
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import wittcore
 from .fgab import _SNF, AbHom, FgAbGroup, solve_left
-from .mackey import GreenFunctor, GroupContext, MackeyFunctor, divisors, prime_edges
+from .mackey import GreenFunctor, GroupContext, MackeyFunctor, Report, prime_edges
 from .wittcore import (
     BaseRing,
     TruncationSet,
@@ -118,42 +117,13 @@ class WittLevel:
         return acc
 
 
-@dataclass
-class NormGreenFunctor:
-    """N_e^{C_n} R with Witt levels and their generator bookkeeping."""
+class NormGreenFunctor(GreenFunctor):
+    """N_e^{C_n} R: a Green functor whose level d is W_⟨d⟩(R), with its Witt generators."""
 
-    base_ring: BaseRing
-    ctx: GroupContext
-    green: GreenFunctor
-    witt_levels: dict = field(default_factory=dict)
-
-    @property
-    def underlying(self) -> MackeyFunctor:
-        return self.green.underlying
-
-    @property
-    def level(self):
-        return self.green.level
-
-    def multiply(self, d, x, y):
-        return self.green.multiply(d, x, y)
-
-    @property
-    def unit(self):
-        return self.green.unit
-
-    @property
-    def mult(self):
-        return self.green.mult
-
-    def res_full(self, e, d):
-        return self.green.res_full(e, d)
-
-    def tr_full(self, d, e):
-        return self.green.tr_full(d, e)
-
-    def weyl_power(self, d, k):
-        return self.green.weyl_power(d, k)
+    def __init__(self, underlying: MackeyFunctor, mult, unit, base_ring: BaseRing, witt_levels: dict):
+        super().__init__(underlying, mult, unit)
+        self.base_ring = base_ring
+        self.witt_levels = witt_levels
 
 
 def norm_trivial_ring(ring: BaseRing, n: int) -> NormGreenFunctor:
@@ -192,7 +162,7 @@ def norm_trivial_ring(ring: BaseRing, n: int) -> NormGreenFunctor:
             table.append(tuple(lv.coords(witt_mul(lv.gens[i], lv.gens[j])) for j in range(k)))
         mult[d] = tuple(table)
         unit[d] = lv.coords(one(lv.truncation, ring))
-    return NormGreenFunctor(ring, ctx, GreenFunctor(m, mult, unit), levels)
+    return NormGreenFunctor(m, mult, unit, ring, levels)
 
 
 def external_norm_element(norm: NormGreenFunctor, r: int) -> tuple[int, ...]:
@@ -213,23 +183,7 @@ def truncation_rows(src: NormGreenFunctor, e: int, dst: NormGreenFunctor, e2: in
     return tuple(rows)
 
 
-@dataclass
-class NormRestrictionReport:
-    checks: list = field(default_factory=list)
-
-    def note(self, ok: bool, msg: str):
-        self.checks.append((ok, msg))
-
-    @property
-    def passed(self):
-        return all(ok for ok, _ in self.checks)
-
-    def __repr__(self):
-        lines = [("ok  " if ok else "FAIL") + " " + m for ok, m in self.checks]
-        return "NormRestrictionReport(\n  " + "\n  ".join(lines) + "\n)"
-
-
-def check_norm_restriction_identity(ring: BaseRing, n: int, j: int) -> NormRestrictionReport:
+def check_norm_restriction_identity(ring: BaseRing, n: int, j: int) -> Report:
     """i_J^* N_e^{C_n} R ≅ (N_e^{C_j} R)^{□ n/j}, with the tensor-induction action.
 
     The comparison map multiplies the box slots inside each Witt level and
@@ -242,10 +196,10 @@ def check_norm_restriction_identity(ring: BaseRing, n: int, j: int) -> NormRestr
 
     if n % j:
         raise ValueError("j must divide n")
-    report = NormRestrictionReport()
+    report = Report("norm restriction identity")
     big = norm_trivial_ring(ring, n)
     small = norm_trivial_ring(ring, j)
-    restricted = restrict(big.green, j)
+    restricted = restrict(big, j)
     k = n // j
     pres = box_power(small, k)
     src = pres.mackey

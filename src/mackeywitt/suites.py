@@ -1,21 +1,20 @@
 """Seeded randomized property suites; the CLI `check` command runs these.
 
-Every suite returns a SuiteResult with the number of cases exercised and a
-list of failure descriptions (empty on a healthy build).  Identical seeds
-give identical runs.
+Every suite returns a mackey.Report with one check per case exercised; its
+failures are empty on a healthy build.  Identical seeds give identical
+runs.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
-from . import wittcore
-from .fgab import FgAbGroup, free_group, identity_matrix, mat, mat_mul, snf
-from .green import box, box_power, box_swap_hom, representable_rule_iso, unit_iso
+from .fgab import FgAbGroup, mat, mat_mul, snf
+from .green import box, box_swap_hom, representable_rule_iso, unit_iso
 from .hochschild import hh0_green, hh0_oracle, moore_complex, twisted_cyclic_nerve
 from .mackey import (
     GroupContext,
+    Report,
     RingData,
     burnside,
     check_axioms,
@@ -23,31 +22,7 @@ from .mackey import (
     representable,
 )
 from .norm import norm_trivial_ring
-from .wittcore import BaseRing, TruncationSet, frobenius, ghost, one, teichmuller, verschiebung, witt, witt_add, witt_mul, witt_scalar
-
-
-@dataclass
-class SuiteResult:
-    name: str
-    cases: int = 0
-    failures: list = field(default_factory=list)
-
-    def ok(self):
-        self.cases += 1
-
-    def fail(self, msg: str):
-        self.cases += 1
-        self.failures.append(msg)
-
-    def check(self, cond: bool, msg: str):
-        if cond:
-            self.ok()
-        else:
-            self.fail(msg)
-
-    @property
-    def passed(self):
-        return not self.failures
+from .wittcore import BaseRing, TruncationSet, frobenius, ghost, teichmuller, verschiebung, witt, witt_add, witt_mul, witt_scalar
 
 
 def _random_fixed_point(ctx: GroupContext, rng: random.Random, ring: bool = False):
@@ -87,8 +62,8 @@ def _random_fixed_point(ctx: GroupContext, rng: random.Random, ring: bool = Fals
     return group, action, RingData(mult=tuple(mult), unit=unit)
 
 
-def suite_snf_roundtrip(seed: int) -> SuiteResult:
-    res = SuiteResult("snf-roundtrip")
+def suite_snf_roundtrip(seed: int) -> Report:
+    res = Report("snf-roundtrip")
     rng = random.Random(seed)
     for _ in range(60):
         r = rng.randint(0, 8)
@@ -101,41 +76,41 @@ def suite_snf_roundtrip(seed: int) -> SuiteResult:
         nz = [x for x in diag if x]
         ok = ok and all(x >= 0 for x in diag) and diag[: len(nz)] == nz
         ok = ok and all(b % a == 0 for a, b in zip(nz, nz[1:]))
-        res.check(ok, f"snf round-trip failed on {m}")
+        res.note(ok, f"snf round-trip failed on {m}")
     return res
 
 
-def suite_mackey_axioms(seed: int) -> SuiteResult:
-    res = SuiteResult("mackey-axioms")
+def suite_mackey_axioms(seed: int) -> Report:
+    res = Report("mackey-axioms")
     rng = random.Random(seed)
     for n in (1, 2, 3, 4, 5, 6):
         ctx = GroupContext(n)
         rep = check_axioms(burnside(ctx))
-        res.check(rep.passed, f"burnside(C_{n}): {rep.failures[:2]}")
+        res.note(rep.passed, f"burnside(C_{n}): {rep.failures[:2]}")
         for _ in range(2):
             t = [rng.choice(ctx.divisors) for _ in range(rng.randint(1, 2))]
             rep = check_axioms(representable(ctx, t))
-            res.check(rep.passed, f"representable(C_{n}, {t}): {rep.failures[:2]}")
+            res.note(rep.passed, f"representable(C_{n}, {t}): {rep.failures[:2]}")
         for _ in range(2):
             group, action = _random_fixed_point(ctx, rng)
             rep = check_axioms(fixed_point_mackey(ctx, group, action))
-            res.check(rep.passed, f"fixed_point(C_{n}): {rep.failures[:2]}")
+            res.note(rep.passed, f"fixed_point(C_{n}): {rep.failures[:2]}")
     for n in (7, 8, 9, 10, 11, 12):
         ctx = GroupContext(n)
-        res.check(check_axioms(burnside(ctx)).passed, f"burnside(C_{n})")
+        res.note(check_axioms(burnside(ctx)).passed, f"burnside(C_{n})")
         t = [rng.choice(ctx.divisors)]
-        res.check(check_axioms(representable(ctx, t)).passed, f"representable(C_{n},{t})")
+        res.note(check_axioms(representable(ctx, t)).passed, f"representable(C_{n},{t})")
         group, action = _random_fixed_point(ctx, rng)
-        res.check(check_axioms(fixed_point_mackey(ctx, group, action)).passed, f"fixed_point(C_{n})")
+        res.note(check_axioms(fixed_point_mackey(ctx, group, action)).passed, f"fixed_point(C_{n})")
     for ring in (BaseRing.integers(), BaseRing.integers_mod(2), BaseRing.integers_mod(4)):
         for n in (2, 3, 4, 6, 8, 9, 12):
-            rep = check_axioms(norm_trivial_ring(ring, n).green)
-            res.check(rep.passed, f"norm({ring!r},{n}): {rep.failures[:2]}")
+            rep = check_axioms(norm_trivial_ring(ring, n))
+            res.note(rep.passed, f"norm({ring!r},{n}): {rep.failures[:2]}")
     return res
 
 
-def suite_box_contract(seed: int) -> SuiteResult:
-    res = SuiteResult("box-contract")
+def suite_box_contract(seed: int) -> Report:
+    res = Report("box-contract")
     rng = random.Random(seed)
     for n in (2, 3, 4, 6):
         ctx = GroupContext(n)
@@ -146,21 +121,21 @@ def suite_box_contract(seed: int) -> SuiteResult:
             fixed_point_mackey(ctx, *_random_fixed_point(ctx, rng)),
         ]
         for m in probes:
-            res.check(unit_iso(box(b, m, green=False)).is_isomorphism(), f"unitality C_{n}")
+            res.note(unit_iso(box(b, m, green=False)).is_isomorphism(), f"unitality C_{n}")
         a, c = probes[1], probes[2]
         p1, p2 = box(a, c, green=False), box(c, a, green=False)
-        res.check(box_swap_hom(p1, p2).is_isomorphism(), f"symmetry C_{n}")
+        res.note(box_swap_hom(p1, p2).is_isomorphism(), f"symmetry C_{n}")
         for _ in range(2):
             t1 = tuple(rng.choice(ctx.divisors) for _ in range(rng.randint(1, 2)))
             t2 = tuple(rng.choice(ctx.divisors) for _ in range(rng.randint(1, 2)))
             hom, _ = representable_rule_iso(ctx, t1, t2)
-            res.check(hom.is_isomorphism(), f"representable rule C_{n} {t1} x {t2}")
-        res.check(check_axioms(box(b, b).result).passed, f"box axioms C_{n}")
+            res.note(hom.is_isomorphism(), f"representable rule C_{n} {t1} x {t2}")
+        res.note(check_axioms(box(b, b).result).passed, f"box axioms C_{n}")
     return res
 
 
-def suite_dd_zero(seed: int) -> SuiteResult:
-    res = SuiteResult("dd-zero")
+def suite_dd_zero(seed: int) -> Report:
+    res = Report("dd-zero")
     rng = random.Random(seed)
     builders = [
         lambda: burnside(GroupContext(rng.choice([2, 3, 4, 6]))),
@@ -172,12 +147,12 @@ def suite_dd_zero(seed: int) -> SuiteResult:
             r = builder()
             nerve = twisted_cyclic_nerve(r, 2)
             moore_complex(nerve, check=True)
-            res.ok()
+            res.note(True, "∂∘∂ = 0 certified")
     return res
 
 
-def suite_hh0_oracle(seed: int) -> SuiteResult:
-    res = SuiteResult("hh0-oracle")
+def suite_hh0_oracle(seed: int) -> Report:
+    res = Report("hh0-oracle")
     rng = random.Random(seed)
     from .fgab import row_hnf
 
@@ -199,12 +174,12 @@ def suite_hh0_oracle(seed: int) -> SuiteResult:
             ga, gb = q.level[d], oracle.level[d]
             if row_hnf(ga.relations, ga.num_generators) != row_hnf(gb.relations, gb.num_generators):
                 ok = False
-        res.check(ok, f"hh0 != oracle for {getattr(r, 'green', r).underlying.name}")
+        res.note(ok, f"hh0 != oracle for {r.underlying.name}")
     return res
 
 
-def suite_witt_ghost(seed: int) -> SuiteResult:
-    res = SuiteResult("witt-ghost")
+def suite_witt_ghost(seed: int) -> Report:
+    res = Report("witt-ghost")
     rng = random.Random(seed)
     Z = BaseRing.integers()
     for n in (2, 3, 4, 6, 8, 12):
@@ -215,12 +190,12 @@ def suite_witt_ghost(seed: int) -> SuiteResult:
             ga, gb = ghost(a), ghost(b)
             gs, gp = ghost(witt_add(a, b)), ghost(witt_mul(a, b))
             ok = all(gs[d] == ga[d] + gb[d] and gp[d] == ga[d] * gb[d] for d in S.sorted())
-            res.check(ok, f"ghost hom fails at n={n}")
+            res.note(ok, f"ghost hom fails at n={n}")
     return res
 
 
-def suite_witt_fv(seed: int) -> SuiteResult:
-    res = SuiteResult("witt-frobenius-verschiebung")
+def suite_witt_fv(seed: int) -> Report:
+    res = Report("witt-frobenius-verschiebung")
     rng = random.Random(seed)
     Z = BaseRing.integers()
     for p in (2, 3):
@@ -229,34 +204,34 @@ def suite_witt_fv(seed: int) -> SuiteResult:
             x = witt(S, Z, [rng.randint(-4, 4) for _ in S.sorted()])
             y = witt(S.quotient(p), Z, [rng.randint(-4, 4) for _ in S.quotient(p).sorted()])
             fv = frobenius(p, verschiebung(p, y, S))
-            res.check(fv == witt_scalar(p, y), f"F_pV_p != p at p={p}")
+            res.note(fv == witt_scalar(p, y), f"F_pV_p != p at p={p}")
             lhs = witt_mul(x, verschiebung(p, y, S))
             rhs = verschiebung(p, witt_mul(frobenius(p, x), y), S)
-            res.check(lhs == rhs, f"projection formula fails at p={p}")
+            res.note(lhs == rhs, f"projection formula fails at p={p}")
     for _ in range(10):
         r, s = rng.randint(-6, 6), rng.randint(-6, 6)
         S = TruncationSet.of(6)
-        res.check(
+        res.note(
             witt_mul(teichmuller(S, Z, r), teichmuller(S, Z, s)) == teichmuller(S, Z, r * s),
             "teichmuller multiplicativity",
         )
     return res
 
 
-def suite_norm_module(seed: int) -> SuiteResult:
-    res = SuiteResult("norm-structure")
+def suite_norm_module(seed: int) -> Report:
+    res = Report("norm-structure")
     for p in (2, 3):
         ring = BaseRing.integers_mod(p)
         for k in (1, 2, 3):
             nm = norm_trivial_ring(ring, p**k)
             for (d, e) in nm.underlying.res:
                 comp = nm.underlying.res[(d, e)].compose(nm.underlying.tr[(d, e)])
-                res.check(
+                res.note(
                     comp == comp.identity(nm.level[e]).scale(p),
                     f"tr∘res != {p} on norm(F_{p}, {p**k})",
                 )
-                res.check(nm.underlying.res[(d, e)].is_surjective(), "res not surjective")
-                res.check(nm.underlying.tr[(d, e)].is_injective(), "tr not injective")
+                res.note(nm.underlying.res[(d, e)].is_surjective(), "res not surjective")
+                res.note(nm.underlying.tr[(d, e)].is_injective(), "tr not injective")
     return res
 
 

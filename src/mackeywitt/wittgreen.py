@@ -61,17 +61,16 @@ def witt_green(arg, n: int | None = None) -> GreenWittVectors:
         nm = norm_trivial_ring(arg, n)
         q, _ = hh0_green(nm)
         return GreenWittVectors(q, f"W_C{n}({arg!r})", norm=nm)
-    green = getattr(arg, "green", arg)
-    if not isinstance(green, GreenFunctor):
+    if not isinstance(arg, GreenFunctor):
         raise UnsupportedRingError("expected a BaseRing or a Green functor")
-    if n is not None and n != green.ctx.n:
+    if n is not None and n != arg.ctx.n:
         raise UnsupportedRingError(
             "W over a strictly larger group than the input's needs the relative "
             "norm N_{C_k}^{C_nk}, which is out of scope; pass n equal to the "
             "input's group order"
         )
-    q, _ = hh0_green(green)
-    return GreenWittVectors(q, f"W_C{green.ctx.n}(GreenFunctor)")
+    q, _ = hh0_green(arg)
+    return GreenWittVectors(q, f"W_C{arg.ctx.n}(GreenFunctor)")
 
 
 @dataclass

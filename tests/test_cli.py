@@ -5,6 +5,7 @@ import pytest
 from mackeywitt import cli, geomfix, mackey, norm, wittcore
 from mackeywitt.cli import main
 from mackeywitt.fgab import CompositeNotZeroError, NotInSubgroupError, NotWellDefinedError
+from mackeywitt.hochschild import hh0_oracle
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +41,30 @@ def test_hh_f3_n3(capsys):
     for entry in data["homology"][1:]:
         for level in entry["mackey"]["levels"].values():
             assert level == {"invariant_factors": [], "rank": 0}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_hh_over_Z_is_the_norm_in_degree_0_and_vanishes_above(capsys, n):
+    code, out, err = run_cli(capsys, "hh", "--ring", "Z", "--n", str(n), "--max-degree", "2", "--json")
+    assert (code, err) == (0, "")
+    homology = json.loads(out)["homology"]
+    oracle = hh0_oracle(norm.norm_trivial_ring(wittcore.BaseRing.integers(), n))
+    for d in oracle.ctx.divisors:
+        inv, rank = oracle.level[d].canonical_form
+        assert homology[0]["mackey"]["levels"][str(d)] == {"invariant_factors": list(inv), "rank": rank}
+    assert [entry["degree"] for entry in homology] == [0, 1, 2]
+    for entry in homology[1:]:
+        for level in entry["mackey"]["levels"].values():
+            assert level == {"invariant_factors": [], "rank": 0}
+
+
+@pytest.mark.parametrize("ring", ["Z", "Z/4", "F_2", "F_3", "Z/6"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hh_degree_2_exits_0_for_every_ring(capsys, ring, n):
+    code, out, err = run_cli(capsys, "hh", "--ring", ring, "--n", str(n), "--max-degree", "2", "--json")
+    assert (code, err) == (0, "")
+    assert "Traceback" not in out
+    assert len(json.loads(out)["homology"]) == 3
 
 
 def test_witt_z_n6(capsys):

@@ -16,6 +16,7 @@ from mackeywitt.fgab import (
     direct_sum,
     free_group,
     homology,
+    homology_subquotient,
     identity_matrix,
     in_rowspan,
     kernel_basis,
@@ -352,6 +353,44 @@ def test_snf_roundtrips_with_lazily_built_u(shaped):
     u, d, v = snf(m)
     assert s.u == u and s.v == v
     assert tuple(d[i][i] for i in range(len(s.diagonal))) == s.diagonal
+
+
+@st.composite
+def complexes_with_an_empty_lattice(draw):
+    """(d_in, d_out) around a free middle group with no cycles or no boundaries."""
+    k = draw(st.integers(0, 4))
+    mid = free_group(k)
+    if draw(st.booleans()):
+        # d_out injective (triangular, nonzero diagonal): the cycle lattice is empty
+        rows = [[draw(st.integers(1, 5)) if i == j else draw(entries) if j > i else 0
+                 for j in range(k)] for i in range(k)]
+        d_out = AbHom(mid, free_group(k), rows)
+        d_in = AbHom.zero(free_group(draw(st.integers(0, 3))), mid)
+    else:
+        # no boundary rows: the source of d_in has no generators
+        c = draw(st.integers(0, 4))
+        rows = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=k, max_size=k))
+        d_out = AbHom(mid, free_group(c), rows)
+        d_in = AbHom(FgAbGroup(0), mid, [])
+    return d_in, d_out
+
+
+@settings(deadline=None)
+@given(complexes_with_an_empty_lattice())
+def test_homology_with_an_empty_lattice_certifies_its_induced_maps(cx):
+    d_in, d_out = cx
+    sq = homology_subquotient(d_in, d_out)
+    mid = d_in.target
+    cycles = preimage_basis(d_out.matrix, ())
+    if not cycles:
+        assert sq.group.num_generators == 0 and sq.group.relations == ()
+    if not d_in.source.num_generators:
+        assert sq.group.canonical_form == ((), len(cycles))
+    # every induced map below is certified well defined by AbHom(check=True)
+    assert sq.induced(AbHom.identity(mid), sq).is_isomorphism()
+    other = Subquotient(free_group(2), identity_matrix(2), [(2, 0)])  # Z/2 + Z
+    assert sq.induced(AbHom.zero(mid, other.ambient), other).is_zero()
+    assert other.induced(AbHom.zero(other.ambient, mid), sq).is_zero()
 
 
 def test_group_questions_read_no_u():

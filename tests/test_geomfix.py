@@ -55,7 +55,7 @@ def test_tilde_ef_norm_fp(p, n_exp):
 def test_tilde_ef_idempotent():
     for obj, m in [
         (burnside(GroupContext(4)).underlying, 2),
-        (norm_trivial_ring(F2, 4).green.underlying, 2),
+        (norm_trivial_ring(F2, 4).underlying, 2),
         (representable(GroupContext(6), [2]), 3),
     ]:
         once = tilde_ef(obj, m)

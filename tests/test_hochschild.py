@@ -125,7 +125,7 @@ def test_hh0_equals_oracle(build):
     oracle = hh0_oracle(r)
     assert same_quotient(q, oracle)
     # the generic homology path gives the same canonical forms
-    h0 = hh(getattr(r, "green", r), 0)
+    h0 = hh(r, 0)
     for d in q.ctx.divisors:
         assert h0.level[d].canonical_form == q.level[d].canonical_form
 

@@ -61,7 +61,7 @@ def test_norm_integers_c2():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12])
 def test_norm_axioms(ring, n):
     nm = norm_trivial_ring(ring, n)
-    rep = check_axioms(nm.green)
+    rep = check_axioms(nm)
     assert rep.passed, rep
 
 

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import random
 from types import SimpleNamespace
 
@@ -153,7 +152,8 @@ def _broken(w, relations=None, gens=None, mult=None, unit=None):
     if gens is not None:
         lv = copy.copy(norm.witt_levels[n])
         lv.gens = gens
-        norm = dataclasses.replace(norm, witt_levels={**norm.witt_levels, n: lv})
+        norm = copy.copy(norm)
+        norm.witt_levels = {**norm.witt_levels, n: lv}
     return GreenWittVectors(green, w.source, norm)
 
 
