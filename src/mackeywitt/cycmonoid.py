@@ -56,9 +56,24 @@ class PointedGMonoid:
 
     @staticmethod
     def from_json(ctx, data):
-        return PointedGMonoid.from_lists(
-            ctx, data["elements"], data["zero"], data["one"], data["table"], data["action"]
-        )
+        """The monoid of a JSON object; a malformed shape raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("a monoid is a JSON object")
+        elements, rows, action = data["elements"], data["table"], data["action"]
+        if not isinstance(elements, list) or not all(isinstance(x, (str, int)) for x in elements):
+            raise ValueError("elements must be a list of strings or integers")
+        k = len(elements)
+        if not isinstance(rows, list) or [isinstance(r, list) and len(r) for r in rows] != [k] * k:
+            raise ValueError(f"table must be a list of {k} rows of {k} elements")
+        if not isinstance(action, list) or len(action) != k:
+            raise ValueError(f"action must be a list of {k} elements")
+        known = set(elements)
+        if len(known) != k:
+            raise ValueError("elements must be distinct")
+        entries = [data["zero"], data["one"], *action, *(x for r in rows for x in r)]
+        if not all(isinstance(x, (str, int)) and x in known for x in entries):
+            raise ValueError("zero, one, table and action entries must be elements")
+        return PointedGMonoid.from_lists(ctx, elements, data["zero"], data["one"], rows, action)
 
     def to_json(self):
         return {

@@ -657,30 +657,14 @@ class AbHom:
 
     def kernel(self) -> tuple[FgAbGroup, "AbHom"]:
         """Kernel subgroup and its inclusion into the source."""
-        lat = row_hnf(
-            stack(preimage_basis(self.matrix, self.target.relations), self.source.relations),
-            self.source.num_generators,
-        )
-        rel_rows = []
-        lat_m = mat(lat)
-        lat_snf = _SNF(lat_m) if self.source.relations else None
-        for r in self.source.relations:
-            coeffs = solve_left(lat_m, r, lat_snf)
-            if coeffs is None:
-                raise AssertionError("source relations must lie in the kernel lattice")
-            rel_rows.append(coeffs)
-        k = FgAbGroup(len(lat), rel_rows)
-        incl = AbHom._unchecked(k, self.source, lat_m)
-        return k, incl
+        sq = Subquotient(self.source, preimage_basis(self.matrix, self.target.relations), ())
+        return sq.group, AbHom._unchecked(sq.group, self.source, sq.cycle_basis)
 
     def cokernel(self) -> tuple[FgAbGroup, "AbHom"]:
         """Cokernel on the target's own generators, with the projection."""
         q = FgAbGroup(self.target.num_generators, stack(self.target.relations, self.matrix))
         proj = AbHom._unchecked(self.target, q, identity_matrix(self.target.num_generators))
         return q, proj
-
-    def image_hnf(self) -> Matrix:
-        return self.target.subgroup_hnf(self.matrix)
 
     def is_injective(self) -> bool:
         return self.kernel()[0].is_trivial()
@@ -730,9 +714,11 @@ def tensor_hom(f: AbHom, g: AbHom, source: FgAbGroup | None = None, target: FgAb
 class Subquotient:
     """ker(d_out)/im(d_in) inside an ambient presented group.
 
-    Keeps the cycle lattice so that elements of the ambient group can be
-    projected to homology classes and chain maps can be pushed to induced
-    maps on homology.  The lattice is factored once, on the first solve.
+    The one construction that turns a sublattice into a presented group with
+    coordinates: kernels (no boundary rows), fixed-point levels and homology
+    all go through it.  Keeps the cycle lattice so that elements of the
+    ambient group can be projected to classes and chain maps can be pushed
+    to induced maps.  The lattice is factored once, on the first solve.
     """
 
     def __init__(self, ambient: FgAbGroup, cycle_rows: Matrix, boundary_rows: Matrix):

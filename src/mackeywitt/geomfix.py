@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .fgab import AbHom, FgAbGroup, identity_matrix
 from .green import BoxPresentation
-from .hochschild import MackeyHomology, moore_complex, twisted_cyclic_nerve
+from .hochschild import MackeyHomology, SimplicialMackey, moore_complex, twisted_cyclic_nerve
 from .mackey import (
     GreenFunctor,
     GroupContext,
@@ -141,19 +141,17 @@ def phi_box_comparison(m_fun, n_fun, m: int) -> MackeyHom:
 ComparisonReport = Report
 
 
-def _phi_nerve_degree(pres: BoxPresentation, m: int) -> MackeyFunctor:
-    return phi(pres.mackey, m)
-
-
-def _psi_degree(pres: BoxPresentation, m: int, slot_rows_for_level, target_pres: BoxPresentation) -> MackeyHom:
+def _psi_degree(
+    pres: BoxPresentation, m: int, slot_rows_for_level, target_pres: BoxPresentation, check: bool = True
+) -> MackeyHom:
     """Ψ on one nerve degree: truncate each tag slot and retag over C_{n/m}.
 
     slot_rows_for_level(e) gives the generator-level matrix from the source
-    factor's level e to the target factor's level e/m.
+    factor's level e to the target factor's level e/m.  With check=False
+    naturality is left to the caller.
     """
-    source = _phi_nerve_degree(pres, m)
+    source = phi(pres.mackey, m)
     target = target_pres.mackey
-    k = len(pres.factors)
     maps = {}
     for d in source.ctx.divisors:
         rows = []
@@ -165,7 +163,25 @@ def _psi_degree(pres: BoxPresentation, m: int, slot_rows_for_level, target_pres:
                 slot = [rows_e[i] for i in tup]
                 rows.append(tuple(target_pres.expand(d, e // m, slot)))
         maps[d] = AbHom(source.level[d], target.level[d], rows)
-    return MackeyHom(source, target, maps)
+    return MackeyHom(source, target, maps, check=check)
+
+
+def _note_comparison(report: Report, comps, source: SimplicialMackey, target: SimplicialMackey) -> None:
+    """Note, per degree, that comps[j] is a natural isomorphism commuting with
+    every face and degeneracy of ``source`` and ``target``."""
+    for j, c in enumerate(comps):
+        report.note(not c.naturality_failures(), f"degree {j}: comparison natural")
+        report.note(c.is_isomorphism(), f"degree {j}: comparison is an isomorphism")
+    for j in range(1, len(comps)):
+        for i in range(j + 1):
+            lhs = source.face(j, i).compose(comps[j - 1])
+            rhs = comps[j].compose(target.face(j, i))
+            report.note(lhs == rhs, f"degree {j}: face {i} commutes")
+    for j in range(len(comps) - 1):
+        for i in range(j + 1):
+            lhs = source.degeneracy(j, i).compose(comps[j + 1])
+            rhs = comps[j].compose(target.degeneracy(j, i))
+            report.note(lhs == rhs, f"degree {j}: degeneracy {i} commutes")
 
 
 def cyclotomic_check(
@@ -185,37 +201,19 @@ def cyclotomic_check(
     report = Report("cyclotomic comparison")
     nerve_big = twisted_cyclic_nerve(r_big, max_degree)
     nerve_small = twisted_cyclic_nerve(r_small, max_degree)
-    psis = []
-    for j in range(max_degree + 1):
-        psi = _psi_degree(nerve_big.presentations[j], m, slot_rows_for_level, nerve_small.presentations[j])
-        nat = psi.naturality_failures()
-        report.note(not nat, f"degree {j}: comparison natural")
-        report.note(psi.is_isomorphism(), f"degree {j}: comparison is an isomorphism")
-        psis.append(psi)
-    for j in range(1, max_degree + 1):
-        for i in range(j + 1):
-            face_big = nerve_big.face(j, i)
-            phi_face = MackeyHom(
-                psis[j].source,
-                psis[j - 1].source,
-                {d: face_big.maps[m * d] for d in psis[j].source.ctx.divisors},
-                check=False,
-            )
-            lhs = phi_face.compose(psis[j - 1])
-            rhs = psis[j].compose(nerve_small.face(j, i))
-            report.note(lhs == rhs, f"degree {j}: face {i} commutes")
-    for j in range(max_degree):
-        for i in range(j + 1):
-            deg_big = nerve_big.degeneracy(j, i)
-            phi_deg = MackeyHom(
-                psis[j].source,
-                psis[j + 1].source,
-                {d: deg_big.maps[m * d] for d in psis[j].source.ctx.divisors},
-                check=False,
-            )
-            lhs = phi_deg.compose(psis[j + 1])
-            rhs = psis[j].compose(nerve_small.degeneracy(j, i))
-            report.note(lhs == rhs, f"degree {j}: degeneracy {i} commutes")
+    big, small = nerve_big.presentations, nerve_small.presentations
+    psis = [_psi_degree(big[j], m, slot_rows_for_level, small[j], check=False) for j in range(max_degree + 1)]
+    phis = [psi.source for psi in psis]
+
+    def on_phi(hom: MackeyHom, j: int, k: int) -> MackeyHom:
+        """A structure map X_j → X_k of the big nerve, on Φ^{C_m} of both ends."""
+        return MackeyHom(phis[j], phis[k], {d: hom.maps[m * d] for d in phis[j].ctx.divisors}, check=False)
+
+    faces = [None] + [
+        [on_phi(nerve_big.face(j, i), j, j - 1) for i in range(j + 1)] for j in range(1, max_degree + 1)
+    ]
+    degens = [[on_phi(nerve_big.degeneracy(j, i), j, j + 1) for i in range(j + 1)] for j in range(max_degree)]
+    _note_comparison(report, psis, SimplicialMackey(phis[0].ctx, phis, faces, degens), nerve_small)
     return report
 
 
@@ -275,22 +273,8 @@ def edgewise_comparison_norm(ring: BaseRing, n: int, j: int, max_degree: int) ->
                     slot_rows.append(acc)
                 rows.append(tuple(dst_pres.expand(d, e, slot_rows)))
             maps[d] = AbHom(src.level[d], dst.level[d], rows)
-        theta = MackeyHom(src, dst, maps)
-        nat = theta.naturality_failures()
-        report.note(not nat, f"degree {deg}: comparison natural")
-        report.note(theta.is_isomorphism(), f"degree {deg}: comparison is an isomorphism")
-        thetas.append(theta)
-
-    for deg in range(1, max_degree + 1):
-        for i in range(deg + 1):
-            lhs = sd.face(deg, i).compose(thetas[deg - 1])
-            rhs = thetas[deg].compose(restricted.face(deg, i))
-            report.note(lhs == rhs, f"degree {deg}: face {i} commutes")
-    for deg in range(max_degree):
-        for i in range(deg + 1):
-            lhs = sd.degeneracy(deg, i).compose(thetas[deg + 1])
-            rhs = thetas[deg].compose(restricted.degeneracy(deg, i))
-            report.note(lhs == rhs, f"degree {deg}: degeneracy {i} commutes")
+        thetas.append(MackeyHom(src, dst, maps, check=False))
+    _note_comparison(report, thetas, sd, restricted)
     return report
 
 

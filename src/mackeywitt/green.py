@@ -53,11 +53,6 @@ class BoxPresentation:
         _expand_into(out, self.tag_pos[d], e, slot_rows)
         return tuple(out)
 
-    def hom_on_tags(self, d: int, target: FgAbGroup, fn, check: bool = True) -> AbHom:
-        """AbHom out of level d defined by a function on tags."""
-        rows = [fn(e, tup) for (e, tup) in self.tags[d]]
-        return AbHom(self.mackey.level[d], target, rows, check=check)
-
     def twisted_res(self, s: int, e: int, g: int, k: int):
         """Matrix of res_{e→g} followed by weyl^k on factor s, built once per key."""
         m = _unwrap(self.factors[s])

@@ -9,7 +9,7 @@ normalized one.
 
 from __future__ import annotations
 
-from .fgab import AbHom, FgAbGroup, Subquotient, identity_matrix, preimage_basis
+from .fgab import AbHom, FgAbGroup, homology_subquotient, identity_matrix
 from .green import (
     BoxPresentation,
     box_power,
@@ -176,7 +176,11 @@ def twisted_cyclic_nerve(r, k_max: int, green: bool = False, check: bool = True)
 
 
 class MackeyHomology:
-    """Levelwise homology of a Mackey complex at one degree, with projections."""
+    """Levelwise homology of a Mackey complex at one degree, with projections.
+
+    Each level is ``fgab.homology_subquotient`` of the two boundaries, so a
+    nonzero composite raises ``CompositeNotZeroError``.
+    """
 
     def __init__(self, cx: MackeyComplex, k: int):
         if k + 1 > cx.max_degree:
@@ -190,16 +194,8 @@ class MackeyHomology:
         self.subquotients = {}
         zero = FgAbGroup(0)
         for d in ctx.divisors:
-            d_in = cx.boundaries[k + 1].maps[d]
-            if k >= 1:
-                d_out = cx.boundaries[k].maps[d]
-            else:
-                d_out = AbHom(mid.level[d], zero, [() for _ in range(mid.level[d].num_generators)], check=False)
-            comp = d_in.compose(d_out)
-            if not comp.is_zero():
-                raise SimplicialIdentityError("∂∘∂ != 0 at homology assembly")
-            cycles = preimage_basis(d_out.matrix, d_out.target.relations)
-            self.subquotients[d] = Subquotient(mid.level[d], cycles, d_in.matrix)
+            d_out = cx.boundaries[k].maps[d] if k else AbHom.zero(mid.level[d], zero)
+            self.subquotients[d] = homology_subquotient(cx.boundaries[k + 1].maps[d], d_out)
 
         level = {d: self.subquotients[d].group for d in ctx.divisors}
         res = {}

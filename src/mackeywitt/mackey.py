@@ -18,13 +18,10 @@ from .fgab import (
     AbHom,
     FgAbGroup,
     NotWellDefinedError,
-    _SNF,
+    Subquotient,
     free_group,
     identity_matrix,
     preimage_basis,
-    row_hnf,
-    solve_left,
-    stack,
 )
 from .wittcore import divisors, is_prime, prime_factors
 
@@ -293,18 +290,6 @@ class GreenFunctor:
                         acc[t] += c * v
         return tuple(acc)
 
-    def power_element(self, d: int, x, k: int):
-        out = self.unit[d]
-        for _ in range(k):
-            out = self.multiply(d, out, x)
-        return out
-
-    def mult_hom(self, d: int, x) -> AbHom:
-        """Multiplication by the element x as an endomorphism of level d."""
-        g = self.underlying.level[d]
-        rows = [self.multiply(d, e_i, x) for e_i in identity_matrix(g.num_generators)]
-        return AbHom(g, g, rows, check=False)
-
 
 # ---------------------------------------------------------------------------
 # constructions
@@ -410,54 +395,35 @@ class RingData:
 def fixed_point_mackey(ctx: GroupContext, group: FgAbGroup, action, ring: RingData | None = None):
     """Fixed-point Mackey functor of a C_n-module (Green when ring data given).
 
-    level(d) is the subgroup fixed by C_d; transfers sum over coset
-    representatives; the Weyl action is induced by the generator.
+    level(d) is the subgroup fixed by C_d: the ``Subquotient`` on the kernel
+    of g^{n/d} − 1, into which restrictions, transfers (sums over coset
+    representatives) and the induced Weyl action project.
     """
     n = ctx.n
     act = AbHom(group, group, action)
     if act.power(n) != AbHom.identity(group):
         raise ValueError("action order must divide n")
 
-    fixed_basis = {}
-    fixed_snf = {}
-    level = {}
+    sq = {}
     for d in ctx.divisors:
-        a_d = act.power(n // d)
-        diff = a_d.sub(AbHom.identity(group))
-        lat = row_hnf(
-            stack(preimage_basis(diff.matrix, group.relations), group.relations),
-            group.num_generators,
-        )
-        fixed_basis[d] = lat
-        fixed_snf[d] = _SNF(lat)
-        rel = []
-        for r in group.relations:
-            coeffs = solve_left(lat, r, fixed_snf[d])
-            if coeffs is None:
-                raise AssertionError("relations are fixed by every subgroup")
-            rel.append(coeffs)
-        level[d] = FgAbGroup(len(lat), rel)
-
-    def in_coords(d: int, ambient_row):
-        coeffs = solve_left(fixed_basis[d], tuple(ambient_row), fixed_snf[d])
-        if coeffs is None:
-            raise AssertionError(f"element not fixed at level {d}")
-        return coeffs
+        diff = act.power(n // d).sub(AbHom.identity(group))
+        sq[d] = Subquotient(group, preimage_basis(diff.matrix, group.relations), ())
+    level = {d: sq[d].group for d in ctx.divisors}
 
     res = {}
     tr = {}
     for (d, e) in prime_edges(ctx):
-        rows = [in_coords(d, row) for row in fixed_basis[e]]
+        rows = [sq[d].project(row) for row in sq[e].cycle_basis]
         res[(d, e)] = AbHom(level[e], level[d], rows, check=False)
         p = e // d
         tr_ambient = AbHom.zero(group, group)
         for i in range(p):
             tr_ambient = tr_ambient.add(act.power((n // e) * i))
-        rows = [in_coords(e, tr_ambient.apply(row)) for row in fixed_basis[d]]
+        rows = [sq[e].project(tr_ambient.apply(row)) for row in sq[d].cycle_basis]
         tr[(d, e)] = AbHom(level[d], level[e], rows, check=False)
     weyl = {}
     for d in ctx.divisors:
-        rows = [in_coords(d, act.apply(row)) for row in fixed_basis[d]]
+        rows = [sq[d].project(act.apply(row)) for row in sq[d].cycle_basis]
         weyl[d] = AbHom(level[d], level[d], rows, check=False)
     m = MackeyFunctor(ctx, level, res, tr, weyl, name="fixed-point")
     if ring is None:
@@ -470,9 +436,9 @@ def fixed_point_mackey(ctx: GroupContext, group: FgAbGroup, action, ring: RingDa
         table = []
         for i in range(k):
             rowtab = []
-            xi = fixed_basis[d][i]
+            xi = sq[d].cycle_basis[i]
             for j in range(k):
-                xj = fixed_basis[d][j]
+                xj = sq[d].cycle_basis[j]
                 prod = [0] * group.num_generators
                 for a, ca in enumerate(xi):
                     if not ca:
@@ -482,10 +448,10 @@ def fixed_point_mackey(ctx: GroupContext, group: FgAbGroup, action, ring: RingDa
                             continue
                         for t, v in enumerate(ring.mult[a][b]):
                             prod[t] += ca * cb * v
-                rowtab.append(in_coords(d, tuple(prod)))
+                rowtab.append(sq[d].project(tuple(prod)))
             table.append(tuple(rowtab))
         mult[d] = tuple(table)
-        unit[d] = in_coords(d, ring.unit)
+        unit[d] = sq[d].project(ring.unit)
     return GreenFunctor(m, mult, unit)
 
 

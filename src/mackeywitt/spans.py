@@ -59,15 +59,6 @@ def compose_spans(n: int, t: int, s: int, u: int, sp1: tuple[int, int], sp2: tup
     return out
 
 
-def compose_linear(n: int, t: int, s: int, u: int, sum1: Counter, sum2: Counter) -> Counter:
-    out: Counter = Counter()
-    for sp1, a in sum1.items():
-        for sp2, b in sum2.items():
-            for sp, m in compose_spans(n, t, s, u, sp1, sp2).items():
-                out[sp] += a * b * m
-    return +out
-
-
 def restriction_span(n: int, e: int, d: int) -> tuple[int, int]:
     """The span G/C_e ← G/C_d → G/C_d in 𝒜(G/C_e, G/C_d), for d | e."""
     if e % d:

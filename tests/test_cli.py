@@ -133,6 +133,23 @@ def test_validation_errors(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("content", [
+    [],
+    {"elements": ["0", "1", "x"], "zero": "0", "one": "1", "table": 5, "action": ["0", "1", "x"]},
+    {"elements": [["0"], ["1"]], "zero": ["0"], "one": ["1"],
+     "table": [[["0"], ["0"]], [["0"], ["1"]]], "action": [["0"], ["1"]]},
+    {"elements": ["0", "1", "1"], "zero": "0", "one": "1",
+     "table": [["0", "0", "0"], ["0", "1", "1"], ["0", "1", "1"]], "action": ["0", "1", "1"]},
+])
+def test_malformed_monoid_file_is_one_line_exit_2(capsys, tmp_path, content):
+    mfile = tmp_path / "bad.json"
+    mfile.write_text(json.dumps(content))
+    code, out, err = run_cli(capsys, "monoid", "--file", str(mfile), "--ring", "Z", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid monoid: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("ring", ["F_4", "F6", "F_x", "Z/abc", "Z/-3"])
 def test_unsupported_ring_is_one_line_exit_2(capsys, ring):
     code, out, err = run_cli(capsys, "norm", "--ring", ring, "--n", "2")

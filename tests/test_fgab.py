@@ -447,3 +447,51 @@ def test_fixed_point_mackey_factors_each_fixed_lattice_once(snf_counts):
     assert m.level[3].canonical_form == ((), 1)
     assert snf_counts[identity_matrix(3)] == 1  # C_1 fixes every vector
     assert snf_counts[((1, 1, 1),)] == 1  # C_3 fixes the diagonal
+
+
+# ---------------------------------------------------------------------------
+# every sub-presentation goes through Subquotient
+
+
+@pytest.fixture
+def subquotient_ambients(monkeypatch):
+    """The ambient group of each Subquotient built while the test runs."""
+    ambients = []
+    init = Subquotient.__init__
+
+    def counting_init(self, ambient, cycle_rows, boundary_rows):
+        ambients.append(ambient)
+        init(self, ambient, cycle_rows, boundary_rows)
+
+    monkeypatch.setattr(Subquotient, "__init__", counting_init)
+    return ambients
+
+
+def test_kernel_goes_through_subquotient(subquotient_ambients):
+    src = FgAbGroup(3, [(4, 0, 0), (0, 6, 0), (0, 0, 10)])
+    k, incl = AbHom(src, cyclic_group(2), [(1,), (1,), (1,)]).kernel()
+    assert k.order() == 120
+    assert subquotient_ambients == [src]
+
+
+def test_each_fixed_point_level_goes_through_subquotient(subquotient_ambients):
+    group = free_group(3)
+    rotation = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+    m = fixed_point_mackey(GroupContext(6), group, rotation)
+    assert len(subquotient_ambients) == len(m.ctx.divisors) == 4
+    assert all(g is group for g in subquotient_ambients)
+
+
+@pytest.mark.parametrize("n,group,action", [
+    (2, free_group(2), ((0, 1), (1, 0))),
+    (3, free_group(3), ((0, 1, 0), (0, 0, 1), (1, 0, 0))),
+    (6, free_group(3), ((0, 1, 0), (0, 0, 1), (1, 0, 0))),
+    (4, free_group(4), ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0))),
+    (2, FgAbGroup(1, [(4,)]), ((-1,),)),
+    (4, FgAbGroup(2, [(6, 0), (0, 6)]), ((0, 1), (1, 0))),
+])
+def test_fixed_point_level_is_the_kernel_of_g_power_minus_one(n, group, action):
+    m = fixed_point_mackey(GroupContext(n), group, action)
+    act = AbHom(group, group, action)
+    for d in m.ctx.divisors:
+        assert m.level[d] == act.power(n // d).sub(AbHom.identity(group)).kernel()[0]

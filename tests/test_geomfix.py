@@ -12,6 +12,7 @@ from mackeywitt.geomfix import (
 from mackeywitt.green import box
 from mackeywitt.mackey import (
     GroupContext,
+    MackeyHom,
     burnside,
     check_axioms,
     fixed_point_mackey,
@@ -174,3 +175,38 @@ def test_edgewise_comparison_c6_over_c3():
 def test_edgewise_comparison_sd1_trivial():
     rep = edgewise_comparison_norm(F3, 3, 3, 1)
     assert rep.passed, rep
+
+
+@pytest.fixture
+def naturality_calls(monkeypatch):
+    """(source name, target name) of each naturality certificate computed."""
+    calls = []
+    failures = MackeyHom.naturality_failures
+
+    def counting(self):
+        calls.append((self.source.name, self.target.name))
+        return failures(self)
+
+    monkeypatch.setattr(MackeyHom, "naturality_failures", counting)
+    return calls
+
+
+def test_cyclotomic_comparison_certifies_naturality_once_per_degree(naturality_calls):
+    rep = cyclotomic_check_norm(F3, 6, 3, 2)
+    assert rep.passed, rep
+    psi_calls = [c for c in naturality_calls if c[0].startswith("phi_")]
+    assert len(psi_calls) == 3
+    assert [msg for _, msg in rep.checks if "natural" in msg] == [
+        f"degree {j}: comparison natural" for j in range(3)
+    ]
+
+
+def test_edgewise_comparison_certifies_naturality_once_per_degree(naturality_calls):
+    rep = edgewise_comparison_norm(F2, 4, 2, 2)
+    assert rep.passed, rep
+    assert len([c for c in naturality_calls if c[1].startswith("res_")]) == 3
+
+
+def test_tr_tower_keeps_the_naturality_certificate_of_each_map(naturality_calls):
+    t = tr_tower(F2, 2, 3, 0)
+    assert len([c for c in naturality_calls if c[0].startswith("phi_")]) == len(t.maps) == 2

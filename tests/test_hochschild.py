@@ -1,8 +1,9 @@
 import pytest
 
-from mackeywitt.fgab import free_group, row_hnf
+from mackeywitt.fgab import CompositeNotZeroError, Subquotient, free_group, row_hnf
 from mackeywitt.green import box_power
 from mackeywitt.hochschild import (
+    MackeyComplex,
     MackeyHomology,
     TruncationTooShortError,
     edgewise_subdivision,
@@ -14,6 +15,7 @@ from mackeywitt.hochschild import (
 )
 from mackeywitt.mackey import (
     GroupContext,
+    MackeyHom,
     RingData,
     burnside,
     check_axioms,
@@ -192,3 +194,27 @@ def test_edgewise_truncation_guard():
     x = twisted_cyclic_nerve(r, 1)
     with pytest.raises(TruncationTooShortError):
         edgewise_subdivision(x, 3)
+
+
+def test_each_homology_level_goes_through_subquotient(monkeypatch):
+    calls = []
+    init = Subquotient.__init__
+
+    def counting_init(self, *args):
+        calls.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(Subquotient, "__init__", counting_init)
+    cx = moore_complex(twisted_cyclic_nerve(norm_trivial_ring(F2, 4), 2))
+    for k in (0, 1):
+        calls.clear()
+        h = MackeyHomology(cx, k)
+        assert calls == [cx.degrees[k].level[d] for d in h.ctx.divisors]
+
+
+def test_homology_of_a_non_complex_raises_composite_not_zero():
+    m = fixed_point_mackey(GroupContext(2), free_group(2), ((0, 1), (1, 0)))
+    ident = MackeyHom.identity(m)
+    cx = MackeyComplex([m, m, m], [None, ident, ident], check=False)
+    with pytest.raises(CompositeNotZeroError):
+        MackeyHomology(cx, 1)
