@@ -13,7 +13,7 @@ All objects are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
+from itertools import compress, product
 from math import gcd
 
 Row = tuple[int, ...]
@@ -36,8 +36,16 @@ class NotInSubgroupError(ValueError):
 # integer matrix utilities
 
 
+class _IntRows(tuple):
+    """A matrix of int tuples that the package built itself; ``mat`` keeps it as is."""
+
+    __slots__ = ()
+
+
 def mat(rows) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    if type(rows) is _IntRows:
+        return rows
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 def identity_matrix(k: int) -> Matrix:
@@ -57,11 +65,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     out = []
     for row in a:
         acc = [0] * cols
-        for x, brow in zip(row, b):
-            if x:
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] += x * y
+        for x, brow in compress(zip(row, b), row):  # nonzero x only
+            for j, y in compress(enumerate(brow), brow):
+                acc[j] += x * y
         out.append(tuple(acc))
     return tuple(out)
 
@@ -71,14 +77,7 @@ def vec_mat(v: Row, m: Matrix) -> Row:
         raise ValueError("vector/matrix shape mismatch")
     if not m:
         return ()
-    cols = len(m[0])
-    acc = [0] * cols
-    for x, row in zip(v, m):
-        if x:
-            for j, y in enumerate(row):
-                if y:
-                    acc[j] += x * y
-    return tuple(acc)
+    return mat_mul((v,), m)[0]
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -100,116 +99,149 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     return out
 
 
+def _axpy(dst: dict, src: dict, q: int) -> None:
+    """dst += q·src on sparse rows; entries that cancel are dropped."""
+    if q:
+        for j, x in src.items():
+            y = dst.get(j, 0) + q * x
+            if y:
+                dst[j] = y
+            else:
+                del dst[j]
+
+
+def _combine(r1: dict, r2: dict, x: int, y: int) -> dict:
+    """x·r1 + y·r2 on sparse rows."""
+    out = {j: x * v for j, v in r1.items()} if x else {}
+    _axpy(out, r2, y)
+    return out
+
+
+def _dense(items, width: int) -> Row:
+    row = [0] * width
+    for j, x in items:
+        row[j] = x
+    return tuple(row)
+
+
 class _SNF:
-    """Smith normal form with transforms: U · m · V = D.
+    """Smith normal form with transforms, U · m · V = D, on sparse rows.
 
-    Pivoting picks the smallest nonzero absolute value in the remaining
-    block, which bounds entry growth at the matrix sizes used here.  V's
-    inverse is tracked alongside so that generator coordinates can be
-    converted to and from diagonal coordinates.
+    The working matrix is a list of sparse rows ``{column: value}`` (zeros
+    are never stored) with, per column, the set of rows nonzero there, so
+    clearing a pivot column visits only those rows.  Columns keep their
+    original labels; a column swap only exchanges two entries of the
+    position → label permutation.  V is kept by columns and V⁻¹ by rows,
+    both sparse and labelled the same way.
 
-    D is kept as its ``diagonal`` (length min(rows, cols), zeros last).
-    Each question reads only what it needs:
+    The pivot is the smallest nonzero |x| in the remaining block, the first
+    in row-major order, and the search stops at the first ±1.  Every row
+    and column operation is the one the dense elimination performs, so the
+    diagonal, U, V and V⁻¹ equal the dense ones (the tests keep the dense
+    elimination as an oracle).  A fill-reducing pivot order would change V,
+    which reaches output through ``reduce`` and ``elements``.
 
-    - canonical forms and ranks read ``diagonal`` and ``rank``;
-    - ``in_rowspan``, ``FgAbGroup.reduce``, ``element_order`` and
-      ``elements`` read ``diagonal`` and ``v`` / ``vinv`` (since
-      m·V = U⁻¹·D has the row span of D);
-    - ``solve_left``, ``kernel_basis`` and ``snf`` also read ``u``.
-
-    ``u`` (rows × rows) is built on first access by replaying the logged row
-    operations on the identity, so a question that never reads it never
-    pays for it.
+    D is kept as its ``diagonal`` (length min(rows, cols), zeros last: the
+    nonzero entries are exactly the first ``rank``).  ``cols`` gives the
+    width of a matrix without rows, whose V is the identity.  Membership,
+    ``reduce``, ``element_order`` and ``elements`` read the sparse rows of V
+    and V⁻¹ over the nonzeros of their input (m·V = U⁻¹·D has the row span
+    of D); ``solve_left`` and ``kernel_basis`` also read U, replayed
+    sparsely from the logged row operations on first use.  The dense ``u``,
+    ``v`` and ``vinv`` tuples are built only when read.
     """
 
-    def __init__(self, m: Matrix):
+    def __init__(self, m: Matrix, cols: int | None = None):
         rows = len(m)
-        cols = len(m[0]) if rows else 0
-        a = [list(r) for r in m]
-        v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-        vinv = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-        # row operations, replayed by ``u``: (i, j) swaps rows i and j;
+        if cols is None:
+            cols = len(m[0]) if rows else 0
+        a = [dict(compress(enumerate(r), r)) for r in m]
+        at: list[set[int]] = [set() for _ in range(cols)]  # rows nonzero per column
+        for i, r in enumerate(a):
+            for j in r:
+                at[j].add(i)
+        vcols = [{j: 1} for j in range(cols)]
+        vinv = [{j: 1} for j in range(cols)]
+        perm = list(range(cols))  # position → column label
+        pos = list(range(cols))  # column label → position
+        # row operations, replayed by ``_urows``: (i, j) swaps rows i and j;
         # (dst, src, q) adds q·row src to row dst; (i,) negates row i;
         # (i, j, x, y, c, e) replaces rows i, j by x·ri + y·rj, c·ri + e·rj.
         ops: list[tuple[int, ...]] = []
         log = ops.append
 
-        def row_swap(i1, i2):
-            a[i1], a[i2] = a[i2], a[i1]
-            log((i1, i2))
+        def add_entry(i, j, x):  # a[i][j] += x with x != 0, keeping the column sets
+            r = a[i]
+            if j not in r:
+                r[j] = x
+                at[j].add(i)
+            elif r[j] + x:
+                r[j] += x
+            else:
+                del r[j]
+                at[j].discard(i)
+
+        def set_row(i, new):
+            for j in a[i]:
+                at[j].discard(i)
+            for j in new:
+                at[j].add(i)
+            a[i] = new
 
         def row_add(dst, src, q):
-            arow, asrc = a[dst], a[src]
-            for j in range(cols):
-                arow[j] += q * asrc[j]
+            for j, x in a[src].items() if q else ():
+                add_entry(dst, j, q * x)
             log((dst, src, q))
 
-        def col_swap(j1, j2):
-            for r in a:
-                r[j1], r[j2] = r[j2], r[j1]
-            for r in v:
-                r[j1], r[j2] = r[j2], r[j1]
-            vinv[j1], vinv[j2] = vinv[j2], vinv[j1]
-
         def col_add(dst, src, q):
-            for r in a:
-                r[dst] += q * r[src]
-            for r in v:
-                r[dst] += q * r[src]
-            vsrc = vinv[src]
-            vdst = vinv[dst]
-            for j in range(cols):
-                vsrc[j] -= q * vdst[j]
+            for i in at[src] if q else ():
+                add_entry(i, dst, q * a[i][src])
+            _axpy(vcols[dst], vcols[src], q)
+            _axpy(vinv[src], vinv[dst], -q)
 
         def negate_row(i):
-            a[i] = [-x for x in a[i]]
+            a[i] = {j: -x for j, x in a[i].items()}
             log((i,))
 
+        # Rows t, t+1, ... are zero left of position t, so their nonzeros
+        # are exactly the remaining block's.
         t = 0
-        while True:
-            pivot = None
-            best = None
+        while t < rows and t < cols:
+            best = 0
             for i in range(t, rows):
-                arow = a[i]
-                for j in range(t, cols):
-                    x = arow[j]
-                    if x and (best is None or abs(x) < best):
-                        best = abs(x)
-                        pivot = (i, j)
-                        if best == 1:
+                if a[i]:
+                    x = min(map(abs, a[i].values()))
+                    if not best or x < best:
+                        best, pi = x, i
+                        if x == 1:
                             break
-                if best == 1:
-                    break
-            if pivot is None:
+            if not best:
                 break
-            i, j = pivot
-            if i != t:
-                row_swap(t, i)
-            if j != t:
-                col_swap(t, j)
+            pj = min(pos[j] for j, x in a[pi].items() if abs(x) == best)
+            if pi != t:
+                r1, r2 = a[t], a[pi]
+                set_row(t, {})
+                set_row(pi, r1)
+                set_row(t, r2)
+                log((t, pi))
+            perm[t], perm[pj] = perm[pj], perm[t]
+            pos[perm[t]], pos[perm[pj]] = t, pj
+            c = perm[t]
             dirty = False
-            p = a[t][t]
-            for i in range(t + 1, rows):
-                x = a[i][t]
-                if x:
-                    q = -(x // p)
-                    row_add(i, t, q)
-                    if a[i][t]:
-                        dirty = True
-            for j in range(t + 1, cols):
-                x = a[t][j]
-                if x:
-                    q = -(x // p)
-                    col_add(j, t, q)
-                    if a[t][j]:
-                        dirty = True
+            p = a[t][c]
+            for i in sorted(at[c]):
+                if i > t:
+                    row_add(i, t, -(a[i][c] // p))
+                    dirty = dirty or c in a[i]
+            for j, x in list(a[t].items()):
+                if j != c:
+                    col_add(j, c, -(x // p))
+                    dirty = dirty or j in a[t]
             if dirty:
                 continue  # residues smaller than |p| exist; re-pivot this block
-            if a[t][t] < 0:
+            if p < 0:
                 negate_row(t)
             t += 1
-            if t >= rows or t >= cols:
-                break
 
         # enforce the divisibility chain d_i | d_{i+1}
         k = min(rows, cols)
@@ -217,58 +249,84 @@ class _SNF:
         while changed:
             changed = False
             for i in range(k - 1):
-                di, dj = a[i][i], a[i + 1][i + 1]
+                ci, cj = perm[i], perm[i + 1]
+                di, dj = a[i].get(ci, 0), a[i + 1].get(cj, 0)
                 if di and dj % di != 0:
-                    # fold position i+1 into the block at i and re-reduce
-                    col_add(i, i + 1, 1)
+                    # fold position i+1 into the block at i, whose 2x2 block
+                    # is then [[di,0],[dj,dj]]; clear it with the extended gcd
+                    col_add(ci, cj, 1)
                     g = gcd(di, dj)
-                    # 2x2 block is now [[di,0],[dj,dj]]; clear it by hand
-                    # using the extended gcd.
                     x, y = _xgcd(di, dj)
-                    # row ops: new row i = x*row_i + y*row_{i+1}
                     ri, rj = a[i], a[i + 1]
-                    a[i] = [x * p + y * q for p, q in zip(ri, rj)]
-                    a[i + 1] = [(-dj // g) * p + (di // g) * q for p, q in zip(ri, rj)]
+                    set_row(i, _combine(ri, rj, x, y))
+                    set_row(i + 1, _combine(ri, rj, -dj // g, di // g))
                     log((i, i + 1, x, y, -dj // g, di // g))
                     # clear the off-diagonal entries the fold introduced
-                    if a[i][i + 1]:
-                        col_add(i + 1, i, -(a[i][i + 1] // a[i][i]))
-                    if a[i + 1][i]:
-                        row_add(i + 1, i, -(a[i + 1][i] // a[i][i]))
-                    if a[i + 1][i + 1] < 0:
+                    if a[i].get(cj):
+                        col_add(cj, ci, -(a[i][cj] // a[i][ci]))
+                    if a[i + 1].get(ci):
+                        row_add(i + 1, i, -(a[i + 1][ci] // a[i][ci]))
+                    if a[i + 1].get(cj, 0) < 0:
                         negate_row(i + 1)
                     changed = True
-        # the pivot loop fills positions 0..rank-1, so zeros already sit last
-        self._rows = rows
-        self._row_ops = ops
-        self.v = mat(v)
-        self.vinv = mat(vinv)
-        self.diagonal = tuple(a[i][i] for i in range(k))
+        self._rows, self._cols, self._row_ops = rows, cols, ops
+        # V's column j and V⁻¹'s row j are the ones labelled perm[j]
+        self._vrows: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
+        for j, c in enumerate(perm):
+            for i, x in vcols[c].items():
+                self._vrows[i].append((j, x))
+        self._vinv = [tuple(vinv[c].items()) for c in perm]
+        self.diagonal = tuple(a[i].get(perm[i], 0) for i in range(k))
         self.rank = sum(1 for x in self.diagonal if x)
 
     @cached_property
-    def u(self) -> Matrix:
-        rows = self._rows
-        u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    def _urows(self) -> list[dict]:
+        u = [{i: 1} for i in range(self._rows)]
         for op in self._row_ops:
             if len(op) == 3:
-                dst, src, q = op
-                udst = u[dst]
-                for j, x in enumerate(u[src]):
-                    if x:
-                        udst[j] += q * x
+                _axpy(u[op[0]], u[op[1]], op[2])
             elif len(op) == 2:
-                i1, i2 = op
-                u[i1], u[i2] = u[i2], u[i1]
+                u[op[0]], u[op[1]] = u[op[1]], u[op[0]]
             elif len(op) == 1:
-                u[op[0]] = [-x for x in u[op[0]]]
+                u[op[0]] = {j: -x for j, x in u[op[0]].items()}
             else:
                 i, j, x, y, c, e = op
-                ri, rj = u[i], u[j]
-                u[i] = [x * p + y * q for p, q in zip(ri, rj)]
-                u[j] = [c * p + e * q for p, q in zip(ri, rj)]
+                u[i], u[j] = _combine(u[i], u[j], x, y), _combine(u[i], u[j], c, e)
         del self._row_ops  # no longer needed once U exists
-        return mat(u)
+        return u
+
+    @cached_property
+    def u(self) -> Matrix:
+        return tuple(_dense(r.items(), self._rows) for r in self._urows)
+
+    @cached_property
+    def v(self) -> Matrix:
+        return tuple(_dense(r, self._cols) for r in self._vrows)
+
+    @cached_property
+    def vinv(self) -> Matrix:
+        return tuple(_dense(r, self._cols) for r in self._vinv)
+
+    def coords(self, b) -> dict[int, int]:
+        """b·V as {position: value}, from the (index, value) pairs of b."""
+        z: dict[int, int] = {}
+        for i, x in b:
+            for j, y in self._vrows[i] if x else ():
+                z[j] = z.get(j, 0) + x * y
+        return z
+
+    def dense_coords(self, b: Row) -> dict[int, int]:
+        if len(b) != self._cols:
+            raise ValueError("rhs length mismatch")
+        return self.coords(compress(enumerate(b), b))
+
+    def spans(self, z: dict[int, int]) -> bool:
+        """Whether z = b·V lies in the row span of D, i.e. b in rowspan(m)."""
+        diag, rank = self.diagonal, self.rank
+        for j, t in z.items():
+            if t and (j >= rank or t % diag[j]):
+                return False
+        return True
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int]:
@@ -303,28 +361,6 @@ def snf(m) -> tuple[Matrix, Matrix, Matrix]:
     return s.u, d, s.v
 
 
-def _diagonal_solve(s: _SNF, b: Row) -> list[int] | None:
-    """y with y·D = b·V (so (y·U)·m = b), or None when b ∉ rowspan(m).
-
-    m·V = U⁻¹·D has the row span of D, so b is in the span iff each
-    coordinate of b·V is divisible by its diagonal entry, and is zero where
-    there is none.  Reads the diagonal and V only; y has length rank.
-    """
-    if len(b) != len(s.v):
-        raise ValueError("rhs length mismatch")
-    diag = s.diagonal
-    y = []
-    for j, t in enumerate(vec_mat(b, s.v)):
-        d = diag[j] if j < len(diag) else 0
-        if d:
-            if t % d:
-                return None
-            y.append(t // d)
-        elif t:
-            return None
-    return y
-
-
 def solve_left(m: Matrix, b: Row, _snf_cache: _SNF | None = None) -> Row | None:
     """Solve x · m = b over ℤ; returns one solution or None.
 
@@ -334,10 +370,16 @@ def solve_left(m: Matrix, b: Row, _snf_cache: _SNF | None = None) -> Row | None:
     if not m:
         return () if not any(b) else None
     s = _snf_cache if _snf_cache is not None else _SNF(m)
-    y = _diagonal_solve(s, b)
-    if y is None:
+    z = s.dense_coords(b)
+    if not s.spans(z):
         return None
-    return vec_mat(tuple(y) + (0,) * (len(m) - s.rank), s.u)
+    # y·D = b·V, so (y·U)·m = b
+    x = [0] * len(m)
+    for j, urow in enumerate(s._urows[: s.rank]):
+        y = z.get(j, 0) // s.diagonal[j]
+        for i, e in urow.items() if y else ():
+            x[i] += y * e
+    return tuple(x)
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -345,7 +387,7 @@ def kernel_basis(m: Matrix) -> Matrix:
     if not m:
         return ()
     s = _SNF(mat(m))
-    return s.u[s.rank:]
+    return tuple(_dense(r.items(), s._rows) for r in s._urows[s.rank:])
 
 
 def in_rowspan(rel: Matrix, b: Row, _snf_cache: _SNF | None = None) -> bool:
@@ -353,7 +395,7 @@ def in_rowspan(rel: Matrix, b: Row, _snf_cache: _SNF | None = None) -> bool:
     if not rel:
         return not any(b)
     s = _snf_cache if _snf_cache is not None else _SNF(rel)
-    return _diagonal_solve(s, b) is not None
+    return s.spans(s.dense_coords(b))
 
 
 def stack(*mats: Matrix) -> Matrix:
@@ -450,7 +492,11 @@ class FgAbGroup:
 
     @cached_property
     def _rel_snf(self) -> _SNF:
-        return _SNF(self.relations)
+        return _SNF(self.relations, self.num_generators)
+
+    @cached_property
+    def _sparse_relations(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(tuple(compress(enumerate(r), r)) for r in self.relations)
 
     @cached_property
     def canonical_form(self) -> tuple[tuple[int, ...], int]:
@@ -496,26 +542,29 @@ class FgAbGroup:
         Relations are diagonal in the coordinates z = x · V (since R·V =
         U⁻¹·D has the row span of D), so reduce there and come back via V⁻¹.
         """
-        s = self._rel_snf
         if not self.relations:
             return tuple(x)
-        z = list(vec_mat(tuple(x), s.v))
-        for j in range(len(z)):
-            d = s.diagonal[j] if j < len(s.diagonal) else 0
-            if d:
-                z[j] %= d
-        return vec_mat(tuple(z), s.vinv)
+        s = self._rel_snf
+        out = [0] * self.num_generators
+        for j, t in s.dense_coords(tuple(x)).items():
+            if j < s.rank:
+                t %= s.diagonal[j]
+            for c, y in s._vinv[j] if t else ():
+                out[c] += t * y
+        return tuple(out)
 
     def elements(self):
         """Iterate over canonical representatives (finite groups only)."""
         if not self.is_finite():
             raise ValueError("infinite group")
         s = self._rel_snf
-        k = self.num_generators
-        moduli = [s.diagonal[j] if j < len(s.diagonal) else 0 for j in range(k)]
-        ranges = [range(d if d else 1) for d in moduli]
-        for zs in product(*ranges):
-            yield vec_mat(tuple(zs), s.vinv)
+        cyclic = [(s._vinv[j], d) for j, d in enumerate(s.diagonal) if d > 1]
+        for zs in product(*(range(d) for _, d in cyclic)):
+            out = [0] * self.num_generators
+            for (row, _), t in zip(cyclic, zs):
+                for c, y in row if t else ():
+                    out[c] += t * y
+            yield tuple(out)
 
     def subgroup_hnf(self, rows: Matrix) -> Matrix:
         """Canonical lattice basis of the subgroup generated by rows (with relations)."""
@@ -523,16 +572,14 @@ class FgAbGroup:
 
     def element_order(self, x: Row) -> int:
         """Additive order of the class of x (0 means infinite)."""
-        x = tuple(x)
         s = self._rel_snf
-        y = vec_mat(x, s.v)
         n = 1
-        for j, t in enumerate(y):
-            d = s.diagonal[j] if j < len(s.diagonal) else 0
-            if d == 0:
+        for j, t in s.dense_coords(tuple(x)).items():
+            if j >= s.rank:
                 if t:
                     return 0
             else:
+                d = s.diagonal[j]
                 t %= d
                 if t:
                     o = d // gcd(t, d)
@@ -575,12 +622,20 @@ class AbHom:
     def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix, check: bool = True):
         self._set(source, target, mat(matrix))
         if check:
+            # r·M over the nonzeros of r and of M's rows, then tested in the
+            # target's diagonal coordinates
             tsnf = target._rel_snf
-            for r in source.relations:
-                img = vec_mat(r, self.matrix)
-                if not in_rowspan(target.relations, img, tsnf):
+            rows: dict[int, list[tuple[int, int]]] = {}
+            for r, sparse in zip(source.relations, source._sparse_relations):
+                img: dict[int, int] = {}
+                for i, x in sparse:
+                    if i not in rows:
+                        rows[i] = list(compress(enumerate(self.matrix[i]), self.matrix[i]))
+                    for j, y in rows[i]:
+                        img[j] = img.get(j, 0) + x * y
+                if not tsnf.spans(tsnf.coords(img.items())):
                     raise NotWellDefinedError(
-                        f"relation {r} maps to {img}, not in target relations"
+                        f"relation {r} maps to {vec_mat(r, self.matrix)}, not in target relations"
                     )
 
     def _set(self, source: FgAbGroup, target: FgAbGroup, matrix: Matrix) -> None:
@@ -645,7 +700,7 @@ class AbHom:
             return False
         tsnf = self.target._rel_snf
         for r1, r2 in zip(self.matrix, other.matrix):
-            if not in_rowspan(self.target.relations, tuple(a - b for a, b in zip(r1, r2)), tsnf):
+            if r1 != r2 and not tsnf.spans(tsnf.coords((j, a - b) for j, (a, b) in enumerate(zip(r1, r2)))):
                 return False
         return True
 
@@ -735,7 +790,7 @@ class Subquotient:
 
     @cached_property
     def _cycle_snf(self) -> _SNF:
-        return _SNF(self.cycle_basis)
+        return _SNF(self.cycle_basis, self.ambient.num_generators)
 
     def project(self, x: Row) -> Row:
         coeffs = solve_left(self.cycle_basis, tuple(x), self._cycle_snf)

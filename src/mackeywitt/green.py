@@ -20,7 +20,7 @@ from functools import partial
 from itertools import product
 from math import gcd, lcm
 
-from .fgab import _SNF, AbHom, FgAbGroup, identity_matrix, in_rowspan
+from .fgab import _SNF, AbHom, FgAbGroup, _IntRows, identity_matrix, in_rowspan
 from .mackey import (
     GreenFunctor,
     GroupContext,
@@ -225,7 +225,7 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
                             _expand_into(row, pos, f_lv, up_slots)
                             _expand_into(row, pos, e, down_slots, -1)
                             rels.append(tuple(row))
-        level[d] = FgAbGroup(ntags, rels)
+        level[d] = FgAbGroup(ntags, _IntRows(rels))
 
     # structure maps
     res = {}
@@ -236,7 +236,7 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
             rows.append(tuple(
                 1 if t == (e, tup) else 0 for t in tags[dhi]
             ))
-        tr[(dlo, dhi)] = AbHom(level[dlo], level[dhi], rows, check=False)
+        tr[(dlo, dhi)] = AbHom(level[dlo], level[dhi], _IntRows(rows), check=False)
 
         rows = []
         for (e, tup) in tags[dhi]:
@@ -246,7 +246,7 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
                 slot_rows = [pres.twisted_res(s, e, g0, j * (n // dhi))[i] for s, i in enumerate(tup)]
                 _expand_into(acc, tag_pos[dlo], g0, slot_rows)
             rows.append(tuple(acc))
-        res[(dlo, dhi)] = AbHom(level[dhi], level[dlo], rows)
+        res[(dlo, dhi)] = AbHom(level[dhi], level[dlo], _IntRows(rows))
 
     weyl = {}
     for d in ctx.divisors:
@@ -254,7 +254,7 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
         for (e, tup) in tags[d]:
             slot_rows = [f.weyl[e].matrix[i] for f, i in zip(macks, tup)]
             rows.append(pres.expand(d, e, slot_rows))
-        weyl[d] = AbHom(level[d], level[d], rows)
+        weyl[d] = AbHom(level[d], level[d], _IntRows(rows))
 
     result = MackeyFunctor(ctx, level, res, tr, weyl, name=name or "box")
     pres.result = result

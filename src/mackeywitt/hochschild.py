@@ -9,7 +9,7 @@ normalized one.
 
 from __future__ import annotations
 
-from .fgab import AbHom, FgAbGroup, homology_subquotient, identity_matrix
+from .fgab import AbHom, FgAbGroup, _IntRows, homology_subquotient, identity_matrix
 from .green import (
     BoxPresentation,
     box_power,
@@ -134,7 +134,7 @@ def _face_hom(src: BoxPresentation, dst: BoxPresentation, r, i: int, j: int, che
                 prod = r.multiply(e, twisted, gens[tup[0]])
                 slot_rows = [prod] + [gens[t] for t in tup[1:j]]
             rows.append(dst.expand(d, e, slot_rows))
-        maps[d] = AbHom(mack_src.level[d], mack_dst.level[d], rows, check=check)
+        maps[d] = AbHom(mack_src.level[d], mack_dst.level[d], _IntRows(rows), check=check)
     return MackeyHom(mack_src, mack_dst, maps, check=check)
 
 
@@ -149,7 +149,7 @@ def _degeneracy_hom(src: BoxPresentation, dst: BoxPresentation, r, i: int, check
             gens = identity_matrix(m.level[e].num_generators)
             slot_rows = [gens[t] for t in tup[: i + 1]] + [r.unit[e]] + [gens[t] for t in tup[i + 1:]]
             rows.append(dst.expand(d, e, slot_rows))
-        maps[d] = AbHom(mack_src.level[d], mack_dst.level[d], rows, check=check)
+        maps[d] = AbHom(mack_src.level[d], mack_dst.level[d], _IntRows(rows), check=check)
     return MackeyHom(mack_src, mack_dst, maps, check=check)
 
 

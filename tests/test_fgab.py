@@ -415,9 +415,9 @@ def snf_counts(monkeypatch):
     counts = Counter()
     init = _SNF.__init__
 
-    def counting_init(self, m):
+    def counting_init(self, m, *width):
         counts[mat(m)] += 1
-        init(self, m)
+        init(self, m, *width)
 
     monkeypatch.setattr(_SNF, "__init__", counting_init)
     return counts
