@@ -109,7 +109,7 @@ def cmd_norm(args) -> int:
         {
             "kind": "norm",
             "description": f"N_e^C_{args.n}({args.ring})",
-            "mackey": nm.underlying.to_json(),
+            "mackey": nm.to_json(),
         },
         args,
     )
@@ -152,7 +152,7 @@ def cmd_witt(args) -> int:
         "ring": args.ring,
         "n": args.n,
         "green_side": {
-            "mackey": w.green.underlying.to_json(),
+            "mackey": w.green.to_json(),
             "top": {"invariant_factors": list(inv), "rank": rank},
         },
         "classical_side": {

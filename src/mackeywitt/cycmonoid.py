@@ -29,6 +29,7 @@ from .mackey import (
     MackeyHom,
     Report,
     representable,
+    span_structure,
 )
 
 
@@ -167,13 +168,13 @@ def element_span(ctx, od: OrbitData, m, level: int):
 def bredon_green(ctx: GroupContext, m: PointedGMonoid) -> GreenFunctor:
     """A̅[M]: representables on the nonzero orbits, multiplication from M."""
     od = monoid_orbits(m)
-    rep = representable(ctx, od.stabs)
+    span_basis, span_pos, maps = span_structure(ctx, od.stabs)
     n = ctx.n
     mult = {}
     unit = {}
     for d in ctx.divisors:
-        basis = rep.span_basis[d]
-        pos = rep.span_pos[d]
+        basis = span_basis[d]
+        pos = span_pos[d]
         k = len(basis)
         table = []
         for (i, sp1) in basis:
@@ -194,8 +195,8 @@ def bredon_green(ctx: GroupContext, m: PointedGMonoid) -> GreenFunctor:
         u = [0] * k
         u[pos[element_span(ctx, od, m.one, d)]] = 1
         unit[d] = tuple(u)
-    green = GreenFunctor(rep, mult, unit)
-    green.orbit_data = od
+    green = GreenFunctor(*maps, mult, unit, name=f"A_T{list(od.stabs)}")
+    green.span_basis, green.span_pos, green.orbit_data = span_basis, span_pos, od
     return green
 
 
@@ -358,7 +359,7 @@ def splitting_check(r, m: PointedGMonoid, max_k: int) -> SplittingReport:
     am = bredon_green(ctx, m)
     od = am.orbit_data
     rm_pres = box(r, am, green=True)
-    rm = rm_pres.result
+    rm = rm_pres.mackey
     nerve_rm = twisted_cyclic_nerve(rm, k_max, green=True)
     nerve_r = twisted_cyclic_nerve(r, k_max)
     cells = cellular_chains(cyclic_nerve_monoid(m, k_max), k_max)
@@ -371,7 +372,7 @@ def splitting_check(r, m: PointedGMonoid, max_k: int) -> SplittingReport:
             gen = identity_matrix(r.level[d].num_generators)[i]
             rows.append(rm_pres.expand(d, d, [gen, am.unit[d]]))
         iota_maps[d] = AbHom(r.level[d], rm.level[d], rows)
-    iota = MackeyHom(r.underlying, rm.underlying, iota_maps)
+    iota = MackeyHom(r, rm, iota_maps)
 
     # degreewise data
     z_pres = []
@@ -393,11 +394,11 @@ def splitting_check(r, m: PointedGMonoid, max_k: int) -> SplittingReport:
             slot_rows = []
             for mm in rep_tuple:
                 u = [0] * am.level[s].num_generators
-                u[am.underlying.span_pos[s][element_span(ctx, od, mm, s)]] = 1
+                u[am.span_pos[s][element_span(ctx, od, mm, s)]] = 1
                 slot_rows.append(rm_pres.expand(s, s, [r.unit[s], u]))
             w = nerve_rm.presentations[j].expand(s, s, slot_rows)
             beta_values[oi] = w
-        hc_rm_j = nerve_rm.presentations[j].result
+        hc_rm_j = nerve_rm.presentations[j].mackey
 
         maps = {}
         for d in ctx.divisors:
@@ -406,12 +407,12 @@ def splitting_check(r, m: PointedGMonoid, max_k: int) -> SplittingReport:
                 alpha_row = alpha.maps[e].matrix[x_idx]
                 (oi, sp) = cells.simplicial.degrees[j].span_basis[e][c_idx]
                 beta_row = spans.apply_span(
-                    hc_rm_j.underlying, cells.orbit_data[j].stabs[oi], e, sp, beta_values[oi]
+                    hc_rm_j, cells.orbit_data[j].stabs[oi], e, sp, beta_values[oi]
                 )
                 prod = hc_rm_j.multiply(e, alpha_row, beta_row)
-                rows.append(hc_rm_j.underlying.tr_full(e, d).apply(prod))
+                rows.append(hc_rm_j.tr_full(e, d).apply(prod))
             maps[d] = AbHom(zp.mackey.level[d], hc_rm_j.level[d], rows)
-        phis.append(MackeyHom(zp.mackey, hc_rm_j.underlying, maps))
+        phis.append(MackeyHom(zp.mackey, hc_rm_j, maps))
 
     for j in range(1, k_max + 1):
         z_faces.append([

@@ -41,9 +41,7 @@ def _maximal_non_multiples(d: int, m: int) -> list[int]:
 
 def tilde_ef(obj, m: int):
     """ẼF_{C_m} M: kill levels without C_m, quotient the rest by transfers."""
-    green = obj if isinstance(obj, GreenFunctor) else None
-    mk = obj.underlying if green else obj
-    ctx = mk.ctx
+    ctx = obj.ctx
     if ctx.n % m:
         raise ValueError(f"{m} does not divide {ctx.n}")
     zero = FgAbGroup(0)
@@ -54,8 +52,8 @@ def tilde_ef(obj, m: int):
             continue
         rows = []
         for e in _maximal_non_multiples(d, m):
-            rows.extend(mk.tr_full(e, d).matrix)
-        old = mk.level[d]
+            rows.extend(obj.tr_full(e, d).matrix)
+        old = obj.level[d]
         level[d] = FgAbGroup(old.num_generators, tuple(old.relations) + tuple(rows))
 
     def descend(hom: AbHom, src_d: int, dst_d: int) -> AbHom:
@@ -69,46 +67,34 @@ def tilde_ef(obj, m: int):
     res = {}
     tr = {}
     for (dlo, dhi) in prime_edges(ctx):
-        res[(dlo, dhi)] = descend(mk.res[(dlo, dhi)], dhi, dlo)
-        tr[(dlo, dhi)] = descend(mk.tr[(dlo, dhi)], dlo, dhi)
-    weyl = {d: descend(mk.weyl[d], d, d) for d in ctx.divisors}
-    out = MackeyFunctor(ctx, level, res, tr, weyl, name=f"tilde_EF_{m}({mk.name})")
-    if green is None:
-        return out
-    mult = {}
-    unit = {}
-    for d in ctx.divisors:
-        if d % m:
-            mult[d] = ()
-            unit[d] = ()
-        else:
-            mult[d] = green.mult[d]
-            unit[d] = green.unit[d]
-    return GreenFunctor(out, mult, unit)
+        res[(dlo, dhi)] = descend(obj.res[(dlo, dhi)], dhi, dlo)
+        tr[(dlo, dhi)] = descend(obj.tr[(dlo, dhi)], dlo, dhi)
+    weyl = {d: descend(obj.weyl[d], d, d) for d in ctx.divisors}
+    name = f"tilde_EF_{m}({obj.name})"
+    if not isinstance(obj, GreenFunctor):
+        return MackeyFunctor(ctx, level, res, tr, weyl, name)
+    mult = {d: () if d % m else obj.mult[d] for d in ctx.divisors}
+    unit = {d: () if d % m else obj.unit[d] for d in ctx.divisors}
+    return GreenFunctor(ctx, level, res, tr, weyl, mult, unit, name)
 
 
 def phi(obj, m: int):
     """Geometric fixed points Φ^{C_m}: ẼF followed by reindexing over C_{n/m}."""
     te = tilde_ef(obj, m)
-    green = te if isinstance(te, GreenFunctor) else None
-    mk = te.underlying if green else te
-    ctx = mk.ctx
-    new_ctx = GroupContext(ctx.n // m)
-    level = {d: mk.level[m * d] for d in new_ctx.divisors}
+    new_ctx = GroupContext(te.ctx.n // m)
+    level = {d: te.level[m * d] for d in new_ctx.divisors}
     res = {}
     tr = {}
     for (dlo, dhi) in prime_edges(new_ctx):
-        res[(dlo, dhi)] = mk.res[(m * dlo, m * dhi)]
-        tr[(dlo, dhi)] = mk.tr[(m * dlo, m * dhi)]
-    weyl = {d: mk.weyl[m * d] for d in new_ctx.divisors}
-    out = MackeyFunctor(new_ctx, level, res, tr, weyl, name=f"phi_{m}({mk.name})")
-    if green is None:
-        return out
-    return GreenFunctor(
-        out,
-        {d: green.mult[m * d] for d in new_ctx.divisors},
-        {d: green.unit[m * d] for d in new_ctx.divisors},
-    )
+        res[(dlo, dhi)] = te.res[(m * dlo, m * dhi)]
+        tr[(dlo, dhi)] = te.tr[(m * dlo, m * dhi)]
+    weyl = {d: te.weyl[m * d] for d in new_ctx.divisors}
+    name = f"phi_{m}({te.name})"
+    if not isinstance(te, GreenFunctor):
+        return MackeyFunctor(new_ctx, level, res, tr, weyl, name)
+    mult = {d: te.mult[m * d] for d in new_ctx.divisors}
+    unit = {d: te.unit[m * d] for d in new_ctx.divisors}
+    return GreenFunctor(new_ctx, level, res, tr, weyl, mult, unit, name)
 
 
 def phi_box_comparison(m_fun, n_fun, m: int) -> MackeyHom:
@@ -254,6 +240,7 @@ def edgewise_comparison_norm(ring: BaseRing, n: int, j: int, max_degree: int) ->
     nerve_big = twisted_cyclic_nerve(big, max_degree)
     restricted = restrict_simplicial(nerve_big, j)
 
+    eye = {e: identity_matrix(small.level[e].num_generators) for e in small.ctx.divisors}
     thetas = []
     for deg in range(max_degree + 1):
         src_pres = nerve_small.presentations[r * (deg + 1) - 1]
@@ -264,7 +251,7 @@ def edgewise_comparison_norm(ring: BaseRing, n: int, j: int, max_degree: int) ->
         for d in src.ctx.divisors:
             rows = []
             for (e, tup) in src_pres.tags[d]:
-                gens = identity_matrix(small.level[e].num_generators)
+                gens = eye[e]
                 slot_rows = []
                 for t in range(deg + 1):
                     acc = gens[tup[r * t]]

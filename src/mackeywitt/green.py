@@ -33,19 +33,18 @@ from .mackey import (
 
 
 class BoxPresentation:
-    """A box product together with its tagged generating data."""
+    """A box product together with its tagged generating data.
 
-    def __init__(self, factors, result, tags, tag_pos):
+    ``mackey`` is the product itself, set by ``box_list``: a GreenFunctor
+    exactly when it carries the induced Green structure.
+    """
+
+    def __init__(self, factors, tags, tag_pos):
         self.factors = tuple(factors)
-        self.result = result
+        self.mackey: MackeyFunctor | None = None
         self.tags = tags          # d -> tuple of (e, gen_index_tuple)
         self.tag_pos = tag_pos    # d -> {tag: position}
         self._twisted: dict[tuple, tuple] = {}
-
-    @property
-    def mackey(self) -> MackeyFunctor:
-        r = self.result
-        return r.underlying if isinstance(r, GreenFunctor) else r
 
     def expand(self, d: int, e: int, slot_rows) -> tuple[int, ...]:
         """Multilinear expansion of per-slot element rows into tag coordinates."""
@@ -55,7 +54,7 @@ class BoxPresentation:
 
     def twisted_res(self, s: int, e: int, g: int, k: int):
         """Matrix of res_{e→g} followed by weyl^k on factor s, built once per key."""
-        m = _unwrap(self.factors[s])
+        m = self.factors[s]
         key = (s, e, g, k % (m.ctx.n // g))
         rows = self._twisted.get(key)
         if rows is None:
@@ -66,12 +65,12 @@ class BoxPresentation:
         """Product of tags a and b at level d by the double-coset formula."""
         (e, tup), (f, tup2) = self.tags[d][a], self.tags[d][b]
         g0 = gcd(e, f)
-        step = _unwrap(self.factors[0]).ctx.n // d
+        step = self.factors[0].ctx.n // d
         out = [0] * len(self.tags[d])
         for j in range(d // lcm(e, f)):
             slot_rows = []
             for s, (fct, x, y) in enumerate(zip(self.factors, tup, tup2)):
-                x_row = _unwrap(fct).res_full(e, g0).matrix[x]
+                x_row = fct.res_full(e, g0).matrix[x]
                 y_row = self.twisted_res(s, f, g0, j * step)[y]
                 slot_rows.append(fct.multiply(g0, x_row, y_row))
             _expand_into(out, self.tag_pos[d], g0, slot_rows)
@@ -133,10 +132,6 @@ class _ProductTable:
         return iter(self._rows)
 
 
-def _unwrap(factor):
-    return factor.underlying if isinstance(factor, GreenFunctor) else factor
-
-
 def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentation:
     """Box product of a list of Mackey functors over one group context.
 
@@ -146,9 +141,8 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
     """
     if not factors:
         raise ValueError("need at least one factor")
-    macks = [_unwrap(f) for f in factors]
-    ctx = macks[0].ctx
-    for f in macks:
+    ctx = factors[0].ctx
+    for f in factors:
         if f.ctx != ctx:
             raise ValueError("context mismatch between box factors")
     if green is None:
@@ -156,7 +150,7 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
     if green and not all(isinstance(f, GreenFunctor) for f in factors):
         raise ValueError("green structure requires Green factors")
     n = ctx.n
-    k = len(macks)
+    k = len(factors)
 
     tags = {}
     tag_pos = {}
@@ -164,22 +158,22 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
     for d in ctx.divisors:
         tg = []
         for e in divisors(d):
-            ranges = [range(f.level[e].num_generators) for f in macks]
+            ranges = [range(f.level[e].num_generators) for f in factors]
             for tup in product(*ranges):
                 tg.append((e, tup))
         tags[d] = tuple(tg)
         tag_pos[d] = {t: i for i, t in enumerate(tg)}
 
-    pres = BoxPresentation(factors, None, tags, tag_pos)
+    pres = BoxPresentation(factors, tags, tag_pos)
 
     for d in ctx.divisors:
         rels = []
         ntags = len(tags[d])
         pos = tag_pos[d]
         for e in divisors(d):
-            gen_counts = [f.level[e].num_generators for f in macks]
+            gen_counts = [f.level[e].num_generators for f in factors]
             # multilinearity: relations of each factor in each slot
-            for s, f in enumerate(macks):
+            for s, f in enumerate(factors):
                 for r in f.level[e].relations:
                     others = [range(c) for t, c in enumerate(gen_counts) if t != s]
                     for rest in product(*others):
@@ -191,7 +185,7 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
                         rels.append(tuple(row))
             # Weyl-diagonal identification for the generator of C_d/C_e
             if e != d:
-                tw = [f.weyl_power(e, n // d).matrix for f in macks]
+                tw = [f.weyl_power(e, n // d).matrix for f in factors]
                 for tup in product(*[range(c) for c in gen_counts]):
                     row = [0] * ntags
                     _expand_into(row, pos, e, [tw[s][tup[s]] for s in range(k)])
@@ -201,10 +195,10 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
         for e in divisors(d):
             for p in prime_factors(d // e):
                 f_lv = e * p
-                res_rows = [f.res[(e, f_lv)].matrix for f in macks]
-                tr_rows = [f.tr[(e, f_lv)].matrix for f in macks]
-                eye_e = [identity_matrix(f.level[e].num_generators) for f in macks]
-                eye_f = [identity_matrix(f.level[f_lv].num_generators) for f in macks]
+                res_rows = [f.res[(e, f_lv)].matrix for f in factors]
+                tr_rows = [f.tr[(e, f_lv)].matrix for f in factors]
+                eye_e = [identity_matrix(f.level[e].num_generators) for f in factors]
+                eye_f = [identity_matrix(f.level[f_lv].num_generators) for f in factors]
                 for s in range(k):
                     others = [range(len(eye_f[t])) for t in range(k) if t != s]
                     for x in range(len(eye_e[s])):
@@ -252,18 +246,16 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
     for d in ctx.divisors:
         rows = []
         for (e, tup) in tags[d]:
-            slot_rows = [f.weyl[e].matrix[i] for f, i in zip(macks, tup)]
+            slot_rows = [f.weyl[e].matrix[i] for f, i in zip(factors, tup)]
             rows.append(pres.expand(d, e, slot_rows))
         weyl[d] = AbHom(level[d], level[d], _IntRows(rows))
 
-    result = MackeyFunctor(ctx, level, res, tr, weyl, name=name or "box")
-    pres.result = result
-    if not green:
-        return pres
-
-    mult = {d: _ProductTable(len(tags[d]), partial(pres.tag_product, d)) for d in ctx.divisors}
-    unit = {d: pres.expand(d, d, [fct.unit[d] for fct in factors]) for d in ctx.divisors}
-    pres.result = GreenFunctor(result, mult, unit)
+    if green:
+        mult = {d: _ProductTable(len(tags[d]), partial(pres.tag_product, d)) for d in ctx.divisors}
+        unit = {d: pres.expand(d, d, [fct.unit[d] for fct in factors]) for d in ctx.divisors}
+        pres.mackey = GreenFunctor(ctx, level, res, tr, weyl, mult, unit, name=name or "box")
+    else:
+        pres.mackey = MackeyFunctor(ctx, level, res, tr, weyl, name=name or "box")
     return pres
 
 
@@ -302,7 +294,7 @@ def full_transfer_identification(pres: BoxPresentation) -> MackeyHom:
     """
     if len(pres.factors) != 1:
         raise ValueError("expects a 1-fold box power")
-    target = _unwrap(pres.factors[0])
+    target = pres.factors[0]
     src = pres.mackey
     maps = {}
     for d in src.ctx.divisors:
@@ -342,7 +334,7 @@ def unit_iso(pres: BoxPresentation) -> MackeyHom:
     """
     if len(pres.factors) != 2:
         raise ValueError("expects a binary box product")
-    m = _unwrap(pres.factors[1])
+    m = pres.factors[1]
     src = pres.mackey
     maps = {}
     for d in src.ctx.divisors:
@@ -401,23 +393,21 @@ def quotient_by_subgroups(g: GreenFunctor, rows_per_level) -> tuple[GreenFunctor
     Well-definedness of the descended structure maps and multiplication is
     certified by the AbHom constructor; a non-closed input fails loudly.
     """
-    m = g.underlying
-    ctx = m.ctx
+    ctx = g.ctx
     level = {}
     for d in ctx.divisors:
-        old = m.level[d]
+        old = g.level[d]
         level[d] = FgAbGroup(old.num_generators, tuple(old.relations) + tuple(rows_per_level.get(d, ())))
     res = {}
     tr = {}
     for (dlo, dhi) in prime_edges(ctx):
-        res[(dlo, dhi)] = AbHom(level[dhi], level[dlo], m.res[(dlo, dhi)].matrix)
-        tr[(dlo, dhi)] = AbHom(level[dlo], level[dhi], m.tr[(dlo, dhi)].matrix)
-    weyl = {d: AbHom(level[d], level[d], m.weyl[d].matrix) for d in ctx.divisors}
-    out_m = MackeyFunctor(ctx, level, res, tr, weyl, name=f"{m.name}/ideal")
-    out = GreenFunctor(out_m, g.mult, g.unit)
+        res[(dlo, dhi)] = AbHom(level[dhi], level[dlo], g.res[(dlo, dhi)].matrix)
+        tr[(dlo, dhi)] = AbHom(level[dlo], level[dhi], g.tr[(dlo, dhi)].matrix)
+    weyl = {d: AbHom(level[d], level[d], g.weyl[d].matrix) for d in ctx.divisors}
+    out = GreenFunctor(ctx, level, res, tr, weyl, g.mult, g.unit, name=f"{g.name}/ideal")
     proj = MackeyHom(
-        m, out_m,
-        {d: AbHom(m.level[d], level[d], identity_matrix(m.level[d].num_generators), check=False)
+        g, out,
+        {d: AbHom(g.level[d], level[d], identity_matrix(g.level[d].num_generators), check=False)
          for d in ctx.divisors},
         check=False,
     )
@@ -431,11 +421,10 @@ def quotient_by_green_ideal(g: GreenFunctor, gens) -> GreenFunctor:
     with res, tr, and weyl images until the levelwise subgroup lattices
     stabilize.
     """
-    m = g.underlying
-    ctx = m.ctx
+    ctx = g.ctx
     n = ctx.n
     rows: dict[int, list] = {d: [] for d in ctx.divisors}
-    hnf: dict[int, tuple] = {d: m.level[d].subgroup_hnf(()) for d in ctx.divisors}
+    hnf: dict[int, tuple] = {d: g.level[d].subgroup_hnf(()) for d in ctx.divisors}
     hnf_snf = {d: _SNF(h) for d, h in hnf.items()}
     queue = []
 
@@ -444,7 +433,7 @@ def quotient_by_green_ideal(g: GreenFunctor, gens) -> GreenFunctor:
         if in_rowspan(hnf[d], row, hnf_snf[d]):
             return
         rows[d].append(row)
-        hnf[d] = m.level[d].subgroup_hnf(tuple(rows[d]))
+        hnf[d] = g.level[d].subgroup_hnf(tuple(rows[d]))
         hnf_snf[d] = _SNF(hnf[d])
         queue.append((d, row))
 
@@ -453,14 +442,13 @@ def quotient_by_green_ideal(g: GreenFunctor, gens) -> GreenFunctor:
 
     while queue:
         d, row = queue.pop()
-        k = m.level[d].num_generators
-        for j in range(k):
-            push(d, g.multiply(d, row, identity_matrix(k)[j]))
-        push(d, m.weyl[d].apply(row))
+        for gen in identity_matrix(g.level[d].num_generators):
+            push(d, g.multiply(d, row, gen))
+        push(d, g.weyl[d].apply(row))
         for p in prime_factors(d):
-            push(d // p, m.res[(d // p, d)].apply(row))
+            push(d // p, g.res[(d // p, d)].apply(row))
         for p in prime_factors(n // d):
             if n % (d * p) == 0:
-                push(d * p, m.tr[(d, d * p)].apply(row))
+                push(d * p, g.tr[(d, d * p)].apply(row))
 
     return quotient_by_subgroups(g, {d: tuple(rows[d]) for d in ctx.divisors})[0]

@@ -120,17 +120,17 @@ def _face_hom(src: BoxPresentation, dst: BoxPresentation, r, i: int, j: int, che
     """Face d_i from the (j+1)-slot box power to the j-slot one."""
     mack_src = src.mackey
     mack_dst = dst.mackey
-    m = r.underlying if isinstance(r, GreenFunctor) else r
+    eye = {e: identity_matrix(r.level[e].num_generators) for e in r.ctx.divisors}
     maps = {}
     for d in mack_src.ctx.divisors:
         rows = []
         for (e, tup) in src.tags[d]:
-            gens = identity_matrix(m.level[e].num_generators)
+            gens = eye[e]
             if i < j:
                 prod = r.mult[e][tup[i]][tup[i + 1]]
                 slot_rows = [gens[t] for t in tup[:i]] + [prod] + [gens[t] for t in tup[i + 2:]]
             else:
-                twisted = m.weyl[e].matrix[tup[j]]
+                twisted = r.weyl[e].matrix[tup[j]]
                 prod = r.multiply(e, twisted, gens[tup[0]])
                 slot_rows = [prod] + [gens[t] for t in tup[1:j]]
             rows.append(dst.expand(d, e, slot_rows))
@@ -141,12 +141,12 @@ def _face_hom(src: BoxPresentation, dst: BoxPresentation, r, i: int, j: int, che
 def _degeneracy_hom(src: BoxPresentation, dst: BoxPresentation, r, i: int, check: bool) -> MackeyHom:
     mack_src = src.mackey
     mack_dst = dst.mackey
-    m = r.underlying if isinstance(r, GreenFunctor) else r
+    eye = {e: identity_matrix(r.level[e].num_generators) for e in r.ctx.divisors}
     maps = {}
     for d in mack_src.ctx.divisors:
         rows = []
         for (e, tup) in src.tags[d]:
-            gens = identity_matrix(m.level[e].num_generators)
+            gens = eye[e]
             slot_rows = [gens[t] for t in tup[: i + 1]] + [r.unit[e]] + [gens[t] for t in tup[i + 1:]]
             rows.append(dst.expand(d, e, slot_rows))
         maps[d] = AbHom(mack_src.level[d], mack_dst.level[d], _IntRows(rows), check=check)
@@ -235,11 +235,10 @@ def hh0_oracle(r) -> GreenFunctor:
     Computed as the quotient by the Green ideal generated by g·x − x over
     every level and generator.
     """
-    m = r.underlying
     gens = []
-    for d in m.ctx.divisors:
-        w = m.weyl[d]
-        for i in range(m.level[d].num_generators):
+    for d in r.ctx.divisors:
+        w = r.weyl[d]
+        for i in range(r.level[d].num_generators):
             row = list(w.matrix[i])
             row[i] -= 1
             gens.append((d, tuple(row)))

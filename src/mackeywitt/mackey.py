@@ -11,6 +11,7 @@ redundant storage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from math import gcd
 
 from . import spans
@@ -228,67 +229,54 @@ class MackeyHom:
         return MackeyHom(m, m, {d: AbHom.identity(m.level[d]) for d in m.ctx.divisors}, check=False)
 
 
-class GreenFunctor:
-    """Mackey functor with a levelwise commutative ring structure.
+def bilinear(table, x, y) -> tuple[int, ...]:
+    """Σ x_i y_j table[i][j] over the nonzero x_i, y_j and row entries.
+
+    ``table[i][j]`` is the product of generators i and j as a row of
+    ``len(table)`` entries; only the cells at nonzero (x_i, y_j) are read.
+    """
+    acc = [0] * len(table)
+    for xi, ti in compress(zip(x, table), x):
+        for j, yj in compress(enumerate(y), y):
+            c = xi * yj
+            row = ti[j]
+            for t, v in compress(enumerate(row), row):
+                acc[t] += c * v
+    return tuple(acc)
+
+
+class GreenFunctor(MackeyFunctor):
+    """A Mackey functor with a levelwise commutative ring structure.
 
     ``mult[d][i][j]`` is the product of generators i and j of level d, as a
     row; ``unit[d]`` is the multiplicative unit.  Restrictions are ring
     maps, Weyl actions are ring automorphisms, and transfers satisfy
     Frobenius reciprocity: all checked by check_axioms, never assumed.
-    Tables given as tuples or lists are stored with int entries; a box
-    product passes tables that compute each product when it is first read,
-    and those are stored as given.
+    Every Mackey operation (box products, restriction, geometric fixed
+    points, homology) takes a Green functor as it is.  Tables given as
+    tuples or lists are stored with int entries; a box product passes
+    tables that compute each product when it is first read, and those are
+    stored as given.
     """
 
-    def __init__(self, underlying: MackeyFunctor, mult, unit):
-        self.underlying = underlying
+    def __init__(self, ctx: GroupContext, level, res, tr, weyl, mult, unit, name: str = ""):
+        super().__init__(ctx, level, res, tr, weyl, name)
         self.mult = {
             d: tuple(tuple(tuple(int(x) for x in row) for row in gen_rows) for gen_rows in table)
             if isinstance(table, (tuple, list)) else table
             for d, table in mult.items()
         }
         self.unit = {d: tuple(int(x) for x in unit[d]) for d in unit}
-        for d in underlying.ctx.divisors:
-            k = underlying.level[d].num_generators
+        for d in ctx.divisors:
+            k = self.level[d].num_generators
             if len(self.mult[d]) != k or any(len(m) != k for m in self.mult[d]):
                 raise ValueError(f"mult[{d}] has wrong shape")
             if len(self.unit[d]) != k:
                 raise ValueError(f"unit[{d}] has wrong length")
 
-    @property
-    def ctx(self):
-        return self.underlying.ctx
-
-    @property
-    def level(self):
-        return self.underlying.level
-
-    def res_full(self, e, d):
-        return self.underlying.res_full(e, d)
-
-    def tr_full(self, d, e):
-        return self.underlying.tr_full(d, e)
-
-    def weyl_power(self, d, k):
-        return self.underlying.weyl_power(d, k)
-
     def multiply(self, d: int, x, y):
         """Bilinear product of two element rows at level d."""
-        k = self.underlying.level[d].num_generators
-        acc = [0] * k
-        md = self.mult[d]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            mdi = md[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for t, v in enumerate(mdi[j]):
-                    if v:
-                        acc[t] += c * v
-        return tuple(acc)
+        return bilinear(self.mult[d], x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +305,6 @@ def burnside(ctx: GroupContext) -> GreenFunctor:
             rows_tr.append(tuple(row))
         tr[(d, e)] = AbHom(level[d], level[e], rows_tr, check=False)
     weyl = {d: AbHom.identity(level[d]) for d in ctx.divisors}
-    m = MackeyFunctor(ctx, level, res, tr, weyl, name=f"A({ctx})")
     mult = {}
     unit = {}
     for d in ctx.divisors:
@@ -336,7 +323,7 @@ def burnside(ctx: GroupContext) -> GreenFunctor:
         u = [0] * k
         u[index[d][d]] = 1
         unit[d] = tuple(u)
-    return GreenFunctor(m, mult, unit)
+    return GreenFunctor(ctx, level, res, tr, weyl, mult, unit, name=f"A({ctx})")
 
 
 def representable(ctx: GroupContext, orbit_stabilizers) -> MackeyFunctor:
@@ -345,11 +332,21 @@ def representable(ctx: GroupContext, orbit_stabilizers) -> MackeyFunctor:
     Levels are free on the canonical span basis; structure maps are span
     composition in the Burnside category.
     """
-    n = ctx.n
     T = tuple(int(t) for t in orbit_stabilizers)
     for t in T:
-        if n % t:
+        if ctx.n % t:
             raise ValueError("orbit stabilizers must divide n")
+    basis, pos, maps = span_structure(ctx, T)
+    m = MackeyFunctor(*maps, name=f"A_T{list(T)}")
+    m.orbit_stabilizers = T
+    m.span_basis = basis
+    m.span_pos = pos
+    return m
+
+
+def span_structure(ctx: GroupContext, T: tuple[int, ...]):
+    """A̅_T on its span basis: (basis, positions, (ctx, level, res, tr, weyl))."""
+    n = ctx.n
     basis = {}
     pos = {}
     for d in ctx.divisors:
@@ -377,11 +374,7 @@ def representable(ctx: GroupContext, orbit_stabilizers) -> MackeyFunctor:
         res[(d, e)] = postcompose(e, d, spans.restriction_span(n, e, d))
         tr[(d, e)] = postcompose(d, e, spans.transfer_span(n, d, e))
     weyl = {d: postcompose(d, d, spans.weyl_span(n, d)) for d in ctx.divisors}
-    m = MackeyFunctor(ctx, level, res, tr, weyl, name=f"A_T{list(T)}")
-    m.orbit_stabilizers = T
-    m.span_basis = basis
-    m.span_pos = pos
-    return m
+    return basis, pos, (ctx, level, res, tr, weyl)
 
 
 @dataclass
@@ -425,54 +418,39 @@ def fixed_point_mackey(ctx: GroupContext, group: FgAbGroup, action, ring: RingDa
     for d in ctx.divisors:
         rows = [sq[d].project(act.apply(row)) for row in sq[d].cycle_basis]
         weyl[d] = AbHom(level[d], level[d], rows, check=False)
-    m = MackeyFunctor(ctx, level, res, tr, weyl, name="fixed-point")
     if ring is None:
-        return m
+        return MackeyFunctor(ctx, level, res, tr, weyl, name="fixed-point")
 
     mult = {}
     unit = {}
     for d in ctx.divisors:
-        k = level[d].num_generators
-        table = []
-        for i in range(k):
-            rowtab = []
-            xi = sq[d].cycle_basis[i]
-            for j in range(k):
-                xj = sq[d].cycle_basis[j]
-                prod = [0] * group.num_generators
-                for a, ca in enumerate(xi):
-                    if not ca:
-                        continue
-                    for b, cb in enumerate(xj):
-                        if not cb:
-                            continue
-                        for t, v in enumerate(ring.mult[a][b]):
-                            prod[t] += ca * cb * v
-                rowtab.append(sq[d].project(tuple(prod)))
-            table.append(tuple(rowtab))
-        mult[d] = tuple(table)
+        basis = sq[d].cycle_basis
+        mult[d] = tuple(
+            tuple(sq[d].project(bilinear(ring.mult, xi, xj)) for xj in basis) for xi in basis
+        )
         unit[d] = sq[d].project(ring.unit)
-    return GreenFunctor(m, mult, unit)
+    return GreenFunctor(ctx, level, res, tr, weyl, mult, unit, name="fixed-point")
 
 
 def restrict(m, j: int):
     """Restriction i_J^* to C_j: levels survive, the Weyl generator becomes g^{n/j}."""
-    obj = m.underlying if isinstance(m, GreenFunctor) else m
-    ctx = obj.ctx
+    ctx = m.ctx
     if ctx.n % j:
         raise ValueError(f"{j} does not divide {ctx.n}")
     new_ctx = GroupContext(j)
-    level = {d: obj.level[d] for d in new_ctx.divisors}
+    level = {d: m.level[d] for d in new_ctx.divisors}
     res = {}
     tr = {}
     for (d, e) in prime_edges(new_ctx):
-        res[(d, e)] = obj.res[(d, e)]
-        tr[(d, e)] = obj.tr[(d, e)]
-    weyl = {d: obj.weyl_power(d, ctx.n // j) for d in new_ctx.divisors}
-    out = MackeyFunctor(new_ctx, level, res, tr, weyl, name=f"res_{j}({obj.name})")
+        res[(d, e)] = m.res[(d, e)]
+        tr[(d, e)] = m.tr[(d, e)]
+    weyl = {d: m.weyl_power(d, ctx.n // j) for d in new_ctx.divisors}
+    name = f"res_{j}({m.name})"
     if isinstance(m, GreenFunctor):
-        return GreenFunctor(out, {d: m.mult[d] for d in new_ctx.divisors}, {d: m.unit[d] for d in new_ctx.divisors})
-    return out
+        mult = {d: m.mult[d] for d in new_ctx.divisors}
+        unit = {d: m.unit[d] for d in new_ctx.divisors}
+        return GreenFunctor(new_ctx, level, res, tr, weyl, mult, unit, name)
+    return MackeyFunctor(new_ctx, level, res, tr, weyl, name)
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +485,8 @@ class Report:
         return f"Report({self.name}: {status}, {self.cases} checks){body}"
 
 
-def check_axioms(obj) -> Report:
+def check_axioms(m) -> Report:
     """Verify every Mackey (and Green) functor invariant; diagnostic, never raises."""
-    green = obj if isinstance(obj, GreenFunctor) else None
-    m = obj.underlying if green else obj
     rep = Report(f"axioms of {m.name}")
     ctx = m.ctx
     n = ctx.n
@@ -567,32 +543,32 @@ def check_axioms(obj) -> Report:
                     rhs = rhs.add(piece)
                 rep.note(lhs == rhs, f"double coset fails at (a={a}, b={b}, e={e})")
 
-    if green is None:
+    if not isinstance(m, GreenFunctor):
         return rep
 
     # Green: levelwise commutative unital associative rings
+    eye = {d: identity_matrix(m.level[d].num_generators) for d in ctx.divisors}
     for d in ctx.divisors:
-        k = m.level[d].num_generators
-        gens = identity_matrix(k)
+        gens = eye[d]
         lv = m.level[d]
-        for i in range(k):
+        for i in range(len(gens)):
             rep.note(
-                lv.elements_equal(green.multiply(d, green.unit[d], gens[i]), gens[i]),
+                lv.elements_equal(m.multiply(d, m.unit[d], gens[i]), gens[i]),
                 f"unit fails at level {d}, generator {i}",
             )
-            for j in range(k):
+            for j in range(len(gens)):
                 rep.note(
                     lv.elements_equal(
-                        green.multiply(d, gens[i], gens[j]),
-                        green.multiply(d, gens[j], gens[i]),
+                        m.multiply(d, gens[i], gens[j]),
+                        m.multiply(d, gens[j], gens[i]),
                     ),
                     f"commutativity fails at level {d} ({i},{j})",
                 )
-                for t in range(k):
+                for t in range(len(gens)):
                     rep.note(
                         lv.elements_equal(
-                            green.multiply(d, green.multiply(d, gens[i], gens[j]), gens[t]),
-                            green.multiply(d, gens[i], green.multiply(d, gens[j], gens[t])),
+                            m.multiply(d, m.multiply(d, gens[i], gens[j]), gens[t]),
+                            m.multiply(d, gens[i], m.multiply(d, gens[j], gens[t])),
                         ),
                         f"associativity fails at level {d} ({i},{j},{t})",
                     )
@@ -600,36 +576,34 @@ def check_axioms(obj) -> Report:
     for (d, e) in prime_edges(ctx):
         r = m.res[(d, e)]
         lv = m.level[d]
-        ke = m.level[e].num_generators
-        gens = identity_matrix(ke)
+        gens = eye[e]
         rep.note(
-            lv.elements_equal(r.apply(green.unit[e]), green.unit[d]),
+            lv.elements_equal(r.apply(m.unit[e]), m.unit[d]),
             f"res{(d, e)} does not preserve the unit",
         )
-        for i in range(ke):
-            for j in range(ke):
+        for i in range(len(gens)):
+            for j in range(len(gens)):
                 rep.note(
                     lv.elements_equal(
-                        r.apply(green.multiply(e, gens[i], gens[j])),
-                        green.multiply(d, r.apply(gens[i]), r.apply(gens[j])),
+                        r.apply(m.multiply(e, gens[i], gens[j])),
+                        m.multiply(d, r.apply(gens[i]), r.apply(gens[j])),
                     ),
                     f"res{(d, e)} not multiplicative ({i},{j})",
                 )
     for d in ctx.divisors:
         w = m.weyl[d]
         lv = m.level[d]
-        k = lv.num_generators
-        gens = identity_matrix(k)
+        gens = eye[d]
         rep.note(
-            lv.elements_equal(w.apply(green.unit[d]), green.unit[d]),
+            lv.elements_equal(w.apply(m.unit[d]), m.unit[d]),
             f"weyl[{d}] does not preserve the unit",
         )
-        for i in range(k):
-            for j in range(k):
+        for i in range(len(gens)):
+            for j in range(len(gens)):
                 rep.note(
                     lv.elements_equal(
-                        w.apply(green.multiply(d, gens[i], gens[j])),
-                        green.multiply(d, w.apply(gens[i]), w.apply(gens[j])),
+                        w.apply(m.multiply(d, gens[i], gens[j])),
+                        m.multiply(d, w.apply(gens[i]), w.apply(gens[j])),
                     ),
                     f"weyl[{d}] not multiplicative ({i},{j})",
                 )
@@ -638,14 +612,10 @@ def check_axioms(obj) -> Report:
         r = m.res[(d, e)]
         t = m.tr[(d, e)]
         lv = m.level[e]
-        kd = m.level[d].num_generators
-        ke = m.level[e].num_generators
-        for i in range(kd):
-            x = identity_matrix(kd)[i]
-            for j in range(ke):
-                y = identity_matrix(ke)[j]
-                lhs = t.apply(green.multiply(d, x, r.apply(y)))
-                rhs = green.multiply(e, t.apply(x), y)
+        for i, x in enumerate(eye[d]):
+            for j, y in enumerate(eye[e]):
+                lhs = t.apply(m.multiply(d, x, r.apply(y)))
+                rhs = m.multiply(e, t.apply(x), y)
                 rep.note(
                     lv.elements_equal(lhs, rhs),
                     f"Frobenius reciprocity fails at {(d, e)} ({i},{j})",

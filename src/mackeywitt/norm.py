@@ -13,7 +13,7 @@ from functools import cached_property
 
 from . import wittcore
 from .fgab import _SNF, AbHom, FgAbGroup, solve_left
-from .mackey import GreenFunctor, GroupContext, MackeyFunctor, Report, prime_edges
+from .mackey import GreenFunctor, GroupContext, Report, prime_edges
 from .wittcore import (
     BaseRing,
     TruncationSet,
@@ -120,8 +120,8 @@ class WittLevel:
 class NormGreenFunctor(GreenFunctor):
     """N_e^{C_n} R: a Green functor whose level d is W_⟨d⟩(R), with its Witt generators."""
 
-    def __init__(self, underlying: MackeyFunctor, mult, unit, base_ring: BaseRing, witt_levels: dict):
-        super().__init__(underlying, mult, unit)
+    def __init__(self, ctx, level, res, tr, weyl, mult, unit, base_ring: BaseRing, witt_levels: dict, name=""):
+        super().__init__(ctx, level, res, tr, weyl, mult, unit, name)
         self.base_ring = base_ring
         self.witt_levels = witt_levels
 
@@ -151,7 +151,6 @@ def norm_trivial_ring(ring: BaseRing, n: int) -> NormGreenFunctor:
         ]
         tr[(d, e)] = AbHom(group[d], group[e], rows)
     weyl = {d: AbHom.identity(group[d]) for d in ctx.divisors}
-    m = MackeyFunctor(ctx, group, res, tr, weyl, name=f"N({ring},{n})")
     mult = {}
     unit = {}
     for d in ctx.divisors:
@@ -162,7 +161,7 @@ def norm_trivial_ring(ring: BaseRing, n: int) -> NormGreenFunctor:
             table.append(tuple(lv.coords(witt_mul(lv.gens[i], lv.gens[j])) for j in range(k)))
         mult[d] = tuple(table)
         unit[d] = lv.coords(one(lv.truncation, ring))
-    return NormGreenFunctor(m, mult, unit, ring, levels)
+    return NormGreenFunctor(ctx, group, res, tr, weyl, mult, unit, ring, levels, name=f"N({ring},{n})")
 
 
 def external_norm_element(norm: NormGreenFunctor, r: int) -> tuple[int, ...]:
@@ -214,9 +213,9 @@ def check_norm_restriction_identity(ring: BaseRing, n: int, j: int) -> Report:
             for i in tup:
                 prod = witt_mul(prod, lv.gens[i])
             v = big.witt_levels[e].coords(prod)
-            rows.append(restricted.underlying.tr_full(e, d).apply(v))
+            rows.append(restricted.tr_full(e, d).apply(v))
         maps[d] = AbHom(src.level[d], restricted.level[d], rows)
-    theta = MackeyHom(src, restricted.underlying, maps, check=False)
+    theta = MackeyHom(src, restricted, maps, check=False)
     nat = theta.naturality_failures()
     report.note(not nat, f"comparison map natural ({nat[:2] if nat else 'yes'})")
     report.note(theta.is_isomorphism(), "comparison map is a levelwise isomorphism")
@@ -225,18 +224,17 @@ def check_norm_restriction_identity(ring: BaseRing, n: int, j: int) -> Report:
     ok_mult = True
     for d in ctxj.divisors:
         kgens = src.level[d].num_generators
-        box_green = pres.result
         for a in range(kgens):
             ea = tuple(1 if i == a else 0 for i in range(kgens))
             for b in range(kgens):
                 eb = tuple(1 if i == b else 0 for i in range(kgens))
-                lhs = maps[d].apply(box_green.multiply(d, ea, eb))
+                lhs = maps[d].apply(src.multiply(d, ea, eb))
                 rhs = restricted.multiply(d, maps[d].apply(ea), maps[d].apply(eb))
                 if not restricted.level[d].elements_equal(lhs, rhs):
                     ok_mult = False
     report.note(ok_mult, "comparison map is multiplicative")
     ok_unit = all(
-        restricted.level[d].elements_equal(maps[d].apply(pres.result.unit[d]), restricted.unit[d])
+        restricted.level[d].elements_equal(maps[d].apply(src.unit[d]), restricted.unit[d])
         for d in ctxj.divisors
     )
     report.note(ok_unit, "comparison map preserves units")
@@ -256,7 +254,7 @@ def check_norm_restriction_identity(ring: BaseRing, n: int, j: int) -> Report:
             rows.append(pres.expand(d, e, slot_rows))
         rot = AbHom(src.level[d], src.level[d], rows)
         lhs = rot.compose(maps[d])
-        rhs = maps[d].compose(big.underlying.weyl[d])
+        rhs = maps[d].compose(big.weyl[d])
         if lhs != rhs:
             ok_rot = False
     report.note(ok_rot, "restricted Weyl generator acts as rotation-with-twist")

@@ -116,7 +116,7 @@ def suite_box_contract(seed: int) -> Report:
         ctx = GroupContext(n)
         b = burnside(ctx)
         probes = [
-            burnside(ctx).underlying,
+            burnside(ctx),
             representable(ctx, [rng.choice(ctx.divisors)]),
             fixed_point_mackey(ctx, *_random_fixed_point(ctx, rng)),
         ]
@@ -130,7 +130,7 @@ def suite_box_contract(seed: int) -> Report:
             t2 = tuple(rng.choice(ctx.divisors) for _ in range(rng.randint(1, 2)))
             hom, _ = representable_rule_iso(ctx, t1, t2)
             res.note(hom.is_isomorphism(), f"representable rule C_{n} {t1} x {t2}")
-        res.note(check_axioms(box(b, b).result).passed, f"box axioms C_{n}")
+        res.note(check_axioms(box(b, b).mackey).passed, f"box axioms C_{n}")
     return res
 
 
@@ -174,7 +174,7 @@ def suite_hh0_oracle(seed: int) -> Report:
             ga, gb = q.level[d], oracle.level[d]
             if row_hnf(ga.relations, ga.num_generators) != row_hnf(gb.relations, gb.num_generators):
                 ok = False
-        res.note(ok, f"hh0 != oracle for {r.underlying.name}")
+        res.note(ok, f"hh0 != oracle for {r.name}")
     return res
 
 
@@ -224,14 +224,14 @@ def suite_norm_module(seed: int) -> Report:
         ring = BaseRing.integers_mod(p)
         for k in (1, 2, 3):
             nm = norm_trivial_ring(ring, p**k)
-            for (d, e) in nm.underlying.res:
-                comp = nm.underlying.res[(d, e)].compose(nm.underlying.tr[(d, e)])
+            for (d, e) in nm.res:
+                comp = nm.res[(d, e)].compose(nm.tr[(d, e)])
                 res.note(
                     comp == comp.identity(nm.level[e]).scale(p),
                     f"tr∘res != {p} on norm(F_{p}, {p**k})",
                 )
-                res.note(nm.underlying.res[(d, e)].is_surjective(), "res not surjective")
-                res.note(nm.underlying.tr[(d, e)].is_injective(), "tr not injective")
+                res.note(nm.res[(d, e)].is_surjective(), "res not surjective")
+                res.note(nm.tr[(d, e)].is_injective(), "tr not injective")
     return res
 
 

@@ -39,10 +39,6 @@ class GreenWittVectors:
     def ctx(self):
         return self.green.ctx
 
-    @property
-    def level(self):
-        return self.green.level
-
     def top(self) -> FgAbGroup:
         return self.green.level[self.ctx.n]
 
@@ -90,7 +86,7 @@ def ghost_map(w: GreenWittVectors, d: int):
     lvl = g.level[d]
     rows = []
     for q in prime_factors(d):
-        rows.extend(g.underlying.tr_full(d // q, d).matrix)
+        rows.extend(g.tr_full(d // q, d).matrix)
     quot = FgAbGroup(lvl.num_generators, tuple(lvl.relations) + tuple(rows))
     hom = AbHom(
         g.level[n],

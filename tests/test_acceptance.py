@@ -51,12 +51,12 @@ def test_criterion_1_norm_table():
             nm = norm_trivial_ring(ring, p**n_exp)
             for k in range(n_exp + 1):
                 ok = ok and nm.level[p**k].canonical_form == ((p ** (k + 1),), 0)
-            for (d, e) in nm.underlying.res:
-                res, tr = nm.underlying.res[(d, e)], nm.underlying.tr[(d, e)]
+            for (d, e) in nm.res:
+                res, tr = nm.res[(d, e)], nm.tr[(d, e)]
                 ok = ok and res.is_surjective() and tr.is_injective()
                 ok = ok and res.compose(tr) == tr.identity(nm.level[e]).scale(p)
             for d in nm.ctx.divisors:
-                ok = ok and nm.underlying.weyl[d] == nm.underlying.weyl[d].identity(nm.level[d])
+                ok = ok and nm.weyl[d] == nm.weyl[d].identity(nm.level[d])
     elapsed = time.time() - t0
     report(1, ok and elapsed < 1.0, f"norm tables for p in {{2,3}}, n <= 3; {elapsed:.2f}s < 1s")
 

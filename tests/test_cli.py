@@ -1,4 +1,6 @@
 import json
+import time
+from itertools import product
 
 import pytest
 
@@ -99,15 +101,18 @@ def test_determinism(capsys):
     assert out1 == out2
 
 
+DUAL_NUMBERS = {
+    "elements": ["0", "1", "x"],
+    "zero": "0",
+    "one": "1",
+    "table": [["0", "0", "0"], ["0", "1", "x"], ["0", "x", "0"]],
+    "action": ["0", "1", "x"],
+}
+
+
 def test_monoid_command(tmp_path, capsys):
     mfile = tmp_path / "dual.json"
-    mfile.write_text(json.dumps({
-        "elements": ["0", "1", "x"],
-        "zero": "0",
-        "one": "1",
-        "table": [["0", "0", "0"], ["0", "1", "x"], ["0", "x", "0"]],
-        "action": ["0", "1", "x"],
-    }))
+    mfile.write_text(json.dumps(DUAL_NUMBERS))
     code, out, err = run_cli(
         capsys, "monoid", "--file", str(mfile), "--ring", "Z", "--n", "2",
         "--max-degree", "0", "--json",
@@ -251,3 +256,34 @@ def test_witt_f2_n30_is_isomorphic(capsys):
     code, out, err = run_cli(capsys, "witt", "--ring", "F_2", "--n", "30", "--json")
     assert code == 0
     assert json.loads(out)["verdict"] == "isomorphic"
+
+
+def _sweep_cases():
+    for ring in ("Z", "Z/4", "F_2", "F_3", "Z/6"):
+        for n in range(1, 7):
+            common = ["--ring", ring, "--n", str(n)]
+            yield ["norm", *common]
+            yield ["witt", *common]
+            yield ["hh", *common, "--max-degree", "2"]
+            yield ["monoid", *common]
+            if n <= 2:  # the splitting check at larger n is a perf frontier
+                yield ["monoid", *common, "--max-degree", "1"]
+        for p, stages, degree in product("23", "123", "012"):
+            yield ["tr", "--ring", ring, "--p", p, "--stages", stages, "--degree", degree]
+
+
+@pytest.mark.parametrize(
+    "argv", list(_sweep_cases()), ids=lambda argv: "_".join(a.lstrip("-") for a in argv).replace("/", "mod")
+)
+def test_cli_sweep_exits_cleanly(capsys, tmp_path, argv):
+    if argv[0] == "monoid":
+        mfile = tmp_path / "dual.json"
+        mfile.write_text(json.dumps(DUAL_NUMBERS))
+        argv = [*argv, "--file", str(mfile)]
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    elapsed = time.perf_counter() - t0
+    assert code in (0, 2), err
+    assert len(err.splitlines()) <= 1
+    assert "Traceback" not in out + err
+    assert elapsed < 30  # a hang guard, far above the slowest case

@@ -76,16 +76,16 @@ def test_monoid_algebra_two_point_is_r():
     r = burnside(ctx)
     pres = monoid_algebra(r, two_point_monoid(ctx))
     for d in ctx.divisors:
-        assert pres.result.level[d].canonical_form == r.level[d].canonical_form
-    assert check_axioms(pres.result).passed
+        assert pres.mackey.level[d].canonical_form == r.level[d].canonical_form
+    assert check_axioms(pres.mackey).passed
 
 
 def test_monoid_algebra_dual_numbers_c1():
     ctx = GroupContext(1)
     r = trivial_Z(1)
     pres = monoid_algebra(r, dual_numbers_monoid(ctx))
-    assert pres.result.level[1].canonical_form == ((), 2)
-    assert check_axioms(pres.result).passed
+    assert pres.mackey.level[1].canonical_form == ((), 2)
+    assert check_axioms(pres.mackey).passed
 
 
 def test_monoid_algebra_dual_numbers_c2():
@@ -93,16 +93,16 @@ def test_monoid_algebra_dual_numbers_c2():
     r = trivial_Z(2)
     pres = monoid_algebra(r, dual_numbers_monoid(ctx))
     # levels R(d) + R(d)·x
-    assert pres.result.level[2].canonical_form == ((), 2)
-    assert pres.result.level[1].canonical_form == ((), 2)
-    assert check_axioms(pres.result).passed
+    assert pres.mackey.level[2].canonical_form == ((), 2)
+    assert pres.mackey.level[1].canonical_form == ((), 2)
+    assert check_axioms(pres.mackey).passed
 
 
 def test_monoid_algebra_swap_monoid_c2():
     ctx = GroupContext(2)
     r = burnside(ctx)
     pres = monoid_algebra(r, swap_pair_monoid(ctx))
-    assert check_axioms(pres.result).passed
+    assert check_axioms(pres.mackey).passed
 
 
 def test_bredon_green_direct_vs_box_form():
@@ -114,9 +114,9 @@ def test_bredon_green_direct_vs_box_form():
     am = bredon_green(ctx, swap_pair_monoid(ctx))
     pres = box(burnside(ctx), am, green=True)
     for d in ctx.divisors:
-        assert pres.result.level[d].canonical_form == am.level[d].canonical_form
+        assert pres.mackey.level[d].canonical_form == am.level[d].canonical_form
     assert check_axioms(am).passed
-    assert check_axioms(pres.result).passed
+    assert check_axioms(pres.mackey).passed
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -139,7 +139,7 @@ def test_monoid_algebra_agrees_with_orbitwise_sum(n):
             inv, rank = piece.canonical_form
             inv_sum.extend(inv)
             rank_sum += rank
-        inv_all, rank_all = pres.result.level[d].canonical_form
+        inv_all, rank_all = pres.mackey.level[d].canonical_form
         # compare multisets of prime-power elementary divisors
         from mackeywitt.mackey import prime_factors
 

@@ -34,7 +34,7 @@ def test_tilde_ef_burnside_cp(p):
 
 
 def test_tilde_ef_m1_unchanged():
-    b = burnside(GroupContext(4)).underlying
+    b = burnside(GroupContext(4))
     te = tilde_ef(b, 1)
     for d in b.ctx.divisors:
         assert te.level[d].canonical_form == b.level[d].canonical_form
@@ -55,8 +55,8 @@ def test_tilde_ef_norm_fp(p, n_exp):
 
 def test_tilde_ef_idempotent():
     for obj, m in [
-        (burnside(GroupContext(4)).underlying, 2),
-        (norm_trivial_ring(F2, 4).underlying, 2),
+        (burnside(GroupContext(4)), 2),
+        (norm_trivial_ring(F2, 4), 2),
         (representable(GroupContext(6), [2]), 3),
     ]:
         once = tilde_ef(obj, m)
@@ -78,7 +78,7 @@ def test_phi_burnside_unit_preservation():
 
 
 def test_phi_m1_identity():
-    b = burnside(GroupContext(4)).underlying
+    b = burnside(GroupContext(4))
     pb = phi(b, 1)
     for d in b.ctx.divisors:
         assert pb.level[d].canonical_form == b.level[d].canonical_form
@@ -98,7 +98,7 @@ def test_phi_norm_is_smaller_norm(p, n_exp):
 def test_phi_strong_monoidal_on_box():
     for n, m in [(2, 2), (4, 2), (6, 2), (6, 3)]:
         ctx = GroupContext(n)
-        a = burnside(ctx).underlying
+        a = burnside(ctx)
         b = representable(ctx, [n])
         hom = phi_box_comparison(a, b, m)
         assert hom.is_isomorphism()
@@ -107,7 +107,7 @@ def test_phi_strong_monoidal_on_box():
 def test_phi_box_with_fixed_point():
     ctx = GroupContext(2)
     m = fixed_point_mackey(ctx, free_group(2), ((0, 1), (1, 0)))
-    hom = phi_box_comparison(burnside(ctx).underlying, m, 2)
+    hom = phi_box_comparison(burnside(ctx), m, 2)
     assert hom.is_isomorphism()
 
 
@@ -118,8 +118,8 @@ def test_tilde_ef_box_cross_check():
         a = burnside(ctx)
         te_a = tilde_ef(a, m)
         target = fixed_point_mackey(ctx, free_group(1), ((1,),))
-        for probe in (burnside(ctx).underlying, representable(ctx, [1])):
-            pres = box(probe, te_a.underlying, green=False)
+        for probe in (burnside(ctx), representable(ctx, [1])):
+            pres = box(probe, te_a, green=False)
             te_probe = tilde_ef(probe, m)
             for d in ctx.divisors:
                 assert pres.mackey.level[d].canonical_form == te_probe.level[d].canonical_form

@@ -9,6 +9,7 @@ from mackeywitt.fgab import AbHom, free_group
 from mackeywitt.mackey import (
     GroupContext,
     RingData,
+    bilinear,
     burnside,
     check_axioms,
     fixed_point_mackey,
@@ -46,7 +47,7 @@ def product_ring_swap(ctx):
 def test_box_unitality_with_burnside(n):
     ctx = GroupContext(n)
     b = burnside(ctx)
-    for m in (burnside(ctx).underlying, trivial_Z(ctx).underlying):
+    for m in (burnside(ctx), trivial_Z(ctx)):
         pres = box(b, m, green=False)
         iso = unit_iso(pres)
         assert iso.is_isomorphism()
@@ -69,7 +70,7 @@ def test_box_unitality_c4_mixed():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_box_symmetry(n):
     ctx = GroupContext(n)
-    a = burnside(ctx).underlying
+    a = burnside(ctx)
     b = representable(ctx, [1])
     p1 = box(a, b, green=False)
     p2 = box(b, a, green=False)
@@ -117,7 +118,7 @@ def test_box_of_constant_Z_over_c2():
     # relation (tr 1) ⊗ 1 = class of 1 ⊗ (res 1) says bottom-tag = 2 · top-tag
     assert pres.tags[2] == ((1, (0, 0)), (2, (0, 0)))
     assert top.elements_equal((1, 0), (0, 2))
-    assert check_axioms(pres.result).passed
+    assert check_axioms(pres.mackey).passed
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -125,9 +126,9 @@ def test_box_outputs_pass_axioms(n):
     ctx = GroupContext(n)
     b = burnside(ctx)
     pres = box(b, b)
-    assert check_axioms(pres.result).passed
+    assert check_axioms(pres.mackey).passed
     pres2 = box(b, trivial_Z(ctx))
-    assert check_axioms(pres2.result).passed
+    assert check_axioms(pres2.mackey).passed
 
 
 def test_box_power_of_burnside_is_burnside_levelwise():
@@ -135,7 +136,7 @@ def test_box_power_of_burnside_is_burnside_levelwise():
     b = burnside(ctx)
     pres = box_power(b, 2)
     for d in ctx.divisors:
-        assert pres.mackey.level[d].canonical_form == b.underlying.level[d].canonical_form
+        assert pres.mackey.level[d].canonical_form == b.level[d].canonical_form
 
 
 def test_box_power_one_identified_with_r():
@@ -150,7 +151,7 @@ def test_box_power_green_axioms():
     ctx = GroupContext(2)
     r = product_ring_swap(ctx)
     pres = box_power(r, 2)
-    rep = check_axioms(pres.result)
+    rep = check_axioms(pres.mackey)
     assert rep.passed, rep
 
 
@@ -175,7 +176,7 @@ def test_quotient_burnside_by_transfer_class():
 def weyl_difference_gens(r):
     gens = []
     for d in r.ctx.divisors:
-        w = r.underlying.weyl[d]
+        w = r.weyl[d]
         for i in range(r.level[d].num_generators):
             row = list(w.matrix[i])
             row[i] -= 1
@@ -212,7 +213,7 @@ def test_quotient_by_weyl_differences_dual_numbers_sign():
 def test_box_associativity_canonical_forms():
     ctx = GroupContext(4)
     b = burnside(ctx)
-    left = box(box(b, b).result, b, green=False)
+    left = box(box(b, b).mackey, b, green=False)
     flat = box_power(b, 3)
     for d in ctx.divisors:
         assert left.mackey.level[d].canonical_form == flat.mackey.level[d].canonical_form
@@ -246,7 +247,7 @@ def _reference_table(pres, d):
             for j in range(d // l):
                 slot_rows = []
                 for s, fct in enumerate(pres.factors):
-                    m = fct.underlying
+                    m = fct
                     x = m.res_full(e, g0).matrix[tup[s]]
                     h = AbHom.identity(m.level[g0])
                     for _ in range(j * (n // d)):
@@ -264,12 +265,12 @@ def _dual_numbers_algebra(n):
     ctx = GroupContext(n)
     rows = [["0", "0", "0"], ["0", "1", "x"], ["0", "x", "0"]]
     m = PointedGMonoid.from_lists(ctx, ["0", "1", "x"], "0", "1", rows, ["0", "1", "x"])
-    return m, monoid_algebra(trivial_Z(ctx), m).result
+    return m, monoid_algebra(trivial_Z(ctx), m).mackey
 
 
 def _assert_matches_reference(pres):
     for d in pres.mackey.ctx.divisors:
-        table = pres.result.mult[d]
+        table = pres.mackey.mult[d]
         ref = _reference_table(pres, d)
         assert len(table) == len(ref)
         for a, ref_row in enumerate(ref):
@@ -292,7 +293,7 @@ def test_lazy_box_power_of_dual_numbers_matches_eager_reference():
 @pytest.mark.parametrize("n", [4, 6])
 def test_weyl_power_matches_uncached_power(n):
     ctx = GroupContext(n)
-    for m in (representable(ctx, [1, 2]), product_ring_swap(ctx).underlying):
+    for m in (representable(ctx, [1, 2]), product_ring_swap(ctx)):
         for d in ctx.divisors:
             for k in range(-n, 2 * n + 1):
                 h = AbHom.identity(m.level[d])
@@ -320,7 +321,7 @@ def test_axiom_check_reads_every_box_product(monkeypatch, n):
     b = burnside(GroupContext(n))
     pres = box(b, b)
     assert calls == []
-    assert check_axioms(pres.result).passed
+    assert check_axioms(pres.mackey).passed
     assert len(set(calls)) == len(calls) == sum(len(t) ** 2 for t in pres.tags.values())
 
 
@@ -329,7 +330,7 @@ def test_box_power_computes_products_only_when_read(monkeypatch):
     _, rm = _dual_numbers_algebra(2)
     pres = box_power(rm, 3, green=True)
     assert calls == []
-    mult = pres.result.mult[2]
+    mult = pres.mackey.mult[2]
     first = mult[3][5]
     computed = len(calls)
     assert mult[3][5] == first
@@ -344,3 +345,72 @@ def test_splitting_check_reads_few_box_products(monkeypatch):
     rep = splitting_check(trivial_Z(GroupContext(2)), m, 1)
     assert rep.passed
     assert 0 < len(calls) <= 500
+
+
+# ---------------------------------------------------------------------------
+# one bilinear product for stored, lazy and ambient ring tables
+
+
+def _loop_product(table, x, y, k):
+    """The product loop that ``bilinear`` replaced, kept as its oracle."""
+    acc = [0] * k
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        ti = table[i]
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            c = xi * yj
+            for t, v in enumerate(ti[j]):
+                if v:
+                    acc[t] += c * v
+    return tuple(acc)
+
+
+def _sparse_rows(rng, k, count):
+    return [tuple(rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(k)) for _ in range(count)]
+
+
+def _assert_bilinear_matches_loop(table, k, rng):
+    for x in _sparse_rows(rng, k, 6):
+        for y in _sparse_rows(rng, k, 6):
+            assert bilinear(table, x, y) == _loop_product(table, x, y, k)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_bilinear_matches_loop_on_lazy_box_tables(n):
+    rng = random.Random(n)
+    b = burnside(GroupContext(n))
+    _, rm = _dual_numbers_algebra(2)
+    for pres in (box(b, b), box_power(rm, 2, green=True)):
+        g = pres.mackey
+        for d in g.ctx.divisors:
+            _assert_bilinear_matches_loop(g.mult[d], g.level[d].num_generators, rng)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_bilinear_matches_loop_on_fixed_point_tables(n):
+    rng = random.Random(n)
+    ctx = GroupContext(n)
+    dual_sign = RingData(mult=(((1, 0), (0, 1)), ((0, 1), (0, 0))), unit=(1, 0))
+    cases = [
+        (trivial_Z(ctx), RingData(mult=(((1,),),), unit=(1,))),
+        (product_ring_swap(ctx), RingData(mult=(((1, 0), (0, 0)), ((0, 0), (0, 1))), unit=(1, 1))),
+        (fixed_point_mackey(ctx, free_group(2), ((1, 0), (0, -1)), dual_sign), dual_sign),
+    ]
+    for g, ring in cases:
+        _assert_bilinear_matches_loop(ring.mult, len(ring.mult), rng)
+        for d in ctx.divisors:
+            _assert_bilinear_matches_loop(g.mult[d], g.level[d].num_generators, rng)
+
+
+def test_bilinear_reads_only_cells_at_nonzero_pairs(monkeypatch):
+    calls = _count_products(monkeypatch)
+    b = burnside(GroupContext(6))
+    pres = box(b, b)
+    k = pres.mackey.level[6].num_generators
+    x = tuple(1 if i in (0, 4) else 0 for i in range(k))
+    y = tuple(2 if i == 3 else 0 for i in range(k))
+    pres.mackey.multiply(6, x, y)
+    assert sorted((d, a, c) for (_, d, a, c) in calls) == [(6, 0, 3), (6, 4, 3)]

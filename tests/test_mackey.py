@@ -1,8 +1,12 @@
 import pytest
 
 from mackeywitt.fgab import AbHom, FgAbGroup, free_group, identity_matrix
+from mackeywitt.geomfix import phi, tilde_ef
+from mackeywitt.green import box_list, quotient_by_subgroups
 from mackeywitt.mackey import (
+    GreenFunctor,
     GroupContext,
+    MackeyFunctor,
     MackeyHom,
     RingData,
     burnside,
@@ -11,6 +15,8 @@ from mackeywitt.mackey import (
     representable,
     restrict,
 )
+from mackeywitt.norm import norm_trivial_ring
+from mackeywitt.wittcore import BaseRing
 from mackeywitt import spans
 
 
@@ -47,11 +53,11 @@ def test_burnside_c2_structure():
     # level(2) = Z{[pt],[C_2]}, level(1) = Z
     assert b.level[2].canonical_form == ((), 2)
     assert b.level[1].canonical_form == ((), 1)
-    res = b.underlying.res[(1, 2)]
+    res = b.res[(1, 2)]
     # basis of level 2 ordered (c=1 -> [C_2], c=2 -> [pt]); res [pt] = 1, res [C_2] = 2
     assert res.apply((0, 1)) == (1,)
     assert res.apply((1, 0)) == (2,)
-    tr = b.underlying.tr[(1, 2)]
+    tr = b.tr[(1, 2)]
     assert tr.apply((1,)) == (1, 0)
     # [C_2]*[C_2] = 2[C_2]
     assert b.multiply(2, (1, 0), (1, 0)) == (2, 0)
@@ -75,7 +81,7 @@ def test_representable_point_is_burnside():
     for n in (2, 3, 4, 6):
         ctx = GroupContext(n)
         rep = representable(ctx, [n])
-        b = burnside(ctx).underlying
+        b = burnside(ctx)
         for d in ctx.divisors:
             assert rep.level[d].canonical_form == b.level[d].canonical_form
         # identify bases: span (c, 0) <-> [C_d/C_c]; structure maps must agree
@@ -117,7 +123,7 @@ def test_yoneda_evaluation():
     ctx = GroupContext(2)
     t = 1
     rep = representable(ctx, [t])
-    m = burnside(ctx).underlying
+    m = burnside(ctx)
     for val in identity_matrix(m.level[t].num_generators):
         maps = {}
         for d in ctx.divisors:
@@ -211,14 +217,14 @@ def test_product_ring_swap_green_functor():
 def test_restrict_identity():
     b = burnside(GroupContext(4))
     r = restrict(b, 4)
-    assert r.underlying.level == b.underlying.level
+    assert r.level == b.level
 
 
 def test_restrict_burnside_c4_to_c2():
     b = burnside(GroupContext(4))
     r = restrict(b, 2)
     assert r.ctx.n == 2
-    assert set(r.underlying.level) == {1, 2}
+    assert set(r.level) == {1, 2}
     assert check_axioms(r).passed
 
 
@@ -233,7 +239,7 @@ def test_restrict_fixed_point_swap_to_trivial():
 
 def test_axiom_checker_catches_bad_transfer():
     b = burnside(GroupContext(2))
-    m = b.underlying
+    m = b
     bad_tr = dict(m.tr)
     bad_tr[(1, 2)] = AbHom(m.level[1], m.level[2], ((3, 0),))
     from mackeywitt.mackey import MackeyFunctor
@@ -245,9 +251,62 @@ def test_axiom_checker_catches_bad_transfer():
 
 
 def test_json_serialization():
-    b = burnside(GroupContext(4)).underlying
+    b = burnside(GroupContext(4))
     j = b.to_json()
     assert j["n"] == 4
     assert list(j["levels"]) == ["1", "2", "4"]
     assert j["levels"]["4"] == {"invariant_factors": [], "rank": 3}
     assert "2->1" in j["res"] and "1->2" in j["tr"]
+
+
+# ---------------------------------------------------------------------------
+# a Green functor is a Mackey functor
+
+
+def test_green_constructions_are_mackey_functors():
+    ctx = GroupContext(4)
+    assert isinstance(burnside(ctx), MackeyFunctor)
+    assert isinstance(norm_trivial_ring(BaseRing.integers_mod(2), 4), MackeyFunctor)
+
+
+@pytest.mark.parametrize("operation", [
+    lambda m: restrict(m, 2),
+    lambda m: tilde_ef(m, 2),
+    lambda m: phi(m, 2),
+])
+def test_operations_return_green_exactly_for_green_input(operation):
+    ctx = GroupContext(4)
+    green = burnside(ctx)
+    plain = MackeyFunctor(ctx, green.level, green.res, green.tr, green.weyl, name="A(C_4) without ring")
+    assert isinstance(operation(green), GreenFunctor)
+    out = operation(plain)
+    assert isinstance(out, MackeyFunctor) and not isinstance(out, GreenFunctor)
+
+
+def test_quotient_by_subgroups_of_green_is_green():
+    g = burnside(GroupContext(2))
+    out, proj = quotient_by_subgroups(g, {})
+    assert isinstance(out, GreenFunctor)
+    assert proj.source is g and proj.target is out
+
+
+def test_box_of_mixed_factors_is_plain_mackey():
+    ctx = GroupContext(2)
+    b, rep = burnside(ctx), representable(ctx, [1])
+    out = box_list([b, rep]).mackey
+    assert isinstance(out, MackeyFunctor) and not isinstance(out, GreenFunctor)
+    assert isinstance(box_list([b, b]).mackey, GreenFunctor)
+    with pytest.raises(ValueError, match="requires Green factors"):
+        box_list([b, rep], green=True)
+
+
+def test_green_functor_runs_mackey_validation():
+    b = burnside(GroupContext(2))
+    bad_res = dict(b.res)
+    bad_res[(1, 2)] = b.tr[(1, 2)]  # level 1 -> level 2: endpoints reversed
+    with pytest.raises(ValueError, match="wrong endpoints"):
+        GreenFunctor(b.ctx, b.level, bad_res, b.tr, b.weyl, b.mult, b.unit)
+    bad_mult = dict(b.mult)
+    bad_mult[2] = b.mult[2][:1]
+    with pytest.raises(ValueError, match="wrong shape"):
+        GreenFunctor(b.ctx, b.level, b.res, b.tr, b.weyl, bad_mult, b.unit)

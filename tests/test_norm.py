@@ -22,19 +22,19 @@ def test_fp_norm_table(p, k):
     nm = norm_trivial_ring(BaseRing.integers_mod(p), n)
     for j in range(k + 1):
         assert nm.level[p**j].canonical_form == ((p ** (j + 1),), 0)
-    for (d, e) in nm.underlying.res:
-        assert nm.underlying.res[(d, e)].is_surjective()
-        assert nm.underlying.tr[(d, e)].is_injective()
+    for (d, e) in nm.res:
+        assert nm.res[(d, e)].is_surjective()
+        assert nm.tr[(d, e)].is_injective()
     for d in nm.ctx.divisors:
-        assert nm.underlying.weyl[d] == nm.underlying.weyl[d].identity(nm.level[d])
+        assert nm.weyl[d] == nm.weyl[d].identity(nm.level[d])
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_fp_norm_tr_res_is_p(p, k):
     n = p**k
     nm = norm_trivial_ring(BaseRing.integers_mod(p), n)
-    for (d, e) in nm.underlying.res:
-        comp = nm.underlying.res[(d, e)].compose(nm.underlying.tr[(d, e)])
+    for (d, e) in nm.res:
+        comp = nm.res[(d, e)].compose(nm.tr[(d, e)])
         assert comp == comp.identity(nm.level[e]).scale(p)
 
 
@@ -51,9 +51,9 @@ def test_norm_integers_c2():
     assert nm.level[2].canonical_form == ((), 2)
     # res = F_2 sends the basis (V_1[1], V_2[1]) to (1, 2) in W_<1> = Z:
     # F_2[1] = [1], F_2 V_2 = 2
-    res = nm.underlying.res[(1, 2)]
+    res = nm.res[(1, 2)]
     assert res.matrix == ((1,), (2,))
-    tr = nm.underlying.tr[(1, 2)]
+    tr = nm.tr[(1, 2)]
     assert tr.matrix == ((0, 1),)
 
 
