@@ -11,6 +11,7 @@ the splitting.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import spans
@@ -215,19 +216,14 @@ def monoid_algebra(r, m: PointedGMonoid) -> BoxPresentation:
 class SimplicialPointedGSet:
     """Truncated simplicial pointed C_n-set; None encodes the basepoint.
 
-    The extra cyclic operator τ_j (rotate, then act by the generator on the
-    wrapped coordinate) is recorded; only the underlying simplicial
-    C_n-structure is consumed downstream.
+    action(k, simplex) is the generator's k-th power acting on a simplex.
     """
 
     ctx: GroupContext
     degrees: list          # list of tuples (nonzero simplices)
     faces: list            # faces[j][i]: dict simplex -> simplex | None
     degeneracies: list
-    tau: list              # tau[j]: dict simplex -> simplex
-
-    def act(self, k, simplex):
-        return self._action(k, simplex)
+    action: Callable
 
 
 def cyclic_nerve_monoid(m: PointedGMonoid, k_max: int) -> SimplicialPointedGSet:
@@ -263,13 +259,9 @@ def cyclic_nerve_monoid(m: PointedGMonoid, k_max: int) -> SimplicialPointedGSet:
             {t: t[: i + 1] + (m.one,) + t[i + 1:] for t in degrees[j]}
             for i in range(j + 1)
         ])
-    tau = []
-    for j in range(k_max + 1):
-        tau.append({t: (m.act(1, t[j]),) + t[:j] for t in degrees[j]})
-    x = SimplicialPointedGSet(ctx, degrees, faces, degens, tau)
-    x._monoid = m
-    x._action = lambda k, t: None if t is None else tuple(m.act(k, e) for e in t)
-    return x
+    return SimplicialPointedGSet(
+        ctx, degrees, faces, degens, action=lambda k, t: None if t is None else tuple(m.act(k, e) for e in t)
+    )
 
 
 def _relabel_hom(ctx, src_rep, src_od: OrbitData, dst_rep, dst_od: OrbitData, fmap) -> MackeyHom:
@@ -313,7 +305,7 @@ def cellular_chains(x: SimplicialPointedGSet, k_max: int) -> CellularChains:
     ods = []
     reps = []
     for j in range(k_max + 1):
-        od = orbit_data(ctx, x.degrees[j], x._action, None)
+        od = orbit_data(ctx, x.degrees[j], x.action, None)
         ods.append(od)
         reps.append(representable(ctx, od.stabs))
     faces = [None]
@@ -367,10 +359,7 @@ def splitting_check(r, m: PointedGMonoid, max_k: int) -> SplittingReport:
     # unit-against-A̅[M] inclusion R → R[M]
     iota_maps = {}
     for d in ctx.divisors:
-        rows = []
-        for i in range(r.level[d].num_generators):
-            gen = identity_matrix(r.level[d].num_generators)[i]
-            rows.append(rm_pres.expand(d, d, [gen, am.unit[d]]))
+        rows = [rm_pres.expand(d, d, [gen, am.unit[d]]) for gen in identity_matrix(r.level[d].num_generators)]
         iota_maps[d] = AbHom(r.level[d], rm.level[d], rows)
     iota = MackeyHom(r, rm, iota_maps)
 
@@ -400,19 +389,14 @@ def splitting_check(r, m: PointedGMonoid, max_k: int) -> SplittingReport:
             beta_values[oi] = w
         hc_rm_j = nerve_rm.presentations[j].mackey
 
-        maps = {}
-        for d in ctx.divisors:
-            rows = []
-            for (e, (x_idx, c_idx)) in zp.tags[d]:
-                alpha_row = alpha.maps[e].matrix[x_idx]
-                (oi, sp) = cells.simplicial.degrees[j].span_basis[e][c_idx]
-                beta_row = spans.apply_span(
-                    hc_rm_j, cells.orbit_data[j].stabs[oi], e, sp, beta_values[oi]
-                )
-                prod = hc_rm_j.multiply(e, alpha_row, beta_row)
-                rows.append(hc_rm_j.tr_full(e, d).apply(prod))
-            maps[d] = AbHom(zp.mackey.level[d], hc_rm_j.level[d], rows)
-        phis.append(MackeyHom(zp.mackey, hc_rm_j, maps))
+        def phi_row(d, e, tup):
+            x_idx, c_idx = tup
+            (oi, sp) = cells.simplicial.degrees[j].span_basis[e][c_idx]
+            beta_row = spans.apply_span(hc_rm_j, cells.orbit_data[j].stabs[oi], e, sp, beta_values[oi])
+            prod = hc_rm_j.multiply(e, alpha.maps[e].matrix[x_idx], beta_row)
+            return hc_rm_j.tr_full(e, d).apply(prod)
+
+        phis.append(zp.hom(hc_rm_j, phi_row))
 
     for j in range(1, k_max + 1):
         z_faces.append([

@@ -597,9 +597,6 @@ class FgAbGroup:
         return hash((self.num_generators, self.relations))
 
 
-ZERO_GROUP = FgAbGroup(0, ())
-
-
 def free_group(rank: int) -> FgAbGroup:
     return FgAbGroup(rank, ())
 

@@ -102,21 +102,9 @@ def phi_box_comparison(m_fun, n_fun, m: int) -> MackeyHom:
     from .green import box
 
     pres = box(m_fun, n_fun, green=False)
-    lhs = phi(pres.mackey, m)
-    pm, pn = phi(m_fun, m), phi(n_fun, m)
-    target = box(pm, pn, green=False)
-    maps = {}
-    for d in lhs.ctx.divisors:
-        rows = []
-        for (e, tup) in pres.tags[m * d]:
-            if e % m:
-                rows.append((0,) * len(target.tags[d]))
-            else:
-                rows.append(tuple(
-                    1 if t == (e // m, tup) else 0 for t in target.tags[d]
-                ))
-        maps[d] = AbHom(lhs.level[d], target.mackey.level[d], rows)
-    return MackeyHom(lhs, target.mackey, maps)
+    target = box(phi(m_fun, m), phi(n_fun, m), green=False)
+    eye = [{e: identity_matrix(f.level[e].num_generators) for e in f.ctx.divisors} for f in pres.factors]
+    return _psi_degree(pres, m, lambda s, e: eye[s][e], target)
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +116,15 @@ ComparisonReport = Report
 
 
 def _psi_degree(
-    pres: BoxPresentation, m: int, slot_rows_for_level, target_pres: BoxPresentation, check: bool = True
+    pres: BoxPresentation, m: int, slot_rows, target_pres: BoxPresentation, natural: bool = True
 ) -> MackeyHom:
-    """Ψ on one nerve degree: truncate each tag slot and retag over C_{n/m}.
+    """Ψ on one nerve degree: map each tag slot and retag over C_{n/m}.
 
-    slot_rows_for_level(e) gives the generator-level matrix from the source
-    factor's level e to the target factor's level e/m.  With check=False
-    naturality is left to the caller.
+    slot_rows(s, e) gives the generator-level matrix from factor s of the
+    source at level e to factor s of the target at level e/m; it is called
+    once per slot of every tag, so callers keep the matrices.  Tags at levels
+    without C_m go to zero.  With natural=False naturality is left to the
+    caller.
     """
     source = phi(pres.mackey, m)
     target = target_pres.mackey
@@ -144,12 +134,10 @@ def _psi_degree(
         for (e, tup) in pres.tags[m * d]:
             if e % m:
                 rows.append((0,) * len(target_pres.tags[d]))
-            else:
-                rows_e = slot_rows_for_level(e)
-                slot = [rows_e[i] for i in tup]
-                rows.append(tuple(target_pres.expand(d, e // m, slot)))
+                continue
+            rows.append(target_pres.expand(d, e // m, [slot_rows(s, e)[i] for s, i in enumerate(tup)]))
         maps[d] = AbHom(source.level[d], target.level[d], rows)
-    return MackeyHom(source, target, maps, check=check)
+    return MackeyHom(source, target, maps, check=natural)
 
 
 def _note_comparison(report: Report, comps, source: SimplicialMackey, target: SimplicialMackey) -> None:
@@ -174,13 +162,14 @@ def cyclotomic_check(
     r_big,
     r_small,
     m: int,
-    slot_rows_for_level,
+    slot_rows,
     max_degree: int,
 ) -> Report:
     """Degreewise comparison Φ^{C_m}(HC^{C_n}(R)) ≅ HC^{C_n/m}(Φ R).
 
-    slot_rows_for_level(e) must give the matrix of the generator-level
-    isomorphism Φ of the coefficient Green functor at level e (for m | e).
+    slot_rows(s, e) must give, for every box slot s, the matrix of the
+    generator-level isomorphism Φ of the coefficient Green functor at level
+    e (for m | e).
     The report records, per degree, that the comparison map is a natural
     isomorphism commuting with all faces and degeneracies.
     """
@@ -188,18 +177,9 @@ def cyclotomic_check(
     nerve_big = twisted_cyclic_nerve(r_big, max_degree)
     nerve_small = twisted_cyclic_nerve(r_small, max_degree)
     big, small = nerve_big.presentations, nerve_small.presentations
-    psis = [_psi_degree(big[j], m, slot_rows_for_level, small[j], check=False) for j in range(max_degree + 1)]
-    phis = [psi.source for psi in psis]
-
-    def on_phi(hom: MackeyHom, j: int, k: int) -> MackeyHom:
-        """A structure map X_j → X_k of the big nerve, on Φ^{C_m} of both ends."""
-        return MackeyHom(phis[j], phis[k], {d: hom.maps[m * d] for d in phis[j].ctx.divisors}, check=False)
-
-    faces = [None] + [
-        [on_phi(nerve_big.face(j, i), j, j - 1) for i in range(j + 1)] for j in range(1, max_degree + 1)
-    ]
-    degens = [[on_phi(nerve_big.degeneracy(j, i), j, j + 1) for i in range(j + 1)] for j in range(max_degree)]
-    _note_comparison(report, psis, SimplicialMackey(phis[0].ctx, phis, faces, degens), nerve_small)
+    psis = [_psi_degree(big[j], m, slot_rows, small[j], natural=False) for j in range(max_degree + 1)]
+    phi_nerve = nerve_big.reindexed([psi.source for psi in psis], lambda d: m * d)
+    _note_comparison(report, psis, phi_nerve, nerve_small)
     return report
 
 
@@ -211,7 +191,7 @@ def cyclotomic_check_norm(ring: BaseRing, n: int, m: int, max_degree: int) -> Re
     small = norm_trivial_ring(ring, n // m)
     cache = {}
 
-    def slot_rows(e):
+    def slot_rows(_s, e):
         if e not in cache:
             cache[e] = truncation_rows(big, e, small, e // m)
         return cache[e]
@@ -227,7 +207,8 @@ def edgewise_comparison_norm(ring: BaseRing, n: int, j: int, max_degree: int) ->
     commuting with all faces and degeneracies (the subdivided ones on the
     source, the restricted ones on the target).
     """
-    from .hochschild import edgewise_subdivision, restrict_simplicial
+    from .hochschild import edgewise_subdivision
+    from .mackey import restrict
 
     if n % j:
         raise ValueError("j must divide n")
@@ -238,29 +219,25 @@ def edgewise_comparison_norm(ring: BaseRing, n: int, j: int, max_degree: int) ->
     nerve_small = twisted_cyclic_nerve(small, r * (max_degree + 1) - 1)
     sd = edgewise_subdivision(nerve_small, r)
     nerve_big = twisted_cyclic_nerve(big, max_degree)
-    restricted = restrict_simplicial(nerve_big, j)
+    restricted = nerve_big.reindexed([restrict(x, j) for x in nerve_big.degrees], lambda d: d)
 
     eye = {e: identity_matrix(small.level[e].num_generators) for e in small.ctx.divisors}
     thetas = []
     for deg in range(max_degree + 1):
-        src_pres = nerve_small.presentations[r * (deg + 1) - 1]
         dst_pres = nerve_big.presentations[deg]
-        src = sd.degrees[deg]
-        dst = restricted.degrees[deg]
-        maps = {}
-        for d in src.ctx.divisors:
-            rows = []
-            for (e, tup) in src_pres.tags[d]:
-                gens = eye[e]
-                slot_rows = []
-                for t in range(deg + 1):
-                    acc = gens[tup[r * t]]
-                    for s in range(1, r):
-                        acc = big.multiply(e, acc, gens[tup[r * t + s]])
-                    slot_rows.append(acc)
-                rows.append(tuple(dst_pres.expand(d, e, slot_rows)))
-            maps[d] = AbHom(src.level[d], dst.level[d], rows)
-        thetas.append(MackeyHom(src, dst, maps, check=False))
+
+        def row(d, e, tup):
+            gens = eye[e]
+            slot_rows = []
+            for t in range(deg + 1):
+                acc = gens[tup[r * t]]
+                for s in range(1, r):
+                    acc = big.multiply(e, acc, gens[tup[r * t + s]])
+                slot_rows.append(acc)
+            return dst_pres.expand(d, e, slot_rows)
+
+        src_pres = nerve_small.presentations[r * (deg + 1) - 1]
+        thetas.append(src_pres.hom(restricted.degrees[deg], row, natural=False))
     _note_comparison(report, thetas, sd, restricted)
     return report
 
@@ -332,7 +309,7 @@ def tr_tower(ring: BaseRing, p: int, stages: int, degree: int) -> TowerReport:
         n = p**nexp
         cache = {}
 
-        def slot_rows(e, _big=nm_big, _small=nm_small, _c=cache):
+        def slot_rows(_s, e, _big=nm_big, _small=nm_small, _c=cache):
             if e not in _c:
                 _c[e] = truncation_rows(_big, e, _small, e // p)
             return _c[e]

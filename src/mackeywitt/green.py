@@ -7,11 +7,12 @@ cyclic group C_d/C_e, and prime-index Frobenius relations (transfer one
 slot up ≡ restrict every other slot down).  Transfers re-tag, restrictions
 follow the double-coset formula, and the Weyl generator acts diagonally.
 
-The tag data is kept on the quotient presentation, so morphisms out of a
-box product are written down on tags and certified well-defined against
-the relations.  The Green structure of a box product is filled on read:
-``mult[d][a][b]`` computes the product of tags a and b the first time it
-is read, so a table of T² products costs only the products that are used.
+The tag data is kept on the quotient presentation, so a morphism out of a
+box product is written down on tags: ``BoxPresentation.hom`` is the one
+way to build it, and certifies it well defined against the relations.
+The Green structure of a box product is filled on read: ``mult[d][a][b]``
+computes the product of tags a and b the first time it is read, so a
+table of T² products costs only the products that are used.
 """
 
 from __future__ import annotations
@@ -51,6 +52,20 @@ class BoxPresentation:
         out = [0] * len(self.tags[d])
         _expand_into(out, self.tag_pos[d], e, slot_rows)
         return tuple(out)
+
+    def hom(self, target: MackeyFunctor, row, natural: bool = True) -> MackeyHom:
+        """The map to ``target`` sending tag (e, tup) of level d to row(d, e, tup).
+
+        row returns an int tuple in the coordinates of target.level[d].  Every
+        level is certified well defined against the box relations; with
+        natural=False naturality is left to the caller.
+        """
+        src = self.mackey
+        maps = {}
+        for d in src.ctx.divisors:
+            rows = _IntRows(row(d, e, tup) for (e, tup) in self.tags[d])
+            maps[d] = AbHom(src.level[d], target.level[d], rows)
+        return MackeyHom(src, target, maps, check=natural)
 
     def twisted_res(self, s: int, e: int, g: int, k: int):
         """Matrix of res_{e→g} followed by weyl^k on factor s, built once per key."""
@@ -273,17 +288,13 @@ def box_power(r, k: int, green: bool | None = None) -> BoxPresentation:
 
 def box_swap_hom(pres: BoxPresentation, swapped: BoxPresentation) -> MackeyHom:
     """The tag-swap morphism box(M, N) → box(N, M)."""
-    src = pres.mackey
-    tgt = swapped.mackey
-    maps = {}
-    for d in src.ctx.divisors:
-        rows = []
-        for (e, tup) in pres.tags[d]:
-            rows.append(tuple(
-                1 if t == (e, tuple(reversed(tup))) else 0 for t in swapped.tags[d]
-            ))
-        maps[d] = AbHom(src.level[d], tgt.level[d], rows)
-    return MackeyHom(src, tgt, maps)
+
+    def row(d, e, tup):
+        out = [0] * len(swapped.tags[d])
+        out[swapped.tag_pos[d][(e, tup[::-1])]] = 1
+        return tuple(out)
+
+    return pres.hom(swapped.mackey, row)
 
 
 def full_transfer_identification(pres: BoxPresentation) -> MackeyHom:
@@ -295,15 +306,7 @@ def full_transfer_identification(pres: BoxPresentation) -> MackeyHom:
     if len(pres.factors) != 1:
         raise ValueError("expects a 1-fold box power")
     target = pres.factors[0]
-    src = pres.mackey
-    maps = {}
-    for d in src.ctx.divisors:
-        rows = []
-        for (e, (i,)) in pres.tags[d]:
-            gen = identity_matrix(target.level[e].num_generators)[i]
-            rows.append(target.tr_full(e, d).apply(gen))
-        maps[d] = AbHom(src.level[d], target.level[d], rows)
-    return MackeyHom(src, target, maps)
+    return pres.hom(target, lambda d, e, tup: target.tr_full(e, d).matrix[tup[0]])
 
 
 def box_hom(src: BoxPresentation, dst: BoxPresentation, homs) -> MackeyHom:
@@ -314,16 +317,9 @@ def box_hom(src: BoxPresentation, dst: BoxPresentation, homs) -> MackeyHom:
     """
     if len(homs) != len(src.factors) or len(homs) != len(dst.factors):
         raise ValueError("one hom per factor required")
-    s_mack = src.mackey
-    d_mack = dst.mackey
-    maps = {}
-    for d in s_mack.ctx.divisors:
-        rows = []
-        for (e, tup) in src.tags[d]:
-            slot_rows = [homs[s].maps[e].matrix[i] for s, i in enumerate(tup)]
-            rows.append(dst.expand(d, e, slot_rows))
-        maps[d] = AbHom(s_mack.level[d], d_mack.level[d], rows)
-    return MackeyHom(s_mack, d_mack, maps)
+    return src.hom(
+        dst.mackey, lambda d, e, tup: dst.expand(d, e, [h.maps[e].matrix[i] for h, i in zip(homs, tup)])
+    )
 
 
 def unit_iso(pres: BoxPresentation) -> MackeyHom:
@@ -335,17 +331,13 @@ def unit_iso(pres: BoxPresentation) -> MackeyHom:
     if len(pres.factors) != 2:
         raise ValueError("expects a binary box product")
     m = pres.factors[1]
-    src = pres.mackey
-    maps = {}
-    for d in src.ctx.divisors:
-        rows = []
-        for (e, (a_idx, m_idx)) in pres.tags[d]:
-            c = divisors(e)[a_idx]
-            gen = identity_matrix(m.level[e].num_generators)[m_idx]
-            v = m.res_full(e, c).apply(gen)
-            rows.append(m.tr_full(c, d).apply(v))
-        maps[d] = AbHom(src.level[d], m.level[d], rows)
-    return MackeyHom(src, m, maps)
+
+    def row(d, e, tup):
+        a_idx, m_idx = tup
+        c = divisors(e)[a_idx]
+        return m.tr_full(c, d).apply(m.res_full(e, c).matrix[m_idx])
+
+    return pres.hom(m, row)
 
 
 def representable_rule_iso(ctx: GroupContext, t1, t2):
@@ -363,24 +355,22 @@ def representable_rule_iso(ctx: GroupContext, t1, t2):
     pres = box(r1, r2, green=False)
     stabs, index = spans.product_orbits(ctx.n, t1, t2)
     rp = representable(ctx, stabs)
-    maps = {}
-    for d in ctx.divisors:
-        rows = []
-        for (e, (p1, p2)) in pres.tags[d]:
-            i, sp1 = r1.span_basis[e][p1]
-            j, sp2 = r2.span_basis[e][p2]
-            prod = spans.span_product(ctx.n, t1, t2, e, (i,) + sp1, (j,) + sp2)
-            row = [0] * rp.level[d].num_generators
-            for (orbkey, c, y), mlt in prod.items():
-                orb = index[orbkey]
-                comp = spans.compose_spans(
-                    ctx.n, stabs[orb], e, d, (c, y), spans.transfer_span(ctx.n, e, d)
-                )
-                for sp, m2 in comp.items():
-                    row[rp.span_pos[d][(orb, sp)]] += mlt * m2
-            rows.append(tuple(row))
-        maps[d] = AbHom(pres.mackey.level[d], rp.level[d], rows)
-    return MackeyHom(pres.mackey, rp, maps), rp
+
+    def row(d, e, tup):
+        i, sp1 = r1.span_basis[e][tup[0]]
+        j, sp2 = r2.span_basis[e][tup[1]]
+        prod = spans.span_product(ctx.n, t1, t2, e, (i,) + sp1, (j,) + sp2)
+        out = [0] * rp.level[d].num_generators
+        for (orbkey, c, y), mlt in prod.items():
+            orb = index[orbkey]
+            comp = spans.compose_spans(
+                ctx.n, stabs[orb], e, d, (c, y), spans.transfer_span(ctx.n, e, d)
+            )
+            for sp, m2 in comp.items():
+                out[rp.span_pos[d][(orb, sp)]] += mlt * m2
+        return tuple(out)
+
+    return pres.hom(rp, row), rp
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ normalized one.
 
 from __future__ import annotations
 
-from .fgab import AbHom, FgAbGroup, _IntRows, homology_subquotient, identity_matrix
+from .fgab import AbHom, FgAbGroup, homology_subquotient, identity_matrix
 from .green import (
-    BoxPresentation,
     box_power,
     full_transfer_identification,
     quotient_by_green_ideal,
@@ -51,6 +50,17 @@ class SimplicialMackey:
 
     def degeneracy(self, j: int, i: int) -> MackeyHom:
         return self.degeneracies[j][i]
+
+    def reindexed(self, degrees, level) -> "SimplicialMackey":
+        """The same faces and degeneracies on new degrees; level d reads old level level(d)."""
+        ctx = degrees[0].ctx
+
+        def move(hom: MackeyHom, j: int, k: int) -> MackeyHom:
+            return MackeyHom(degrees[j], degrees[k], {d: hom.maps[level(d)] for d in ctx.divisors}, check=False)
+
+        faces = [None] + [[move(h, j, j - 1) for h in self.faces[j]] for j in range(1, self.max_degree + 1)]
+        degens = [[move(h, j, j + 1) for h in self.degeneracies[j]] for j in range(self.max_degree)]
+        return SimplicialMackey(ctx, degrees, faces, degens)
 
     def check_identities(self):
         """Verify all simplicial identities inside the truncation."""
@@ -116,44 +126,7 @@ def moore_complex(x: SimplicialMackey, check: bool = True) -> MackeyComplex:
     return MackeyComplex(x.degrees, boundaries, check=check)
 
 
-def _face_hom(src: BoxPresentation, dst: BoxPresentation, r, i: int, j: int, check: bool) -> MackeyHom:
-    """Face d_i from the (j+1)-slot box power to the j-slot one."""
-    mack_src = src.mackey
-    mack_dst = dst.mackey
-    eye = {e: identity_matrix(r.level[e].num_generators) for e in r.ctx.divisors}
-    maps = {}
-    for d in mack_src.ctx.divisors:
-        rows = []
-        for (e, tup) in src.tags[d]:
-            gens = eye[e]
-            if i < j:
-                prod = r.mult[e][tup[i]][tup[i + 1]]
-                slot_rows = [gens[t] for t in tup[:i]] + [prod] + [gens[t] for t in tup[i + 2:]]
-            else:
-                twisted = r.weyl[e].matrix[tup[j]]
-                prod = r.multiply(e, twisted, gens[tup[0]])
-                slot_rows = [prod] + [gens[t] for t in tup[1:j]]
-            rows.append(dst.expand(d, e, slot_rows))
-        maps[d] = AbHom(mack_src.level[d], mack_dst.level[d], _IntRows(rows), check=check)
-    return MackeyHom(mack_src, mack_dst, maps, check=check)
-
-
-def _degeneracy_hom(src: BoxPresentation, dst: BoxPresentation, r, i: int, check: bool) -> MackeyHom:
-    mack_src = src.mackey
-    mack_dst = dst.mackey
-    eye = {e: identity_matrix(r.level[e].num_generators) for e in r.ctx.divisors}
-    maps = {}
-    for d in mack_src.ctx.divisors:
-        rows = []
-        for (e, tup) in src.tags[d]:
-            gens = eye[e]
-            slot_rows = [gens[t] for t in tup[: i + 1]] + [r.unit[e]] + [gens[t] for t in tup[i + 1:]]
-            rows.append(dst.expand(d, e, slot_rows))
-        maps[d] = AbHom(mack_src.level[d], mack_dst.level[d], _IntRows(rows), check=check)
-    return MackeyHom(mack_src, mack_dst, maps, check=check)
-
-
-def twisted_cyclic_nerve(r, k_max: int, green: bool = False, check: bool = True) -> SimplicialMackey:
+def twisted_cyclic_nerve(r, k_max: int, green: bool = False) -> SimplicialMackey:
     """HC^G(R; twisted by the distinguished generator), truncated at k_max.
 
     With green=True every degree carries its box-power Green structure
@@ -162,16 +135,35 @@ def twisted_cyclic_nerve(r, k_max: int, green: bool = False, check: bool = True)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     pres = [box_power(r, j + 1, green=green) for j in range(k_max + 1)]
-    degrees = [p.mackey for p in pres]
-    faces: list = [None]
-    for j in range(1, k_max + 1):
-        faces.append([_face_hom(pres[j], pres[j - 1], r, i, j, check) for i in range(j + 1)])
-    degens = []
-    for j in range(k_max):
-        degens.append([_degeneracy_hom(pres[j], pres[j + 1], r, i, check) for i in range(j + 1)])
-    x = SimplicialMackey(degrees[0].ctx, degrees, [None] + faces[1:], degens, presentations=pres)
-    if check:
-        x.check_identities()
+    eye = {e: identity_matrix(r.level[e].num_generators) for e in r.ctx.divisors}
+
+    def face(i: int, j: int) -> MackeyHom:
+        """d_i from the (j+1)-slot box power to the j-slot one."""
+
+        def row(d, e, tup):
+            gens = eye[e]
+            if i < j:
+                prod = r.mult[e][tup[i]][tup[i + 1]]
+                slot_rows = [gens[t] for t in tup[:i]] + [prod] + [gens[t] for t in tup[i + 2:]]
+            else:
+                twisted = r.weyl[e].matrix[tup[j]]
+                slot_rows = [r.multiply(e, twisted, gens[tup[0]])] + [gens[t] for t in tup[1:j]]
+            return pres[j - 1].expand(d, e, slot_rows)
+
+        return pres[j].hom(pres[j - 1].mackey, row)
+
+    def degeneracy(i: int, j: int) -> MackeyHom:
+        def row(d, e, tup):
+            gens = eye[e]
+            slot_rows = [gens[t] for t in tup[: i + 1]] + [r.unit[e]] + [gens[t] for t in tup[i + 1:]]
+            return pres[j + 1].expand(d, e, slot_rows)
+
+        return pres[j].hom(pres[j + 1].mackey, row)
+
+    faces = [None] + [[face(i, j) for i in range(j + 1)] for j in range(1, k_max + 1)]
+    degens = [[degeneracy(i, j) for i in range(j + 1)] for j in range(k_max)]
+    x = SimplicialMackey(r.ctx, [p.mackey for p in pres], faces, degens, presentations=pres)
+    x.check_identities()
     return x
 
 
@@ -289,7 +281,7 @@ def apply_monotone(x: SimplicialMackey, f: tuple[int, ...], target_degree: int) 
     return apply_monotone(x, f2, b).compose(x.degeneracy(a - 1, p))
 
 
-def edgewise_subdivision(x: SimplicialMackey, r: int, check: bool = True) -> SimplicialMackey:
+def edgewise_subdivision(x: SimplicialMackey, r: int) -> SimplicialMackey:
     """sd_r X with (sd_r X)_j = X_{r(j+1)-1} and block-repeated structure maps."""
     if r < 1:
         raise ValueError("r must be positive")
@@ -325,26 +317,6 @@ def edgewise_subdivision(x: SimplicialMackey, r: int, check: bool = True) -> Sim
             apply_monotone(x, block_sigma(i, j), r * (j + 1) - 1) for i in range(j + 1)
         ])
     out = SimplicialMackey(x.ctx, degrees, faces, degens)
-    if check:
-        out.check_identities()
+    out.check_identities()
     return out
 
-
-def restrict_simplicial(x: SimplicialMackey, j: int, check: bool = False) -> SimplicialMackey:
-    """Apply i_J^* degreewise; structure maps keep their matrices."""
-    from .mackey import restrict
-
-    degrees = [restrict(m, j) for m in x.degrees]
-    ctx = degrees[0].ctx
-
-    def push(hom: MackeyHom, src, dst) -> MackeyHom:
-        maps = {d: hom.maps[d] for d in ctx.divisors}
-        return MackeyHom(src, dst, maps, check=check)
-
-    faces: list = [None]
-    for m in range(1, x.max_degree + 1):
-        faces.append([push(h, degrees[m], degrees[m - 1]) for h in x.faces[m]])
-    degens = []
-    for m in range(x.max_degree):
-        degens.append([push(h, degrees[m], degrees[m + 1]) for h in x.degeneracies[m]])
-    return SimplicialMackey(ctx, degrees, faces, degens)

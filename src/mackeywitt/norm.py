@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import wittcore
-from .fgab import _SNF, AbHom, FgAbGroup, solve_left
+from .fgab import _SNF, AbHom, FgAbGroup, identity_matrix, solve_left
 from .mackey import GreenFunctor, GroupContext, Report, prime_edges
 from .wittcore import (
     BaseRing,
@@ -191,7 +191,7 @@ def check_norm_restriction_identity(ring: BaseRing, n: int, j: int) -> Report:
     rotate-then-twist on the box side.
     """
     from .green import box_power
-    from .mackey import MackeyHom, restrict
+    from .mackey import restrict
 
     if n % j:
         raise ValueError("j must divide n")
@@ -199,23 +199,19 @@ def check_norm_restriction_identity(ring: BaseRing, n: int, j: int) -> Report:
     big = norm_trivial_ring(ring, n)
     small = norm_trivial_ring(ring, j)
     restricted = restrict(big, j)
-    k = n // j
-    pres = box_power(small, k)
+    pres = box_power(small, n // j)
     src = pres.mackey
     ctxj = GroupContext(j)
 
-    maps = {}
-    for d in ctxj.divisors:
-        rows = []
-        for (e, tup) in pres.tags[d]:
-            lv = small.witt_levels[e]
-            prod = one(lv.truncation, ring)
-            for i in tup:
-                prod = witt_mul(prod, lv.gens[i])
-            v = big.witt_levels[e].coords(prod)
-            rows.append(restricted.tr_full(e, d).apply(v))
-        maps[d] = AbHom(src.level[d], restricted.level[d], rows)
-    theta = MackeyHom(src, restricted, maps, check=False)
+    def theta_row(d, e, tup):
+        lv = small.witt_levels[e]
+        prod = one(lv.truncation, ring)
+        for i in tup:
+            prod = witt_mul(prod, lv.gens[i])
+        return restricted.tr_full(e, d).apply(big.witt_levels[e].coords(prod))
+
+    theta = pres.hom(restricted, theta_row, natural=False)
+    maps = theta.maps
     nat = theta.naturality_failures()
     report.note(not nat, f"comparison map natural ({nat[:2] if nat else 'yes'})")
     report.note(theta.is_isomorphism(), "comparison map is a levelwise isomorphism")
@@ -223,11 +219,9 @@ def check_norm_restriction_identity(ring: BaseRing, n: int, j: int) -> Report:
     # multiplicativity on tag pairs
     ok_mult = True
     for d in ctxj.divisors:
-        kgens = src.level[d].num_generators
-        for a in range(kgens):
-            ea = tuple(1 if i == a else 0 for i in range(kgens))
-            for b in range(kgens):
-                eb = tuple(1 if i == b else 0 for i in range(kgens))
+        eye = identity_matrix(src.level[d].num_generators)
+        for ea in eye:
+            for eb in eye:
                 lhs = maps[d].apply(src.multiply(d, ea, eb))
                 rhs = restricted.multiply(d, maps[d].apply(ea), maps[d].apply(eb))
                 if not restricted.level[d].elements_equal(lhs, rhs):
@@ -241,21 +235,13 @@ def check_norm_restriction_identity(ring: BaseRing, n: int, j: int) -> Report:
 
     # tensor induction: the original C_n generator acts on the box side by
     # rotating the factors and twisting the wrapped factor by C_j's generator
-    ok_rot = True
-    for d in ctxj.divisors:
-        rows = []
-        for (e, tup) in pres.tags[d]:
-            w = small.weyl_power(e, 1).matrix  # trivial here, kept for clarity
-            rotated = (tup[-1],) + tup[:-1]
-            slot_rows = [w[rotated[0]]] + [
-                tuple(1 if t == i else 0 for t in range(small.level[e].num_generators))
-                for i in rotated[1:]
-            ]
-            rows.append(pres.expand(d, e, slot_rows))
-        rot = AbHom(src.level[d], src.level[d], rows)
-        lhs = rot.compose(maps[d])
-        rhs = maps[d].compose(big.weyl[d])
-        if lhs != rhs:
-            ok_rot = False
+    eye = {e: identity_matrix(small.level[e].num_generators) for e in ctxj.divisors}
+
+    def rotation_row(d, e, tup):
+        w = small.weyl_power(e, 1).matrix  # trivial here, kept for clarity
+        return pres.expand(d, e, [w[tup[-1]]] + [eye[e][i] for i in tup[:-1]])
+
+    rot = pres.hom(src, rotation_row, natural=False)
+    ok_rot = all(rot.maps[d].compose(maps[d]) == maps[d].compose(big.weyl[d]) for d in ctxj.divisors)
     report.note(ok_rot, "restricted Weyl generator acts as rotation-with-twist")
     return report

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from mackeywitt.cycmonoid import PointedGMonoid, monoid_algebra, splitting_check
-from mackeywitt.fgab import AbHom, free_group
+from mackeywitt.fgab import AbHom, NotWellDefinedError, free_group, identity_matrix
 from mackeywitt.mackey import (
     GroupContext,
     RingData,
@@ -414,3 +414,37 @@ def test_bilinear_reads_only_cells_at_nonzero_pairs(monkeypatch):
     y = tuple(2 if i == 3 else 0 for i in range(k))
     pres.mackey.multiply(6, x, y)
     assert sorted((d, a, c) for (_, d, a, c) in calls) == [(6, 0, 3), (6, 4, 3)]
+
+
+def _unit_or_zero_hom(pres, target, natural):
+    """Tag i of the top level goes to generator i of the target's top level; lower levels go to 0."""
+    n = pres.mackey.ctx.n
+
+    def row(d, e, tup):
+        out = [0] * target.level[d].num_generators
+        if d == n:
+            out[pres.tag_pos[d][(e, tup)]] = 1
+        return tuple(out)
+
+    return pres.hom(target, row, natural=natural)
+
+
+@pytest.mark.parametrize("natural", [True, False])
+def test_hom_rejects_a_row_that_breaks_a_box_relation(natural):
+    ctx = GroupContext(2)
+    pres = box(burnside(ctx), burnside(ctx), green=False)
+    free = fixed_point_mackey(ctx, free_group(len(pres.tags[2])), identity_matrix(len(pres.tags[2])))
+    assert pres.mackey.level[2].relations
+    with pytest.raises(NotWellDefinedError, match="not in target relations"):
+        pres.hom(free, lambda d, e, tup: (1,) + (0,) * (free.level[d].num_generators - 1), natural=natural)
+
+
+def test_hom_certifies_naturality_only_when_asked():
+    ctx = GroupContext(2)
+    pres = box(burnside(ctx), burnside(ctx), green=False)
+    with pytest.raises(NotWellDefinedError, match="not natural"):
+        _unit_or_zero_hom(pres, pres.mackey, natural=True)
+    hom = _unit_or_zero_hom(pres, pres.mackey, natural=False)
+    assert hom.maps[2] == AbHom.identity(pres.mackey.level[2])
+    assert hom.maps[1].is_zero()
+    assert hom.naturality_failures()

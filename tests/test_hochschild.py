@@ -1,6 +1,6 @@
 import pytest
 
-from mackeywitt.fgab import CompositeNotZeroError, Subquotient, free_group, row_hnf
+from mackeywitt.fgab import AbHom, CompositeNotZeroError, Subquotient, free_group, row_hnf
 from mackeywitt.green import box_power
 from mackeywitt.hochschild import (
     MackeyComplex,
@@ -218,3 +218,35 @@ def test_homology_of_a_non_complex_raises_composite_not_zero():
     cx = MackeyComplex([m, m, m], [None, ident, ident], check=False)
     with pytest.raises(CompositeNotZeroError):
         MackeyHomology(cx, 1)
+
+
+def test_reindexed_on_the_same_levels_keeps_every_structure_map():
+    x = twisted_cyclic_nerve(trivial_Z(2), 3)
+    y = x.reindexed(x.degrees, lambda d: d)
+    assert y.degrees == x.degrees and y.max_degree == x.max_degree
+    pairs = [(y.face(j, i), x.face(j, i)) for j in range(1, 4) for i in range(j + 1)]
+    pairs += [(y.degeneracy(j, i), x.degeneracy(j, i)) for j in range(3) for i in range(j + 1)]
+    for new, old in pairs:
+        assert (new.source, new.target) == (old.source, old.target)
+        assert all(new.maps[d].matrix == old.maps[d].matrix for d in (1, 2))
+
+
+def test_nerve_certifies_as_many_maps_as_before(monkeypatch):
+    """The F_2 norm over C_4 to degree 2: 15 box structure maps plus 3 levels
+    for each of the 5 faces and 3 degeneracies, and those 8 maps' naturality."""
+    counts = {"ab": 0, "mackey": 0}
+    ab_init, mackey_init = AbHom.__init__, MackeyHom.__init__
+
+    def ab(self, source, target, matrix, check=True):
+        counts["ab"] += bool(check)
+        ab_init(self, source, target, matrix, check)
+
+    def mackey(self, source, target, maps, check=True):
+        counts["mackey"] += bool(check)
+        mackey_init(self, source, target, maps, check)
+
+    r = norm_trivial_ring(F2, 4)
+    monkeypatch.setattr(AbHom, "__init__", ab)
+    monkeypatch.setattr(MackeyHom, "__init__", mackey)
+    twisted_cyclic_nerve(r, 2)
+    assert counts == {"ab": 39, "mackey": 8}
