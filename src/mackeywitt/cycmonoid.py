@@ -15,7 +15,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import spans
-from .fgab import AbHom, identity_matrix
+from .fgab import AbHom, Sparse, dense_row, nonzeros, row_mul
 from .green import BoxPresentation, box, box_hom
 from .hochschild import (
     MackeyComplex,
@@ -31,6 +31,7 @@ from .mackey import (
     Report,
     representable,
     span_structure,
+    sparse_product,
 )
 
 
@@ -274,18 +275,15 @@ def _relabel_hom(ctx, src_rep, src_od: OrbitData, dst_rep, dst_od: OrbitData, fm
     maps = {}
     for d in ctx.divisors:
         rows = []
-        width = dst_rep.level[d].num_generators
         for (i, (c, y)) in src_rep.span_basis[d]:
             v = fmap(src_od.reps[i])
             if v is None:
-                rows.append((0,) * width)
+                rows.append(())
                 continue
             i2, a = dst_od.locate[v]
             y2 = spans.normalize_y(n, dst_od.stabs[i2], d, y - a)
-            row = [0] * width
-            row[dst_rep.span_pos[d][(i2, (c, y2))]] = 1
-            rows.append(tuple(row))
-        maps[d] = AbHom(src_rep.level[d], dst_rep.level[d], rows)
+            rows.append(((dst_rep.span_pos[d][(i2, (c, y2))], 1),))
+        maps[d] = AbHom(src_rep.level[d], dst_rep.level[d], Sparse(rows, dst_rep.level[d].num_generators))
     return MackeyHom(src_rep, dst_rep, maps)
 
 
@@ -359,8 +357,9 @@ def splitting_check(r, m: PointedGMonoid, max_k: int) -> SplittingReport:
     # unit-against-A̅[M] inclusion R → R[M]
     iota_maps = {}
     for d in ctx.divisors:
-        rows = [rm_pres.expand(d, d, [gen, am.unit[d]]) for gen in identity_matrix(r.level[d].num_generators)]
-        iota_maps[d] = AbHom(r.level[d], rm.level[d], rows)
+        unit = nonzeros(am.unit[d])
+        rows = [rm_pres.expand(d, d, [((i, 1),), unit]) for i in range(r.level[d].num_generators)]
+        iota_maps[d] = AbHom(r.level[d], rm.level[d], Sparse(rows, rm.level[d].num_generators))
     iota = MackeyHom(r, rm, iota_maps)
 
     # degreewise data
@@ -382,19 +381,18 @@ def splitting_check(r, m: PointedGMonoid, max_k: int) -> SplittingReport:
             s = cells.orbit_data[j].stabs[oi]
             slot_rows = []
             for mm in rep_tuple:
-                u = [0] * am.level[s].num_generators
-                u[am.span_pos[s][element_span(ctx, od, mm, s)]] = 1
-                slot_rows.append(rm_pres.expand(s, s, [r.unit[s], u]))
+                u = ((am.span_pos[s][element_span(ctx, od, mm, s)], 1),)
+                slot_rows.append(rm_pres.expand(s, s, [nonzeros(r.unit[s]), u]))
             w = nerve_rm.presentations[j].expand(s, s, slot_rows)
-            beta_values[oi] = w
+            beta_values[oi] = dense_row(w, nerve_rm.degrees[j].level[s].num_generators)
         hc_rm_j = nerve_rm.presentations[j].mackey
 
         def phi_row(d, e, tup):
             x_idx, c_idx = tup
             (oi, sp) = cells.simplicial.degrees[j].span_basis[e][c_idx]
             beta_row = spans.apply_span(hc_rm_j, cells.orbit_data[j].stabs[oi], e, sp, beta_values[oi])
-            prod = hc_rm_j.multiply(e, alpha.maps[e].matrix[x_idx], beta_row)
-            return hc_rm_j.tr_full(e, d).apply(prod)
+            prod = sparse_product(hc_rm_j.mult[e], alpha.maps[e].rows[x_idx], nonzeros(beta_row))
+            return row_mul(nonzeros(prod), hc_rm_j.tr_full(e, d).rows)
 
         phis.append(zp.hom(hc_rm_j, phi_row))
 

@@ -3,9 +3,16 @@
 Groups are presented as F/R with F free on a finite generating set and R the
 row span of an integer relation matrix.  Everything is computed over the
 integers via Smith normal form: canonical forms, kernels, cokernels,
-homology of two-term composites, tensor products.  Vectors are rows; a
-homomorphism acts on the right, so ``compose(f, g)`` is "f then g" with
-matrix ``f.matrix @ g.matrix``.
+homology of two-term composites, tensor products.  A homomorphism acts on
+the right of row vectors, so ``compose(f, g)`` is "f then g" with matrix
+``f.rows · g.rows``.
+
+Matrices are kept by their nonzeros (``Sparse``): relations, hom matrices,
+lattices and factorizations never store a zero entry.  Elements are dense
+int tuples.  Dense matrices are built only for output: the ``relations``
+and ``matrix`` views, ``mat`` and the public ``snf``.  The module functions
+also take dense rows, for callers outside the package, and answer in the
+form they were given.
 
 All objects are immutable after construction and all operations are pure.
 """
@@ -18,6 +25,7 @@ from math import gcd
 
 Row = tuple[int, ...]
 Matrix = tuple[Row, ...]
+SparseRow = tuple[tuple[int, int], ...]
 
 
 class CompositeNotZeroError(ValueError):
@@ -36,73 +44,101 @@ class NotInSubgroupError(ValueError):
 # integer matrix utilities
 
 
-class _IntRows(tuple):
-    """A matrix of int tuples that the package built itself; ``mat`` keeps it as is."""
+class Sparse(tuple):
+    """An integer matrix by its nonzeros: the package's one matrix type.
 
-    __slots__ = ()
+    A tuple of rows, each a tuple of (column, value) pairs with nonzero
+    values in increasing column order, and ``width``, the number of columns.
+    """
+
+    def __new__(cls, rows=(), width: int = 0):
+        self = super().__new__(cls, rows)
+        self.width = width
+        return self
+
+    @classmethod
+    def of(cls, m, width: int | None = None) -> "Sparse":
+        """m itself when it is Sparse, else the nonzeros of the dense int rows m."""
+        if isinstance(m, Sparse):
+            return m
+        m = tuple(m)
+        if width is None:
+            width = len(m[0]) if m else 0
+        if any(len(r) != width for r in m):
+            raise ValueError("matrix row has wrong length")
+        return cls((tuple((j, int(x)) for j, x in enumerate(r) if x) for r in m), width)
+
+
+def nonzeros(v: Row) -> SparseRow:
+    """The sparse row of a dense int vector."""
+    return tuple(compress(enumerate(v), v))
+
+
+def sparse_row(acc: dict) -> SparseRow:
+    """The sparse row of {column: value}."""
+    return tuple(sorted(p for p in acc.items() if p[1]))
+
+
+def dense_row(items, width: int) -> Row:
+    """The dense row of width ``width`` with the given (column, value) pairs."""
+    row = [0] * width
+    for j, x in items:
+        row[j] = x
+    return tuple(row)
 
 
 def mat(rows) -> Matrix:
-    if type(rows) is _IntRows:
-        return rows
+    """Dense int tuples: a Sparse matrix expanded, anything else read as int rows."""
+    if isinstance(rows, Sparse):
+        return tuple(dense_row(r, rows.width) for r in rows)
     return tuple(tuple(map(int, row)) for row in rows)
+
+
+def _like(m, out: Sparse):
+    """out in the form of m: as is when m is Sparse, else as dense rows."""
+    return out if isinstance(m, Sparse) else mat(out)
 
 
 def identity_matrix(k: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
 
 
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return tuple((0,) * cols for _ in range(rows))
+def row_mul(row: SparseRow, b) -> SparseRow:
+    """row · b for a sparse row and the sparse rows b."""
+    if len(row) == 1:
+        ((k, x),) = row
+        return b[k] if x == 1 else tuple((j, x * y) for j, y in b[k])
+    acc: dict[int, int] = {}
+    for k, x in row:
+        for j, y in b[k]:
+            acc[j] = acc.get(j, 0) + x * y
+    return sparse_row(acc)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
+def mat_mul(a, b):
+    """a · b, in the form of a."""
+    sa, sb = Sparse.of(a), Sparse.of(b)
+    if sa and sa.width != len(sb):
         raise ValueError("matrix shape mismatch")
-    if not b:
-        return tuple(() for _ in a)
-    cols = len(b[0])
-    out = []
-    for row in a:
-        acc = [0] * cols
-        for x, brow in compress(zip(row, b), row):  # nonzero x only
-            for j, y in compress(enumerate(brow), brow):
-                acc[j] += x * y
-        out.append(tuple(acc))
+    return _like(a, Sparse((row_mul(r, sb) for r in sa), sb.width))
+
+
+def vec_mat(v: Row, m) -> Row:
+    """The dense row v · m."""
+    m = Sparse.of(m)
+    if len(v) != len(m):
+        raise ValueError("vector/matrix shape mismatch")
+    out = [0] * m.width
+    for row, x in compress(zip(m, v), v):
+        for j, y in row:
+            out[j] += x * y
     return tuple(out)
 
 
-def vec_mat(v: Row, m: Matrix) -> Row:
-    if len(v) != len(m):
-        raise ValueError("vector/matrix shape mismatch")
-    if not m:
-        return ()
-    return mat_mul((v,), m)[0]
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
-def mat_scale(c: int, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in r) for r in a)
-
-
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    out = identity_matrix(len(a))
-    for _ in range(k):
-        out = mat_mul(out, a)
-    return out
-
-
-def _axpy(dst: dict, src: dict, q: int) -> None:
-    """dst += q·src on sparse rows; entries that cancel are dropped."""
+def _axpy(dst: dict, src, q: int) -> None:
+    """dst += q·src for the (column, value) pairs src; entries that cancel are dropped."""
     if q:
-        for j, x in src.items():
+        for j, x in src:
             y = dst.get(j, 0) + q * x
             if y:
                 dst[j] = y
@@ -113,26 +149,20 @@ def _axpy(dst: dict, src: dict, q: int) -> None:
 def _combine(r1: dict, r2: dict, x: int, y: int) -> dict:
     """x·r1 + y·r2 on sparse rows."""
     out = {j: x * v for j, v in r1.items()} if x else {}
-    _axpy(out, r2, y)
+    _axpy(out, r2.items(), y)
     return out
-
-
-def _dense(items, width: int) -> Row:
-    row = [0] * width
-    for j, x in items:
-        row[j] = x
-    return tuple(row)
 
 
 class _SNF:
     """Smith normal form with transforms, U · m · V = D, on sparse rows.
 
-    The working matrix is a list of sparse rows ``{column: value}`` (zeros
-    are never stored) with, per column, the set of rows nonzero there, so
-    clearing a pivot column visits only those rows.  Columns keep their
-    original labels; a column swap only exchanges two entries of the
-    position → label permutation.  V is kept by columns and V⁻¹ by rows,
-    both sparse and labelled the same way.
+    m is read as ``Sparse.of(m, cols)``.  The working matrix is a list of
+    sparse rows ``{column: value}`` (zeros are never stored) with, per
+    column, the set of rows nonzero there, so clearing a pivot column
+    visits only those rows.  Columns keep their original labels; a column
+    swap only exchanges two entries of the position → label permutation.
+    V is kept by columns and V⁻¹ by rows, both sparse and labelled the
+    same way.
 
     The pivot is the smallest nonzero |x| in the remaining block, the first
     in row-major order, and the search stops at the first ±1.  Every row
@@ -142,20 +172,20 @@ class _SNF:
     which reaches output through ``reduce`` and ``elements``.
 
     D is kept as its ``diagonal`` (length min(rows, cols), zeros last: the
-    nonzero entries are exactly the first ``rank``).  ``cols`` gives the
-    width of a matrix without rows, whose V is the identity.  Membership,
-    ``reduce``, ``element_order`` and ``elements`` read the sparse rows of V
-    and V⁻¹ over the nonzeros of their input (m·V = U⁻¹·D has the row span
-    of D); ``solve_left`` and ``kernel_basis`` also read U, replayed
-    sparsely from the logged row operations on first use.  The dense ``u``,
-    ``v`` and ``vinv`` tuples are built only when read.
+    nonzero entries are exactly the first ``rank``).  ``cols`` (a Sparse
+    m carries its ``width``) gives the width of a matrix without rows,
+    whose V is the identity.  Membership, ``reduce``, ``element_order``
+    and ``elements`` read the sparse rows of V and V⁻¹ over the nonzeros
+    of their input (m·V = U⁻¹·D has the row span of D); ``solve_left``
+    and ``kernel_basis`` also read U, replayed sparsely from the logged
+    row operations on first use.  The dense ``u``, ``v`` and ``vinv``
+    tuples are built only when read.
     """
 
-    def __init__(self, m: Matrix, cols: int | None = None):
-        rows = len(m)
-        if cols is None:
-            cols = len(m[0]) if rows else 0
-        a = [dict(compress(enumerate(r), r)) for r in m]
+    def __init__(self, m, cols: int | None = None):
+        m = Sparse.of(m, cols)
+        rows, cols = len(m), m.width
+        a = [dict(r) for r in m]
         at: list[set[int]] = [set() for _ in range(cols)]  # rows nonzero per column
         for i, r in enumerate(a):
             for j in r:
@@ -196,8 +226,8 @@ class _SNF:
         def col_add(dst, src, q):
             for i in at[src] if q else ():
                 add_entry(i, dst, q * a[i][src])
-            _axpy(vcols[dst], vcols[src], q)
-            _axpy(vinv[src], vinv[dst], -q)
+            _axpy(vcols[dst], vcols[src].items(), q)
+            _axpy(vinv[src], vinv[dst].items(), -q)
 
         def negate_row(i):
             a[i] = {j: -x for j, x in a[i].items()}
@@ -284,7 +314,7 @@ class _SNF:
         u = [{i: 1} for i in range(self._rows)]
         for op in self._row_ops:
             if len(op) == 3:
-                _axpy(u[op[0]], u[op[1]], op[2])
+                _axpy(u[op[0]], u[op[1]].items(), op[2])
             elif len(op) == 2:
                 u[op[0]], u[op[1]] = u[op[1]], u[op[0]]
             elif len(op) == 1:
@@ -297,15 +327,15 @@ class _SNF:
 
     @cached_property
     def u(self) -> Matrix:
-        return tuple(_dense(r.items(), self._rows) for r in self._urows)
+        return tuple(dense_row(r.items(), self._rows) for r in self._urows)
 
     @cached_property
     def v(self) -> Matrix:
-        return tuple(_dense(r, self._cols) for r in self._vrows)
+        return tuple(dense_row(r, self._cols) for r in self._vrows)
 
     @cached_property
     def vinv(self) -> Matrix:
-        return tuple(_dense(r, self._cols) for r in self._vinv)
+        return tuple(dense_row(r, self._cols) for r in self._vinv)
 
     def coords(self, b) -> dict[int, int]:
         """b·V as {position: value}, from the (index, value) pairs of b."""
@@ -342,7 +372,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int]:
 
 
 def snf(m) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form: returns (U, D, V) with U·m·V = D.
+    """Smith normal form: returns (U, D, V) with U·m·V = D, as dense matrices.
 
     D is diagonal with nonnegative entries satisfying d_i | d_{i+1} on the
     nonzero diagonal; U, V are unimodular.  Total on integer matrices,
@@ -361,104 +391,95 @@ def snf(m) -> tuple[Matrix, Matrix, Matrix]:
     return s.u, d, s.v
 
 
-def solve_left(m: Matrix, b: Row, _snf_cache: _SNF | None = None) -> Row | None:
+def solve_left(m, b, _snf_cache: _SNF | None = None):
     """Solve x · m = b over ℤ; returns one solution or None.
 
-    A caller that solves against the same m repeatedly passes its ``_SNF``
-    so that m is factored once.
+    b and x are sparse rows when m is Sparse and dense rows otherwise.  A
+    caller that solves against the same m repeatedly passes its ``_SNF`` so
+    that m is factored once.
     """
     if not m:
         return () if not any(b) else None
+    sparse = isinstance(m, Sparse)
     s = _snf_cache if _snf_cache is not None else _SNF(m)
-    z = s.dense_coords(b)
+    z = s.coords(b) if sparse else s.dense_coords(b)
     if not s.spans(z):
         return None
-    # y·D = b·V, so (y·U)·m = b
-    x = [0] * len(m)
-    for j, urow in enumerate(s._urows[: s.rank]):
-        y = z.get(j, 0) // s.diagonal[j]
-        for i, e in urow.items() if y else ():
-            x[i] += y * e
-    return tuple(x)
+    # y·D = b·V, so (y·U)·m = b; z is zero past the rank
+    x: dict[int, int] = {}
+    urows = s._urows
+    for j, t in z.items():
+        if t:
+            _axpy(x, urows[j].items(), t // s.diagonal[j])
+    return sparse_row(x) if sparse else dense_row(x.items(), len(m))
 
 
-def kernel_basis(m: Matrix) -> Matrix:
-    """Basis of the lattice {x : x · m = 0}."""
+def kernel_basis(m):
+    """Basis of the lattice {x : x · m = 0}, in the form of m."""
     if not m:
-        return ()
-    s = _SNF(mat(m))
-    return tuple(_dense(r.items(), s._rows) for r in s._urows[s.rank:])
+        return _like(m, Sparse())
+    s = _SNF(m)
+    return _like(m, Sparse(map(sparse_row, s._urows[s.rank:]), s._rows))
 
 
-def in_rowspan(rel: Matrix, b: Row, _snf_cache: _SNF | None = None) -> bool:
-    """Whether b lies in the row span of rel; never builds U."""
+def in_rowspan(rel, b, _snf_cache: _SNF | None = None) -> bool:
+    """Whether b (sparse when rel is Sparse) lies in the row span of rel; never builds U."""
     if not rel:
         return not any(b)
     s = _snf_cache if _snf_cache is not None else _SNF(rel)
-    return s.spans(s.dense_coords(b))
+    return s.spans(s.coords(b) if isinstance(rel, Sparse) else s.dense_coords(b))
 
 
-def stack(*mats: Matrix) -> Matrix:
-    out: list[Row] = []
-    for m in mats:
-        out.extend(m)
-    return tuple(out)
-
-
-def preimage_basis(m: Matrix, target_rel: Matrix) -> Matrix:
-    """Rows spanning {x : x · m ∈ rowspan(target_rel)}."""
+def preimage_basis(m, target_rel):
+    """Rows spanning {x : x · m ∈ rowspan(target_rel)}, in the form of m."""
     rows = len(m)
     if rows == 0:
-        return ()
-    big = stack(m, target_rel)
-    ker = kernel_basis(big)
-    return tuple(row[:rows] for row in ker)
+        return _like(m, Sparse())
+    sm = Sparse.of(m)
+    ker = kernel_basis(Sparse(sm + Sparse.of(target_rel, sm.width), sm.width))
+    return _like(m, Sparse((tuple(p for p in r if p[0] < rows) for r in ker), rows))
 
 
-def row_hnf(rows: Matrix, cols: int) -> Matrix:
-    """Canonical (row-style Hermite) basis of the lattice spanned by rows.
+def row_hnf(rows, cols: int):
+    """Canonical (row-style Hermite) basis of the lattice spanned by rows, in their form.
 
     Used for subgroup equality: two spanning sets give the same lattice iff
-    their HNFs are identical.
+    their HNFs are identical.  Each row in turn is reduced against the
+    basis row with its leading column (by the extended gcd when the leading
+    entries do not divide), then the entries above each pivot are reduced.
     """
-    work = [list(r) for r in rows if any(r)]
-    basis: list[list[int]] = []
-    pivot_col_of: dict[int, int] = {}
-    for row in work:
-        r = row
-        while True:
-            j = next((k for k, x in enumerate(r) if x), None)
-            if j is None:
-                break
-            if j in pivot_col_of:
-                piv = basis[pivot_col_of[j]]
-                a, b = piv[j], r[j]
-                if b % a == 0:
-                    q = b // a
-                    r = [x - q * y for x, y in zip(r, piv)]
-                else:
-                    x, y = _xgcd(a, b)
-                    g = gcd(a, b)
-                    new_piv = [x * p + y * q2 for p, q2 in zip(piv, r)]
-                    new_r = [(-b // g) * p + (a // g) * q2 for p, q2 in zip(piv, r)]
-                    basis[pivot_col_of[j]] = new_piv
-                    r = new_r
-            else:
+    basis: list[dict] = []
+    pivot_of: dict[int, int] = {}
+    for row in Sparse.of(rows, cols):
+        r = dict(row)
+        while r:
+            j = min(r)
+            i = pivot_of.get(j)
+            if i is None:
                 if r[j] < 0:
-                    r = [-x for x in r]
-                pivot_col_of[j] = len(basis)
+                    r = {c: -x for c, x in r.items()}
+                pivot_of[j] = len(basis)
                 basis.append(r)
                 break
+            piv = basis[i]
+            a, b = piv[j], r[j]
+            if b % a == 0:
+                _axpy(r, piv.items(), -(b // a))
+            else:
+                x, y = _xgcd(a, b)
+                g = gcd(a, b)
+                basis[i] = _combine(piv, r, x, y)
+                r = _combine(piv, r, -b // g, a // g)
     # reduce entries above each pivot and sort by pivot column
-    basis.sort(key=lambda row: next(k for k, x in enumerate(row) if x))
+    basis.sort(key=min)
     for i in range(len(basis) - 1, -1, -1):
-        j = next(k for k, x in enumerate(basis[i]) if x)
+        j = min(basis[i])
         p = basis[i][j]
-        for i2 in range(i):
-            q = basis[i2][j] // p
+        for above in basis[:i]:
+            q = above.get(j, 0) // p
             if q:
-                basis[i2] = [x - q * y for x, y in zip(basis[i2], basis[i])]
-    return tuple(tuple(r) for r in basis)
+                _axpy(above, basis[i].items(), -q)
+    return _like(rows, Sparse(map(sparse_row, basis), cols))
 
 
 # ---------------------------------------------------------------------------
@@ -469,21 +490,25 @@ class FgAbGroup:
     """A finitely generated abelian group presented by integer relations.
 
     ``FgAbGroup(k, rows)`` is the quotient of ℤ^k by the row span of
-    ``rows`` (for k = 0 the rows are empty, and none is kept).  The
-    presentation keeps its generators; the canonical form (invariant
-    factors + free rank) is computed lazily from SNF and is a complete
-    isomorphism invariant.
+    ``rows`` (Sparse, or dense int rows; for k = 0 the rows are empty, and
+    none is kept), stored as the Sparse ``rels``.  The presentation keeps
+    its generators; the canonical form (invariant factors + free rank) is
+    computed lazily from SNF and is a complete isomorphism invariant.
     """
 
-    __slots__ = ("num_generators", "relations", "__dict__")
+    __slots__ = ("num_generators", "rels", "__dict__")
 
     def __init__(self, num_generators: int, relations=()):
-        self.num_generators = int(num_generators)
-        rel = mat(relations)
-        for r in rel:
-            if len(r) != self.num_generators:
-                raise ValueError("relation row has wrong length")
-        self.relations = rel if self.num_generators else ()
+        self.num_generators = k = int(num_generators)
+        rels = Sparse.of(relations, k)
+        if rels.width != k:
+            raise ValueError("relation row has wrong length")
+        self.rels = rels if k else Sparse()
+
+    @property
+    def relations(self) -> Matrix:
+        """The relations as dense rows, built on each read (for output and tests)."""
+        return mat(self.rels)
 
     def __repr__(self):
         inv, rank = self.canonical_form
@@ -492,11 +517,7 @@ class FgAbGroup:
 
     @cached_property
     def _rel_snf(self) -> _SNF:
-        return _SNF(self.relations, self.num_generators)
-
-    @cached_property
-    def _sparse_relations(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return tuple(tuple(compress(enumerate(r), r)) for r in self.relations)
+        return _SNF(self.rels)
 
     @cached_property
     def canonical_form(self) -> tuple[tuple[int, ...], int]:
@@ -531,10 +552,10 @@ class FgAbGroup:
         return (0,) * self.num_generators
 
     def is_zero_element(self, x: Row) -> bool:
-        return in_rowspan(self.relations, x, self._rel_snf)
+        return in_rowspan(self.rels, nonzeros(x), self._rel_snf)
 
     def elements_equal(self, x: Row, y: Row) -> bool:
-        return self.is_zero_element(tuple(a - b for a, b in zip(x, y)))
+        return x == y or self.is_zero_element(tuple(a - b for a, b in zip(x, y)))
 
     def reduce(self, x: Row) -> Row:
         """Canonical representative of the class of x.
@@ -542,7 +563,7 @@ class FgAbGroup:
         Relations are diagonal in the coordinates z = x · V (since R·V =
         U⁻¹·D has the row span of D), so reduce there and come back via V⁻¹.
         """
-        if not self.relations:
+        if not self.rels:
             return tuple(x)
         s = self._rel_snf
         out = [0] * self.num_generators
@@ -566,9 +587,10 @@ class FgAbGroup:
                     out[c] += t * y
             yield tuple(out)
 
-    def subgroup_hnf(self, rows: Matrix) -> Matrix:
+    def subgroup_hnf(self, rows) -> Sparse:
         """Canonical lattice basis of the subgroup generated by rows (with relations)."""
-        return row_hnf(stack(mat(rows), self.relations), self.num_generators)
+        k = self.num_generators
+        return row_hnf(Sparse(Sparse.of(rows, k) + self.rels, k), k)
 
     def element_order(self, x: Row) -> int:
         """Additive order of the class of x (0 means infinite)."""
@@ -590,11 +612,11 @@ class FgAbGroup:
         return (
             isinstance(other, FgAbGroup)
             and self.num_generators == other.num_generators
-            and self.relations == other.relations
+            and self.rels == other.rels
         )
 
     def __hash__(self):
-        return hash((self.num_generators, self.relations))
+        return hash((self.num_generators, self.rels))
 
 
 def free_group(rank: int) -> FgAbGroup:
@@ -610,81 +632,98 @@ def cyclic_group(m: int) -> FgAbGroup:
 class AbHom:
     """Homomorphism between presented groups, as a matrix on generators.
 
+    The matrix (Sparse, or dense int rows) is stored as the Sparse ``rows``.
     Well-definedness (source relations land in the target relation span) is
     certified at construction.
     """
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "rows")
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix, check: bool = True):
-        self._set(source, target, mat(matrix))
+        self._set(source, target, matrix)
         if check:
             # r·M over the nonzeros of r and of M's rows, then tested in the
             # target's diagonal coordinates
             tsnf = target._rel_snf
-            rows: dict[int, list[tuple[int, int]]] = {}
-            for r, sparse in zip(source.relations, source._sparse_relations):
+            for r in source.rels:
                 img: dict[int, int] = {}
-                for i, x in sparse:
-                    if i not in rows:
-                        rows[i] = list(compress(enumerate(self.matrix[i]), self.matrix[i]))
-                    for j, y in rows[i]:
+                for i, x in r:
+                    for j, y in self.rows[i]:
                         img[j] = img.get(j, 0) + x * y
                 if not tsnf.spans(tsnf.coords(img.items())):
                     raise NotWellDefinedError(
-                        f"relation {r} maps to {vec_mat(r, self.matrix)}, not in target relations"
+                        f"relation {dense_row(r, source.num_generators)} maps to "
+                        f"{dense_row(img.items(), target.num_generators)}, not in target relations"
                     )
 
-    def _set(self, source: FgAbGroup, target: FgAbGroup, matrix: Matrix) -> None:
+    def _set(self, source: FgAbGroup, target: FgAbGroup, matrix) -> None:
+        rows = Sparse.of(matrix, target.num_generators)
+        if len(rows) != source.num_generators:
+            raise ValueError("matrix has wrong number of rows")
+        if rows.width != target.num_generators:
+            raise ValueError("matrix has wrong number of columns")
         self.source = source
         self.target = target
-        self.matrix = matrix
-        if len(matrix) != source.num_generators:
-            raise ValueError("matrix has wrong number of rows")
-        for r in matrix:
-            if len(r) != target.num_generators:
-                raise ValueError("matrix has wrong number of columns")
+        self.rows = rows
 
     @classmethod
-    def _unchecked(cls, source: FgAbGroup, target: FgAbGroup, matrix: Matrix) -> "AbHom":
-        """An uncertified hom on a matrix of int tuples that this module built."""
+    def _unchecked(cls, source: FgAbGroup, target: FgAbGroup, matrix) -> "AbHom":
+        """An uncertified hom on a matrix that this package built."""
         hom = cls.__new__(cls)
         hom._set(source, target, matrix)
         return hom
+
+    @property
+    def matrix(self) -> Matrix:
+        """The matrix as dense rows, built on each read (for output and tests)."""
+        return mat(self.rows)
 
     def __repr__(self):
         return f"AbHom({self.source!r} -> {self.target!r})"
 
     @staticmethod
     def identity(g: FgAbGroup) -> "AbHom":
-        return AbHom._unchecked(g, g, identity_matrix(g.num_generators))
+        k = g.num_generators
+        return AbHom._unchecked(g, g, Sparse((((i, 1),) for i in range(k)), k))
 
     @staticmethod
     def zero(source: FgAbGroup, target: FgAbGroup) -> "AbHom":
-        return AbHom._unchecked(source, target, zero_matrix(source.num_generators, target.num_generators))
+        return AbHom._unchecked(source, target, Sparse(((),) * source.num_generators, target.num_generators))
 
     def apply(self, x: Row) -> Row:
-        return vec_mat(tuple(x), self.matrix)
+        return vec_mat(x, self.rows)
 
     def compose(self, then: "AbHom") -> "AbHom":
         """self followed by `then`."""
         if self.target.num_generators != then.source.num_generators:
             raise ValueError("composition shape mismatch")
-        return AbHom._unchecked(self.source, then.target, mat_mul(self.matrix, then.matrix))
+        return AbHom._unchecked(self.source, then.target, mat_mul(self.rows, then.rows))
+
+    def _plus(self, other: "AbHom", sign: int) -> "AbHom":
+        out = []
+        for r, s in zip(self.rows, other.rows):
+            acc = dict(r)
+            _axpy(acc, s, sign)
+            out.append(sparse_row(acc))
+        return AbHom._unchecked(self.source, self.target, Sparse(out, self.rows.width))
 
     def add(self, other: "AbHom") -> "AbHom":
-        return AbHom._unchecked(self.source, self.target, mat_add(self.matrix, other.matrix))
+        return self._plus(other, 1)
 
     def sub(self, other: "AbHom") -> "AbHom":
-        return AbHom._unchecked(self.source, self.target, mat_sub(self.matrix, other.matrix))
+        return self._plus(other, -1)
 
     def scale(self, c: int) -> "AbHom":
-        return AbHom._unchecked(self.source, self.target, mat_scale(c, self.matrix))
+        rows = (tuple((j, c * x) for j, x in r) if c else () for r in self.rows)
+        return AbHom._unchecked(self.source, self.target, Sparse(rows, self.rows.width))
 
     def power(self, k: int) -> "AbHom":
         if self.source is not self.target and self.source != self.target:
             raise ValueError("power of non-endomorphism")
-        return AbHom._unchecked(self.source, self.target, mat_pow(self.matrix, k))
+        h = AbHom.identity(self.source) if k <= 0 else self
+        for _ in range(k - 1):
+            h = h.compose(self)
+        return h
 
     def __eq__(self, other):
         """Equality modulo target relations."""
@@ -696,9 +735,12 @@ class AbHom:
         ):
             return False
         tsnf = self.target._rel_snf
-        for r1, r2 in zip(self.matrix, other.matrix):
-            if r1 != r2 and not tsnf.spans(tsnf.coords((j, a - b) for j, (a, b) in enumerate(zip(r1, r2)))):
-                return False
+        for r1, r2 in zip(self.rows, other.rows):
+            if r1 != r2:
+                diff = dict(r1)
+                _axpy(diff, r2, -1)
+                if not tsnf.spans(tsnf.coords(diff.items())):
+                    return False
         return True
 
     def __hash__(self):
@@ -709,14 +751,14 @@ class AbHom:
 
     def kernel(self) -> tuple[FgAbGroup, "AbHom"]:
         """Kernel subgroup and its inclusion into the source."""
-        sq = Subquotient(self.source, preimage_basis(self.matrix, self.target.relations), ())
-        return sq.group, AbHom._unchecked(sq.group, self.source, sq.cycle_basis)
+        sq = Subquotient(self.source, preimage_basis(self.rows, self.target.rels), ())
+        return sq.group, AbHom._unchecked(sq.group, self.source, sq.lattice)
 
     def cokernel(self) -> tuple[FgAbGroup, "AbHom"]:
         """Cokernel on the target's own generators, with the projection."""
-        q = FgAbGroup(self.target.num_generators, stack(self.target.relations, self.matrix))
-        proj = AbHom._unchecked(self.target, q, identity_matrix(self.target.num_generators))
-        return q, proj
+        k = self.target.num_generators
+        q = FgAbGroup(k, Sparse(self.target.rels + self.rows, k))
+        return q, AbHom._unchecked(self.target, q, AbHom.identity(q).rows)
 
     def is_injective(self) -> bool:
         return self.kernel()[0].is_trivial()
@@ -729,38 +771,25 @@ class AbHom:
 
 
 def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
-    rels = [r + (0,) * b.num_generators for r in a.relations]
-    rels += [(0,) * a.num_generators + r for r in b.relations]
-    return FgAbGroup(a.num_generators + b.num_generators, rels)
+    na, k = a.num_generators, a.num_generators + b.num_generators
+    shifted = tuple(tuple((j + na, x) for j, x in r) for r in b.rels)
+    return FgAbGroup(k, Sparse(a.rels + shifted, k))
 
 
 def tensor(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
     """Tensor product: generators g_a × g_b, relations r_a ⊗ id and id ⊗ r_b."""
     na, nb = a.num_generators, b.num_generators
-    rels = []
-    for r in a.relations:
-        for j in range(nb):
-            row = [0] * (na * nb)
-            for i, x in enumerate(r):
-                row[i * nb + j] = x
-            rels.append(tuple(row))
-    for r in b.relations:
-        for i in range(na):
-            row = [0] * (na * nb)
-            for j, x in enumerate(r):
-                row[i * nb + j] = x
-            rels.append(tuple(row))
-    return FgAbGroup(na * nb, rels)
+    rels = [tuple((i * nb + j, x) for i, x in r) for r in a.rels for j in range(nb)]
+    rels += [tuple((i * nb + j, x) for j, x in r) for r in b.rels for i in range(na)]
+    return FgAbGroup(na * nb, Sparse(rels, na * nb))
 
 
 def tensor_hom(f: AbHom, g: AbHom, source: FgAbGroup | None = None, target: FgAbGroup | None = None) -> AbHom:
     src = source if source is not None else tensor(f.source, g.source)
     tgt = target if target is not None else tensor(f.target, g.target)
-    rows = []
-    for frow in f.matrix:
-        for grow in g.matrix:
-            rows.append(tuple(x * y for x in frow for y in grow))
-    return AbHom._unchecked(src, tgt, tuple(rows))
+    w = g.rows.width
+    rows = (tuple((i * w + j, x * y) for i, x in frow for j, y in grow) for frow in f.rows for grow in g.rows)
+    return AbHom._unchecked(src, tgt, Sparse(rows, f.rows.width * w))
 
 
 class Subquotient:
@@ -768,40 +797,47 @@ class Subquotient:
 
     The one construction that turns a sublattice into a presented group with
     coordinates: kernels (no boundary rows), fixed-point levels and homology
-    all go through it.  Keeps the cycle lattice so that elements of the
-    ambient group can be projected to classes and chain maps can be pushed
-    to induced maps.  The lattice is factored once, on the first solve.
+    all go through it.  Keeps the cycle lattice (the Sparse ``lattice``) so
+    that elements of the ambient group can be projected to classes and chain
+    maps can be pushed to induced maps.  The lattice is factored once, on
+    the first solve.
     """
 
-    def __init__(self, ambient: FgAbGroup, cycle_rows: Matrix, boundary_rows: Matrix):
+    def __init__(self, ambient: FgAbGroup, cycle_rows, boundary_rows):
+        k = ambient.num_generators
         self.ambient = ambient
-        lat = row_hnf(stack(cycle_rows, ambient.relations), ambient.num_generators)
-        self.cycle_basis = lat
+        self.lattice = lat = row_hnf(Sparse(Sparse.of(cycle_rows, k) + ambient.rels, k), k)
         rel = []
-        for r in stack(boundary_rows, ambient.relations):
+        for r in Sparse.of(boundary_rows, k) + ambient.rels:
             coeffs = solve_left(lat, r, self._cycle_snf)
             if coeffs is None:
                 raise NotInSubgroupError("boundary not contained in cycles")
             rel.append(coeffs)
-        self.group = FgAbGroup(len(lat), rel)
+        self.group = FgAbGroup(len(lat), Sparse(rel, len(lat)))
+
+    @property
+    def cycle_basis(self) -> Matrix:
+        """The cycle lattice as dense rows, built on each read."""
+        return mat(self.lattice)
 
     @cached_property
     def _cycle_snf(self) -> _SNF:
-        return _SNF(self.cycle_basis, self.ambient.num_generators)
+        return _SNF(self.lattice)
 
-    def project(self, x: Row) -> Row:
-        coeffs = solve_left(self.cycle_basis, tuple(x), self._cycle_snf)
+    def coords(self, x: SparseRow) -> SparseRow:
+        """Coordinates of the cycle x in the lattice basis, as sparse rows."""
+        coeffs = solve_left(self.lattice, x, self._cycle_snf)
         if coeffs is None:
             raise NotInSubgroupError("element is not a cycle")
         return coeffs
 
-    def lift(self, i: int) -> Row:
-        return self.cycle_basis[i]
+    def project(self, x: Row) -> Row:
+        return dense_row(self.coords(nonzeros(x)), len(self.lattice))
 
     def induced(self, f: AbHom, target: "Subquotient") -> AbHom:
         """Map on homology induced by a chain map f between the ambients."""
-        rows = [target.project(f.apply(self.lift(i))) for i in range(len(self.cycle_basis))]
-        return AbHom(self.group, target.group, rows)
+        rows = [target.coords(row_mul(r, f.rows)) for r in self.lattice]
+        return AbHom(self.group, target.group, Sparse(rows, len(target.lattice)))
 
 
 def homology_subquotient(d_in: AbHom, d_out: AbHom) -> Subquotient:
@@ -810,8 +846,8 @@ def homology_subquotient(d_in: AbHom, d_out: AbHom) -> Subquotient:
     comp = d_in.compose(d_out)
     if not comp.is_zero():
         raise CompositeNotZeroError("d_out ∘ d_in is not zero")
-    cycles = preimage_basis(d_out.matrix, d_out.target.relations)
-    return Subquotient(d_in.target, cycles, d_in.matrix)
+    cycles = preimage_basis(d_out.rows, d_out.target.rels)
+    return Subquotient(d_in.target, cycles, d_in.rows)
 
 
 def homology(d_in: AbHom, d_out: AbHom) -> FgAbGroup:

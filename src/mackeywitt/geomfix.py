@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fgab import AbHom, FgAbGroup, identity_matrix
+from .fgab import AbHom, FgAbGroup, Sparse, nonzeros
 from .green import BoxPresentation
 from .hochschild import MackeyHomology, SimplicialMackey, moore_complex, twisted_cyclic_nerve
 from .mackey import (
@@ -22,6 +22,7 @@ from .mackey import (
     MackeyHom,
     Report,
     prime_edges,
+    sparse_product,
 )
 from .norm import norm_trivial_ring, truncation_rows
 from .wittcore import (
@@ -50,11 +51,10 @@ def tilde_ef(obj, m: int):
         if d % m:
             level[d] = zero
             continue
-        rows = []
+        rows = obj.level[d].rels
         for e in _maximal_non_multiples(d, m):
-            rows.extend(obj.tr_full(e, d).matrix)
-        old = obj.level[d]
-        level[d] = FgAbGroup(old.num_generators, tuple(old.relations) + tuple(rows))
+            rows += obj.tr_full(e, d).rows
+        level[d] = FgAbGroup(obj.level[d].num_generators, Sparse(rows, obj.level[d].num_generators))
 
     def descend(hom: AbHom, src_d: int, dst_d: int) -> AbHom:
         src, dst = level[src_d], level[dst_d]
@@ -62,7 +62,7 @@ def tilde_ef(obj, m: int):
             return AbHom(src, dst, [], check=False)
         if dst.num_generators == 0:
             return AbHom(src, dst, [() for _ in range(src.num_generators)], check=False)
-        return AbHom(src, dst, hom.matrix)
+        return AbHom(src, dst, hom.rows)
 
     res = {}
     tr = {}
@@ -103,7 +103,7 @@ def phi_box_comparison(m_fun, n_fun, m: int) -> MackeyHom:
 
     pres = box(m_fun, n_fun, green=False)
     target = box(phi(m_fun, m), phi(n_fun, m), green=False)
-    eye = [{e: identity_matrix(f.level[e].num_generators) for e in f.ctx.divisors} for f in pres.factors]
+    eye = [{e: AbHom.identity(f.level[e]).rows for e in f.ctx.divisors} for f in pres.factors]
     return _psi_degree(pres, m, lambda s, e: eye[s][e], target)
 
 
@@ -120,8 +120,8 @@ def _psi_degree(
 ) -> MackeyHom:
     """Ψ on one nerve degree: map each tag slot and retag over C_{n/m}.
 
-    slot_rows(s, e) gives the generator-level matrix from factor s of the
-    source at level e to factor s of the target at level e/m; it is called
+    slot_rows(s, e) gives the generator-level matrix (Sparse) from factor s
+    of the source at level e to factor s of the target at level e/m; it is called
     once per slot of every tag, so callers keep the matrices.  Tags at levels
     without C_m go to zero.  With natural=False naturality is left to the
     caller.
@@ -133,10 +133,10 @@ def _psi_degree(
         rows = []
         for (e, tup) in pres.tags[m * d]:
             if e % m:
-                rows.append((0,) * len(target_pres.tags[d]))
+                rows.append(())
                 continue
             rows.append(target_pres.expand(d, e // m, [slot_rows(s, e)[i] for s, i in enumerate(tup)]))
-        maps[d] = AbHom(source.level[d], target.level[d], rows)
+        maps[d] = AbHom(source.level[d], target.level[d], Sparse(rows, len(target_pres.tags[d])))
     return MackeyHom(source, target, maps, check=natural)
 
 
@@ -221,18 +221,16 @@ def edgewise_comparison_norm(ring: BaseRing, n: int, j: int, max_degree: int) ->
     nerve_big = twisted_cyclic_nerve(big, max_degree)
     restricted = nerve_big.reindexed([restrict(x, j) for x in nerve_big.degrees], lambda d: d)
 
-    eye = {e: identity_matrix(small.level[e].num_generators) for e in small.ctx.divisors}
     thetas = []
     for deg in range(max_degree + 1):
         dst_pres = nerve_big.presentations[deg]
 
         def row(d, e, tup):
-            gens = eye[e]
             slot_rows = []
             for t in range(deg + 1):
-                acc = gens[tup[r * t]]
+                acc = ((tup[r * t], 1),)
                 for s in range(1, r):
-                    acc = big.multiply(e, acc, gens[tup[r * t + s]])
+                    acc = nonzeros(sparse_product(big.mult[e], acc, ((tup[r * t + s], 1),)))
                 slot_rows.append(acc)
             return dst_pres.expand(d, e, slot_rows)
 
@@ -317,7 +315,7 @@ def tr_tower(ring: BaseRing, p: int, stages: int, degree: int) -> TowerReport:
         psi = _psi_degree(nerve_big.presentations[degree], p, slot_rows, nerve_small.presentations[degree])
         # top-level chain map: project to the transfer quotient, then Ψ
         top = nerve_big.degrees[degree].level[n]
-        quot = AbHom(top, psi.source.level[n // p], identity_matrix(top.num_generators), check=False)
+        quot = AbHom(top, psi.source.level[n // p], AbHom.identity(top).rows, check=False)
         induced = h_big.subquotients[n].induced(
             quot.compose(psi.maps[n // p]), h_small.subquotients[n // p]
         )

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from .fgab import _SNF, AbHom, FgAbGroup, _IntRows, identity_matrix, in_rowspan
+from .fgab import _SNF, AbHom, FgAbGroup, Sparse, dense_row, in_rowspan, nonzeros, row_mul, sparse_row
 from .mackey import (
     GreenFunctor,
     GroupContext,
@@ -30,7 +30,9 @@ from .mackey import (
     divisors,
     prime_edges,
     prime_factors,
+    sparse_product,
 )
+from .wittcore import BOX_TAG_BUDGET, EnumerationBudgetError
 
 
 class BoxPresentation:
@@ -47,33 +49,36 @@ class BoxPresentation:
         self.tag_pos = tag_pos    # d -> {tag: position}
         self._twisted: dict[tuple, tuple] = {}
 
-    def expand(self, d: int, e: int, slot_rows) -> tuple[int, ...]:
-        """Multilinear expansion of per-slot element rows into tag coordinates."""
-        out = [0] * len(self.tags[d])
-        _expand_into(out, self.tag_pos[d], e, slot_rows)
-        return tuple(out)
+    def expand(self, d: int, e: int, slot_rows):
+        """Multilinear expansion of per-slot sparse rows into a sparse row of tags."""
+        acc: dict[int, int] = {}
+        _expand_into(acc, self.tag_pos[d], e, slot_rows)
+        return sparse_row(acc)
 
     def hom(self, target: MackeyFunctor, row, natural: bool = True) -> MackeyHom:
         """The map to ``target`` sending tag (e, tup) of level d to row(d, e, tup).
 
-        row returns an int tuple in the coordinates of target.level[d].  Every
-        level is certified well defined against the box relations; with
-        natural=False naturality is left to the caller.
+        row returns a sparse row in the coordinates of target.level[d] (a
+        dense int tuple is read by its nonzeros).  Every level is certified
+        well defined against the box relations; with natural=False
+        naturality is left to the caller.
         """
         src = self.mackey
         maps = {}
         for d in src.ctx.divisors:
-            rows = _IntRows(row(d, e, tup) for (e, tup) in self.tags[d])
-            maps[d] = AbHom(src.level[d], target.level[d], rows)
+            tgt = target.level[d]
+            rows = (row(d, e, tup) for (e, tup) in self.tags[d])
+            rows = Sparse((r if not r or type(r[0]) is tuple else nonzeros(r) for r in rows), tgt.num_generators)
+            maps[d] = AbHom(src.level[d], tgt, rows)
         return MackeyHom(src, target, maps, check=natural)
 
-    def twisted_res(self, s: int, e: int, g: int, k: int):
+    def twisted_res(self, s: int, e: int, g: int, k: int) -> Sparse:
         """Matrix of res_{e→g} followed by weyl^k on factor s, built once per key."""
         m = self.factors[s]
         key = (s, e, g, k % (m.ctx.n // g))
         rows = self._twisted.get(key)
         if rows is None:
-            rows = self._twisted[key] = m.res_full(e, g).compose(m.weyl_power(g, k)).matrix
+            rows = self._twisted[key] = m.res_full(e, g).compose(m.weyl_power(g, k)).rows
         return rows
 
     def tag_product(self, d: int, a: int, b: int) -> tuple[int, ...]:
@@ -81,25 +86,23 @@ class BoxPresentation:
         (e, tup), (f, tup2) = self.tags[d][a], self.tags[d][b]
         g0 = gcd(e, f)
         step = self.factors[0].ctx.n // d
-        out = [0] * len(self.tags[d])
+        acc: dict[int, int] = {}
         for j in range(d // lcm(e, f)):
             slot_rows = []
             for s, (fct, x, y) in enumerate(zip(self.factors, tup, tup2)):
-                x_row = fct.res_full(e, g0).matrix[x]
+                x_row = fct.res_full(e, g0).rows[x]
                 y_row = self.twisted_res(s, f, g0, j * step)[y]
-                slot_rows.append(fct.multiply(g0, x_row, y_row))
-            _expand_into(out, self.tag_pos[d], g0, slot_rows)
-        return tuple(out)
+                slot_rows.append(nonzeros(sparse_product(fct.mult[g0], x_row, y_row)))
+            _expand_into(acc, self.tag_pos[d], g0, slot_rows)
+        return dense_row(acc.items(), len(self.tags[d]))
 
 
-def _expand_into(out: list, pos, e: int, slot_rows, sign: int = 1) -> None:
-    """Add sign × the multilinear expansion of slot_rows (tags at e) to out."""
-    indices = [[i for i, c in enumerate(row) if c] for row in slot_rows]
-    for combo in product(*indices):
-        coeff = sign
-        for row, i in zip(slot_rows, combo):
-            coeff *= row[i]
-        out[pos[(e, combo)]] += coeff
+def _expand_into(acc: dict, pos, e: int, slot_rows, sign: int = 1) -> None:
+    """Add sign × the multilinear expansion of the sparse slot_rows (tags at e) to acc."""
+    for combo in product(*slot_rows):
+        idx, coeffs = zip(*combo)
+        key = pos[(e, idx)]
+        acc[key] = acc.get(key, 0) + sign * prod(coeffs)
 
 
 class _ProductRow:
@@ -166,6 +169,12 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
         raise ValueError("green structure requires Green factors")
     n = ctx.n
     k = len(factors)
+    for d in ctx.divisors:
+        count = sum(prod(f.level[e].num_generators for f in factors) for e in divisors(d))
+        if count > BOX_TAG_BUDGET:
+            raise EnumerationBudgetError(
+                f"box level {d} of {k} factors needs {count} tags, over the box tag budget of {BOX_TAG_BUDGET}"
+            )
 
     tags = {}
     tag_pos = {}
@@ -189,85 +198,68 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
             gen_counts = [f.level[e].num_generators for f in factors]
             # multilinearity: relations of each factor in each slot
             for s, f in enumerate(factors):
-                for r in f.level[e].relations:
-                    others = [range(c) for t, c in enumerate(gen_counts) if t != s]
+                others = [range(c) for t, c in enumerate(gen_counts) if t != s]
+                for r in f.level[e].rels:
                     for rest in product(*others):
-                        row = [0] * ntags
-                        for i, c in enumerate(r):
-                            if c:
-                                tup = rest[:s] + (i,) + rest[s:]
-                                row[pos[(e, tup)]] += c
-                        rels.append(tuple(row))
+                        rels.append(tuple(sorted((pos[(e, rest[:s] + (i,) + rest[s:])], c) for i, c in r)))
             # Weyl-diagonal identification for the generator of C_d/C_e
             if e != d:
-                tw = [f.weyl_power(e, n // d).matrix for f in factors]
+                tw = [f.weyl_power(e, n // d).rows for f in factors]
                 for tup in product(*[range(c) for c in gen_counts]):
-                    row = [0] * ntags
-                    _expand_into(row, pos, e, [tw[s][tup[s]] for s in range(k)])
-                    row[pos[(e, tup)]] -= 1
-                    rels.append(tuple(row))
+                    acc = {pos[(e, tup)]: -1}
+                    _expand_into(acc, pos, e, [tw[s][i] for s, i in enumerate(tup)])
+                    rels.append(sparse_row(acc))
         # Frobenius: transfer one slot up == restrict the other slots down
         for e in divisors(d):
             for p in prime_factors(d // e):
                 f_lv = e * p
-                res_rows = [f.res[(e, f_lv)].matrix for f in factors]
-                tr_rows = [f.tr[(e, f_lv)].matrix for f in factors]
-                eye_e = [identity_matrix(f.level[e].num_generators) for f in factors]
-                eye_f = [identity_matrix(f.level[f_lv].num_generators) for f in factors]
+                res_rows = [f.res[(e, f_lv)].rows for f in factors]
+                tr_rows = [f.tr[(e, f_lv)].rows for f in factors]
                 for s in range(k):
-                    others = [range(len(eye_f[t])) for t in range(k) if t != s]
-                    for x in range(len(eye_e[s])):
-                        for rest in product(*others):
-                            up_slots = []
-                            down_slots = []
-                            ri = 0
-                            for t in range(k):
-                                if t == s:
-                                    up_slots.append(tr_rows[s][x])
-                                    down_slots.append(eye_e[s][x])
-                                else:
-                                    j = rest[ri]
-                                    ri += 1
-                                    up_slots.append(eye_f[t][j])
-                                    down_slots.append(res_rows[t][j])
-                            row = [0] * ntags
-                            _expand_into(row, pos, f_lv, up_slots)
-                            _expand_into(row, pos, e, down_slots, -1)
-                            rels.append(tuple(row))
-        level[d] = FgAbGroup(ntags, _IntRows(rels))
+                    others = [t for t in range(k) if t != s]
+                    for x in range(factors[s].level[e].num_generators):
+                        for rest in product(*(range(factors[t].level[f_lv].num_generators) for t in others)):
+                            up = [((j, 1),) for j in rest]
+                            up.insert(s, tr_rows[s][x])
+                            down = [res_rows[t][j] for t, j in zip(others, rest)]
+                            down.insert(s, ((x, 1),))
+                            acc = {}
+                            _expand_into(acc, pos, f_lv, up)
+                            _expand_into(acc, pos, e, down, -1)
+                            rels.append(sparse_row(acc))
+        level[d] = FgAbGroup(ntags, Sparse(rels, ntags))
 
     # structure maps
     res = {}
     tr = {}
     for (dlo, dhi) in prime_edges(ctx):
-        rows = []
-        for (e, tup) in tags[dlo]:
-            rows.append(tuple(
-                1 if t == (e, tup) else 0 for t in tags[dhi]
-            ))
-        tr[(dlo, dhi)] = AbHom(level[dlo], level[dhi], _IntRows(rows), check=False)
+        rows = Sparse((((tag_pos[dhi][t], 1),) for t in tags[dlo]), len(tags[dhi]))
+        tr[(dlo, dhi)] = AbHom(level[dlo], level[dhi], rows, check=False)
 
         rows = []
         for (e, tup) in tags[dhi]:
             g0 = gcd(dlo, e)
-            acc = [0] * len(tags[dlo])
+            acc = {}
             for j in range(dhi // lcm(e, dlo)):
                 slot_rows = [pres.twisted_res(s, e, g0, j * (n // dhi))[i] for s, i in enumerate(tup)]
                 _expand_into(acc, tag_pos[dlo], g0, slot_rows)
-            rows.append(tuple(acc))
-        res[(dlo, dhi)] = AbHom(level[dhi], level[dlo], _IntRows(rows))
+            rows.append(sparse_row(acc))
+        res[(dlo, dhi)] = AbHom(level[dhi], level[dlo], Sparse(rows, len(tags[dlo])))
 
     weyl = {}
     for d in ctx.divisors:
         rows = []
         for (e, tup) in tags[d]:
-            slot_rows = [f.weyl[e].matrix[i] for f, i in zip(factors, tup)]
+            slot_rows = [f.weyl[e].rows[i] for f, i in zip(factors, tup)]
             rows.append(pres.expand(d, e, slot_rows))
-        weyl[d] = AbHom(level[d], level[d], _IntRows(rows))
+        weyl[d] = AbHom(level[d], level[d], Sparse(rows, len(tags[d])))
 
     if green:
         mult = {d: _ProductTable(len(tags[d]), partial(pres.tag_product, d)) for d in ctx.divisors}
-        unit = {d: pres.expand(d, d, [fct.unit[d] for fct in factors]) for d in ctx.divisors}
+        unit = {
+            d: dense_row(pres.expand(d, d, [nonzeros(fct.unit[d]) for fct in factors]), len(tags[d]))
+            for d in ctx.divisors
+        }
         pres.mackey = GreenFunctor(ctx, level, res, tr, weyl, mult, unit, name=name or "box")
     else:
         pres.mackey = MackeyFunctor(ctx, level, res, tr, weyl, name=name or "box")
@@ -289,12 +281,7 @@ def box_power(r, k: int, green: bool | None = None) -> BoxPresentation:
 def box_swap_hom(pres: BoxPresentation, swapped: BoxPresentation) -> MackeyHom:
     """The tag-swap morphism box(M, N) → box(N, M)."""
 
-    def row(d, e, tup):
-        out = [0] * len(swapped.tags[d])
-        out[swapped.tag_pos[d][(e, tup[::-1])]] = 1
-        return tuple(out)
-
-    return pres.hom(swapped.mackey, row)
+    return pres.hom(swapped.mackey, lambda d, e, tup: ((swapped.tag_pos[d][(e, tup[::-1])], 1),))
 
 
 def full_transfer_identification(pres: BoxPresentation) -> MackeyHom:
@@ -306,7 +293,7 @@ def full_transfer_identification(pres: BoxPresentation) -> MackeyHom:
     if len(pres.factors) != 1:
         raise ValueError("expects a 1-fold box power")
     target = pres.factors[0]
-    return pres.hom(target, lambda d, e, tup: target.tr_full(e, d).matrix[tup[0]])
+    return pres.hom(target, lambda d, e, tup: target.tr_full(e, d).rows[tup[0]])
 
 
 def box_hom(src: BoxPresentation, dst: BoxPresentation, homs) -> MackeyHom:
@@ -318,7 +305,7 @@ def box_hom(src: BoxPresentation, dst: BoxPresentation, homs) -> MackeyHom:
     if len(homs) != len(src.factors) or len(homs) != len(dst.factors):
         raise ValueError("one hom per factor required")
     return src.hom(
-        dst.mackey, lambda d, e, tup: dst.expand(d, e, [h.maps[e].matrix[i] for h, i in zip(homs, tup)])
+        dst.mackey, lambda d, e, tup: dst.expand(d, e, [h.maps[e].rows[i] for h, i in zip(homs, tup)])
     )
 
 
@@ -335,7 +322,7 @@ def unit_iso(pres: BoxPresentation) -> MackeyHom:
     def row(d, e, tup):
         a_idx, m_idx = tup
         c = divisors(e)[a_idx]
-        return m.tr_full(c, d).apply(m.res_full(e, c).matrix[m_idx])
+        return row_mul(m.res_full(e, c).rows[m_idx], m.tr_full(c, d).rows)
 
     return pres.hom(m, row)
 
@@ -360,15 +347,16 @@ def representable_rule_iso(ctx: GroupContext, t1, t2):
         i, sp1 = r1.span_basis[e][tup[0]]
         j, sp2 = r2.span_basis[e][tup[1]]
         prod = spans.span_product(ctx.n, t1, t2, e, (i,) + sp1, (j,) + sp2)
-        out = [0] * rp.level[d].num_generators
+        acc: dict[int, int] = {}
         for (orbkey, c, y), mlt in prod.items():
             orb = index[orbkey]
             comp = spans.compose_spans(
                 ctx.n, stabs[orb], e, d, (c, y), spans.transfer_span(ctx.n, e, d)
             )
             for sp, m2 in comp.items():
-                out[rp.span_pos[d][(orb, sp)]] += mlt * m2
-        return tuple(out)
+                key = rp.span_pos[d][(orb, sp)]
+                acc[key] = acc.get(key, 0) + mlt * m2
+        return sparse_row(acc)
 
     return pres.hom(rp, row), rp
 
@@ -386,19 +374,18 @@ def quotient_by_subgroups(g: GreenFunctor, rows_per_level) -> tuple[GreenFunctor
     ctx = g.ctx
     level = {}
     for d in ctx.divisors:
-        old = g.level[d]
-        level[d] = FgAbGroup(old.num_generators, tuple(old.relations) + tuple(rows_per_level.get(d, ())))
+        k = g.level[d].num_generators
+        level[d] = FgAbGroup(k, Sparse(g.level[d].rels + Sparse.of(rows_per_level.get(d, ()), k), k))
     res = {}
     tr = {}
     for (dlo, dhi) in prime_edges(ctx):
-        res[(dlo, dhi)] = AbHom(level[dhi], level[dlo], g.res[(dlo, dhi)].matrix)
-        tr[(dlo, dhi)] = AbHom(level[dlo], level[dhi], g.tr[(dlo, dhi)].matrix)
-    weyl = {d: AbHom(level[d], level[d], g.weyl[d].matrix) for d in ctx.divisors}
+        res[(dlo, dhi)] = AbHom(level[dhi], level[dlo], g.res[(dlo, dhi)].rows)
+        tr[(dlo, dhi)] = AbHom(level[dlo], level[dhi], g.tr[(dlo, dhi)].rows)
+    weyl = {d: AbHom(level[d], level[d], g.weyl[d].rows) for d in ctx.divisors}
     out = GreenFunctor(ctx, level, res, tr, weyl, g.mult, g.unit, name=f"{g.name}/ideal")
     proj = MackeyHom(
         g, out,
-        {d: AbHom(g.level[d], level[d], identity_matrix(g.level[d].num_generators), check=False)
-         for d in ctx.divisors},
+        {d: AbHom(g.level[d], level[d], AbHom.identity(g.level[d]).rows, check=False) for d in ctx.divisors},
         check=False,
     )
     return out, proj
@@ -414,31 +401,31 @@ def quotient_by_green_ideal(g: GreenFunctor, gens) -> GreenFunctor:
     ctx = g.ctx
     n = ctx.n
     rows: dict[int, list] = {d: [] for d in ctx.divisors}
-    hnf: dict[int, tuple] = {d: g.level[d].subgroup_hnf(()) for d in ctx.divisors}
+    hnf = {d: g.level[d].subgroup_hnf(()) for d in ctx.divisors}
     hnf_snf = {d: _SNF(h) for d, h in hnf.items()}
     queue = []
 
-    def push(d, row):
-        row = tuple(row)
+    def push(d, row):  # row is sparse
         if in_rowspan(hnf[d], row, hnf_snf[d]):
             return
         rows[d].append(row)
-        hnf[d] = g.level[d].subgroup_hnf(tuple(rows[d]))
+        hnf[d] = g.level[d].subgroup_hnf(Sparse(rows[d], g.level[d].num_generators))
         hnf_snf[d] = _SNF(hnf[d])
         queue.append((d, row))
 
     for d, row in gens:
-        push(d, tuple(row))
+        push(d, nonzeros(row))
 
     while queue:
         d, row = queue.pop()
-        for gen in identity_matrix(g.level[d].num_generators):
-            push(d, g.multiply(d, row, gen))
-        push(d, g.weyl[d].apply(row))
+        for i in range(g.level[d].num_generators):
+            push(d, nonzeros(sparse_product(g.mult[d], row, ((i, 1),))))
+        push(d, row_mul(row, g.weyl[d].rows))
         for p in prime_factors(d):
-            push(d // p, g.res[(d // p, d)].apply(row))
+            push(d // p, row_mul(row, g.res[(d // p, d)].rows))
         for p in prime_factors(n // d):
             if n % (d * p) == 0:
-                push(d * p, g.tr[(d, d * p)].apply(row))
+                push(d * p, row_mul(row, g.tr[(d, d * p)].rows))
 
-    return quotient_by_subgroups(g, {d: tuple(rows[d]) for d in ctx.divisors})[0]
+    levels = {d: Sparse(rows[d], g.level[d].num_generators) for d in ctx.divisors}
+    return quotient_by_subgroups(g, levels)[0]

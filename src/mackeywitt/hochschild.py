@@ -9,14 +9,14 @@ normalized one.
 
 from __future__ import annotations
 
-from .fgab import AbHom, FgAbGroup, homology_subquotient, identity_matrix
+from .fgab import AbHom, FgAbGroup, dense_row, homology_subquotient, nonzeros
 from .green import (
     box_power,
     full_transfer_identification,
     quotient_by_green_ideal,
     quotient_by_subgroups,
 )
-from .mackey import GreenFunctor, MackeyFunctor, MackeyHom, prime_edges
+from .mackey import GreenFunctor, MackeyFunctor, MackeyHom, prime_edges, sparse_product
 
 
 class TruncationTooShortError(ValueError):
@@ -135,27 +135,27 @@ def twisted_cyclic_nerve(r, k_max: int, green: bool = False) -> SimplicialMackey
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     pres = [box_power(r, j + 1, green=green) for j in range(k_max + 1)]
-    eye = {e: identity_matrix(r.level[e].num_generators) for e in r.ctx.divisors}
+
+    def gens(tup):
+        return [((t, 1),) for t in tup]
 
     def face(i: int, j: int) -> MackeyHom:
         """d_i from the (j+1)-slot box power to the j-slot one."""
 
         def row(d, e, tup):
-            gens = eye[e]
             if i < j:
-                prod = r.mult[e][tup[i]][tup[i + 1]]
-                slot_rows = [gens[t] for t in tup[:i]] + [prod] + [gens[t] for t in tup[i + 2:]]
+                prod = nonzeros(r.mult[e][tup[i]][tup[i + 1]])
+                slot_rows = gens(tup[:i]) + [prod] + gens(tup[i + 2:])
             else:
-                twisted = r.weyl[e].matrix[tup[j]]
-                slot_rows = [r.multiply(e, twisted, gens[tup[0]])] + [gens[t] for t in tup[1:j]]
+                twisted = r.weyl[e].rows[tup[j]]
+                slot_rows = [nonzeros(sparse_product(r.mult[e], twisted, ((tup[0], 1),)))] + gens(tup[1:j])
             return pres[j - 1].expand(d, e, slot_rows)
 
         return pres[j].hom(pres[j - 1].mackey, row)
 
     def degeneracy(i: int, j: int) -> MackeyHom:
         def row(d, e, tup):
-            gens = eye[e]
-            slot_rows = [gens[t] for t in tup[: i + 1]] + [r.unit[e]] + [gens[t] for t in tup[i + 1:]]
+            slot_rows = gens(tup[: i + 1]) + [nonzeros(r.unit[e])] + gens(tup[i + 1:])
             return pres[j + 1].expand(d, e, slot_rows)
 
         return pres[j].hom(pres[j + 1].mackey, row)
@@ -231,7 +231,7 @@ def hh0_oracle(r) -> GreenFunctor:
     for d in r.ctx.divisors:
         w = r.weyl[d]
         for i in range(r.level[d].num_generators):
-            row = list(w.matrix[i])
+            row = list(dense_row(w.rows[i], r.level[d].num_generators))
             row[i] -= 1
             gens.append((d, tuple(row)))
     return quotient_by_green_ideal(r, gens)
@@ -250,7 +250,7 @@ def hh0_green(r, nerve: SimplicialMackey | None = None):
         raise AssertionError("R^{□1} → R identification must be an isomorphism")
     cx = moore_complex(nerve, check=False)
     boundary = cx.boundaries[1].compose(iota)
-    rows = {d: boundary.maps[d].matrix for d in r.ctx.divisors}
+    rows = {d: boundary.maps[d].rows for d in r.ctx.divisors}
     quotient, _ = quotient_by_subgroups(r, rows)
     return quotient, rows
 

@@ -11,6 +11,7 @@ redundant storage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import compress
 from math import gcd
 
@@ -19,10 +20,14 @@ from .fgab import (
     AbHom,
     FgAbGroup,
     NotWellDefinedError,
+    Sparse,
     Subquotient,
     free_group,
     identity_matrix,
+    nonzeros,
     preimage_basis,
+    row_mul,
+    sparse_row,
 )
 from .wittcore import divisors, is_prime, prime_factors
 
@@ -108,36 +113,33 @@ class MackeyFunctor:
             if w.source != self.level[d] or w.target != self.level[d]:
                 raise ValueError(f"weyl[{d}] has wrong endpoints")
 
+    def _res_chain(self, chain) -> AbHom:
+        """Restriction down the prime chain, read from its top."""
+        return _composite(self.level[chain[-1]], [self.res[step] for step in zip(chain[-2::-1], chain[::-1])])
+
+    def _tr_chain(self, chain) -> AbHom:
+        """Transfer up the prime chain, read from its bottom."""
+        return _composite(self.level[chain[0]], [self.tr[step] for step in zip(chain, chain[1:])])
+
     def res_full(self, e: int, d: int) -> AbHom:
         """Restriction level(e) → level(d) for d | e (any composite)."""
         key = (e, d)
         if key not in self._res_cache:
-            chain = self.ctx.prime_chain(d, e)
-            h = AbHom.identity(self.level[e])
-            for lo, hi in zip(chain[-2::-1], chain[::-1]):
-                h = h.compose(self.res[(lo, hi)])
-            self._res_cache[key] = h
+            self._res_cache[key] = self._res_chain(self.ctx.prime_chain(d, e))
         return self._res_cache[key]
 
     def tr_full(self, d: int, e: int) -> AbHom:
         """Transfer level(d) → level(e) for d | e (any composite)."""
         key = (d, e)
         if key not in self._tr_cache:
-            chain = self.ctx.prime_chain(d, e)
-            h = AbHom.identity(self.level[d])
-            for lo, hi in zip(chain, chain[1:]):
-                h = h.compose(self.tr[(lo, hi)])
-            self._tr_cache[key] = h
+            self._tr_cache[key] = self._tr_chain(self.ctx.prime_chain(d, e))
         return self._tr_cache[key]
 
     def weyl_power(self, d: int, k: int) -> AbHom:
         """The generator's action on level d raised to the k-th power."""
         key = (d, k % (self.ctx.n // d))
         if key not in self._weyl_cache:
-            h = AbHom.identity(self.level[d])
-            for _ in range(key[1]):
-                h = h.compose(self.weyl[d])
-            self._weyl_cache[key] = h
+            self._weyl_cache[key] = _composite(self.level[d], [self.weyl[d]] * key[1])
         return self._weyl_cache[key]
 
     def to_json(self) -> dict:
@@ -155,6 +157,11 @@ class MackeyFunctor:
                     tr[f"{d}->{e}"] = [list(r) for r in self.tr[(d, e)].matrix]
         weyl = {str(d): [list(r) for r in self.weyl[d].matrix] for d in self.ctx.divisors}
         return {"n": n, "levels": levels, "res": res, "tr": tr, "weyl": weyl}
+
+
+def _composite(level: FgAbGroup, homs) -> AbHom:
+    """homs composed in order, starting from the first; the identity of level if none."""
+    return reduce(AbHom.compose, homs) if homs else AbHom.identity(level)
 
 
 def prime_edges(ctx: GroupContext):
@@ -230,14 +237,20 @@ class MackeyHom:
 
 
 def bilinear(table, x, y) -> tuple[int, ...]:
-    """Σ x_i y_j table[i][j] over the nonzero x_i, y_j and row entries.
+    """Σ x_i y_j table[i][j] for dense rows x, y, as a dense row."""
+    return sparse_product(table, nonzeros(x), nonzeros(y))
+
+
+def sparse_product(table, x, y) -> tuple[int, ...]:
+    """Σ x_i y_j table[i][j] for sparse rows x, y, as a dense row.
 
     ``table[i][j]`` is the product of generators i and j as a row of
     ``len(table)`` entries; only the cells at nonzero (x_i, y_j) are read.
     """
     acc = [0] * len(table)
-    for xi, ti in compress(zip(x, table), x):
-        for j, yj in compress(enumerate(y), y):
+    for i, xi in x:
+        ti = table[i]
+        for j, yj in y:
             c = xi * yj
             row = ti[j]
             for t, v in compress(enumerate(row), row):
@@ -291,19 +304,10 @@ def burnside(ctx: GroupContext) -> GreenFunctor:
     res = {}
     tr = {}
     for (d, e) in prime_edges(ctx):
-        rows_res = []
-        for c in divisors(e):
-            row = [0] * len(divisors(d))
-            g = gcd(c, d)
-            row[index[d][g]] = e * g // (c * d)
-            rows_res.append(tuple(row))
-        res[(d, e)] = AbHom(level[e], level[d], rows_res, check=False)
-        rows_tr = []
-        for c in divisors(d):
-            row = [0] * len(divisors(e))
-            row[index[e][c]] = 1
-            rows_tr.append(tuple(row))
-        tr[(d, e)] = AbHom(level[d], level[e], rows_tr, check=False)
+        rows = (((index[d][gcd(c, d)], e * gcd(c, d) // (c * d)),) for c in divisors(e))
+        res[(d, e)] = AbHom(level[e], level[d], Sparse(rows, len(divisors(d))), check=False)
+        rows = (((index[e][c], 1),) for c in divisors(d))
+        tr[(d, e)] = AbHom(level[d], level[e], Sparse(rows, len(divisors(e))), check=False)
     weyl = {d: AbHom.identity(level[d]) for d in ctx.divisors}
     mult = {}
     unit = {}
@@ -361,12 +365,9 @@ def span_structure(ctx: GroupContext, T: tuple[int, ...]):
     def postcompose(d_from: int, d_to: int, sp2) -> AbHom:
         rows = []
         for (i, sp1) in basis[d_from]:
-            row = [0] * len(basis[d_to])
             comp = spans.compose_spans(n, T[i], d_from, d_to, sp1, sp2)
-            for sp, mlt in comp.items():
-                row[pos[d_to][(i, sp)]] += mlt
-            rows.append(tuple(row))
-        return AbHom(level[d_from], level[d_to], rows, check=False)
+            rows.append(sparse_row({pos[d_to][(i, sp)]: mlt for sp, mlt in comp.items()}))
+        return AbHom(level[d_from], level[d_to], Sparse(rows, len(basis[d_to])), check=False)
 
     res = {}
     tr = {}
@@ -400,33 +401,33 @@ def fixed_point_mackey(ctx: GroupContext, group: FgAbGroup, action, ring: RingDa
     sq = {}
     for d in ctx.divisors:
         diff = act.power(n // d).sub(AbHom.identity(group))
-        sq[d] = Subquotient(group, preimage_basis(diff.matrix, group.relations), ())
+        sq[d] = Subquotient(group, preimage_basis(diff.rows, group.rels), ())
     level = {d: sq[d].group for d in ctx.divisors}
+
+    def projected(src: int, dst: int, ambient: AbHom) -> AbHom:
+        """The ambient map from the fixed lattice of src, projected into that of dst."""
+        rows = [sq[dst].coords(row_mul(row, ambient.rows)) for row in sq[src].lattice]
+        return AbHom(level[src], level[dst], Sparse(rows, level[dst].num_generators), check=False)
 
     res = {}
     tr = {}
     for (d, e) in prime_edges(ctx):
-        rows = [sq[d].project(row) for row in sq[e].cycle_basis]
-        res[(d, e)] = AbHom(level[e], level[d], rows, check=False)
+        res[(d, e)] = projected(e, d, AbHom.identity(group))
         p = e // d
         tr_ambient = AbHom.zero(group, group)
         for i in range(p):
             tr_ambient = tr_ambient.add(act.power((n // e) * i))
-        rows = [sq[e].project(tr_ambient.apply(row)) for row in sq[d].cycle_basis]
-        tr[(d, e)] = AbHom(level[d], level[e], rows, check=False)
-    weyl = {}
-    for d in ctx.divisors:
-        rows = [sq[d].project(act.apply(row)) for row in sq[d].cycle_basis]
-        weyl[d] = AbHom(level[d], level[d], rows, check=False)
+        tr[(d, e)] = projected(d, e, tr_ambient)
+    weyl = {d: projected(d, d, act) for d in ctx.divisors}
     if ring is None:
         return MackeyFunctor(ctx, level, res, tr, weyl, name="fixed-point")
 
     mult = {}
     unit = {}
     for d in ctx.divisors:
-        basis = sq[d].cycle_basis
+        basis = sq[d].lattice
         mult[d] = tuple(
-            tuple(sq[d].project(bilinear(ring.mult, xi, xj)) for xj in basis) for xi in basis
+            tuple(sq[d].project(sparse_product(ring.mult, xi, xj)) for xj in basis) for xi in basis
         )
         unit[d] = sq[d].project(ring.unit)
     return GreenFunctor(ctx, level, res, tr, weyl, mult, unit, name="fixed-point")
@@ -514,12 +515,8 @@ def check_axioms(m) -> Report:
                 ref_res = None
                 ref_tr = None
                 for chain in chains:
-                    h = AbHom.identity(m.level[e])
-                    for lo, hi in zip(chain[-2::-1], chain[::-1]):
-                        h = h.compose(m.res[(lo, hi)])
-                    t = AbHom.identity(m.level[d])
-                    for lo, hi in zip(chain, chain[1:]):
-                        t = t.compose(m.tr[(lo, hi)])
+                    h = m._res_chain(chain)
+                    t = m._tr_chain(chain)
                     if ref_res is None:
                         ref_res, ref_tr = h, t
                     else:
@@ -546,10 +543,12 @@ def check_axioms(m) -> Report:
     if not isinstance(m, GreenFunctor):
         return rep
 
-    # Green: levelwise commutative unital associative rings
+    # Green: levelwise commutative unital associative rings; each basis
+    # product e_i·e_j is computed once per level
     eye = {d: identity_matrix(m.level[d].num_generators) for d in ctx.divisors}
+    prods = {d: [[m.multiply(d, x, y) for y in eye[d]] for x in eye[d]] for d in ctx.divisors}
     for d in ctx.divisors:
-        gens = eye[d]
+        gens, prod = eye[d], prods[d]
         lv = m.level[d]
         for i in range(len(gens)):
             rep.note(
@@ -558,64 +557,41 @@ def check_axioms(m) -> Report:
             )
             for j in range(len(gens)):
                 rep.note(
-                    lv.elements_equal(
-                        m.multiply(d, gens[i], gens[j]),
-                        m.multiply(d, gens[j], gens[i]),
-                    ),
+                    lv.elements_equal(prod[i][j], prod[j][i]),
                     f"commutativity fails at level {d} ({i},{j})",
                 )
                 for t in range(len(gens)):
                     rep.note(
                         lv.elements_equal(
-                            m.multiply(d, m.multiply(d, gens[i], gens[j]), gens[t]),
-                            m.multiply(d, gens[i], m.multiply(d, gens[j], gens[t])),
+                            m.multiply(d, prod[i][j], gens[t]),
+                            m.multiply(d, gens[i], prod[j][t]),
                         ),
                         f"associativity fails at level {d} ({i},{j},{t})",
                     )
     # res are ring maps; weyl are ring automorphisms
-    for (d, e) in prime_edges(ctx):
-        r = m.res[(d, e)]
-        lv = m.level[d]
-        gens = eye[e]
-        rep.note(
-            lv.elements_equal(r.apply(m.unit[e]), m.unit[d]),
-            f"res{(d, e)} does not preserve the unit",
-        )
-        for i in range(len(gens)):
-            for j in range(len(gens)):
+    maps = [(e, d, m.res[(d, e)], f"res{(d, e)}") for (d, e) in prime_edges(ctx)]
+    maps += [(d, d, m.weyl[d], f"weyl[{d}]") for d in ctx.divisors]
+    for src, dst, f, name in maps:
+        lv = m.level[dst]
+        rep.note(lv.elements_equal(f.apply(m.unit[src]), m.unit[dst]), f"{name} does not preserve the unit")
+        images = [f.apply(x) for x in eye[src]]
+        for i, fi in enumerate(images):
+            for j, fj in enumerate(images):
                 rep.note(
-                    lv.elements_equal(
-                        r.apply(m.multiply(e, gens[i], gens[j])),
-                        m.multiply(d, r.apply(gens[i]), r.apply(gens[j])),
-                    ),
-                    f"res{(d, e)} not multiplicative ({i},{j})",
-                )
-    for d in ctx.divisors:
-        w = m.weyl[d]
-        lv = m.level[d]
-        gens = eye[d]
-        rep.note(
-            lv.elements_equal(w.apply(m.unit[d]), m.unit[d]),
-            f"weyl[{d}] does not preserve the unit",
-        )
-        for i in range(len(gens)):
-            for j in range(len(gens)):
-                rep.note(
-                    lv.elements_equal(
-                        w.apply(m.multiply(d, gens[i], gens[j])),
-                        m.multiply(d, w.apply(gens[i]), w.apply(gens[j])),
-                    ),
-                    f"weyl[{d}] not multiplicative ({i},{j})",
+                    lv.elements_equal(f.apply(prods[src][i][j]), m.multiply(dst, fi, fj)),
+                    f"{name} not multiplicative ({i},{j})",
                 )
     # Frobenius reciprocity
     for (d, e) in prime_edges(ctx):
         r = m.res[(d, e)]
         t = m.tr[(d, e)]
         lv = m.level[e]
+        restricted = [r.apply(y) for y in eye[e]]
         for i, x in enumerate(eye[d]):
+            tx = t.apply(x)
             for j, y in enumerate(eye[e]):
-                lhs = t.apply(m.multiply(d, x, r.apply(y)))
-                rhs = m.multiply(e, t.apply(x), y)
+                lhs = t.apply(m.multiply(d, x, restricted[j]))
+                rhs = m.multiply(e, tx, y)
                 rep.note(
                     lv.elements_equal(lhs, rhs),
                     f"Frobenius reciprocity fails at {(d, e)} ({i},{j})",

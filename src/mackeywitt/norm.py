@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import wittcore
-from .fgab import _SNF, AbHom, FgAbGroup, identity_matrix, solve_left
+from .fgab import _SNF, AbHom, FgAbGroup, Sparse, dense_row, nonzeros, row_mul, solve_left
 from .mackey import GreenFunctor, GroupContext, Report, prime_edges
 from .wittcore import (
     BaseRing,
@@ -171,7 +171,7 @@ def external_norm_element(norm: NormGreenFunctor, r: int) -> tuple[int, ...]:
 
 
 def truncation_rows(src: NormGreenFunctor, e: int, dst: NormGreenFunctor, e2: int):
-    """Matrix of the Witt truncation W_⟨e⟩(R) → W_⟨e2⟩(R) on norm generators."""
+    """Matrix (Sparse) of the Witt truncation W_⟨e⟩(R) → W_⟨e2⟩(R) on norm generators."""
     lv_src = src.witt_levels[e]
     lv_dst = dst.witt_levels[e2]
     trunc = lv_dst.truncation
@@ -179,7 +179,7 @@ def truncation_rows(src: NormGreenFunctor, e: int, dst: NormGreenFunctor, e2: in
     for g in lv_src.gens:
         w = WittVector(trunc, src.base_ring, {u: g.components[u] for u in trunc.elements})
         rows.append(lv_dst.coords(w))
-    return tuple(rows)
+    return Sparse.of(rows, lv_dst.group.num_generators)
 
 
 def check_norm_restriction_identity(ring: BaseRing, n: int, j: int) -> Report:
@@ -208,7 +208,7 @@ def check_norm_restriction_identity(ring: BaseRing, n: int, j: int) -> Report:
         prod = one(lv.truncation, ring)
         for i in tup:
             prod = witt_mul(prod, lv.gens[i])
-        return restricted.tr_full(e, d).apply(big.witt_levels[e].coords(prod))
+        return row_mul(nonzeros(big.witt_levels[e].coords(prod)), restricted.tr_full(e, d).rows)
 
     theta = pres.hom(restricted, theta_row, natural=False)
     maps = theta.maps
@@ -219,11 +219,11 @@ def check_norm_restriction_identity(ring: BaseRing, n: int, j: int) -> Report:
     # multiplicativity on tag pairs
     ok_mult = True
     for d in ctxj.divisors:
-        eye = identity_matrix(src.level[d].num_generators)
-        for ea in eye:
-            for eb in eye:
-                lhs = maps[d].apply(src.multiply(d, ea, eb))
-                rhs = restricted.multiply(d, maps[d].apply(ea), maps[d].apply(eb))
+        images = [dense_row(r, restricted.level[d].num_generators) for r in maps[d].rows]
+        for a, ia in enumerate(images):
+            for b, ib in enumerate(images):
+                lhs = maps[d].apply(src.mult[d][a][b])
+                rhs = restricted.multiply(d, ia, ib)
                 if not restricted.level[d].elements_equal(lhs, rhs):
                     ok_mult = False
     report.note(ok_mult, "comparison map is multiplicative")
@@ -235,11 +235,9 @@ def check_norm_restriction_identity(ring: BaseRing, n: int, j: int) -> Report:
 
     # tensor induction: the original C_n generator acts on the box side by
     # rotating the factors and twisting the wrapped factor by C_j's generator
-    eye = {e: identity_matrix(small.level[e].num_generators) for e in ctxj.divisors}
-
     def rotation_row(d, e, tup):
-        w = small.weyl_power(e, 1).matrix  # trivial here, kept for clarity
-        return pres.expand(d, e, [w[tup[-1]]] + [eye[e][i] for i in tup[:-1]])
+        w = small.weyl_power(e, 1).rows  # trivial here, kept for clarity
+        return pres.expand(d, e, [w[tup[-1]]] + [((i, 1),) for i in tup[:-1]])
 
     rot = pres.hom(src, rotation_row, natural=False)
     ok_rot = all(rot.maps[d].compose(maps[d]) == maps[d].compose(big.weyl[d]) for d in ctxj.divisors)

@@ -42,10 +42,15 @@ class InexactWittDivision(ArithmeticError):
 # benchmark is W_⟨12⟩(ℤ/4) with 4^6 = 4096; `norm --ring F_2 --n 360` would
 # need 2^24.  Moduli above it are refused when a ring is parsed.
 ENUMERATION_BUDGET = 1 << 16
+# The most tags one level of a box product may have (Σ_{e|d} Π_f gens_f(e)),
+# checked before the level is built.  Every command in the tests, the README
+# and the benchmark stays at or below 2,316 (`hh --ring F_2 --n 4
+# --max-degree 5`); the degree-2 dual-numbers monoid over C_4 would need 22,048.
+BOX_TAG_BUDGET = 1 << 13
 
 
 class EnumerationBudgetError(ValueError):
-    """A finite enumeration over ENUMERATION_BUDGET, refused before it starts."""
+    """An enumeration or box level over its budget, refused before it starts."""
 
 
 def require_enumerable(modulus: int, length: int) -> None:

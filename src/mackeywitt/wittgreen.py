@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fgab import AbHom, FgAbGroup
+from .fgab import AbHom, FgAbGroup, Sparse
 from .hochschild import hh0_green
 from .mackey import GreenFunctor
 from .norm import NormGreenFunctor, external_norm_element, norm_trivial_ring
@@ -83,16 +83,12 @@ def ghost_map(w: GreenWittVectors, d: int):
     n = g.ctx.n
     if n % d:
         raise ValueError(f"{d} does not divide {n}")
-    lvl = g.level[d]
-    rows = []
+    k = g.level[d].num_generators
+    rows = g.level[d].rels
     for q in prime_factors(d):
-        rows.extend(g.tr_full(d // q, d).matrix)
-    quot = FgAbGroup(lvl.num_generators, tuple(lvl.relations) + tuple(rows))
-    hom = AbHom(
-        g.level[n],
-        quot,
-        g.res_full(n, d).matrix,
-    )
+        rows += g.tr_full(d // q, d).rows
+    quot = FgAbGroup(k, Sparse(rows, k))
+    hom = AbHom(g.level[n], quot, g.res_full(n, d).rows)
     return quot, hom
 
 

@@ -5,7 +5,9 @@ used before its sparse engine: every row operation walks every column and
 every column operation every row.  The sparse ``_SNF`` must perform exactly
 the same integer operations, so its ``diagonal``, ``rank``, ``u``, ``v``
 and ``vinv`` are compared against this class entry for entry, and the
-group questions against the dense readers below.
+group questions against the dense readers below.  ``dense_row_hnf`` and
+``dense_mat_mul`` are the dense Hermite basis and product that the sparse
+rows of ``fgab`` are checked against.
 """
 
 from __future__ import annotations
@@ -245,3 +247,51 @@ def dense_elements(s: DenseSNF, k: int):
     moduli = [s.diagonal[j] if j < len(s.diagonal) else 0 for j in range(k)]
     for zs in product(*[range(d if d else 1) for d in moduli]):
         yield vec_mat(tuple(zs), s.vinv)
+
+
+def dense_row_hnf(rows, cols: int):
+    """The row-style Hermite basis on dense rows, as ``fgab.row_hnf`` computed it
+    before it ran on sparse rows: the same row order, pivots and reductions."""
+    work = [list(r) for r in rows if any(r)]
+    basis: list[list[int]] = []
+    pivot_col_of: dict[int, int] = {}
+    for row in work:
+        r = row
+        while True:
+            j = next((k for k, x in enumerate(r) if x), None)
+            if j is None:
+                break
+            if j in pivot_col_of:
+                piv = basis[pivot_col_of[j]]
+                a, b = piv[j], r[j]
+                if b % a == 0:
+                    q = b // a
+                    r = [x - q * y for x, y in zip(r, piv)]
+                else:
+                    x, y = _xgcd(a, b)
+                    g = gcd(a, b)
+                    new_piv = [x * p + y * q2 for p, q2 in zip(piv, r)]
+                    new_r = [(-b // g) * p + (a // g) * q2 for p, q2 in zip(piv, r)]
+                    basis[pivot_col_of[j]] = new_piv
+                    r = new_r
+            else:
+                if r[j] < 0:
+                    r = [-x for x in r]
+                pivot_col_of[j] = len(basis)
+                basis.append(r)
+                break
+    # reduce entries above each pivot and sort by pivot column
+    basis.sort(key=lambda row: next(k for k, x in enumerate(row) if x))
+    for i in range(len(basis) - 1, -1, -1):
+        j = next(k for k, x in enumerate(basis[i]) if x)
+        p = basis[i][j]
+        for i2 in range(i):
+            q = basis[i2][j] // p
+            if q:
+                basis[i2] = [x - q * y for x, y in zip(basis[i2], basis[i])]
+    return tuple(tuple(r) for r in basis)
+
+
+def dense_mat_mul(a, b, cols: int):
+    """a · b on dense rows (b has cols columns), every cell computed."""
+    return tuple(tuple(sum(x * row[j] for x, row in zip(r, b)) for j in range(cols)) for r in a)

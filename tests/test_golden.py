@@ -46,6 +46,11 @@ GOLDEN = [
      "c4371735c614465f5253489d866e85fcd3a4b3f45927197dd29e4bdf08ca0944"),
     (("monoid", "DUAL_NUMBERS", "--ring", "Z", "--n", "2", "--max-degree", "1", "--json"),
      "9f300da559e537437d0dd5735e20caa15eb5965b636ca57dc289dca3a88e980f"),
+    # the largest presentations in Tier-1: the tag-basis complexes of two nerves
+    (("hh", "--ring", "F_2", "--n", "4", "--max-degree", "3", "--json"),
+     "5151eaf01d5b592efd751631c2fc7c45f2a3c42e0ba29cced6d7df3a25e0ce92"),
+    (("hh", "--ring", "Z", "--n", "6", "--max-degree", "2", "--json"),
+     "d244ba716c720ce90a60ce4ef08436064889bdebc5c1f2541a65a1de56f2d926"),
 ]
 
 

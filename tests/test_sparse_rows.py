@@ -1,0 +1,191 @@
+"""Sparse rows against dense results, and the box tag budget.
+
+Relations and hom matrices are kept as ``Sparse`` nonzeros.  Every
+operation on them must give what the dense computation gives: products,
+images, sums, powers, the well-definedness certificate, preimages and the
+Hermite basis, whose coordinates reach printed output and so must match
+bit for bit.  A box level over ``BOX_TAG_BUDGET`` is refused from its tag
+count, before any relation is built.
+"""
+
+import hashlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dense_snf import DenseSNF, dense_mat_mul, dense_row_hnf, dense_solve
+from mackeywitt import green
+from mackeywitt.cli import main
+from mackeywitt.fgab import (
+    AbHom,
+    FgAbGroup,
+    NotWellDefinedError,
+    Sparse,
+    free_group,
+    identity_matrix,
+    mat,
+    mat_mul,
+    preimage_basis,
+    row_hnf,
+)
+from mackeywitt.green import box, box_power
+from mackeywitt.mackey import GroupContext, burnside, check_axioms
+from mackeywitt.norm import norm_trivial_ring
+from mackeywitt.wittcore import BaseRing, EnumerationBudgetError
+
+ENTRY = st.sampled_from([0, 0, 0, 0, 0, 1, -1, 2, -3, 5])
+
+
+def dense(rows, cols):
+    return st.lists(st.lists(ENTRY, min_size=cols, max_size=cols).map(tuple), min_size=rows, max_size=rows).map(tuple)
+
+
+@st.composite
+def chains(draw):
+    """Dense matrices f (a × b) and g (b × c), mostly zero."""
+    a, b, c = (draw(st.integers(0, 6)) for _ in range(3))
+    return draw(dense(a, b)), draw(dense(b, c)), (a, b, c)
+
+
+@settings(deadline=None, max_examples=150)
+@given(chains(), st.data())
+def test_products_images_and_sums_match_the_dense_ones(ch, data):
+    f_rows, g_rows, (a, b, c) = ch
+    f = AbHom(free_group(a), free_group(b), Sparse.of(f_rows, b))
+    g = AbHom(free_group(b), free_group(c), g_rows)
+    assert f.matrix == f_rows and g.rows == Sparse.of(g_rows, c)
+    product = dense_mat_mul(f_rows, g_rows, c)
+    assert f.compose(g).matrix == product
+    assert mat_mul(f.rows, g.rows) == Sparse.of(product, c)
+    if b:  # dense rows carry no width when there are none
+        assert mat_mul(f_rows, g_rows) == product
+    x = data.draw(dense(1, a))[0] if a else ()
+    assert f.apply(x) == dense_mat_mul((x,), f_rows, b)[0]
+    h_rows = data.draw(dense(a, b))
+    h = AbHom(free_group(a), free_group(b), h_rows)
+    assert f.add(h).matrix == tuple(tuple(p + q for p, q in zip(r, s)) for r, s in zip(f_rows, h_rows))
+    assert f.sub(h).matrix == tuple(tuple(p - q for p, q in zip(r, s)) for r, s in zip(f_rows, h_rows))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 5).flatmap(lambda k: dense(k, k).map(lambda m: (k, m))), st.integers(0, 4))
+def test_powers_match_dense_products_from_the_identity(km, k):
+    n, m = km
+    expected = identity_matrix(n)
+    for _ in range(k):
+        expected = dense_mat_mul(expected, m, n)
+    assert AbHom(free_group(n), free_group(n), m).power(k).matrix == expected
+
+
+@st.composite
+def presented_homs(draw):
+    """Groups with relations and a candidate matrix between them."""
+    ks, kt = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    s_rel = draw(dense(draw(st.integers(0, 4)), ks))
+    t_rel = draw(dense(draw(st.integers(0, 4)), kt))
+    return (ks, s_rel), (kt, t_rel), draw(dense(ks, kt))
+
+
+def _well_defined(s_rel, t_rel, matrix, kt):
+    oracle = DenseSNF(t_rel) if t_rel else None
+    for r in s_rel:
+        img = dense_mat_mul((r,), matrix, kt)[0]
+        if (dense_solve(oracle, img) is None) if oracle else any(img):
+            return False
+    return True
+
+
+@settings(deadline=None, max_examples=150)
+@given(presented_homs())
+def test_certificate_is_the_same_on_sparse_and_dense_input(data):
+    (ks, s_rel), (kt, t_rel), matrix = data
+    ok = _well_defined(s_rel, t_rel, matrix, kt)
+    for source, target, m in (
+        (FgAbGroup(ks, s_rel), FgAbGroup(kt, t_rel), matrix),
+        (FgAbGroup(ks, Sparse.of(s_rel, ks)), FgAbGroup(kt, Sparse.of(t_rel, kt)), Sparse.of(matrix, kt)),
+    ):
+        if ok:
+            AbHom(source, target, m)
+        else:
+            with pytest.raises(NotWellDefinedError):
+                AbHom(source, target, m)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 6).flatmap(lambda c: st.tuples(st.just(c), dense(6, c), st.integers(0, 6))))
+def test_hermite_basis_is_bit_identical_to_the_dense_one(data):
+    cols, m, rows = data
+    m = m[:rows]
+    expected = dense_row_hnf(m, cols)
+    assert row_hnf(m, cols) == expected
+    sparse = row_hnf(Sparse.of(m, cols), cols)
+    assert isinstance(sparse, Sparse) and mat(sparse) == expected
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 5).flatmap(lambda c: st.tuples(st.just(c), dense(5, c), dense(3, c))), st.data())
+def test_preimages_match_the_dense_kernel(data, draw):
+    cols, m, rel = data
+    m = m[: draw.draw(st.integers(0, 5))]
+    expected = ()
+    if m:
+        oracle = DenseSNF(m + rel)
+        expected = tuple(r[: len(m)] for r in oracle.u[oracle.rank:])
+    assert preimage_basis(m, rel) == expected
+    sparse = preimage_basis(Sparse.of(m, cols), Sparse.of(rel, cols))
+    assert isinstance(sparse, Sparse) and mat(sparse) == expected
+
+
+def test_equal_elements_are_equal_without_a_factorization():
+    g = FgAbGroup(2, [(2, 0), (0, 3)])
+    assert g.elements_equal((1, 1), (1, 1))
+    assert "_rel_snf" not in vars(g)
+    assert g.elements_equal((3, 0), (1, 3)) and not g.elements_equal((1, 0), (0, 0))
+
+
+# check_axioms(...).checks at the commit before the certificate reused basis
+# products: every note keeps its text and its order.
+AXIOM_DIGESTS = {
+    ("box", 4): "83038f6f40cf06760a2312227579f71b7e2bda5e3e810cfe7fe677d9b76c8d7d",
+    ("box", 6): "bfeb5abeb9d0ef695642d179cfb4a84d60f6a3363aca45b8cc1b48ba1ef2fc2f",
+    ("F_2", 6): "a7bec49e85c6ca3035d4a2f5887791fc353ab72ffe289c0ab73e3aa022989a14",
+    ("Z", 4): "4eac3a5d5138c85a653cef38308e18416113844ad53fb38822ea5fa9168dab1b",
+}
+
+
+@pytest.mark.parametrize("kind,n", sorted(AXIOM_DIGESTS))
+def test_green_axiom_notes_are_pinned(kind, n):
+    if kind == "box":
+        b = burnside(GroupContext(n))
+        m = box(b, b).mackey
+    else:
+        m = norm_trivial_ring(BaseRing.parse(kind), n)
+    assert hashlib.sha256(repr(check_axioms(m).checks).encode()).hexdigest() == AXIOM_DIGESTS[(kind, n)]
+
+
+# ---------------------------------------------------------------------------
+# the box tag budget
+
+
+def _refuse_to_build(*_args, **_kwargs):
+    raise AssertionError("a relation matrix was built for a refused box level")
+
+
+def test_box_level_over_the_budget_is_refused_before_any_relation(monkeypatch):
+    r = burnside(GroupContext(4))
+    most = max(len(tags) for tags in box_power(r, 2).tags.values())
+    monkeypatch.setattr(green, "BOX_TAG_BUDGET", most)
+    box_power(r, 2)  # exactly at the budget: built
+    monkeypatch.setattr(green, "BOX_TAG_BUDGET", most - 1)
+    monkeypatch.setattr(green, "FgAbGroup", _refuse_to_build)
+    with pytest.raises(EnumerationBudgetError, match=f"needs {most} tags, over the box tag budget of {most - 1}"):
+        box_power(r, 2)
+
+
+def test_cli_refuses_an_over_budget_box_with_one_line(monkeypatch, capsys):
+    monkeypatch.setattr(green, "BOX_TAG_BUDGET", 50)
+    assert main(["hh", "--ring", "F_2", "--n", "4", "--max-degree", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: box level ") and "Traceback" not in err
