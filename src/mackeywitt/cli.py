@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _jstr
 
 from .fgab import CompositeNotZeroError, NotInSubgroupError, NotWellDefinedError
 from .hochschild import MackeyHomology, moore_complex, twisted_cyclic_nerve
@@ -46,9 +47,31 @@ def _parse_ring(text: str) -> BaseRing:
 def _emit(payload: dict, args) -> None:
     payload = {"schema": SCHEMA, **payload}
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         print(_render_table(payload))
+
+
+def _dumps(obj, nl: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for obj on a line that
+    starts with ``nl``.  The indenting encoder of ``json`` is pure Python;
+    this one joins strings, a list of plain ints in one ``str.join``."""
+    if isinstance(obj, str):
+        return _jstr(obj)
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return int.__repr__(obj)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = (_dumps(x, inner) for x in obj)
+    elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        items = (f"{_jstr(k)}: {_dumps(v, inner)}" for k, v in obj.items())
+    else:  # empty containers, non-str keys and other leaves
+        return json.dumps(obj, indent=2).replace("\n", nl)
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
 
 
 def _group_str(desc: dict) -> str:

@@ -165,7 +165,9 @@ class _SNF:
     same way.
 
     The pivot is the smallest nonzero |x| in the remaining block, the first
-    in row-major order, and the search stops at the first ±1.  Every row
+    in row-major order, and the search stops at the first ±1.  Each row's
+    smallest |x| is cached and recomputed only after the row has changed,
+    so the search rescans only rows an elimination step touched.  Every row
     and column operation is the one the dense elimination performs, so the
     diagonal, U, V and V⁻¹ equal the dense ones (the tests keep the dense
     elimination as an oracle).  A fill-reducing pivot order would change V,
@@ -199,9 +201,11 @@ class _SNF:
         # (i, j, x, y, c, e) replaces rows i, j by x·ri + y·rj, c·ri + e·rj.
         ops: list[tuple[int, ...]] = []
         log = ops.append
+        low: list[int | None] = [None] * rows  # min |x| of row i (0 if empty); None: stale
 
         def add_entry(i, j, x):  # a[i][j] += x with x != 0, keeping the column sets
             r = a[i]
+            low[i] = None
             if j not in r:
                 r[j] = x
                 at[j].add(i)
@@ -212,6 +216,7 @@ class _SNF:
                 at[j].discard(i)
 
         def set_row(i, new):
+            low[i] = None
             for j in a[i]:
                 at[j].discard(i)
             for j in new:
@@ -239,12 +244,13 @@ class _SNF:
         while t < rows and t < cols:
             best = 0
             for i in range(t, rows):
-                if a[i]:
-                    x = min(map(abs, a[i].values()))
-                    if not best or x < best:
-                        best, pi = x, i
-                        if x == 1:
-                            break
+                x = low[i]
+                if x is None:
+                    x = low[i] = min(map(abs, a[i].values()), default=0)
+                if x and (not best or x < best):
+                    best, pi = x, i
+                    if x == 1:
+                        break
             if not best:
                 break
             pj = min(pos[j] for j, x in a[pi].items() if abs(x) == best)

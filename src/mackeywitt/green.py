@@ -150,6 +150,17 @@ class _ProductTable:
         return iter(self._rows)
 
 
+def require_box_budget(factors) -> None:
+    """Refuse a box product with a level d of over ``BOX_TAG_BUDGET`` tags, Σ_{e|d} Π_f gens_f(e)."""
+    for d in factors[0].ctx.divisors:
+        count = sum(prod(f.level[e].num_generators for f in factors) for e in divisors(d))
+        if count > BOX_TAG_BUDGET:
+            k = len(factors)
+            raise EnumerationBudgetError(
+                f"box level {d} of {k} factors needs {count} tags, over the box tag budget of {BOX_TAG_BUDGET}"
+            )
+
+
 def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentation:
     """Box product of a list of Mackey functors over one group context.
 
@@ -169,12 +180,7 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
         raise ValueError("green structure requires Green factors")
     n = ctx.n
     k = len(factors)
-    for d in ctx.divisors:
-        count = sum(prod(f.level[e].num_generators for f in factors) for e in divisors(d))
-        if count > BOX_TAG_BUDGET:
-            raise EnumerationBudgetError(
-                f"box level {d} of {k} factors needs {count} tags, over the box tag budget of {BOX_TAG_BUDGET}"
-            )
+    require_box_budget(factors)
 
     tags = {}
     tag_pos = {}

@@ -15,6 +15,7 @@ from .green import (
     full_transfer_identification,
     quotient_by_green_ideal,
     quotient_by_subgroups,
+    require_box_budget,
 )
 from .mackey import GreenFunctor, MackeyFunctor, MackeyHom, prime_edges, sparse_product
 
@@ -134,6 +135,8 @@ def twisted_cyclic_nerve(r, k_max: int, green: bool = False) -> SimplicialMackey
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    for j in range(k_max + 1):  # refuse an oversized power before building any
+        require_box_budget([r] * (j + 1))
     pres = [box_power(r, j + 1, green=green) for j in range(k_max + 1)]
 
     def gens(tup):

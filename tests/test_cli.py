@@ -3,6 +3,9 @@ import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_golden import DUAL_NUMBERS, GOLDEN
 
 from mackeywitt import cli, geomfix, mackey, norm, wittcore
 from mackeywitt.cli import main
@@ -99,15 +102,6 @@ def test_determinism(capsys):
     code2, out2, _ = run_cli(capsys, "norm", "--ring", "Z/4", "--n", "4", "--json")
     assert code1 == code2 == 0
     assert out1 == out2
-
-
-DUAL_NUMBERS = {
-    "elements": ["0", "1", "x"],
-    "zero": "0",
-    "one": "1",
-    "table": [["0", "0", "0"], ["0", "1", "x"], ["0", "x", "0"]],
-    "action": ["0", "1", "x"],
-}
 
 
 def test_monoid_command(tmp_path, capsys):
@@ -287,3 +281,55 @@ def test_cli_sweep_exits_cleanly(capsys, tmp_path, argv):
     assert len(err.splitlines()) <= 1
     assert "Traceback" not in out + err
     assert elapsed < 30  # a hang guard, far above the slowest case
+
+
+# ---------------------------------------------------------------------------
+# the --json writer
+
+JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7fé€ 😀'), st.characters()), max_size=8)
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.floats(),
+    JSON_TEXT,
+)
+JSON_PAYLOADS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(st.integers(-(2**70), 2**70)),
+        st.lists(st.one_of(st.integers(), st.booleans())),
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(JSON_TEXT, inner),
+        st.dictionaries(st.one_of(st.integers(), st.booleans(), st.none()), inner),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(JSON_PAYLOADS)
+def test_json_writer_is_json_dumps_with_indent_2(payload):
+    assert cli._dumps(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("argv", [a for a, _ in GOLDEN], ids=[" ".join(a) for a, _ in GOLDEN])
+def test_json_stdout_is_json_dumps_of_the_payload(capsys, monkeypatch, tmp_path, argv):
+    if argv[0] == "monoid":
+        path = tmp_path / "dual-numbers.json"
+        path.write_text(json.dumps(DUAL_NUMBERS))
+        argv = ("monoid", "--file", str(path)) + argv[2:]
+    payloads = []
+    write = cli._dumps
+
+    def spy(obj, nl="\n"):
+        if nl == "\n":  # the outermost call: the whole payload
+            payloads.append(obj)
+        return write(obj, nl)
+
+    monkeypatch.setattr(cli, "_dumps", spy)
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err, len(payloads)) == (0, "", 1)
+    assert out == json.dumps(payloads[0], indent=2) + "\n"

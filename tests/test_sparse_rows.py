@@ -5,7 +5,8 @@ operation on them must give what the dense computation gives: products,
 images, sums, powers, the well-definedness certificate, preimages and the
 Hermite basis, whose coordinates reach printed output and so must match
 bit for bit.  A box level over ``BOX_TAG_BUDGET`` is refused from its tag
-count, before any relation is built.
+count, before any relation is built, and a nerve counts the tags of every
+box power before it builds the first.
 """
 
 import hashlib
@@ -189,3 +190,14 @@ def test_cli_refuses_an_over_budget_box_with_one_line(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: box level ") and "Traceback" not in err
+
+
+def test_an_over_budget_nerve_is_refused_before_any_box_power(monkeypatch, capsys):
+    def never(*_args, **_kwargs):
+        raise AssertionError("a box power was built")
+
+    monkeypatch.setattr(green, "box_list", never)
+    assert main(["hh", "--ring", "F_2", "--n", "4", "--max-degree", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: box level 4 of 9 factors needs 20196 tags, over the box tag budget of 8192\n"

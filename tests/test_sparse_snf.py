@@ -36,6 +36,9 @@ from mackeywitt.fgab import (
     solve_left,
     vec_mat,
 )
+from mackeywitt.hochschild import twisted_cyclic_nerve
+from mackeywitt.norm import norm_trivial_ring
+from mackeywitt.wittcore import BaseRing
 
 UNIT_HEAVY = st.sampled_from([1, -1, 1, -1, 1, -1, 2, -2, 3, -4, 5, 6])
 
@@ -185,3 +188,53 @@ def test_random_dense_matrices_including_divisibility_folds():
         folds += any(len(op) == 6 for op in sparse._row_ops)  # d_i ∤ d_{i+1} was repaired
         assert (sparse.diagonal, sparse.u, sparse.v, sparse.vinv) == (dense.diagonal, dense.u, dense.v, dense.vinv)
     assert folds
+
+
+# ---------------------------------------------------------------------------
+# the cached row minima of the pivot search
+
+
+def _factorization(s):
+    return s.diagonal, s.u, s.v, s.vinv
+
+
+def test_nerve_relations_factor_as_the_dense_ones():
+    """Every level of the twisted cyclic nerve of N(F_2), n = 4, to degree 2 (up to 183 × 36)."""
+    nerve = twisted_cyclic_nerve(norm_trivial_ring(BaseRing.parse("F_2"), 4), 2)
+    for x in nerve.degrees:
+        for d in nerve.ctx.divisors:
+            level = x.level[d]
+            assert _factorization(_SNF(level.rels)) == _factorization(DenseSNF(level.relations))
+
+
+@st.composite
+def repivot_and_fold_matrices(draw):
+    """diag(a, b) with a ∤ b, beside a block whose first pivot leaves residues, rows and columns shuffled.
+
+    The pivots are a, then b (the two smallest entries), then the block's
+    unique smallest entry p, whose row holds a non-multiple of p: that step
+    is dirty, so the rows it changed are searched again.  The diagonal
+    then starts a, b, so the divisibility chain needs a fold.
+    """
+    p = draw(st.integers(5, 8))
+    a = draw(st.sampled_from([2, 3]))
+    b = draw(st.sampled_from([x for x in range(a + 1, p) if x % a]))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(2, 5))
+    sign = st.sampled_from([1, -1])
+    big = st.one_of(st.just(0), st.integers(p + 1, 3 * p))
+    block = [[draw(big) * draw(sign) for _ in range(cols)] for _ in range(rows)]
+    i, j, j2 = draw(st.integers(0, rows - 1)), *draw(st.permutations(range(cols)))[:2]
+    block[i][j] = p * draw(sign)
+    block[i][j2] = (p * draw(st.integers(1, 2)) + draw(st.integers(1, p - 1))) * draw(sign)
+    m = [[a, 0] + [0] * cols, [0, b] + [0] * cols] + [[0, 0] + r for r in block]
+    row_order = draw(st.permutations(range(rows + 2)))
+    col_order = draw(st.permutations(range(cols + 2)))
+    return mat([[m[r][c] for c in col_order] for r in row_order])
+
+
+@settings(deadline=None, max_examples=150)
+@given(repivot_and_fold_matrices())
+def test_pivot_cache_survives_repivots_and_folds(m):
+    sparse = _SNF(m)
+    assert any(len(op) == 6 for op in sparse._row_ops)  # a fold was made
+    assert _factorization(sparse) == _factorization(DenseSNF(m))
