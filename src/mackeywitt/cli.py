@@ -239,7 +239,7 @@ def cmd_monoid(args) -> int:
     try:
         with open(args.file) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"cannot read monoid file: {exc}") from exc
     ctx = GroupContext(args.n)
     try:
@@ -267,8 +267,14 @@ def cmd_monoid(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A bad flag is one stderr line and exit 2, without the usage block."""
+        self.exit(2, f"error: {self.prog}: {_one_line(message)}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mackeywitt",
         description="Exact twisted Hochschild homology for Green functors over cyclic groups.",
     )

@@ -91,6 +91,8 @@ class PointedGMonoid:
         els = set(self.elements)
         if self.zero not in els or self.one not in els:
             raise ValueError("basepoint and unit must be elements")
+        if self.zero == self.one:
+            raise ValueError("basepoint and unit must differ (0 = 1 only in the zero monoid)")
         for a in els:
             if self.table[(self.zero, a)] != self.zero or self.table[(a, self.zero)] != self.zero:
                 raise ValueError("0 must be absorbing")

@@ -526,6 +526,19 @@ class FgAbGroup:
         return _SNF(self.rels)
 
     @cached_property
+    def _rel_index(self) -> dict:
+        """The distinct relation rows, as keys in first-occurrence order."""
+        return dict.fromkeys(self.rels)
+
+    def _spans(self, row: SparseRow) -> bool:
+        """Whether the sparse row lies in the relation span: zero or ± a relation, else by SNF."""
+        index = self._rel_index
+        if not row or row in index or tuple((j, -x) for j, x in row) in index:
+            return True
+        s = self._rel_snf
+        return s.spans(s.coords(row))
+
+    @cached_property
     def canonical_form(self) -> tuple[tuple[int, ...], int]:
         s = self._rel_snf
         inv = tuple(d for d in s.diagonal if d > 1)
@@ -558,7 +571,7 @@ class FgAbGroup:
         return (0,) * self.num_generators
 
     def is_zero_element(self, x: Row) -> bool:
-        return in_rowspan(self.rels, nonzeros(x), self._rel_snf)
+        return self._spans(nonzeros(x))
 
     def elements_equal(self, x: Row, y: Row) -> bool:
         return x == y or self.is_zero_element(tuple(a - b for a, b in zip(x, y)))
@@ -640,7 +653,11 @@ class AbHom:
 
     The matrix (Sparse, or dense int rows) is stored as the Sparse ``rows``.
     Well-definedness (source relations land in the target relation span) is
-    certified at construction.
+    certified at construction, for each distinct source relation once: an
+    image that is zero or ± a target relation row is accepted by lookup,
+    and only the rest are tested in the target's SNF coordinates.
+    Equality modulo the target relations decides each row difference the
+    same way.
     """
 
     __slots__ = ("source", "target", "rows")
@@ -648,18 +665,13 @@ class AbHom:
     def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix, check: bool = True):
         self._set(source, target, matrix)
         if check:
-            # r·M over the nonzeros of r and of M's rows, then tested in the
-            # target's diagonal coordinates
-            tsnf = target._rel_snf
-            for r in source.rels:
-                img: dict[int, int] = {}
-                for i, x in r:
-                    for j, y in self.rows[i]:
-                        img[j] = img.get(j, 0) + x * y
-                if not tsnf.spans(tsnf.coords(img.items())):
+            # each distinct relation once; first occurrences keep row order
+            for r in source._rel_index:
+                img = row_mul(r, self.rows)
+                if not target._spans(img):
                     raise NotWellDefinedError(
                         f"relation {dense_row(r, source.num_generators)} maps to "
-                        f"{dense_row(img.items(), target.num_generators)}, not in target relations"
+                        f"{dense_row(img, target.num_generators)}, not in target relations"
                     )
 
     def _set(self, source: FgAbGroup, target: FgAbGroup, matrix) -> None:
@@ -740,12 +752,11 @@ class AbHom:
             or self.target != other.target
         ):
             return False
-        tsnf = self.target._rel_snf
         for r1, r2 in zip(self.rows, other.rows):
             if r1 != r2:
                 diff = dict(r1)
                 _axpy(diff, r2, -1)
-                if not tsnf.spans(tsnf.coords(diff.items())):
+                if not self.target._spans(sparse_row(diff)):
                     return False
         return True
 

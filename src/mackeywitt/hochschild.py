@@ -18,6 +18,11 @@ from .green import (
     require_box_budget,
 )
 from .mackey import GreenFunctor, MackeyFunctor, MackeyHom, prime_edges, sparse_product
+from .wittcore import EnumerationBudgetError
+
+# The highest nerve degree built: over C_1 box levels have one tag, so only
+# this stops a nerve there (n ≥ 2 meets BOX_TAG_BUDGET by 13 factors first).
+NERVE_DEGREE_BUDGET = 16
 
 
 class TruncationTooShortError(ValueError):
@@ -135,6 +140,10 @@ def twisted_cyclic_nerve(r, k_max: int, green: bool = False) -> SimplicialMackey
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    if k_max > NERVE_DEGREE_BUDGET:
+        raise EnumerationBudgetError(
+            f"a nerve up to degree {k_max} is over the nerve degree budget of {NERVE_DEGREE_BUDGET}"
+        )
     for j in range(k_max + 1):  # refuse an oversized power before building any
         require_box_budget([r] * (j + 1))
     pres = [box_power(r, j + 1, green=green) for j in range(k_max + 1)]

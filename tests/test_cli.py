@@ -139,6 +139,7 @@ def test_validation_errors(capsys, tmp_path):
      "table": [[["0"], ["0"]], [["0"], ["1"]]], "action": [["0"], ["1"]]},
     {"elements": ["0", "1", "1"], "zero": "0", "one": "1",
      "table": [["0", "0", "0"], ["0", "1", "1"], ["0", "1", "1"]], "action": ["0", "1", "1"]},
+    {"elements": ["0"], "zero": "0", "one": "0", "table": [["0"]], "action": ["0"]},
 ])
 def test_malformed_monoid_file_is_one_line_exit_2(capsys, tmp_path, content):
     mfile = tmp_path / "bad.json"

@@ -4,9 +4,11 @@ Relations and hom matrices are kept as ``Sparse`` nonzeros.  Every
 operation on them must give what the dense computation gives: products,
 images, sums, powers, the well-definedness certificate, preimages and the
 Hermite basis, whose coordinates reach printed output and so must match
-bit for bit.  A box level over ``BOX_TAG_BUDGET`` is refused from its tag
-count, before any relation is built, and a nerve counts the tags of every
-box power before it builds the first.
+bit for bit.  The certificate decides zero and ± relation images by
+lookup and must still agree with elimination.  A box level over
+``BOX_TAG_BUDGET`` is refused from its tag count, before any relation is
+built, a nerve counts the tags of every box power before it builds the
+first, and a nerve over ``NERVE_DEGREE_BUDGET`` is refused before either.
 """
 
 import hashlib
@@ -15,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_snf import DenseSNF, dense_mat_mul, dense_row_hnf, dense_solve
-from mackeywitt import green
+from dense_snf import DenseSNF, dense_mat_mul, dense_row_hnf, dense_solve, dense_solve_left
+from mackeywitt import green, hochschild
 from mackeywitt.cli import main
 from mackeywitt.fgab import (
     AbHom,
@@ -31,6 +33,7 @@ from mackeywitt.fgab import (
     row_hnf,
 )
 from mackeywitt.green import box, box_power
+from mackeywitt.hochschild import twisted_cyclic_nerve
 from mackeywitt.mackey import GroupContext, burnside, check_axioms
 from mackeywitt.norm import norm_trivial_ring
 from mackeywitt.wittcore import BaseRing, EnumerationBudgetError
@@ -111,6 +114,84 @@ def test_certificate_is_the_same_on_sparse_and_dense_input(data):
         else:
             with pytest.raises(NotWellDefinedError):
                 AbHom(source, target, m)
+
+
+def _in_span(rel, row):
+    return dense_solve_left(rel, row) is not None
+
+
+@st.composite
+def lookup_homs(draw):
+    """A target presentation, two matrices into it and source relations.
+
+    Matrix rows are zero, ± a target relation, a sum of relations (in the
+    span but no row of it) or anything, so the images of unit, duplicated
+    and random source relations meet every branch of the certificate.
+    """
+    kt, ks = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    t_rel = draw(dense(draw(st.integers(0, 4)), kt))
+
+    def row_of(kind):
+        if kind == "zero" or (kind != "any" and not t_rel):
+            return (0,) * kt
+        if kind == "any":
+            return draw(dense(1, kt))[0]
+        a, b = draw(st.sampled_from(t_rel)), draw(st.sampled_from(t_rel))
+        c = {"rel": (1, 0), "neg": (-1, 0), "sum": (1, 1)}[kind]
+        return tuple(c[0] * x + c[1] * y for x, y in zip(a, b))
+
+    kinds = st.sampled_from(["zero", "rel", "neg", "sum", "any"])
+    matrix = tuple(row_of(draw(kinds)) for _ in range(ks))
+    other = tuple(tuple(x + y for x, y in zip(r, row_of(draw(kinds)))) for r in matrix)
+    s_rel = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["unit", "unit", "dup", "any"]))
+        if kind == "dup" and s_rel:
+            s_rel.append(draw(st.sampled_from(s_rel)))
+        elif kind == "any":
+            s_rel.append(draw(dense(1, ks))[0])
+        else:
+            i, c = draw(st.integers(0, ks - 1)), draw(st.sampled_from([1, -1, 2]))
+            s_rel.append(tuple(c if j == i else 0 for j in range(ks)))
+    return (ks, tuple(s_rel)), (kt, t_rel), matrix, other
+
+
+@settings(deadline=None, max_examples=300)
+@given(lookup_homs())
+def test_lookup_certificate_agrees_with_the_elimination_oracle(data):
+    (ks, s_rel), (kt, t_rel), matrix, other = data
+    images = (dense_mat_mul((r,), matrix, kt)[0] for r in s_rel)
+    failing = [(r, img) for r, img in zip(s_rel, images) if not _in_span(t_rel, img)]
+    for source, target, m in (
+        (FgAbGroup(ks, s_rel), FgAbGroup(kt, t_rel), matrix),
+        (FgAbGroup(ks, Sparse.of(s_rel, ks)), FgAbGroup(kt, Sparse.of(t_rel, kt)), Sparse.of(matrix, kt)),
+    ):
+        if not failing:
+            f = AbHom(source, target, m)
+        else:
+            r, img = failing[0]  # the first failing relation in row order, named as before
+            with pytest.raises(NotWellDefinedError) as err:
+                AbHom(source, target, m)
+            assert str(err.value) == f"relation {r} maps to {img}, not in target relations"
+            f = AbHom(source, target, m, check=False)
+        g = AbHom(source, target, other, check=False)
+        equal = all(_in_span(t_rel, tuple(x - y for x, y in zip(a, b))) for a, b in zip(matrix, other))
+        assert (f == g) is equal and (g == f) is equal
+        assert f.is_zero() is all(_in_span(t_rel, r) for r in matrix)
+
+
+def test_a_hom_onto_relation_rows_never_factors_its_target():
+    target = FgAbGroup(3, [(2, 0, 0), (1, 1, 0), (0, 3, -1), (1, 1, 0)])
+    source = FgAbGroup(3, [(1, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1), (0, 0, 0)])
+    # images: a relation, the negative of one, a duplicate, zero and zero
+    f = AbHom(source, target, [(1, 1, 0), (0, -3, 1), (0, 0, 0)])
+    # row differences: a relation, the negative of one, a relation
+    g = AbHom(source, target, [(0, 0, 0), (2, -3, 1), (0, -3, 1)], check=False)
+    assert f == g and f.is_zero() and target.is_zero_element((-2, 0, 0))
+    assert "_rel_snf" not in vars(target)
+    with pytest.raises(NotWellDefinedError, match=r"^relation \(0, 1, 0\) maps to \(0, 1, 0\),"):
+        AbHom(source, target, [(1, 1, 0), (0, 1, 0), (0, 0, 0)])
+    assert "_rel_snf" in vars(target)
 
 
 @settings(deadline=None, max_examples=150)
@@ -201,3 +282,24 @@ def test_an_over_budget_nerve_is_refused_before_any_box_power(monkeypatch, capsy
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: box level 4 of 9 factors needs 20196 tags, over the box tag budget of 8192\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["hh", "--ring", "Z", "--n", "1", "--max-degree", "1000000000"],
+    ["tr", "--p", "2", "--stages", "1", "--degree", "1000000000"],
+], ids=["hh", "tr"])
+def test_a_nerve_over_the_degree_bound_is_refused_before_its_tags_are_counted(monkeypatch, capsys, argv):
+    def never(*_args, **_kwargs):
+        raise AssertionError("a box power was counted or built")
+
+    monkeypatch.setattr(green, "box_list", never)
+    monkeypatch.setattr(hochschild, "require_box_budget", never)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: a nerve up to degree 1000000001 is over the nerve degree budget of 16\n"
+
+
+def test_a_nerve_at_the_degree_bound_is_built_over_c1():
+    nerve = twisted_cyclic_nerve(norm_trivial_ring(BaseRing.parse("Z"), 1), hochschild.NERVE_DEGREE_BUDGET)
+    assert nerve.max_degree == hochschild.NERVE_DEGREE_BUDGET
