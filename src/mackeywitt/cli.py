@@ -143,7 +143,7 @@ def cmd_hh(args) -> int:
     ring = _parse_ring(args.ring)
     nm = norm_trivial_ring(ring, args.n)
     nerve = twisted_cyclic_nerve(nm, args.max_degree + 1)
-    cx = moore_complex(nerve, check=False)
+    cx = moore_complex(nerve)
     entries = [
         {"degree": k, "mackey": MackeyHomology(cx, k).mackey.to_json()}
         for k in range(args.max_degree + 1)

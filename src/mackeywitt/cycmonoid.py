@@ -62,6 +62,9 @@ class PointedGMonoid:
         """The monoid of a JSON object; a malformed shape raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError("a monoid is a JSON object")
+        for key in ("elements", "zero", "one", "table", "action"):
+            if key not in data:
+                raise ValueError(f"missing key '{key}'")
         elements, rows, action = data["elements"], data["table"], data["action"]
         if not isinstance(elements, list) or not all(isinstance(x, (str, int)) for x in elements):
             raise ValueError("elements must be a list of strings or integers")
@@ -208,7 +211,7 @@ def monoid_algebra(r, m: PointedGMonoid) -> BoxPresentation:
     """R̲[M] = R̲ □ A̅[M] with the induced Green structure."""
     if r.ctx != m.ctx:
         raise ValueError("context mismatch")
-    return box(r, bredon_green(m.ctx, m), green=True)
+    return box(r, bredon_green(m.ctx, m))
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +353,9 @@ def splitting_check(r, m: PointedGMonoid, max_k: int) -> SplittingReport:
 
     am = bredon_green(ctx, m)
     od = am.orbit_data
-    rm_pres = box(r, am, green=True)
+    rm_pres = box(r, am)
     rm = rm_pres.mackey
-    nerve_rm = twisted_cyclic_nerve(rm, k_max, green=True)
+    nerve_rm = twisted_cyclic_nerve(rm, k_max)
     nerve_r = twisted_cyclic_nerve(r, k_max)
     cells = cellular_chains(cyclic_nerve_monoid(m, k_max), k_max)
 
@@ -369,7 +372,7 @@ def splitting_check(r, m: PointedGMonoid, max_k: int) -> SplittingReport:
     z_faces = [None]
     phis = []
     for j in range(k_max + 1):
-        zp = box(nerve_r.degrees[j], cells.simplicial.degrees[j], green=False)
+        zp = box(nerve_r.degrees[j], cells.simplicial.degrees[j])
         z_pres.append(zp)
 
         alpha = box_hom(
@@ -406,7 +409,7 @@ def splitting_check(r, m: PointedGMonoid, max_k: int) -> SplittingReport:
 
     # chain map: Φ commutes with the Moore boundaries
     z_complex = moore_complex(SimplicialMackey(ctx, [p.mackey for p in z_pres], z_faces, []))
-    rm_complex = moore_complex(nerve_rm, check=False)
+    rm_complex = moore_complex(nerve_rm)
     for j in range(1, k_max + 1):
         lhs = z_complex.boundaries[j].compose(phis[j - 1])
         rhs = phis[j].compose(rm_complex.boundaries[j])

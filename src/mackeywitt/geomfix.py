@@ -101,8 +101,8 @@ def phi_box_comparison(m_fun, n_fun, m: int) -> MackeyHom:
     """The canonical map Φ(M □ N) → Φ(M) □ Φ(N) (tags survive untouched)."""
     from .green import box
 
-    pres = box(m_fun, n_fun, green=False)
-    target = box(phi(m_fun, m), phi(n_fun, m), green=False)
+    pres = box(m_fun, n_fun)
+    target = box(phi(m_fun, m), phi(n_fun, m))
     eye = [{e: AbHom.identity(f.level[e]).rows for e in f.ctx.divisors} for f in pres.factors]
     return _psi_degree(pres, m, lambda s, e: eye[s][e], target)
 
@@ -113,6 +113,17 @@ def phi_box_comparison(m_fun, n_fun, m: int) -> MackeyHom:
 
 # perfbench/tracer.py counts report notes through this name.
 ComparisonReport = Report
+
+
+def phi_box(pres: BoxPresentation, m: int) -> BoxPresentation:
+    """Φ^{C_m} of a box product with its tags: level d keeps the tags of level m·d.
+
+    Its ``hom`` builds a map out of Φ^{C_m}(pres.mackey) on those tags.
+    """
+    divs = divisors(pres.mackey.ctx.n // m)
+    out = BoxPresentation(pres.factors, {d: pres.tags[m * d] for d in divs}, {d: pres.tag_pos[m * d] for d in divs})
+    out.mackey = phi(pres.mackey, m)
+    return out
 
 
 def _psi_degree(
@@ -126,18 +137,13 @@ def _psi_degree(
     without C_m go to zero.  With natural=False naturality is left to the
     caller.
     """
-    source = phi(pres.mackey, m)
-    target = target_pres.mackey
-    maps = {}
-    for d in source.ctx.divisors:
-        rows = []
-        for (e, tup) in pres.tags[m * d]:
-            if e % m:
-                rows.append(())
-                continue
-            rows.append(target_pres.expand(d, e // m, [slot_rows(s, e)[i] for s, i in enumerate(tup)]))
-        maps[d] = AbHom(source.level[d], target.level[d], Sparse(rows, len(target_pres.tags[d])))
-    return MackeyHom(source, target, maps, check=natural)
+
+    def row(d, e, tup):
+        if e % m:
+            return ()
+        return target_pres.expand(d, e // m, [slot_rows(s, e)[i] for s, i in enumerate(tup)])
+
+    return phi_box(pres, m).hom(target_pres.mackey, row, natural)
 
 
 def _note_comparison(report: Report, comps, source: SimplicialMackey, target: SimplicialMackey) -> None:
@@ -295,7 +301,7 @@ def tr_tower(ring: BaseRing, p: int, stages: int, degree: int) -> TowerReport:
         n = p**nexp
         nm = norm_trivial_ring(ring, n)
         nerve = twisted_cyclic_nerve(nm, degree + 1)
-        cx = moore_complex(nerve, check=False)
+        cx = moore_complex(nerve)
         h = MackeyHomology(cx, degree)
         homologies.append((nexp, nm, nerve, h))
         towers.append(TowerStage(nexp, h.mackey.level[n]))

@@ -10,9 +10,9 @@ follow the double-coset formula, and the Weyl generator acts diagonally.
 The tag data is kept on the quotient presentation, so a morphism out of a
 box product is written down on tags: ``BoxPresentation.hom`` is the one
 way to build it, and certifies it well defined against the relations.
-The Green structure of a box product is filled on read: ``mult[d][a][b]``
-computes the product of tags a and b the first time it is read, so a
-table of T² products costs only the products that are used.
+A box product of Green functors is a Green functor, filled on read:
+``mult[d][a][b]`` computes the product of tags a and b the first time it is
+read, so a table of T² products costs only the products that are used.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class BoxPresentation:
     """A box product together with its tagged generating data.
 
     ``mackey`` is the product itself, set by ``box_list``: a GreenFunctor
-    exactly when it carries the induced Green structure.
+    exactly when every factor is one.
     """
 
     def __init__(self, factors, tags, tag_pos):
@@ -47,7 +47,7 @@ class BoxPresentation:
         self.mackey: MackeyFunctor | None = None
         self.tags = tags          # d -> tuple of (e, gen_index_tuple)
         self.tag_pos = tag_pos    # d -> {tag: position}
-        self._twisted: dict[tuple, tuple] = {}
+        self.twisted_res = _twisted_res(self.factors)
 
     def expand(self, d: int, e: int, slot_rows):
         """Multilinear expansion of per-slot sparse rows into a sparse row of tags."""
@@ -72,29 +72,36 @@ class BoxPresentation:
             maps[d] = AbHom(src.level[d], tgt, rows)
         return MackeyHom(src, target, maps, check=natural)
 
-    def twisted_res(self, s: int, e: int, g: int, k: int) -> Sparse:
-        """Matrix of res_{e→g} followed by weyl^k on factor s, built once per key."""
-        m = self.factors[s]
+
+def _twisted_res(factors):
+    """twisted(s, e, g, k): the matrix of res_{e→g} then weyl^k on factor s, built once per key."""
+    cache: dict[tuple, Sparse] = {}
+
+    def twisted(s: int, e: int, g: int, k: int) -> Sparse:
+        m = factors[s]
         key = (s, e, g, k % (m.ctx.n // g))
-        rows = self._twisted.get(key)
+        rows = cache.get(key)
         if rows is None:
-            rows = self._twisted[key] = m.res_full(e, g).compose(m.weyl_power(g, k)).rows
+            rows = cache[key] = m.res_full(e, g).compose(m.weyl_power(g, k)).rows
         return rows
 
-    def tag_product(self, d: int, a: int, b: int) -> tuple[int, ...]:
-        """Product of tags a and b at level d by the double-coset formula."""
-        (e, tup), (f, tup2) = self.tags[d][a], self.tags[d][b]
-        g0 = gcd(e, f)
-        step = self.factors[0].ctx.n // d
-        acc: dict[int, int] = {}
-        for j in range(d // lcm(e, f)):
-            slot_rows = []
-            for s, (fct, x, y) in enumerate(zip(self.factors, tup, tup2)):
-                x_row = fct.res_full(e, g0).rows[x]
-                y_row = self.twisted_res(s, f, g0, j * step)[y]
-                slot_rows.append(nonzeros(sparse_product(fct.mult[g0], x_row, y_row)))
-            _expand_into(acc, self.tag_pos[d], g0, slot_rows)
-        return dense_row(acc.items(), len(self.tags[d]))
+    return twisted
+
+
+def tag_product(factors, twisted, tags, pos, d: int, a: int, b: int) -> tuple[int, ...]:
+    """Product of tags a and b of level d (tags, pos) by the double-coset formula."""
+    (e, tup), (f, tup2) = tags[a], tags[b]
+    g0 = gcd(e, f)
+    step = factors[0].ctx.n // d
+    acc: dict[int, int] = {}
+    for j in range(d // lcm(e, f)):
+        slot_rows = []
+        for s, (fct, x, y) in enumerate(zip(factors, tup, tup2)):
+            x_row = fct.res_full(e, g0).rows[x]
+            y_row = twisted(s, f, g0, j * step)[y]
+            slot_rows.append(nonzeros(sparse_product(fct.mult[g0], x_row, y_row)))
+        _expand_into(acc, pos, g0, slot_rows)
+    return dense_row(acc.items(), len(tags))
 
 
 def _expand_into(acc: dict, pos, e: int, slot_rows, sign: int = 1) -> None:
@@ -105,49 +112,40 @@ def _expand_into(acc: dict, pos, e: int, slot_rows, sign: int = 1) -> None:
         acc[key] = acc.get(key, 0) + sign * prod(coeffs)
 
 
-class _ProductRow:
-    """One row of a _ProductTable; entry b is computed on first read."""
+class Lazy:
+    """The sequence fn(0), ..., fn(k-1): item i is computed on first read and kept.
 
-    __slots__ = ("_a", "_cells", "_product")
-
-    def __init__(self, a: int, k: int, product_fn):
-        self._a = a
-        self._cells = [None] * k
-        self._product = product_fn
-
-    def __len__(self):
-        return len(self._cells)
-
-    def __getitem__(self, b: int):
-        v = self._cells[b]
-        if v is None:
-            v = self._cells[b] = self._product(self._a, b)
-        return v
-
-    def __iter__(self):
-        return (self[b] for b in range(len(self._cells)))
-
-
-class _ProductTable:
-    """k×k product table of a box-product level, filled on read and memoised.
-
-    ``table[a][b]`` computes the product of tags a and b when first read;
-    ``len`` and row iteration compute nothing.
+    Nothing is stored for an item until it is read.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_fn", "_len", "_items")
 
-    def __init__(self, k: int, product_fn):
-        self._rows = tuple(_ProductRow(a, k, product_fn) for a in range(k))
+    def __init__(self, k: int, fn):
+        self._fn = fn
+        self._len = k
+        self._items: dict = {}
 
     def __len__(self):
-        return len(self._rows)
+        return self._len
 
-    def __getitem__(self, a: int):
-        return self._rows[a]
+    def __getitem__(self, i: int):
+        try:
+            return self._items[i]
+        except KeyError:
+            if not 0 <= i < self._len:
+                raise IndexError(i) from None
+            v = self._items[i] = self._fn(i)
+            return v
 
     def __iter__(self):
-        return iter(self._rows)
+        return (self[i] for i in range(self._len))
+
+
+def _product_table(factors, twisted, tags, pos, d: int) -> Lazy:
+    """The product table of level d, filled on read.  It holds the tag data and never the
+    BoxPresentation, whose ``mackey`` holds it, so no cycle keeps a dropped box alive."""
+    fn = partial(tag_product, factors, twisted, tags, pos, d)
+    return Lazy(len(tags), lambda a: Lazy(len(tags), partial(fn, a)))
 
 
 def require_box_budget(factors) -> None:
@@ -161,12 +159,12 @@ def require_box_budget(factors) -> None:
             )
 
 
-def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentation:
+def box_list(factors, name: str = "") -> BoxPresentation:
     """Box product of a list of Mackey functors over one group context.
 
-    With green=True (or when every factor is a Green functor and green is
-    None) the result carries the induced Green structure, whose product
-    tables are filled on read.
+    A box product of commutative Green functors is one (Mazur, J. Pure
+    Appl. Algebra 223 (2019)): when every factor is a GreenFunctor, so is
+    the result, and its product tables are filled on read.
     """
     if not factors:
         raise ValueError("need at least one factor")
@@ -174,10 +172,6 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
     for f in factors:
         if f.ctx != ctx:
             raise ValueError("context mismatch between box factors")
-    if green is None:
-        green = all(isinstance(f, GreenFunctor) for f in factors)
-    if green and not all(isinstance(f, GreenFunctor) for f in factors):
-        raise ValueError("green structure requires Green factors")
     n = ctx.n
     k = len(factors)
     require_box_budget(factors)
@@ -260,8 +254,8 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
             rows.append(pres.expand(d, e, slot_rows))
         weyl[d] = AbHom(level[d], level[d], Sparse(rows, len(tags[d])))
 
-    if green:
-        mult = {d: _ProductTable(len(tags[d]), partial(pres.tag_product, d)) for d in ctx.divisors}
+    if all(isinstance(f, GreenFunctor) for f in factors):
+        mult = {d: _product_table(pres.factors, pres.twisted_res, tags[d], tag_pos[d], d) for d in ctx.divisors}
         unit = {
             d: dense_row(pres.expand(d, d, [nonzeros(fct.unit[d]) for fct in factors]), len(tags[d]))
             for d in ctx.divisors
@@ -272,16 +266,16 @@ def box_list(factors, green: bool | None = None, name: str = "") -> BoxPresentat
     return pres
 
 
-def box(m, n_, green: bool | None = None) -> BoxPresentation:
+def box(m, n_) -> BoxPresentation:
     """Binary box product M □ N."""
-    return box_list([m, n_], green=green)
+    return box_list([m, n_])
 
 
-def box_power(r, k: int, green: bool | None = None) -> BoxPresentation:
+def box_power(r, k: int) -> BoxPresentation:
     """k-fold box power with flattened tags (k ≥ 1)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    return box_list([r] * k, green=green)
+    return box_list([r] * k)
 
 
 def box_swap_hom(pres: BoxPresentation, swapped: BoxPresentation) -> MackeyHom:
@@ -345,7 +339,7 @@ def representable_rule_iso(ctx: GroupContext, t1, t2):
     t1, t2 = tuple(t1), tuple(t2)
     r1 = representable(ctx, t1)
     r2 = representable(ctx, t2)
-    pres = box(r1, r2, green=False)
+    pres = box(r1, r2)
     stabs, index = spans.product_orbits(ctx.n, t1, t2)
     rp = representable(ctx, stabs)
 

@@ -1,10 +1,10 @@
 """Twisted cyclic nerve and twisted Hochschild homology of a Green functor.
 
-Degree j of the nerve is the (j+1)-fold box power; inner faces multiply
-adjacent slots, the last face rotates the final slot to the front, twists
-it by the distinguished generator, and multiplies.  Homology is taken from
-the unnormalized (Moore) complex, which has the same homology as the
-normalized one.
+Degree j of the nerve is the (j+1)-fold box power, a Green functor like
+R itself; inner faces multiply adjacent slots, the last face rotates the
+final slot to the front, twists it by the distinguished generator, and
+multiplies.  Homology is taken from the unnormalized (Moore) complex, which
+has the same homology as the normalized one.
 """
 
 from __future__ import annotations
@@ -103,23 +103,18 @@ class SimplicialMackey:
 
 
 class MackeyComplex:
-    """Chain complex of Mackey functors with ∂∘∂ = 0 certified levelwise."""
+    """Chain complex of Mackey functors; ``MackeyHomology`` certifies each ∂∘∂ = 0 it reads."""
 
-    def __init__(self, degrees, boundaries, check: bool = True):
+    def __init__(self, degrees, boundaries):
         self.degrees = list(degrees)
         self.boundaries = list(boundaries)  # boundaries[j] : X_j → X_{j-1}, j ≥ 1
-        if check:
-            for j in range(2, len(self.degrees)):
-                comp = self.boundaries[j].compose(self.boundaries[j - 1])
-                if not comp.is_zero():
-                    raise SimplicialIdentityError(f"∂∘∂ != 0 at degree {j}")
 
     @property
     def max_degree(self):
         return len(self.degrees) - 1
 
 
-def moore_complex(x: SimplicialMackey, check: bool = True) -> MackeyComplex:
+def moore_complex(x: SimplicialMackey) -> MackeyComplex:
     boundaries = [None]
     for j in range(1, x.max_degree + 1):
         b = x.face(j, 0)
@@ -129,14 +124,14 @@ def moore_complex(x: SimplicialMackey, check: bool = True) -> MackeyComplex:
             else:
                 b = b.add(x.face(j, i))
         boundaries.append(b)
-    return MackeyComplex(x.degrees, boundaries, check=check)
+    return MackeyComplex(x.degrees, boundaries)
 
 
-def twisted_cyclic_nerve(r, k_max: int, green: bool = False) -> SimplicialMackey:
+def twisted_cyclic_nerve(r, k_max: int) -> SimplicialMackey:
     """HC^G(R; twisted by the distinguished generator), truncated at k_max.
 
-    With green=True every degree carries its box-power Green structure
-    (slower; needed when the consumer multiplies nerve classes).
+    Every degree is a box power of the Green functor R, so it is a Green
+    functor too; its products are computed only when they are read.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -146,7 +141,7 @@ def twisted_cyclic_nerve(r, k_max: int, green: bool = False) -> SimplicialMackey
         )
     for j in range(k_max + 1):  # refuse an oversized power before building any
         require_box_budget([r] * (j + 1))
-    pres = [box_power(r, j + 1, green=green) for j in range(k_max + 1)]
+    pres = [box_power(r, j + 1) for j in range(k_max + 1)]
 
     def gens(tup):
         return [((t, 1),) for t in tup]
@@ -229,7 +224,7 @@ def hh(r, k: int, k_max: int | None = None, nerve: SimplicialMackey | None = Non
         nerve = twisted_cyclic_nerve(r, (k_max if k_max is not None else k + 1))
     if k + 1 > nerve.max_degree:
         raise TruncationTooShortError(f"nerve truncated at {nerve.max_degree}, need {k + 1}")
-    cx = moore_complex(nerve, check=False)
+    cx = moore_complex(nerve)
     return MackeyHomology(cx, k).mackey
 
 
@@ -260,7 +255,7 @@ def hh0_green(r, nerve: SimplicialMackey | None = None):
     iota = full_transfer_identification(nerve.presentations[0])
     if not iota.is_isomorphism():
         raise AssertionError("R^{□1} → R identification must be an isomorphism")
-    cx = moore_complex(nerve, check=False)
+    cx = moore_complex(nerve)
     boundary = cx.boundaries[1].compose(iota)
     rows = {d: boundary.maps[d].rows for d in r.ctx.divisors}
     quotient, _ = quotient_by_subgroups(r, rows)

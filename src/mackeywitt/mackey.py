@@ -26,7 +26,6 @@ from .fgab import (
     identity_matrix,
     nonzeros,
     preimage_basis,
-    row_mul,
     sparse_row,
 )
 from .wittcore import divisors, is_prime, prime_factors
@@ -267,23 +266,22 @@ class GreenFunctor(MackeyFunctor):
     Frobenius reciprocity: all checked by check_axioms, never assumed.
     Every Mackey operation (box products, restriction, geometric fixed
     points, homology) takes a Green functor as it is.  Tables given as
-    tuples or lists are stored with int entries; a box product passes
-    tables that compute each product when it is first read, and those are
-    stored as given.
+    tuples or lists are shape-checked and stored with int entries; a box
+    product passes tables that compute each product when it is first read,
+    and those are stored as given.
     """
 
     def __init__(self, ctx: GroupContext, level, res, tr, weyl, mult, unit, name: str = ""):
         super().__init__(ctx, level, res, tr, weyl, name)
-        self.mult = {
-            d: tuple(tuple(tuple(int(x) for x in row) for row in gen_rows) for gen_rows in table)
-            if isinstance(table, (tuple, list)) else table
-            for d, table in mult.items()
-        }
+        self.mult = dict(mult)
         self.unit = {d: tuple(int(x) for x in unit[d]) for d in unit}
         for d in ctx.divisors:
             k = self.level[d].num_generators
-            if len(self.mult[d]) != k or any(len(m) != k for m in self.mult[d]):
-                raise ValueError(f"mult[{d}] has wrong shape")
+            table = self.mult[d]
+            if isinstance(table, (tuple, list)):
+                if len(table) != k or any(len(m) != k for m in table):
+                    raise ValueError(f"mult[{d}] has wrong shape")
+                self.mult[d] = tuple(tuple(tuple(int(x) for x in row) for row in gen_rows) for gen_rows in table)
             if len(self.unit[d]) != k:
                 raise ValueError(f"unit[{d}] has wrong length")
 
@@ -390,8 +388,9 @@ def fixed_point_mackey(ctx: GroupContext, group: FgAbGroup, action, ring: RingDa
     """Fixed-point Mackey functor of a C_n-module (Green when ring data given).
 
     level(d) is the subgroup fixed by C_d: the ``Subquotient`` on the kernel
-    of g^{n/d} − 1, into which restrictions, transfers (sums over coset
-    representatives) and the induced Weyl action project.
+    of g^{n/d} − 1.  Restrictions, transfers (sums over coset
+    representatives) and the Weyl action are ``Subquotient.induced`` maps
+    between those levels, each certified well defined.
     """
     n = ctx.n
     act = AbHom(group, group, action)
@@ -403,22 +402,16 @@ def fixed_point_mackey(ctx: GroupContext, group: FgAbGroup, action, ring: RingDa
         diff = act.power(n // d).sub(AbHom.identity(group))
         sq[d] = Subquotient(group, preimage_basis(diff.rows, group.rels), ())
     level = {d: sq[d].group for d in ctx.divisors}
-
-    def projected(src: int, dst: int, ambient: AbHom) -> AbHom:
-        """The ambient map from the fixed lattice of src, projected into that of dst."""
-        rows = [sq[dst].coords(row_mul(row, ambient.rows)) for row in sq[src].lattice]
-        return AbHom(level[src], level[dst], Sparse(rows, level[dst].num_generators), check=False)
-
     res = {}
     tr = {}
     for (d, e) in prime_edges(ctx):
-        res[(d, e)] = projected(e, d, AbHom.identity(group))
+        res[(d, e)] = sq[e].induced(AbHom.identity(group), sq[d])
         p = e // d
         tr_ambient = AbHom.zero(group, group)
         for i in range(p):
             tr_ambient = tr_ambient.add(act.power((n // e) * i))
-        tr[(d, e)] = projected(d, e, tr_ambient)
-    weyl = {d: projected(d, d, act) for d in ctx.divisors}
+        tr[(d, e)] = sq[d].induced(tr_ambient, sq[e])
+    weyl = {d: sq[d].induced(act, sq[d]) for d in ctx.divisors}
     if ring is None:
         return MackeyFunctor(ctx, level, res, tr, weyl, name="fixed-point")
 

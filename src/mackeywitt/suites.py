@@ -121,9 +121,9 @@ def suite_box_contract(seed: int) -> Report:
             fixed_point_mackey(ctx, *_random_fixed_point(ctx, rng)),
         ]
         for m in probes:
-            res.note(unit_iso(box(b, m, green=False)).is_isomorphism(), f"unitality C_{n}")
+            res.note(unit_iso(box(b, m)).is_isomorphism(), f"unitality C_{n}")
         a, c = probes[1], probes[2]
-        p1, p2 = box(a, c, green=False), box(c, a, green=False)
+        p1, p2 = box(a, c), box(c, a)
         res.note(box_swap_hom(p1, p2).is_isomorphism(), f"symmetry C_{n}")
         for _ in range(2):
             t1 = tuple(rng.choice(ctx.divisors) for _ in range(rng.randint(1, 2)))
@@ -145,9 +145,8 @@ def suite_dd_zero(seed: int) -> Report:
     for builder in builders:
         for _ in range(2):
             r = builder()
-            nerve = twisted_cyclic_nerve(r, 2)
-            moore_complex(nerve, check=True)
-            res.note(True, "∂∘∂ = 0 certified")
+            b = moore_complex(twisted_cyclic_nerve(r, 2)).boundaries
+            res.note(all(b[j].compose(b[j - 1]).is_zero() for j in range(2, len(b))), "∂∘∂ = 0 certified")
     return res
 
 

@@ -140,6 +140,7 @@ def test_validation_errors(capsys, tmp_path):
     {"elements": ["0", "1", "1"], "zero": "0", "one": "1",
      "table": [["0", "0", "0"], ["0", "1", "1"], ["0", "1", "1"]], "action": ["0", "1", "1"]},
     {"elements": ["0"], "zero": "0", "one": "0", "table": [["0"]], "action": ["0"]},
+    {"zero": "0"},
 ])
 def test_malformed_monoid_file_is_one_line_exit_2(capsys, tmp_path, content):
     mfile = tmp_path / "bad.json"
@@ -148,6 +149,8 @@ def test_malformed_monoid_file_is_one_line_exit_2(capsys, tmp_path, content):
     assert code == 2
     assert out == ""
     assert err.startswith("error: invalid monoid: ") and err.count("\n") == 1
+    if content == {"zero": "0"}:
+        assert err == "error: invalid monoid: missing key 'elements'\n"
 
 
 @pytest.mark.parametrize("ring", ["F_4", "F6", "F_x", "Z/abc", "Z/-3"])

@@ -112,7 +112,7 @@ def test_bredon_green_direct_vs_box_form():
 
     ctx = GroupContext(2)
     am = bredon_green(ctx, swap_pair_monoid(ctx))
-    pres = box(burnside(ctx), am, green=True)
+    pres = box(burnside(ctx), am)
     for d in ctx.divisors:
         assert pres.mackey.level[d].canonical_form == am.level[d].canonical_form
     assert check_axioms(am).passed
@@ -135,7 +135,7 @@ def test_monoid_algebra_agrees_with_orbitwise_sum(n):
         inv_sum = []
         rank_sum = 0
         for stab in od.stabs:
-            piece = box(r, representable(ctx, [stab]), green=False).mackey.level[d]
+            piece = box(r, representable(ctx, [stab])).mackey.level[d]
             inv, rank = piece.canonical_form
             inv_sum.extend(inv)
             rank_sum += rank

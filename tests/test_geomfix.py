@@ -119,7 +119,7 @@ def test_tilde_ef_box_cross_check():
         te_a = tilde_ef(a, m)
         target = fixed_point_mackey(ctx, free_group(1), ((1,),))
         for probe in (burnside(ctx), representable(ctx, [1])):
-            pres = box(probe, te_a, green=False)
+            pres = box(probe, te_a)
             te_probe = tilde_ef(probe, m)
             for d in ctx.divisors:
                 assert pres.mackey.level[d].canonical_form == te_probe.level[d].canonical_form

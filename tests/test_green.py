@@ -1,12 +1,17 @@
+import gc
 import random
+import weakref
 from itertools import product
 from math import gcd
 
 import pytest
 
+from mackeywitt import green
 from mackeywitt.cycmonoid import PointedGMonoid, monoid_algebra, splitting_check
 from mackeywitt.fgab import AbHom, NotWellDefinedError, free_group, identity_matrix
+from mackeywitt.hochschild import twisted_cyclic_nerve
 from mackeywitt.mackey import (
+    GreenFunctor,
     GroupContext,
     RingData,
     bilinear,
@@ -16,7 +21,6 @@ from mackeywitt.mackey import (
     representable,
 )
 from mackeywitt.green import (
-    BoxPresentation,
     box,
     box_list,
     box_power,
@@ -48,7 +52,7 @@ def test_box_unitality_with_burnside(n):
     ctx = GroupContext(n)
     b = burnside(ctx)
     for m in (burnside(ctx), trivial_Z(ctx)):
-        pres = box(b, m, green=False)
+        pres = box(b, m)
         iso = unit_iso(pres)
         assert iso.is_isomorphism()
 
@@ -56,14 +60,14 @@ def test_box_unitality_with_burnside(n):
 def test_box_unitality_fixed_point_swap():
     ctx = GroupContext(2)
     m = fixed_point_mackey(ctx, free_group(2), ((0, 1), (1, 0)))
-    pres = box(burnside(ctx), m, green=False)
+    pres = box(burnside(ctx), m)
     assert unit_iso(pres).is_isomorphism()
 
 
 def test_box_unitality_c4_mixed():
     ctx = GroupContext(4)
     m = representable(ctx, [2])
-    pres = box(burnside(ctx), m, green=False)
+    pres = box(burnside(ctx), m)
     assert unit_iso(pres).is_isomorphism()
 
 
@@ -72,8 +76,8 @@ def test_box_symmetry(n):
     ctx = GroupContext(n)
     a = burnside(ctx)
     b = representable(ctx, [1])
-    p1 = box(a, b, green=False)
-    p2 = box(b, a, green=False)
+    p1 = box(a, b)
+    p2 = box(b, a)
     swap = box_swap_hom(p1, p2)
     assert swap.is_isomorphism()
 
@@ -213,7 +217,7 @@ def test_quotient_by_weyl_differences_dual_numbers_sign():
 def test_box_associativity_canonical_forms():
     ctx = GroupContext(4)
     b = burnside(ctx)
-    left = box(box(b, b).mackey, b, green=False)
+    left = box(box(b, b).mackey, b)
     flat = box_power(b, 3)
     for d in ctx.divisors:
         assert left.mackey.level[d].canonical_form == flat.mackey.level[d].canonical_form
@@ -287,7 +291,41 @@ def test_lazy_box_table_matches_eager_reference(n):
 
 def test_lazy_box_power_of_dual_numbers_matches_eager_reference():
     _, rm = _dual_numbers_algebra(2)
-    _assert_matches_reference(box_power(rm, 2, green=True))
+    # a nerve degree of a Green functor is Green, with the same lazy tables
+    for pres in (box_power(rm, 2), twisted_cyclic_nerve(rm, 1).presentations[1]):
+        assert isinstance(pres.mackey, GreenFunctor)
+        _assert_matches_reference(pres)
+
+
+def _freed_by_refcount(build):
+    """Whether the objects build() returns are freed once dropped, with the cycle collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        refs = [weakref.ref(x) for x in build()]
+        return all(r() is None for r in refs)
+    finally:
+        gc.enable()
+
+
+def test_box_products_and_nerves_hold_no_reference_cycle():
+    """A Green box's product tables must not reach back to its presentation:
+    a cycle there keeps every box alive until the collector runs."""
+    b = burnside(GroupContext(4))
+    _, rm = _dual_numbers_algebra(2)
+
+    def boxes():
+        pres = box(b, b)
+        pres.mackey.mult[4][2][3]  # a filled cell: the table now holds rows and products
+        return [pres, pres.mackey, pres.twisted_res]
+
+    def nerve():
+        x = twisted_cyclic_nerve(rm, 2)
+        x.degrees[1].mult[2][0][1]
+        return [x, *x.presentations, *x.degrees]
+
+    assert _freed_by_refcount(boxes)
+    assert _freed_by_refcount(nerve)
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -304,14 +342,15 @@ def test_weyl_power_matches_uncached_power(n):
 
 
 def _count_products(monkeypatch):
+    """Record (tags, d, a, b) for every box product computed; tags is the level's tag tuple."""
     calls = []
-    real = BoxPresentation.tag_product
+    real = green.tag_product
 
-    def counted(self, d, a, b):
-        calls.append((self, d, a, b))
-        return real(self, d, a, b)
+    def counted(factors, twisted, tags, pos, d, a, b):
+        calls.append((tags, d, a, b))
+        return real(factors, twisted, tags, pos, d, a, b)
 
-    monkeypatch.setattr(BoxPresentation, "tag_product", counted)
+    monkeypatch.setattr(green, "tag_product", counted)
     return calls
 
 
@@ -328,7 +367,7 @@ def test_axiom_check_reads_every_box_product(monkeypatch, n):
 def test_box_power_computes_products_only_when_read(monkeypatch):
     calls = _count_products(monkeypatch)
     _, rm = _dual_numbers_algebra(2)
-    pres = box_power(rm, 3, green=True)
+    pres = box_power(rm, 3)
     assert calls == []
     mult = pres.mackey.mult[2]
     first = mult[3][5]
@@ -336,7 +375,7 @@ def test_box_power_computes_products_only_when_read(monkeypatch):
     assert mult[3][5] == first
     assert len(calls) == computed
     # the factors' own products are filled on read too; count the box's
-    assert [(d, a, b) for (p, d, a, b) in calls if p is pres] == [(2, 3, 5)]
+    assert [(d, a, b) for (t, d, a, b) in calls if t is pres.tags[d]] == [(2, 3, 5)]
 
 
 def test_splitting_check_reads_few_box_products(monkeypatch):
@@ -383,7 +422,7 @@ def test_bilinear_matches_loop_on_lazy_box_tables(n):
     rng = random.Random(n)
     b = burnside(GroupContext(n))
     _, rm = _dual_numbers_algebra(2)
-    for pres in (box(b, b), box_power(rm, 2, green=True)):
+    for pres in (box(b, b), box_power(rm, 2)):
         g = pres.mackey
         for d in g.ctx.divisors:
             _assert_bilinear_matches_loop(g.mult[d], g.level[d].num_generators, rng)
@@ -432,7 +471,7 @@ def _unit_or_zero_hom(pres, target, natural):
 @pytest.mark.parametrize("natural", [True, False])
 def test_hom_rejects_a_row_that_breaks_a_box_relation(natural):
     ctx = GroupContext(2)
-    pres = box(burnside(ctx), burnside(ctx), green=False)
+    pres = box(burnside(ctx), burnside(ctx))
     free = fixed_point_mackey(ctx, free_group(len(pres.tags[2])), identity_matrix(len(pres.tags[2])))
     assert pres.mackey.level[2].relations
     with pytest.raises(NotWellDefinedError, match="not in target relations"):
@@ -441,7 +480,7 @@ def test_hom_rejects_a_row_that_breaks_a_box_relation(natural):
 
 def test_hom_certifies_naturality_only_when_asked():
     ctx = GroupContext(2)
-    pres = box(burnside(ctx), burnside(ctx), green=False)
+    pres = box(burnside(ctx), burnside(ctx))
     with pytest.raises(NotWellDefinedError, match="not natural"):
         _unit_or_zero_hom(pres, pres.mackey, natural=True)
     hom = _unit_or_zero_hom(pres, pres.mackey, natural=False)

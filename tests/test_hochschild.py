@@ -65,7 +65,9 @@ def same_quotient(a, b):
 def test_nerve_identities_c1_ring():
     x = twisted_cyclic_nerve(trivial_Z(1), 3)
     x.check_identities()
-    cx = moore_complex(x)  # dd=0 checked
+    b = moore_complex(x).boundaries
+    for j in range(2, 4):
+        assert b[j].compose(b[j - 1]).is_zero()
 
 
 def test_classical_hh_of_Z():
@@ -215,7 +217,8 @@ def test_each_homology_level_goes_through_subquotient(monkeypatch):
 def test_homology_of_a_non_complex_raises_composite_not_zero():
     m = fixed_point_mackey(GroupContext(2), free_group(2), ((0, 1), (1, 0)))
     ident = MackeyHom.identity(m)
-    cx = MackeyComplex([m, m, m], [None, ident, ident], check=False)
+    cx = MackeyComplex([m, m, m], [None, ident, ident])
+    assert not cx.boundaries[2].compose(cx.boundaries[1]).is_zero()
     with pytest.raises(CompositeNotZeroError):
         MackeyHomology(cx, 1)
 

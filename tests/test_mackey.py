@@ -296,8 +296,6 @@ def test_box_of_mixed_factors_is_plain_mackey():
     out = box_list([b, rep]).mackey
     assert isinstance(out, MackeyFunctor) and not isinstance(out, GreenFunctor)
     assert isinstance(box_list([b, b]).mackey, GreenFunctor)
-    with pytest.raises(ValueError, match="requires Green factors"):
-        box_list([b, rep], green=True)
 
 
 def test_green_functor_runs_mackey_validation():
