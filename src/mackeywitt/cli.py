@@ -6,12 +6,15 @@ output.  Results go to stdout, diagnostics to stderr.  Exit status 2 means
 invalid parameters, including an enumeration over
 ``wittcore.ENUMERATION_BUDGET``; exit status 1 means an internal invariant
 violation (a bug, never user error).  Either way stderr gets one line.
+When the reader of stdout goes away early (``| head``), the exit status is
+141, as for a process killed by SIGPIPE, and stderr stays empty.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _jstr
 
@@ -347,7 +350,14 @@ def main(argv=None) -> int:
         print("error: stages must be at least 1", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout surfaces here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # the reader left: send what is still buffered to devnull and exit
+        # as a process killed by SIGPIPE would (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValidationError, EnumerationBudgetError) as exc:
         print(f"error: {_one_line(exc)}", file=sys.stderr)
         return 2

@@ -292,7 +292,7 @@ def tr_tower(ring: BaseRing, p: int, stages: int, degree: int) -> TowerReport:
     infinite object.
 
     The top stage n = p^(stages-1) is checked against ENUMERATION_BUDGET
-    (and, over ℤ/m, its Witt vector enumeration) before stage 0 is built.
+    (and, over ℤ/m, its count of Witt vectors) before stage 0 is built.
     """
     _require_top_stage(ring, p, stages)
     homologies = []

@@ -22,6 +22,8 @@ from .fgab import (
     NotWellDefinedError,
     Sparse,
     Subquotient,
+    _axpy,
+    dense_row,
     free_group,
     identity_matrix,
     nonzeros,
@@ -537,28 +539,34 @@ def check_axioms(m) -> Report:
         return rep
 
     # Green: levelwise commutative unital associative rings; each basis
-    # product e_i·e_j is computed once per level
+    # product e_i·e_j is read once per level, densely and as nonzeros
     eye = {d: identity_matrix(m.level[d].num_generators) for d in ctx.divisors}
     prods = {d: [[m.multiply(d, x, y) for y in eye[d]] for x in eye[d]] for d in ctx.divisors}
     for d in ctx.divisors:
         gens, prod = eye[d], prods[d]
+        k = len(gens)
         lv = m.level[d]
-        for i in range(len(gens)):
+        sp = [[nonzeros(r) for r in rows] for rows in prod]
+        for i in range(k):
             rep.note(
                 lv.elements_equal(m.multiply(d, m.unit[d], gens[i]), gens[i]),
                 f"unit fails at level {d}, generator {i}",
             )
-            for j in range(len(gens)):
+            for j in range(k):
                 rep.note(
                     lv.elements_equal(prod[i][j], prod[j][i]),
                     f"commutativity fails at level {d} ({i},{j})",
                 )
-                for t in range(len(gens)):
+                for t in range(k):
+                    # (e_i e_j) e_t and e_i (e_j e_t) as sparse dicts; rows
+                    # that differ may still agree modulo the relations
+                    lhs, rhs = {}, {}
+                    for s, x in sp[i][j]:
+                        _axpy(lhs, sp[s][t], x)
+                    for s, x in sp[j][t]:
+                        _axpy(rhs, sp[i][s], x)
                     rep.note(
-                        lv.elements_equal(
-                            m.multiply(d, prod[i][j], gens[t]),
-                            m.multiply(d, gens[i], prod[j][t]),
-                        ),
+                        lhs == rhs or lv.elements_equal(dense_row(lhs.items(), k), dense_row(rhs.items(), k)),
                         f"associativity fails at level {d} ({i},{j},{t})",
                     )
     # res are ring maps; weyl are ring automorphisms

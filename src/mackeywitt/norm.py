@@ -2,17 +2,17 @@
 
 Level d is the additive group of W_⟨d⟩(R); restrictions are Frobenius maps,
 transfers are Verschiebungs, the Weyl action is trivial, and multiplication
-is Witt multiplication.  Over ℤ the additive basis is {V_e([1]) : e | d}
-(triangular ghost matrix, so coordinates are exact integer solves); over
-ℤ/m each level's additive group is brute-forced from Witt addition.
+is Witt multiplication.  Each level is presented on {V_e([1]) : e | d}, a
+basis of W_⟨d⟩(ℤ) and so generators of its quotient W_⟨d⟩(ℤ/m), whose
+presentation is certified exact when it is built.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from math import prod
 
 from . import wittcore
-from .fgab import _SNF, AbHom, FgAbGroup, Sparse, dense_row, nonzeros, row_mul, solve_left
+from .fgab import AbHom, FgAbGroup, Sparse, dense_row, nonzeros, row_mul
 from .mackey import GreenFunctor, GroupContext, Report, prime_edges
 from .wittcore import (
     BaseRing,
@@ -20,101 +20,85 @@ from .wittcore import (
     UnsupportedRingError,
     WittVector,
     frobenius,
-    ghost,
     one,
     teichmuller,
+    v_coordinates,
     verschiebung,
-    witt_add,
+    witt_combination,
     witt_mul,
-    witt_neg,
+    witt_scalar,
     zero,
 )
 
 
 class WittLevel:
-    """One norm level: a presented group whose generators are Witt vectors."""
+    """One norm level: a presented group whose generators are Witt vectors.
+
+    The generators are V_s([1]), s | d: over ℤ a basis, in increasing s.
+    Over ℤ/m, in decreasing s, g_k has order m modulo g_0, ..., g_{k-1}
+    (the vectors supported on the k + 1 largest s form a subgroup, additive
+    in the smallest s), so relation row k is m·e_k − coords(m·g_k).
+    """
 
     def __init__(self, ring: BaseRing, d: int):
         self.ring = ring
         self.d = d
         self.truncation = TruncationSet.of(d)
-        if ring.is_torsion_free:
-            self._init_integral()
-        else:
-            self._init_finite()
+        m = ring.modulus
+        divs = self.truncation.sorted()[::-1 if m else 1]
+        self.gens = [verschiebung(s, one(TruncationSet.of(d // s), ring), self.truncation) for s in divs]
+        self._rows: list[tuple[int, ...]] = []
+        if m:
+            for k, g in enumerate(self.gens):
+                row = [-c for c in self.coords(witt_scalar(m, g))]
+                row[k] += m
+                self._rows.append(tuple(row))
+            self._certify()
+        self.group = FgAbGroup(len(divs), self._rows)
 
-    def _init_integral(self):
-        divs = self.truncation.sorted()
-        self.gens = [
-            verschiebung(e, one(TruncationSet.of(self.d // e), self.ring), self.truncation)
-            for e in divs
-        ]
-        self._ghost_rows = tuple(
-            tuple(ghost(g)[m] for m in divs) for g in self.gens
-        )
-        self.group = FgAbGroup(len(self.gens), ())
-        self._table = None
-
-    def _init_finite(self):
+    def _certify(self) -> None:
+        """Prove the ℤ/m presentation exact, or raise AssertionError: the rows
+        map to 0 (a map to W), the generators are unitriangular (onto), and
+        the rows are lower triangular of determinant m^τ = |W| (one to one)."""
+        rows, tau, m = self._rows, len(self.gens), self.ring.modulus
         z = zero(self.truncation, self.ring)
-        table = {z.component_tuple(): ()}
-        elements = {z.component_tuple(): z}
-        gens: list[WittVector] = []
-        relations: list[tuple[int, ...]] = []
-        for cand in wittcore.all_vectors(self.truncation, self.ring):
-            key = cand.component_tuple()
-            if key in table:
-                continue
-            # adjoin cand as a new generator; find its order relative to the
-            # current subgroup, then extend the element table
-            multiples = []
-            acc = cand
-            while acc.component_tuple() not in table:
-                multiples.append(acc)
-                acc = witt_add(acc, cand)
-            order = len(multiples) + 1  # smallest o with o·cand in the old subgroup
-            base_coords = table[acc.component_tuple()]
-            k = len(gens)
-            relations = [r + (0,) for r in relations]
-            relations.append(tuple(-c for c in base_coords) + (0,) * (k - len(base_coords)) + (order,))
-            new_table = {}
-            for key0, coords in table.items():
-                h = elements[key0]
-                step = h
-                new_table[key0] = coords + (0,) * (k - len(coords)) + (0,)
-                for j in range(1, order):
-                    step = witt_add(step, cand)
-                    kj = step.component_tuple()
-                    new_table[kj] = coords + (0,) * (k - len(coords)) + (j,)
-                    elements[kj] = step
-            gens.append(cand)
-            table = new_table
-        width = len(gens)
-        self.gens = gens
-        self._table = {k: v + (0,) * (width - len(v)) for k, v in table.items()}
-        self.group = FgAbGroup(width, [r + (0,) * (width - len(r)) for r in relations])
-        self._ghost_rows = None
-
-    @cached_property
-    def _ghost_snf(self) -> _SNF:
-        return _SNF(self._ghost_rows)
+        bad = [k for k, r in enumerate(rows) if self.element(r) != z]
+        bad += [k for k, r in enumerate(rows) if any(r[k + 1:])]
+        if bad or not unitriangular(self.gens, tau) or prod(r[k] for k, r in enumerate(rows)) != m**tau:
+            raise AssertionError(f"W_<{self.d}>({self.ring}) is not presented exactly (rows {bad})")
 
     def coords(self, w: WittVector) -> tuple[int, ...]:
-        if self.ring.is_torsion_free:
-            target = tuple(ghost(w)[m] for m in self.truncation.sorted())
-            sol = solve_left(self._ghost_rows, target, self._ghost_snf)
-            if sol is None:
-                raise AssertionError("integral Witt vector outside the V-basis lattice")
-            return sol
-        return self._table[w.component_tuple()]
+        """w on the generators: exact over ℤ, with entries in [0, m) over ℤ/m."""
+        c = v_coordinates(w)
+        m = self.ring.modulus
+        if not m:
+            return tuple(c)
+        c.reverse()
+        for k in reversed(range(len(self._rows))):
+            q = c[k] // m
+            if q:
+                for j, x in enumerate(self._rows[k][: k + 1]):
+                    c[j] -= q * x
+        return tuple(c)
 
     def element(self, row) -> WittVector:
-        acc = zero(self.truncation, self.ring)
-        for c, g in zip(row, self.gens):
-            step = g if c >= 0 else witt_neg(g)
-            for _ in range(abs(c)):
-                acc = witt_add(acc, step)
-        return acc
+        return witt_combination(row, self.gens)
+
+
+def unitriangular(vectors, k: int) -> bool:
+    """Leading Witt components are ±1, one at each of the k positions.
+
+    Then the vectors generate: those whose first j components vanish form a
+    subgroup, on which component j + 1 is additive.
+    """
+    leads = set()
+    for v in vectors:
+        comps = v.component_tuple()
+        i = next((i for i, c in enumerate(comps) if c), None)
+        if i is None or abs(comps[i]) != 1 or i in leads:
+            return False
+        leads.add(i)
+    return len(leads) == k
 
 
 class NormGreenFunctor(GreenFunctor):
@@ -129,8 +113,8 @@ class NormGreenFunctor(GreenFunctor):
 def norm_trivial_ring(ring: BaseRing, n: int) -> NormGreenFunctor:
     """The norm Green functor of a trivial-action base ring (ℤ or ℤ/m).
 
-    Over ℤ/m the top level's enumeration is checked against the budget
-    before any level is built.
+    Over ℤ/m the size m^τ of the top level is checked against the
+    enumeration budget before any level is built.
     """
     if not isinstance(ring, BaseRing):
         raise UnsupportedRingError("base ring must be ℤ or ℤ/m")

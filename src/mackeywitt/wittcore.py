@@ -20,7 +20,6 @@ oracle the tests compare against.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 Monomial = tuple[tuple[object, int], ...]  # sorted ((variable, exponent), ...)
 
@@ -37,10 +36,11 @@ class InexactWittDivision(ArithmeticError):
     """Integrality of a Witt solve failed; indicates an implementation bug."""
 
 
-# The most Witt vectors a finite enumeration may visit: W_S(ℤ/m) has m^{#S}.
-# The largest case in the tests, the acceptance suite, the README and the
-# benchmark is W_⟨12⟩(ℤ/4) with 4^6 = 4096; `norm --ring F_2 --n 360` would
-# need 2^24.  Moduli above it are refused when a ring is parsed.
+# The most elements a norm level W_S(ℤ/m) may have, m^{#S}; it also bounds
+# the classical comparison's fallback search over W.  The largest case in the
+# tests, the acceptance suite, the README and the benchmark is W_⟨12⟩(ℤ/4)
+# with 4^6 = 4096; `norm --ring F_2 --n 360` would need 2^24.  Moduli above
+# it are refused when a ring is parsed.
 ENUMERATION_BUDGET = 1 << 16
 # The most tags one level of a box product may have (Σ_{e|d} Π_f gens_f(e)),
 # checked before the level is built.  Every command in the tests, the README
@@ -54,7 +54,7 @@ class EnumerationBudgetError(ValueError):
 
 
 def require_enumerable(modulus: int, length: int) -> None:
-    """Refuse enumerating W_S(ℤ/modulus), #S = length, over the budget."""
+    """Refuse W_S(ℤ/modulus), #S = length, with more elements than the budget."""
     if modulus**length > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
             f"{modulus}^{length} Witt vectors exceed the enumeration budget of {ENUMERATION_BUDGET}"
@@ -449,8 +449,26 @@ def witt_sub(a: WittVector, b: WittVector) -> WittVector:
 
 def witt_scalar(n: int, a: WittVector) -> WittVector:
     """n-fold Witt sum of a (n may be negative): one scaling of the ghosts."""
-    gh = {d: n * _lift_ghost(a, d) for d in a.truncation.elements}
-    return WittVector(a.truncation, a.ring, _solve_ghost(a.truncation, gh))
+    return witt_combination((n,), (a,))
+
+
+def witt_combination(coeffs, vectors) -> WittVector:
+    """The Witt sum Σ c_i·v_i of vectors over one truncation set and ring: one ghost solve."""
+    S, ring = vectors[0].truncation, vectors[0].ring
+    gh = {d: sum(c * _lift_ghost(v, d) for c, v in zip(coeffs, vectors) if c) for d in S.elements}
+    return WittVector(S, ring, _solve_ghost(S, gh))
+
+
+def v_coordinates(w: WittVector) -> list[int]:
+    """The a_s, s ∈ S ascending, with w = Σ_s a_s·V_s([1]) (for the lift of w's
+    components over ℤ/m).  W_S(ℤ) is free on the V_s([1]) (Dress–Siebeneicher),
+    and gh_t(V_s[1]) is s for s | t, else 0: the ghost equations are triangular."""
+    divs = w.truncation.sorted()
+    a: list[int] = []
+    for t in divs:
+        lower = sum(s * x for s, x in zip(divs, a) if t % s == 0)
+        a.append(_exact_div(_lift_ghost(w, t) - lower, t))
+    return a
 
 
 def frobenius(r: int, w: WittVector) -> WittVector:
@@ -469,14 +487,3 @@ def verschiebung(r: int, w: WittVector, out_truncation: TruncationSet) -> WittVe
     }
     return WittVector(out_truncation, w.ring, comps)
 
-
-def all_vectors(truncation: TruncationSet, ring: BaseRing):
-    """Iterate every Witt vector (finite base rings, at most ENUMERATION_BUDGET)."""
-    if ring.is_torsion_free:
-        raise ValueError("infinite base ring")
-    order = truncation.sorted()
-    require_enumerable(ring.modulus, len(order))
-    return (
-        WittVector(truncation, ring, dict(zip(order, comps)))
-        for comps in product(ring.elements(), repeat=len(order))
-    )

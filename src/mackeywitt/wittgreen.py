@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .fgab import AbHom, FgAbGroup, Sparse
 from .hochschild import hh0_green
 from .mackey import GreenFunctor
-from .norm import NormGreenFunctor, external_norm_element, norm_trivial_ring
+from .norm import NormGreenFunctor, external_norm_element, norm_trivial_ring, unitriangular
 from .wittcore import (
     BaseRing,
     UnsupportedRingError,
@@ -133,12 +133,11 @@ def compare_with_classical(w: GreenWittVectors, ring: BaseRing, n: int) -> Compa
     verdict is ``isomorphic`` only when φ is
 
     - well defined: every relation row of the top level goes to 0;
-    - bijective: over ℤ/m the top level has m^{#⟨n⟩} elements, as many as
-      W_⟨n⟩(ℤ/m), and the additive closure of the images is all of W; over
-      ℤ the top level is free of rank #⟨n⟩ and the images are unitriangular
-      in the Witt components, hence an additive basis (the vectors whose
-      first j components vanish form a subgroup, on which component j+1 is
-      additive);
+    - bijective: the images are unitriangular in the Witt components, so
+      they generate W (``norm.unitriangular``), and the top level is as
+      large as W: free of rank #⟨n⟩ over ℤ, of order m^{#⟨n⟩} over ℤ/m.
+      Over ℤ/m images that fail the leads are searched instead, and accepted
+      when their additive closure is all of W;
     - multiplicative and unital: φ(g_i)·φ(g_j) = φ(mult[n][i][j]) for every
       pair of generators, and φ(unit[n]) = 1.
 
@@ -169,9 +168,9 @@ def compare_with_classical(w: GreenWittVectors, ring: BaseRing, n: int) -> Compa
     for r, rel in enumerate(top.relations):
         if lv.element(rel) != zero_w:
             return refuse(f"relation {r} does not map to 0")
-    if over_Z and not _unitriangular(lv.gens, k):
-        return refuse("generator images are not a basis")
-    if not over_Z:
+    if not unitriangular(lv.gens, k):
+        if over_Z:
+            return refuse("generator images are not a basis")
         reached = _additive_closure(lv.gens, zero_w)
         if reached != size:
             return refuse(f"generator images span {reached} of {size} elements")
@@ -184,18 +183,6 @@ def compare_with_classical(w: GreenWittVectors, ring: BaseRing, n: int) -> Compa
         return refuse("unit mismatch")
     detail = f"free rank {k}, products match on ghosts" if over_Z else f"{size} elements"
     return ComparisonVerdict(True, method, detail)
-
-
-def _unitriangular(vectors, k: int) -> bool:
-    """Leading Witt components are ±1, one at each of the k positions."""
-    leads = set()
-    for v in vectors:
-        comps = v.component_tuple()
-        i = next((i for i, c in enumerate(comps) if c), None)
-        if i is None or abs(comps[i]) != 1 or i in leads:
-            return False
-        leads.add(i)
-    return len(leads) == k
 
 
 def _additive_closure(vectors, zero_w) -> int:

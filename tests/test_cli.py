@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -337,3 +341,31 @@ def test_json_stdout_is_json_dumps_of_the_payload(capsys, monkeypatch, tmp_path,
     code, out, err = run_cli(capsys, *argv, "--json")
     assert (code, err, len(payloads)) == (0, "", 1)
     assert out == json.dumps(payloads[0], indent=2) + "\n"
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ("monoid", "--file", "DUAL_NUMBERS", "--ring", "Z", "--n", "2", "--max-degree", "1", "--json"),
+    ("hh", "--ring", "F_2", "--n", "2", "--max-degree", "2", "--json"),
+], ids=["monoid", "hh"])
+def test_closed_stdout_exits_141_without_stderr(tmp_path, argv, unbuffered):
+    # the reader of stdout is gone before anything is written, as in `| head -c 100`
+    mfile = tmp_path / "dual.json"
+    mfile.write_text(json.dumps(DUAL_NUMBERS))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [str(mfile) if a == "DUAL_NUMBERS" else a for a in argv]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mackeywitt.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""

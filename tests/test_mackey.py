@@ -2,7 +2,7 @@ import pytest
 
 from mackeywitt.fgab import AbHom, FgAbGroup, free_group, identity_matrix
 from mackeywitt.geomfix import phi, tilde_ef
-from mackeywitt.green import box_list, quotient_by_subgroups
+from mackeywitt.green import box, box_list, quotient_by_subgroups
 from mackeywitt.mackey import (
     GreenFunctor,
     GroupContext,
@@ -308,3 +308,110 @@ def test_green_functor_runs_mackey_validation():
     bad_mult[2] = b.mult[2][:1]
     with pytest.raises(ValueError, match="wrong shape"):
         GreenFunctor(b.ctx, b.level, b.res, b.tr, b.weyl, bad_mult, b.unit)
+
+
+# ---------------------------------------------------------------------------
+# the Green certificate against its dense reference
+
+
+RING_AXIOMS = ("unit fails", "commutativity fails", "associativity fails")
+
+
+def dense_ring_checks(m):
+    """The unit, commutativity and associativity checks of ``check_axioms`` as
+    they read before its sparse rows: every basis triple by two dense
+    ``multiply`` calls, compared with ``elements_equal``."""
+    out = []
+    for d in m.ctx.divisors:
+        lv = m.level[d]
+        gens = identity_matrix(lv.num_generators)
+        prod = [[m.multiply(d, x, y) for y in gens] for x in gens]
+        for i in range(len(gens)):
+            out.append((
+                lv.elements_equal(m.multiply(d, m.unit[d], gens[i]), gens[i]),
+                f"unit fails at level {d}, generator {i}",
+            ))
+            for j in range(len(gens)):
+                out.append((
+                    lv.elements_equal(prod[i][j], prod[j][i]),
+                    f"commutativity fails at level {d} ({i},{j})",
+                ))
+                for t in range(len(gens)):
+                    out.append((
+                        lv.elements_equal(
+                            m.multiply(d, prod[i][j], gens[t]), m.multiply(d, gens[i], prod[j][t])
+                        ),
+                        f"associativity fails at level {d} ({i},{j},{t})",
+                    ))
+    return out
+
+
+def assert_ring_checks_match_dense(m):
+    rep = check_axioms(m)
+    block = [c for c in rep.checks if c[1].startswith(RING_AXIOMS)]
+    ref = dense_ring_checks(m)
+    assert block == ref
+    assert [msg for ok, msg in block if not ok] == [msg for ok, msg in ref if not ok]
+    return rep
+
+
+def _torsion_swap_ring():
+    # (Z/4)^2 with coordinatewise product and the swap action
+    ring = RingData(mult=(((1, 0), (0, 0)), ((0, 0), (0, 1))), unit=(1, 1))
+    return fixed_point_mackey(GroupContext(2), FgAbGroup(2, ((4, 0), (0, 4))), ((0, 1), (1, 0)), ring)
+
+
+def _with_products(m, d, cells):
+    """m with the products mult[d][i][j] replaced by the rows in cells {(i, j): row}."""
+    table = [list(rows) for rows in m.mult[d]]
+    for (i, j), row in cells.items():
+        table[i][j] = row
+    mult = {**m.mult, d: table}
+    return GreenFunctor(m.ctx, m.level, m.res, m.tr, m.weyl, mult, m.unit, m.name)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: burnside(GroupContext(6)),
+        lambda: box(burnside(GroupContext(4)), burnside(GroupContext(4))).mackey,
+        lambda: norm_trivial_ring(BaseRing.integers_mod(4), 6),
+        _torsion_swap_ring,
+    ],
+    ids=["burnside_C6", "box_AA_C4", "norm_Z4_6", "fixed_point_torsion"],
+)
+def test_green_certificate_matches_dense_reference(build):
+    m = build()
+    assert isinstance(m, GreenFunctor)
+    rep = assert_ring_checks_match_dense(m)
+    assert rep.passed, rep
+
+
+@pytest.mark.parametrize(
+    "m,d",
+    [(burnside(GroupContext(6)), 6), (norm_trivial_ring(BaseRing.integers_mod(4), 4), 4)],
+    ids=["burnside_C6", "norm_Z4_4"],
+)
+def test_perturbed_product_reports_the_dense_failures(m, d):
+    row = m.mult[d][1][2]
+    broken = _with_products(m, d, {(1, 2): row[:1] + (row[1] + 1,) + row[2:]})
+    rep = assert_ring_checks_match_dense(broken)
+    assoc = [msg for msg in rep.failures if msg.startswith("associativity fails")]
+    assert assoc and all(msg.startswith(f"associativity fails at level {d} (") for msg in assoc)
+
+
+def test_products_associative_only_modulo_relations_pass():
+    m = norm_trivial_ring(BaseRing.integers_mod(4), 6)
+    lv = m.level[6]
+    rel = lv.relations[0]
+    shifted = tuple(x + y for x, y in zip(m.mult[6][1][2], rel))
+    broken = _with_products(m, 6, {(1, 2): shifted, (2, 1): shifted})
+    # some triple now differs as integer rows and agrees only modulo the relations
+    gens = identity_matrix(lv.num_generators)
+    prod = [[broken.multiply(6, x, y) for y in gens] for x in gens]
+    assert any(
+        broken.multiply(6, prod[i][j], gens[t]) != broken.multiply(6, gens[i], prod[j][t])
+        for i in range(len(gens)) for j in range(len(gens)) for t in range(len(gens))
+    )
+    rep = assert_ring_checks_match_dense(broken)
+    assert rep.passed, rep

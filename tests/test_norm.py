@@ -1,15 +1,19 @@
 import random
 
 import pytest
+from witt_enumeration import all_vectors, enumerated_level
 
+from mackeywitt import norm
+from mackeywitt.cli import main
 from mackeywitt.fgab import identity_matrix
 from mackeywitt.mackey import check_axioms
 from mackeywitt.norm import (
+    WittLevel,
     check_norm_restriction_identity,
     external_norm_element,
     norm_trivial_ring,
 )
-from mackeywitt.wittcore import BaseRing, UnsupportedRingError
+from mackeywitt.wittcore import BaseRing, UnsupportedRingError, divisors, witt_scalar
 
 Z = BaseRing.integers()
 F2 = BaseRing.integers_mod(2)
@@ -115,3 +119,53 @@ def test_norm_restriction_levels_f2_4_2():
     pres = box_power(norm_trivial_ring(F2, 2), 2)
     assert pres.mackey.level[2].canonical_form == ((4,), 0)
     assert pres.mackey.level[1].canonical_form == ((2,), 0)
+
+
+# every W_<d>(Z/m) with m^#<d> <= 4096 that the enumeration oracle can walk
+ORACLE_LEVELS = [
+    (m, d)
+    for m in (2, 3, 4, 5, 6, 8, 9)
+    for d in range(1, 17)
+    if m ** len(divisors(d)) <= 4096
+]
+
+
+@pytest.mark.parametrize("m,d", ORACLE_LEVELS)
+def test_verschiebung_presentation_matches_enumeration(m, d):
+    ring = BaseRing.integers_mod(m)
+    lv = WittLevel(ring, d)
+    oracle = enumerated_level(ring, d)
+    assert lv.gens == oracle.gens
+    assert lv.group.relations == oracle.relations
+    for w in all_vectors(lv.truncation, ring):
+        c = lv.coords(w)
+        assert c == oracle.table[w.component_tuple()]
+        assert lv.element(c) == w
+
+
+# relation rows of W_<6>(Z/4) replaced by rows that break one part of the certificate
+PERTURBED_ROWS = {
+    "bumped": lambda r: {1: (r[1][0] + 1,) + r[1][1:]},  # does not map to 0
+    "doubled": lambda r: {2: tuple(2 * x for x in r[2])},  # determinant 2·4^4
+    "upper": lambda r: {1: tuple(x + y for x, y in zip(r[1], r[2]))},  # not lower triangular
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBED_ROWS))
+def test_perturbed_relation_row_trips_the_build_certificate(name):
+    lv = WittLevel(BaseRing.integers_mod(4), 6)
+    lv._certify()
+    changed = PERTURBED_ROWS[name](lv._rows)
+    lv._rows = [changed.get(k, r) for k, r in enumerate(lv._rows)]
+    with pytest.raises(AssertionError, match="not presented exactly"):
+        lv._certify()
+
+
+def test_wrong_relation_row_fails_the_build_and_the_cli_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(norm, "witt_scalar", lambda n, g: witt_scalar(n + 1, g))
+    with pytest.raises(AssertionError):
+        WittLevel(BaseRing.integers_mod(4), 2)
+    assert main(["norm", "--ring", "Z/4", "--n", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal invariant violation: ") and captured.err.count("\n") == 1

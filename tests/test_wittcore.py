@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from witt_enumeration import all_vectors
+
 from mackeywitt.fgab import FgAbGroup
 from mackeywitt.wittcore import (
     _universal_poly,
@@ -11,7 +13,6 @@ from mackeywitt.wittcore import (
     TorsionRingError,
     TruncationSet,
     UnsupportedRingError,
-    all_vectors,
     divisors,
     frobenius,
     from_ghost,

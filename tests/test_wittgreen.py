@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from mackeywitt import wittgreen
 from mackeywitt.fgab import FgAbGroup
 from mackeywitt.mackey import GroupContext, burnside
 from mackeywitt.norm import norm_trivial_ring
@@ -211,6 +212,25 @@ def test_certificate_refuses_images_that_do_not_span(ring, n, c):
         size = ring.modulus ** len(gens)
         assert verdict.detail.startswith("generator images span ")
         assert verdict.detail.endswith(f" of {size} elements")
+
+
+@pytest.mark.parametrize("ring,n,c", CERTIFIED)
+def test_unitriangular_images_are_certified_without_a_search(monkeypatch, ring, n, c):
+    def no_search(*args):
+        raise AssertionError("the additive closure was searched")
+
+    monkeypatch.setattr(wittgreen, "_additive_closure", no_search)
+    assert compare_with_classical(witt_green(ring, n), ring, n).isomorphic
+
+
+@pytest.mark.parametrize("ring,n", [(Z4, 4), (F3, 3)])
+def test_images_that_fail_the_leads_but_span_pass_the_search(ring, n):
+    # −g has leading component m − 1, not 1, so only the search sees that the images span
+    w = witt_green(ring, n)
+    gens = [witt_scalar(-1, g) for g in w.norm.witt_levels[n].gens]
+    verdict = compare_with_classical(_broken(w, gens=gens), ring, n)
+    assert not verdict.isomorphic
+    assert verdict.detail.startswith("product of generators ")
 
 
 @pytest.mark.parametrize("ring,n,c", CERTIFIED)
