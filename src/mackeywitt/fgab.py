@@ -68,6 +68,11 @@ class Sparse(tuple):
             raise ValueError("matrix row has wrong length")
         return cls((tuple((j, int(x)) for j, x in enumerate(r) if x) for r in m), width)
 
+    @classmethod
+    def distinct(cls, rows, width: int) -> "Sparse":
+        """The nonzero sparse rows, each once, in first-occurrence order."""
+        return cls(filter(None, dict.fromkeys(rows)), width)
+
 
 def nonzeros(v: Row) -> SparseRow:
     """The sparse row of a dense int vector."""
@@ -738,7 +743,9 @@ class AbHom:
     def power(self, k: int) -> "AbHom":
         if self.source is not self.target and self.source != self.target:
             raise ValueError("power of non-endomorphism")
-        h = AbHom.identity(self.source) if k <= 0 else self
+        if k < 0:
+            raise ValueError("negative power of a hom")
+        h = AbHom.identity(self.source) if k == 0 else self
         for _ in range(k - 1):
             h = h.compose(self)
         return h
@@ -774,7 +781,7 @@ class AbHom:
     def cokernel(self) -> tuple[FgAbGroup, "AbHom"]:
         """Cokernel on the target's own generators, with the projection."""
         k = self.target.num_generators
-        q = FgAbGroup(k, Sparse(self.target.rels + self.rows, k))
+        q = FgAbGroup(k, Sparse.distinct(self.target.rels + self.rows, k))
         return q, AbHom._unchecked(self.target, q, AbHom.identity(q).rows)
 
     def is_injective(self) -> bool:
@@ -784,7 +791,8 @@ class AbHom:
         return self.cokernel()[0].is_trivial()
 
     def is_isomorphism(self) -> bool:
-        return self.is_surjective() and self.is_injective()
+        """A surjection between isomorphic f.g. abelian groups is injective (they are Hopfian)."""
+        return self.source.canonical_form == self.target.canonical_form and self.is_surjective()
 
 
 def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
@@ -825,7 +833,7 @@ class Subquotient:
         self.ambient = ambient
         self.lattice = lat = row_hnf(Sparse(Sparse.of(cycle_rows, k) + ambient.rels, k), k)
         rel = []
-        for r in Sparse.of(boundary_rows, k) + ambient.rels:
+        for r in Sparse.distinct(Sparse.of(boundary_rows, k) + ambient.rels, k):
             coeffs = solve_left(lat, r, self._cycle_snf)
             if coeffs is None:
                 raise NotInSubgroupError("boundary not contained in cycles")

@@ -54,7 +54,7 @@ def tilde_ef(obj, m: int):
         rows = obj.level[d].rels
         for e in _maximal_non_multiples(d, m):
             rows += obj.tr_full(e, d).rows
-        level[d] = FgAbGroup(obj.level[d].num_generators, Sparse(rows, obj.level[d].num_generators))
+        level[d] = FgAbGroup(obj.level[d].num_generators, Sparse.distinct(rows, obj.level[d].num_generators))
 
     def descend(hom: AbHom, src_d: int, dst_d: int) -> AbHom:
         src, dst = level[src_d], level[dst_d]

@@ -6,6 +6,8 @@ Relations are multilinearity, the Weyl-diagonal identification for the
 cyclic group C_d/C_e, and prime-index Frobenius relations (transfer one
 slot up ≡ restrict every other slot down).  Transfers re-tag, restrictions
 follow the double-coset formula, and the Weyl generator acts diagonally.
+The families overlap; each level keeps each distinct nonzero relation once.
+An onto map between groups of one canonical form is an isomorphism (Hopfian).
 
 The tag data is kept on the quotient presentation, so a morphism out of a
 box product is written down on tags: ``BoxPresentation.hom`` is the one
@@ -227,7 +229,7 @@ def box_list(factors, name: str = "") -> BoxPresentation:
                             _expand_into(acc, pos, f_lv, up)
                             _expand_into(acc, pos, e, down, -1)
                             rels.append(sparse_row(acc))
-        level[d] = FgAbGroup(ntags, Sparse(rels, ntags))
+        level[d] = FgAbGroup(ntags, Sparse.distinct(rels, ntags))
 
     # structure maps
     res = {}
@@ -375,7 +377,7 @@ def quotient_by_subgroups(g: GreenFunctor, rows_per_level) -> tuple[GreenFunctor
     level = {}
     for d in ctx.divisors:
         k = g.level[d].num_generators
-        level[d] = FgAbGroup(k, Sparse(g.level[d].rels + Sparse.of(rows_per_level.get(d, ()), k), k))
+        level[d] = FgAbGroup(k, Sparse.distinct(g.level[d].rels + Sparse.of(rows_per_level.get(d, ()), k), k))
     res = {}
     tr = {}
     for (dlo, dhi) in prime_edges(ctx):

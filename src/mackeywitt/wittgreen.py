@@ -87,7 +87,7 @@ def ghost_map(w: GreenWittVectors, d: int):
     rows = g.level[d].rels
     for q in prime_factors(d):
         rows += g.tr_full(d // q, d).rows
-    quot = FgAbGroup(k, Sparse(rows, k))
+    quot = FgAbGroup(k, Sparse.distinct(rows, k))
     hom = AbHom(g.level[n], quot, g.res_full(n, d).rows)
     return quot, hom
 

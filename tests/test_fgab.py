@@ -121,6 +121,14 @@ def test_isomorphism_iff_canonical_form():
     assert a.canonical_form == b.canonical_form
 
 
+def test_negative_power_is_refused():
+    f = AbHom(free_group(1), free_group(1), [[2]])
+    assert f.power(0) == AbHom.identity(f.source)
+    assert f.power(3).matrix == ((8,),)
+    with pytest.raises(ValueError, match="negative power"):
+        f.power(-1)
+
+
 def test_elements_and_orders():
     g = FgAbGroup(2, [(2, 0), (0, 4)])
     els = list(g.elements())
@@ -353,6 +361,25 @@ def test_snf_roundtrips_with_lazily_built_u(shaped):
     u, d, v = snf(m)
     assert s.u == u and s.v == v
     assert tuple(d[i][i] for i in range(len(s.diagonal))) == s.diagonal
+
+
+@st.composite
+def certified_homs(draw):
+    """A matrix m with source relations S and target relations S·m plus extra rows."""
+    k = draw(st.integers(0, 4))
+    c = k if draw(st.booleans()) else draw(st.integers(0, 4))
+    small = st.integers(-2, 2)
+    rows = draw(st.lists(st.lists(small, min_size=c, max_size=c), min_size=k, max_size=k))
+    src_rels = draw(st.lists(st.lists(entries, min_size=k, max_size=k), max_size=3))
+    extra = draw(st.lists(st.lists(entries, min_size=c, max_size=c), max_size=2))
+    tgt_rels = [_combination(r, rows, c) for r in src_rels] + [tuple(r) for r in extra]
+    return AbHom(FgAbGroup(k, src_rels), FgAbGroup(c, tgt_rels), rows)
+
+
+@settings(deadline=None)
+@given(certified_homs())
+def test_isomorphism_is_a_surjection_between_isomorphic_groups(f):
+    assert f.is_isomorphism() == (f.is_surjective() and f.is_injective())
 
 
 @st.composite

@@ -51,6 +51,12 @@ GOLDEN = [
      "5151eaf01d5b592efd751631c2fc7c45f2a3c42e0ba29cced6d7df3a25e0ce92"),
     (("hh", "--ring", "Z", "--n", "6", "--max-degree", "2", "--json"),
      "d244ba716c720ce90a60ce4ef08436064889bdebc5c1f2541a65a1de56f2d926"),
+    # two more large presentations: the C_6 nerve to degree 3 and the
+    # dual-numbers monoid over C_4
+    (("hh", "--ring", "F_2", "--n", "6", "--max-degree", "3", "--json"),
+     "bfc822cf92b58280aff18b469ed57099016899f4d7a3ed089027dd39edf503a5"),
+    (("monoid", "DUAL_NUMBERS", "--ring", "Z", "--n", "4", "--max-degree", "1", "--json"),
+     "f1f448375e5041d45dd5800805d08a062385bc4969404c1526b08cd07b3162a5"),
 ]
 
 
