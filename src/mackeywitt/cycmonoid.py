@@ -15,7 +15,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import spans
-from .fgab import AbHom, Sparse, dense_row, nonzeros, row_mul
+from .fgab import AbHom, Sparse, row_mul, sparse_row
 from .green import BoxPresentation, box, box_hom
 from .hochschild import (
     MackeyComplex,
@@ -182,26 +182,23 @@ def bredon_green(ctx: GroupContext, m: PointedGMonoid) -> GreenFunctor:
     for d in ctx.divisors:
         basis = span_basis[d]
         pos = span_pos[d]
-        k = len(basis)
         table = []
         for (i, sp1) in basis:
             rowtab = []
             for (j, sp2) in basis:
-                row = [0] * k
+                acc: dict[int, int] = {}
                 prod = spans.span_product(n, od.stabs, od.stabs, d, (i,) + sp1, (j,) + sp2)
                 for ((oi, oj, delta), c, y), mlt in prod.items():
                     v = m.mult(od.reps[oi], m.act(delta, od.reps[oj]))
                     if v == m.zero:
                         continue
                     i2, a = od.locate[v]
-                    y2 = spans.normalize_y(n, od.stabs[i2], d, y - a)
-                    row[pos[(i2, (c, y2))]] += mlt
-                rowtab.append(tuple(row))
+                    key = pos[(i2, (c, spans.normalize_y(n, od.stabs[i2], d, y - a)))]
+                    acc[key] = acc.get(key, 0) + mlt
+                rowtab.append(sparse_row(acc))
             table.append(tuple(rowtab))
         mult[d] = tuple(table)
-        u = [0] * k
-        u[pos[element_span(ctx, od, m.one, d)]] = 1
-        unit[d] = tuple(u)
+        unit[d] = ((pos[element_span(ctx, od, m.one, d)], 1),)
     green = GreenFunctor(*maps, mult, unit, name=f"A_T{list(od.stabs)}")
     green.span_basis, green.span_pos, green.orbit_data = span_basis, span_pos, od
     return green
@@ -362,8 +359,7 @@ def splitting_check(r, m: PointedGMonoid, max_k: int) -> SplittingReport:
     # unit-against-A̅[M] inclusion R → R[M]
     iota_maps = {}
     for d in ctx.divisors:
-        unit = nonzeros(am.unit[d])
-        rows = [rm_pres.expand(d, d, [((i, 1),), unit]) for i in range(r.level[d].num_generators)]
+        rows = [rm_pres.expand(d, d, [((i, 1),), am.unit[d]]) for i in range(r.level[d].num_generators)]
         iota_maps[d] = AbHom(r.level[d], rm.level[d], Sparse(rows, rm.level[d].num_generators))
     iota = MackeyHom(r, rm, iota_maps)
 
@@ -387,17 +383,16 @@ def splitting_check(r, m: PointedGMonoid, max_k: int) -> SplittingReport:
             slot_rows = []
             for mm in rep_tuple:
                 u = ((am.span_pos[s][element_span(ctx, od, mm, s)], 1),)
-                slot_rows.append(rm_pres.expand(s, s, [nonzeros(r.unit[s]), u]))
-            w = nerve_rm.presentations[j].expand(s, s, slot_rows)
-            beta_values[oi] = dense_row(w, nerve_rm.degrees[j].level[s].num_generators)
+                slot_rows.append(rm_pres.expand(s, s, [r.unit[s], u]))
+            beta_values[oi] = nerve_rm.presentations[j].expand(s, s, slot_rows)
         hc_rm_j = nerve_rm.presentations[j].mackey
 
         def phi_row(d, e, tup):
             x_idx, c_idx = tup
             (oi, sp) = cells.simplicial.degrees[j].span_basis[e][c_idx]
             beta_row = spans.apply_span(hc_rm_j, cells.orbit_data[j].stabs[oi], e, sp, beta_values[oi])
-            prod = sparse_product(hc_rm_j.mult[e], alpha.maps[e].rows[x_idx], nonzeros(beta_row))
-            return row_mul(nonzeros(prod), hc_rm_j.tr_full(e, d).rows)
+            prod = sparse_product(hc_rm_j.mult[e], alpha.maps[e].rows[x_idx], beta_row)
+            return row_mul(prod, hc_rm_j.tr_full(e, d).rows)
 
         phis.append(zp.hom(hc_rm_j, phi_row))
 

@@ -8,11 +8,12 @@ the right of row vectors, so ``compose(f, g)`` is "f then g" with matrix
 ``f.rows · g.rows``.
 
 Matrices are kept by their nonzeros (``Sparse``): relations, hom matrices,
-lattices and factorizations never store a zero entry.  Elements are dense
-int tuples.  Dense matrices are built only for output: the ``relations``
-and ``matrix`` views, ``mat`` and the public ``snf``.  The module functions
-also take dense rows, for callers outside the package, and answer in the
-form they were given.
+lattices and factorizations never store a zero entry, and the packages
+above keep Green product tables and units as the same sparse rows.  Dense
+int tuples are the element API (``FgAbGroup`` element methods,
+``AbHom.apply``) and output: the ``relations`` and ``matrix`` views,
+``mat`` and the public ``snf``.  The module functions also take dense rows,
+for callers outside the package, and answer in the form they were given.
 
 All objects are immutable after construction and all operations are pure.
 """
@@ -102,10 +103,6 @@ def mat(rows) -> Matrix:
 def _like(m, out: Sparse):
     """out in the form of m: as is when m is Sparse, else as dense rows."""
     return out if isinstance(m, Sparse) else mat(out)
-
-
-def identity_matrix(k: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
 
 
 def row_mul(row: SparseRow, b) -> SparseRow:
@@ -528,7 +525,10 @@ class FgAbGroup:
 
     @cached_property
     def _rel_snf(self) -> _SNF:
-        return _SNF(self.rels)
+        """The relations' SNF without its row-operation log: a group never solves for U."""
+        s = _SNF(self.rels)
+        del s._row_ops
+        return s
 
     @cached_property
     def _rel_index(self) -> dict:
@@ -542,6 +542,14 @@ class FgAbGroup:
             return True
         s = self._rel_snf
         return s.spans(s.coords(row))
+
+    def same_class(self, a: SparseRow, b: SparseRow) -> bool:
+        """Whether the sparse rows a and b are one element: equal, or a - b is in the relation span."""
+        if a == b:
+            return True
+        diff = dict(a)
+        _axpy(diff, b, -1)
+        return self._spans(sparse_row(diff))
 
     @cached_property
     def canonical_form(self) -> tuple[tuple[int, ...], int]:
@@ -759,13 +767,7 @@ class AbHom:
             or self.target != other.target
         ):
             return False
-        for r1, r2 in zip(self.rows, other.rows):
-            if r1 != r2:
-                diff = dict(r1)
-                _axpy(diff, r2, -1)
-                if not self.target._spans(sparse_row(diff)):
-                    return False
-        return True
+        return all(map(self.target.same_class, self.rows, other.rows))
 
     def __hash__(self):
         raise TypeError("AbHom is unhashable (equality is modulo relations)")
@@ -855,9 +857,6 @@ class Subquotient:
         if coeffs is None:
             raise NotInSubgroupError("element is not a cycle")
         return coeffs
-
-    def project(self, x: Row) -> Row:
-        return dense_row(self.coords(nonzeros(x)), len(self.lattice))
 
     def induced(self, f: AbHom, target: "Subquotient") -> AbHom:
         """Map on homology induced by a chain map f between the ambients."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fgab import AbHom, FgAbGroup, Sparse, nonzeros
+from .fgab import AbHom, FgAbGroup, Sparse
 from .green import BoxPresentation
 from .hochschild import MackeyHomology, SimplicialMackey, moore_complex, twisted_cyclic_nerve
 from .mackey import (
@@ -22,6 +22,7 @@ from .mackey import (
     MackeyHom,
     Report,
     prime_edges,
+    reindexed,
     sparse_product,
 )
 from .norm import norm_trivial_ring, truncation_rows
@@ -82,19 +83,8 @@ def phi(obj, m: int):
     """Geometric fixed points Φ^{C_m}: ẼF followed by reindexing over C_{n/m}."""
     te = tilde_ef(obj, m)
     new_ctx = GroupContext(te.ctx.n // m)
-    level = {d: te.level[m * d] for d in new_ctx.divisors}
-    res = {}
-    tr = {}
-    for (dlo, dhi) in prime_edges(new_ctx):
-        res[(dlo, dhi)] = te.res[(m * dlo, m * dhi)]
-        tr[(dlo, dhi)] = te.tr[(m * dlo, m * dhi)]
     weyl = {d: te.weyl[m * d] for d in new_ctx.divisors}
-    name = f"phi_{m}({te.name})"
-    if not isinstance(te, GreenFunctor):
-        return MackeyFunctor(new_ctx, level, res, tr, weyl, name)
-    mult = {d: te.mult[m * d] for d in new_ctx.divisors}
-    unit = {d: te.unit[m * d] for d in new_ctx.divisors}
-    return GreenFunctor(new_ctx, level, res, tr, weyl, mult, unit, name)
+    return reindexed(te, new_ctx, m, weyl, f"phi_{m}({te.name})")
 
 
 def phi_box_comparison(m_fun, n_fun, m: int) -> MackeyHom:
@@ -236,7 +226,7 @@ def edgewise_comparison_norm(ring: BaseRing, n: int, j: int, max_degree: int) ->
             for t in range(deg + 1):
                 acc = ((tup[r * t], 1),)
                 for s in range(1, r):
-                    acc = nonzeros(sparse_product(big.mult[e], acc, ((tup[r * t + s], 1),)))
+                    acc = sparse_product(big.mult[e], acc, ((tup[r * t + s], 1),))
                 slot_rows.append(acc)
             return dst_pres.expand(d, e, slot_rows)
 

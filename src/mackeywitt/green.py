@@ -13,8 +13,9 @@ The tag data is kept on the quotient presentation, so a morphism out of a
 box product is written down on tags: ``BoxPresentation.hom`` is the one
 way to build it, and certifies it well defined against the relations.
 A box product of Green functors is a Green functor, filled on read:
-``mult[d][a][b]`` computes the product of tags a and b the first time it is
-read, so a table of T² products costs only the products that are used.
+``mult[d][a][b]`` computes the product of tags a and b, a sparse row, the
+first time it is read, so a table of T² products costs only the products
+that are used.  Units, products and the ideal closure stay sparse rows.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import partial
 from itertools import product
 from math import gcd, lcm, prod
 
-from .fgab import _SNF, AbHom, FgAbGroup, Sparse, dense_row, in_rowspan, nonzeros, row_mul, sparse_row
+from .fgab import _SNF, AbHom, FgAbGroup, Sparse, in_rowspan, row_mul, sparse_row
 from .mackey import (
     GreenFunctor,
     GroupContext,
@@ -60,17 +61,15 @@ class BoxPresentation:
     def hom(self, target: MackeyFunctor, row, natural: bool = True) -> MackeyHom:
         """The map to ``target`` sending tag (e, tup) of level d to row(d, e, tup).
 
-        row returns a sparse row in the coordinates of target.level[d] (a
-        dense int tuple is read by its nonzeros).  Every level is certified
-        well defined against the box relations; with natural=False
-        naturality is left to the caller.
+        row returns a sparse row in the coordinates of target.level[d].
+        Every level is certified well defined against the box relations;
+        with natural=False naturality is left to the caller.
         """
         src = self.mackey
         maps = {}
         for d in src.ctx.divisors:
             tgt = target.level[d]
-            rows = (row(d, e, tup) for (e, tup) in self.tags[d])
-            rows = Sparse((r if not r or type(r[0]) is tuple else nonzeros(r) for r in rows), tgt.num_generators)
+            rows = Sparse((row(d, e, tup) for (e, tup) in self.tags[d]), tgt.num_generators)
             maps[d] = AbHom(src.level[d], tgt, rows)
         return MackeyHom(src, target, maps, check=natural)
 
@@ -90,8 +89,8 @@ def _twisted_res(factors):
     return twisted
 
 
-def tag_product(factors, twisted, tags, pos, d: int, a: int, b: int) -> tuple[int, ...]:
-    """Product of tags a and b of level d (tags, pos) by the double-coset formula."""
+def tag_product(factors, twisted, tags, pos, d: int, a: int, b: int):
+    """Product of tags a and b of level d (tags, pos) by the double-coset formula, as a sparse row."""
     (e, tup), (f, tup2) = tags[a], tags[b]
     g0 = gcd(e, f)
     step = factors[0].ctx.n // d
@@ -101,9 +100,9 @@ def tag_product(factors, twisted, tags, pos, d: int, a: int, b: int) -> tuple[in
         for s, (fct, x, y) in enumerate(zip(factors, tup, tup2)):
             x_row = fct.res_full(e, g0).rows[x]
             y_row = twisted(s, f, g0, j * step)[y]
-            slot_rows.append(nonzeros(sparse_product(fct.mult[g0], x_row, y_row)))
+            slot_rows.append(sparse_product(fct.mult[g0], x_row, y_row))
         _expand_into(acc, pos, g0, slot_rows)
-    return dense_row(acc.items(), len(tags))
+    return sparse_row(acc)
 
 
 def _expand_into(acc: dict, pos, e: int, slot_rows, sign: int = 1) -> None:
@@ -258,10 +257,7 @@ def box_list(factors, name: str = "") -> BoxPresentation:
 
     if all(isinstance(f, GreenFunctor) for f in factors):
         mult = {d: _product_table(pres.factors, pres.twisted_res, tags[d], tag_pos[d], d) for d in ctx.divisors}
-        unit = {
-            d: dense_row(pres.expand(d, d, [nonzeros(fct.unit[d]) for fct in factors]), len(tags[d]))
-            for d in ctx.divisors
-        }
+        unit = {d: pres.expand(d, d, [fct.unit[d] for fct in factors]) for d in ctx.divisors}
         pres.mackey = GreenFunctor(ctx, level, res, tr, weyl, mult, unit, name=name or "box")
     else:
         pres.mackey = MackeyFunctor(ctx, level, res, tr, weyl, name=name or "box")
@@ -394,7 +390,7 @@ def quotient_by_subgroups(g: GreenFunctor, rows_per_level) -> tuple[GreenFunctor
 
 
 def quotient_by_green_ideal(g: GreenFunctor, gens) -> GreenFunctor:
-    """Quotient by the Green ideal generated by (level, element-row) pairs.
+    """Quotient by the Green ideal generated by (level, sparse row) pairs.
 
     The ideal closure iterates multiplication by every generator together
     with res, tr, and weyl images until the levelwise subgroup lattices
@@ -416,12 +412,12 @@ def quotient_by_green_ideal(g: GreenFunctor, gens) -> GreenFunctor:
         queue.append((d, row))
 
     for d, row in gens:
-        push(d, nonzeros(row))
+        push(d, row)
 
     while queue:
         d, row = queue.pop()
         for i in range(g.level[d].num_generators):
-            push(d, nonzeros(sparse_product(g.mult[d], row, ((i, 1),))))
+            push(d, sparse_product(g.mult[d], row, ((i, 1),)))
         push(d, row_mul(row, g.weyl[d].rows))
         for p in prime_factors(d):
             push(d // p, row_mul(row, g.res[(d // p, d)].rows))

@@ -9,7 +9,7 @@ has the same homology as the normalized one.
 
 from __future__ import annotations
 
-from .fgab import AbHom, FgAbGroup, dense_row, homology_subquotient, nonzeros
+from .fgab import AbHom, FgAbGroup, homology_subquotient
 from .green import (
     box_power,
     full_transfer_identification,
@@ -151,18 +151,17 @@ def twisted_cyclic_nerve(r, k_max: int) -> SimplicialMackey:
 
         def row(d, e, tup):
             if i < j:
-                prod = nonzeros(r.mult[e][tup[i]][tup[i + 1]])
-                slot_rows = gens(tup[:i]) + [prod] + gens(tup[i + 2:])
+                slot_rows = gens(tup[:i]) + [r.mult[e][tup[i]][tup[i + 1]]] + gens(tup[i + 2:])
             else:
                 twisted = r.weyl[e].rows[tup[j]]
-                slot_rows = [nonzeros(sparse_product(r.mult[e], twisted, ((tup[0], 1),)))] + gens(tup[1:j])
+                slot_rows = [sparse_product(r.mult[e], twisted, ((tup[0], 1),))] + gens(tup[1:j])
             return pres[j - 1].expand(d, e, slot_rows)
 
         return pres[j].hom(pres[j - 1].mackey, row)
 
     def degeneracy(i: int, j: int) -> MackeyHom:
         def row(d, e, tup):
-            slot_rows = gens(tup[: i + 1]) + [nonzeros(r.unit[e])] + gens(tup[i + 1:])
+            slot_rows = gens(tup[: i + 1]) + [r.unit[e]] + gens(tup[i + 1:])
             return pres[j + 1].expand(d, e, slot_rows)
 
         return pres[j].hom(pres[j + 1].mackey, row)
@@ -236,11 +235,7 @@ def hh0_oracle(r) -> GreenFunctor:
     """
     gens = []
     for d in r.ctx.divisors:
-        w = r.weyl[d]
-        for i in range(r.level[d].num_generators):
-            row = list(dense_row(w.rows[i], r.level[d].num_generators))
-            row[i] -= 1
-            gens.append((d, tuple(row)))
+        gens += [(d, row) for row in r.weyl[d].sub(AbHom.identity(r.level[d])).rows]
     return quotient_by_green_ideal(r, gens)
 
 

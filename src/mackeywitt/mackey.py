@@ -6,13 +6,17 @@ transfer maps, and the action of the distinguished generator g = e^{2πi/n}
 on each level.  Composite restrictions and transfers are derived from the
 prime-index data; path independence is a checked property rather than
 redundant storage.
+
+A Green functor's product table cells and units are sparse rows, the form
+of every hom matrix row, and ``sparse_product`` multiplies them; dense
+rows appear only in the element API (``GreenFunctor.multiply``), in
+``RingData`` input and in output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress
 from math import gcd
 
 from . import spans
@@ -25,9 +29,9 @@ from .fgab import (
     _axpy,
     dense_row,
     free_group,
-    identity_matrix,
     nonzeros,
     preimage_basis,
+    row_mul,
     sparse_row,
 )
 from .wittcore import divisors, is_prime, prime_factors
@@ -237,59 +241,59 @@ class MackeyHom:
         return MackeyHom(m, m, {d: AbHom.identity(m.level[d]) for d in m.ctx.divisors}, check=False)
 
 
-def bilinear(table, x, y) -> tuple[int, ...]:
-    """Σ x_i y_j table[i][j] for dense rows x, y, as a dense row."""
-    return sparse_product(table, nonzeros(x), nonzeros(y))
+def sparse_product(table, x, y):
+    """Σ x_i y_j table[i][j] for sparse rows x, y, as a sparse row.
 
-
-def sparse_product(table, x, y) -> tuple[int, ...]:
-    """Σ x_i y_j table[i][j] for sparse rows x, y, as a dense row.
-
-    ``table[i][j]`` is the product of generators i and j as a row of
-    ``len(table)`` entries; only the cells at nonzero (x_i, y_j) are read.
+    ``table[i][j]`` is the product of generators i and j as a sparse row;
+    only the cells at nonzero (x_i, y_j) are read, and a product of two
+    single terms is its scaled cell.
     """
-    acc = [0] * len(table)
+    if len(x) == 1 == len(y):
+        ((i, xi),), ((j, yj),) = x, y
+        c = xi * yj
+        return table[i][j] if c == 1 else tuple((t, c * v) for t, v in table[i][j])
+    acc: dict[int, int] = {}
     for i, xi in x:
         ti = table[i]
         for j, yj in y:
-            c = xi * yj
-            row = ti[j]
-            for t, v in compress(enumerate(row), row):
-                acc[t] += c * v
-    return tuple(acc)
+            _axpy(acc, ti[j], xi * yj)
+    return tuple(sorted(acc.items()))  # _axpy keeps no zero
 
 
 class GreenFunctor(MackeyFunctor):
     """A Mackey functor with a levelwise commutative ring structure.
 
-    ``mult[d][i][j]`` is the product of generators i and j of level d, as a
-    row; ``unit[d]`` is the multiplicative unit.  Restrictions are ring
-    maps, Weyl actions are ring automorphisms, and transfers satisfy
-    Frobenius reciprocity: all checked by check_axioms, never assumed.
-    Every Mackey operation (box products, restriction, geometric fixed
-    points, homology) takes a Green functor as it is.  Tables given as
-    tuples or lists are shape-checked and stored with int entries; a box
-    product passes tables that compute each product when it is first read,
-    and those are stored as given.
+    ``mult[d][i][j]`` is the product of generators i and j of level d and
+    ``unit[d]`` the multiplicative unit, both sparse rows; dense element
+    rows are multiplied by ``multiply``.  Restrictions are ring maps, Weyl
+    actions are ring automorphisms, and transfers satisfy Frobenius
+    reciprocity: all checked by check_axioms, never assumed.  Every Mackey
+    operation (box products, restriction, geometric fixed points, homology)
+    takes a Green functor as it is.  Tables given as tuples or lists are
+    shape-checked and stored as tuples; a box product passes tables that
+    compute each product when it is first read, and those are stored as
+    given.
     """
 
     def __init__(self, ctx: GroupContext, level, res, tr, weyl, mult, unit, name: str = ""):
         super().__init__(ctx, level, res, tr, weyl, name)
         self.mult = dict(mult)
-        self.unit = {d: tuple(int(x) for x in unit[d]) for d in unit}
+        self.unit = dict(unit)
         for d in ctx.divisors:
             k = self.level[d].num_generators
+            cols = range(k)
             table = self.mult[d]
             if isinstance(table, (tuple, list)):
-                if len(table) != k or any(len(m) != k for m in table):
+                if len(table) != k or any(len(m) != k or any(j not in cols for c in m for j, _ in c) for m in table):
                     raise ValueError(f"mult[{d}] has wrong shape")
-                self.mult[d] = tuple(tuple(tuple(int(x) for x in row) for row in gen_rows) for gen_rows in table)
-            if len(self.unit[d]) != k:
+                self.mult[d] = tuple(map(tuple, table))
+            if any(j not in cols for j, _ in self.unit[d]):
                 raise ValueError(f"unit[{d}] has wrong length")
 
     def multiply(self, d: int, x, y):
-        """Bilinear product of two element rows at level d."""
-        return bilinear(self.mult[d], x, y)
+        """The product of two dense element rows at level d, as a dense row."""
+        k = self.level[d].num_generators
+        return dense_row(sparse_product(self.mult[d], nonzeros(x), nonzeros(y)), k)
 
 
 # ---------------------------------------------------------------------------
@@ -309,24 +313,11 @@ def burnside(ctx: GroupContext) -> GreenFunctor:
         rows = (((index[e][c], 1),) for c in divisors(d))
         tr[(d, e)] = AbHom(level[d], level[e], Sparse(rows, len(divisors(e))), check=False)
     weyl = {d: AbHom.identity(level[d]) for d in ctx.divisors}
-    mult = {}
-    unit = {}
-    for d in ctx.divisors:
-        divs = divisors(d)
-        k = len(divs)
-        table = []
-        for a in divs:
-            rowtab = []
-            for b in divs:
-                row = [0] * k
-                g = gcd(a, b)
-                row[index[d][g]] = d * g // (a * b)
-                rowtab.append(tuple(row))
-            table.append(tuple(rowtab))
-        mult[d] = tuple(table)
-        u = [0] * k
-        u[index[d][d]] = 1
-        unit[d] = tuple(u)
+    mult = {
+        d: tuple(tuple(((index[d][gcd(a, b)], d * gcd(a, b) // (a * b)),) for b in divisors(d)) for a in divisors(d))
+        for d in ctx.divisors
+    }
+    unit = {d: ((index[d][d], 1),) for d in ctx.divisors}
     return GreenFunctor(ctx, level, res, tr, weyl, mult, unit, name=f"A({ctx})")
 
 
@@ -417,14 +408,13 @@ def fixed_point_mackey(ctx: GroupContext, group: FgAbGroup, action, ring: RingDa
     if ring is None:
         return MackeyFunctor(ctx, level, res, tr, weyl, name="fixed-point")
 
+    table = tuple(tuple(map(nonzeros, cells)) for cells in ring.mult)  # the one read of RingData
     mult = {}
     unit = {}
     for d in ctx.divisors:
         basis = sq[d].lattice
-        mult[d] = tuple(
-            tuple(sq[d].project(sparse_product(ring.mult, xi, xj)) for xj in basis) for xi in basis
-        )
-        unit[d] = sq[d].project(ring.unit)
+        mult[d] = tuple(tuple(sq[d].coords(sparse_product(table, xi, xj)) for xj in basis) for xi in basis)
+        unit[d] = sq[d].coords(nonzeros(ring.unit))
     return GreenFunctor(ctx, level, res, tr, weyl, mult, unit, name="fixed-point")
 
 
@@ -434,19 +424,21 @@ def restrict(m, j: int):
     if ctx.n % j:
         raise ValueError(f"{j} does not divide {ctx.n}")
     new_ctx = GroupContext(j)
-    level = {d: m.level[d] for d in new_ctx.divisors}
-    res = {}
-    tr = {}
-    for (d, e) in prime_edges(new_ctx):
-        res[(d, e)] = m.res[(d, e)]
-        tr[(d, e)] = m.tr[(d, e)]
     weyl = {d: m.weyl_power(d, ctx.n // j) for d in new_ctx.divisors}
-    name = f"res_{j}({m.name})"
-    if isinstance(m, GreenFunctor):
-        mult = {d: m.mult[d] for d in new_ctx.divisors}
-        unit = {d: m.unit[d] for d in new_ctx.divisors}
-        return GreenFunctor(new_ctx, level, res, tr, weyl, mult, unit, name)
-    return MackeyFunctor(new_ctx, level, res, tr, weyl, name)
+    return reindexed(m, new_ctx, 1, weyl, f"res_{j}({m.name})")
+
+
+def reindexed(m, ctx: GroupContext, c: int, weyl, name: str):
+    """m over ctx with the Weyl actions weyl: level d, its res, tr and products
+    are those of m's level c·d.  A Green functor gives a Green functor."""
+    level = {d: m.level[c * d] for d in ctx.divisors}
+    res = {(d, e): m.res[(c * d, c * e)] for (d, e) in prime_edges(ctx)}
+    tr = {(d, e): m.tr[(c * d, c * e)] for (d, e) in prime_edges(ctx)}
+    if not isinstance(m, GreenFunctor):
+        return MackeyFunctor(ctx, level, res, tr, weyl, name)
+    mult = {d: m.mult[c * d] for d in ctx.divisors}
+    unit = {d: m.unit[c * d] for d in ctx.divisors}
+    return GreenFunctor(ctx, level, res, tr, weyl, mult, unit, name)
 
 
 # ---------------------------------------------------------------------------
@@ -538,63 +530,41 @@ def check_axioms(m) -> Report:
     if not isinstance(m, GreenFunctor):
         return rep
 
-    # Green: levelwise commutative unital associative rings; each basis
-    # product e_i·e_j is read once per level, densely and as nonzeros
-    eye = {d: identity_matrix(m.level[d].num_generators) for d in ctx.divisors}
-    prods = {d: [[m.multiply(d, x, y) for y in eye[d]] for x in eye[d]] for d in ctx.divisors}
+    # Green: levelwise commutative unital associative rings, read from the
+    # stored product cells and hom rows; a box table fills each cell once
     for d in ctx.divisors:
-        gens, prod = eye[d], prods[d]
-        k = len(gens)
-        lv = m.level[d]
-        sp = [[nonzeros(r) for r in rows] for rows in prod]
+        lv, unit, k = m.level[d], m.unit[d], m.level[d].num_generators
+        table = [list(cells) for cells in m.mult[d]]
         for i in range(k):
-            rep.note(
-                lv.elements_equal(m.multiply(d, m.unit[d], gens[i]), gens[i]),
-                f"unit fails at level {d}, generator {i}",
-            )
+            e_i = ((i, 1),)
+            rep.note(lv.same_class(sparse_product(table, unit, e_i), e_i), f"unit fails at level {d}, generator {i}")
             for j in range(k):
-                rep.note(
-                    lv.elements_equal(prod[i][j], prod[j][i]),
-                    f"commutativity fails at level {d} ({i},{j})",
-                )
+                rep.note(lv.same_class(table[i][j], table[j][i]), f"commutativity fails at level {d} ({i},{j})")
                 for t in range(k):
-                    # (e_i e_j) e_t and e_i (e_j e_t) as sparse dicts; rows
-                    # that differ may still agree modulo the relations
-                    lhs, rhs = {}, {}
-                    for s, x in sp[i][j]:
-                        _axpy(lhs, sp[s][t], x)
-                    for s, x in sp[j][t]:
-                        _axpy(rhs, sp[i][s], x)
-                    rep.note(
-                        lhs == rhs or lv.elements_equal(dense_row(lhs.items(), k), dense_row(rhs.items(), k)),
-                        f"associativity fails at level {d} ({i},{j},{t})",
-                    )
+                    # (e_i e_j) e_t and e_i (e_j e_t); rows that differ may
+                    # still agree modulo the relations
+                    lhs = sparse_product(table, table[i][j], ((t, 1),))
+                    rhs = sparse_product(table, e_i, table[j][t])
+                    rep.note(lv.same_class(lhs, rhs), f"associativity fails at level {d} ({i},{j},{t})")
     # res are ring maps; weyl are ring automorphisms
     maps = [(e, d, m.res[(d, e)], f"res{(d, e)}") for (d, e) in prime_edges(ctx)]
     maps += [(d, d, m.weyl[d], f"weyl[{d}]") for d in ctx.divisors]
     for src, dst, f, name in maps:
-        lv = m.level[dst]
-        rep.note(lv.elements_equal(f.apply(m.unit[src]), m.unit[dst]), f"{name} does not preserve the unit")
-        images = [f.apply(x) for x in eye[src]]
-        for i, fi in enumerate(images):
-            for j, fj in enumerate(images):
+        lv, rows, table = m.level[dst], f.rows, m.mult[src]
+        rep.note(lv.same_class(row_mul(m.unit[src], rows), m.unit[dst]), f"{name} does not preserve the unit")
+        for i, fi in enumerate(rows):
+            for j, fj in enumerate(rows):
                 rep.note(
-                    lv.elements_equal(f.apply(prods[src][i][j]), m.multiply(dst, fi, fj)),
+                    lv.same_class(row_mul(table[i][j], rows), sparse_product(m.mult[dst], fi, fj)),
                     f"{name} not multiplicative ({i},{j})",
                 )
-    # Frobenius reciprocity
+    # Frobenius reciprocity: tr(x · res y) = tr(x) · y
     for (d, e) in prime_edges(ctx):
-        r = m.res[(d, e)]
-        t = m.tr[(d, e)]
+        r, t = m.res[(d, e)].rows, m.tr[(d, e)].rows
         lv = m.level[e]
-        restricted = [r.apply(y) for y in eye[e]]
-        for i, x in enumerate(eye[d]):
-            tx = t.apply(x)
-            for j, y in enumerate(eye[e]):
-                lhs = t.apply(m.multiply(d, x, restricted[j]))
-                rhs = m.multiply(e, tx, y)
-                rep.note(
-                    lv.elements_equal(lhs, rhs),
-                    f"Frobenius reciprocity fails at {(d, e)} ({i},{j})",
-                )
+        for i, tx in enumerate(t):
+            for j, ry in enumerate(r):
+                lhs = row_mul(sparse_product(m.mult[d], ((i, 1),), ry), t)
+                rhs = sparse_product(m.mult[e], tx, ((j, 1),))
+                rep.note(lv.same_class(lhs, rhs), f"Frobenius reciprocity fails at {(d, e)} ({i},{j})")
     return rep

@@ -4,7 +4,9 @@ Level d is the additive group of W_⟨d⟩(R); restrictions are Frobenius maps,
 transfers are Verschiebungs, the Weyl action is trivial, and multiplication
 is Witt multiplication.  Each level is presented on {V_e([1]) : e | d}, a
 basis of W_⟨d⟩(ℤ) and so generators of its quotient W_⟨d⟩(ℤ/m), whose
-presentation is certified exact when it is built.
+presentation is certified exact when it is built.  A Witt vector's
+coordinates on those generators are a sparse row, the form of the product
+tables, units and hom matrices built from them.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 from math import prod
 
 from . import wittcore
-from .fgab import AbHom, FgAbGroup, Sparse, dense_row, nonzeros, row_mul
-from .mackey import GreenFunctor, GroupContext, Report, prime_edges
+from .fgab import AbHom, FgAbGroup, Sparse, dense_row, nonzeros, row_mul, sparse_row
+from .mackey import GreenFunctor, GroupContext, Report, prime_edges, sparse_product
 from .wittcore import (
     BaseRing,
     TruncationSet,
@@ -47,14 +49,14 @@ class WittLevel:
         m = ring.modulus
         divs = self.truncation.sorted()[::-1 if m else 1]
         self.gens = [verschiebung(s, one(TruncationSet.of(d // s), ring), self.truncation) for s in divs]
-        self._rows: list[tuple[int, ...]] = []
+        self._rows: list = []  # sparse relation rows
         if m:
             for k, g in enumerate(self.gens):
-                row = [-c for c in self.coords(witt_scalar(m, g))]
-                row[k] += m
-                self._rows.append(tuple(row))
+                acc = {j: -c for j, c in self.coords(witt_scalar(m, g))}
+                acc[k] = acc.get(k, 0) + m
+                self._rows.append(sparse_row(acc))
             self._certify()
-        self.group = FgAbGroup(len(divs), self._rows)
+        self.group = FgAbGroup(len(divs), Sparse(self._rows, len(divs)))
 
     def _certify(self) -> None:
         """Prove the ℤ/m presentation exact, or raise AssertionError: the rows
@@ -63,26 +65,29 @@ class WittLevel:
         rows, tau, m = self._rows, len(self.gens), self.ring.modulus
         z = zero(self.truncation, self.ring)
         bad = [k for k, r in enumerate(rows) if self.element(r) != z]
-        bad += [k for k, r in enumerate(rows) if any(r[k + 1:])]
-        if bad or not unitriangular(self.gens, tau) or prod(r[k] for k, r in enumerate(rows)) != m**tau:
+        bad += [k for k, r in enumerate(rows) if any(j > k for j, _ in r)]
+        if bad or not unitriangular(self.gens, tau) or prod(dict(r).get(k, 0) for k, r in enumerate(rows)) != m**tau:
             raise AssertionError(f"W_<{self.d}>({self.ring}) is not presented exactly (rows {bad})")
 
-    def coords(self, w: WittVector) -> tuple[int, ...]:
-        """w on the generators: exact over ℤ, with entries in [0, m) over ℤ/m."""
+    def coords(self, w: WittVector):
+        """w on the generators, as a sparse row: exact over ℤ, with entries in [0, m) over ℤ/m."""
         c = v_coordinates(w)
         m = self.ring.modulus
-        if not m:
-            return tuple(c)
-        c.reverse()
-        for k in reversed(range(len(self._rows))):
-            q = c[k] // m
-            if q:
-                for j, x in enumerate(self._rows[k][: k + 1]):
-                    c[j] -= q * x
-        return tuple(c)
+        if m:
+            c.reverse()
+            for k in reversed(range(len(self._rows))):
+                q = c[k] // m
+                for j, x in self._rows[k] if q else ():
+                    if j <= k:
+                        c[j] -= q * x
+        return nonzeros(c)
 
     def element(self, row) -> WittVector:
-        return witt_combination(row, self.gens)
+        """The Witt sum of the generators with the coefficients of the sparse row."""
+        if not row:
+            return zero(self.truncation, self.ring)
+        idx, coeffs = zip(*row)
+        return witt_combination(coeffs, [self.gens[j] for j in idx])
 
 
 def unitriangular(vectors, k: int) -> bool:
@@ -127,31 +132,24 @@ def norm_trivial_ring(ring: BaseRing, n: int) -> NormGreenFunctor:
     tr = {}
     for (d, e) in prime_edges(ctx):
         p = e // d
-        rows = [levels[d].coords(frobenius(p, g)) for g in levels[e].gens]
-        res[(d, e)] = AbHom(group[e], group[d], rows)
-        rows = [
-            levels[e].coords(verschiebung(p, g, levels[e].truncation))
-            for g in levels[d].gens
-        ]
-        tr[(d, e)] = AbHom(group[d], group[e], rows)
+        rows = (levels[d].coords(frobenius(p, g)) for g in levels[e].gens)
+        res[(d, e)] = AbHom(group[e], group[d], Sparse(rows, group[d].num_generators))
+        rows = (levels[e].coords(verschiebung(p, g, levels[e].truncation)) for g in levels[d].gens)
+        tr[(d, e)] = AbHom(group[d], group[e], Sparse(rows, group[e].num_generators))
     weyl = {d: AbHom.identity(group[d]) for d in ctx.divisors}
     mult = {}
     unit = {}
     for d in ctx.divisors:
         lv = levels[d]
-        k = len(lv.gens)
-        table = []
-        for i in range(k):
-            table.append(tuple(lv.coords(witt_mul(lv.gens[i], lv.gens[j])) for j in range(k)))
-        mult[d] = tuple(table)
+        mult[d] = tuple(tuple(lv.coords(witt_mul(gi, gj)) for gj in lv.gens) for gi in lv.gens)
         unit[d] = lv.coords(one(lv.truncation, ring))
     return NormGreenFunctor(ctx, group, res, tr, weyl, mult, unit, ring, levels, name=f"N({ring},{n})")
 
 
 def external_norm_element(norm: NormGreenFunctor, r: int) -> tuple[int, ...]:
-    """Teichmüller vector [r] as a top-level element row; multiplicative in r."""
+    """Teichmüller vector [r] as a top-level (dense) element row; multiplicative in r."""
     top = norm.witt_levels[norm.ctx.n]
-    return top.coords(teichmuller(top.truncation, norm.base_ring, r))
+    return dense_row(top.coords(teichmuller(top.truncation, norm.base_ring, r)), len(top.gens))
 
 
 def truncation_rows(src: NormGreenFunctor, e: int, dst: NormGreenFunctor, e2: int):
@@ -163,7 +161,7 @@ def truncation_rows(src: NormGreenFunctor, e: int, dst: NormGreenFunctor, e2: in
     for g in lv_src.gens:
         w = WittVector(trunc, src.base_ring, {u: g.components[u] for u in trunc.elements})
         rows.append(lv_dst.coords(w))
-    return Sparse.of(rows, lv_dst.group.num_generators)
+    return Sparse(rows, lv_dst.group.num_generators)
 
 
 def check_norm_restriction_identity(ring: BaseRing, n: int, j: int) -> Report:
@@ -192,7 +190,7 @@ def check_norm_restriction_identity(ring: BaseRing, n: int, j: int) -> Report:
         prod = one(lv.truncation, ring)
         for i in tup:
             prod = witt_mul(prod, lv.gens[i])
-        return row_mul(nonzeros(big.witt_levels[e].coords(prod)), restricted.tr_full(e, d).rows)
+        return row_mul(big.witt_levels[e].coords(prod), restricted.tr_full(e, d).rows)
 
     theta = pres.hom(restricted, theta_row, natural=False)
     maps = theta.maps
@@ -203,16 +201,16 @@ def check_norm_restriction_identity(ring: BaseRing, n: int, j: int) -> Report:
     # multiplicativity on tag pairs
     ok_mult = True
     for d in ctxj.divisors:
-        images = [dense_row(r, restricted.level[d].num_generators) for r in maps[d].rows]
+        images = maps[d].rows
         for a, ia in enumerate(images):
             for b, ib in enumerate(images):
-                lhs = maps[d].apply(src.mult[d][a][b])
-                rhs = restricted.multiply(d, ia, ib)
-                if not restricted.level[d].elements_equal(lhs, rhs):
+                lhs = row_mul(src.mult[d][a][b], images)
+                rhs = sparse_product(restricted.mult[d], ia, ib)
+                if not restricted.level[d].same_class(lhs, rhs):
                     ok_mult = False
     report.note(ok_mult, "comparison map is multiplicative")
     ok_unit = all(
-        restricted.level[d].elements_equal(maps[d].apply(src.unit[d]), restricted.unit[d])
+        restricted.level[d].same_class(row_mul(src.unit[d], maps[d].rows), restricted.unit[d])
         for d in ctxj.divisors
     )
     report.note(ok_unit, "comparison map preserves units")

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from math import gcd
 
+from .fgab import row_mul
 from .wittcore import divisors
 
 
@@ -79,15 +80,15 @@ def weyl_span(n: int, d: int) -> tuple[int, int]:
 
 
 def apply_span(mackey, t: int, s: int, span: tuple[int, int], value):
-    """Evaluate M(σ) on a value at level t for a basis span σ : G/C_t → G/C_s.
+    """Evaluate M(σ) on a sparse row at level t for a basis span σ : G/C_t → G/C_s.
 
     Every basis span factors as (transfer) ∘ (generator translation)^y ∘
     (restriction), which is how a Mackey functor consumes it.
     """
     c, y = span
-    v = mackey.res_full(t, c).apply(value)
-    v = mackey.weyl_power(c, y).apply(v)
-    return mackey.tr_full(c, s).apply(v)
+    v = row_mul(value, mackey.res_full(t, c).rows)
+    v = row_mul(v, mackey.weyl_power(c, y).rows)
+    return row_mul(v, mackey.tr_full(c, s).rows)
 
 
 def solve_crt(a1: int, m1: int, a2: int, m2: int) -> int:

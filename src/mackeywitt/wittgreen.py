@@ -165,7 +165,7 @@ def compare_with_classical(w: GreenWittVectors, ring: BaseRing, n: int) -> Compa
     if top.num_generators != len(lv.gens):
         return refuse(f"{top.num_generators} generators against {len(lv.gens)} Witt images")
     zero_w = zero(lv.truncation, ring)
-    for r, rel in enumerate(top.relations):
+    for r, rel in enumerate(top.rels):
         if lv.element(rel) != zero_w:
             return refuse(f"relation {r} does not map to 0")
     if not unitriangular(lv.gens, k):

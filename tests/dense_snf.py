@@ -7,7 +7,8 @@ the same integer operations, so its ``diagonal``, ``rank``, ``u``, ``v``
 and ``vinv`` are compared against this class entry for entry, and the
 group questions against the dense readers below.  ``dense_row_hnf`` and
 ``dense_mat_mul`` are the dense Hermite basis and product that the sparse
-rows of ``fgab`` are checked against.
+rows of ``fgab`` are checked against, and ``identity_matrix`` the dense
+identity the tests build maps and element rows from.
 """
 
 from __future__ import annotations
@@ -295,3 +296,8 @@ def dense_row_hnf(rows, cols: int):
 def dense_mat_mul(a, b, cols: int):
     """a · b on dense rows (b has cols columns), every cell computed."""
     return tuple(tuple(sum(x * row[j] for x, row in zip(r, b)) for j in range(cols)) for r in a)
+
+
+def identity_matrix(k: int) -> Matrix:
+    """The k × k identity as dense int rows."""
+    return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))

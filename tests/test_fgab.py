@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_snf import identity_matrix
 from mackeywitt.fgab import (
     AbHom,
     CompositeNotZeroError,
@@ -17,7 +18,6 @@ from mackeywitt.fgab import (
     free_group,
     homology,
     homology_subquotient,
-    identity_matrix,
     in_rowspan,
     kernel_basis,
     mat,
@@ -432,6 +432,23 @@ def test_group_questions_read_no_u():
     assert "u" not in vars(g._rel_snf)
 
 
+def test_relation_snf_keeps_no_row_operation_log():
+    # a group reads V and V⁻¹ of its relation SNF, never U, so it keeps no log to replay
+    rels = [(2, 1, 0), (0, 4, 2), (6, 0, 3)]
+    g, h, c = FgAbGroup(3, rels), FgAbGroup(3, rels), FgAbGroup(3, rels)
+    g.canonical_form
+    h.reduce((5, 7, 1))
+    AbHom(c, c, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])  # images 3·r are no relation rows: read by SNF
+    for group in (g, h, c):
+        assert "_rel_snf" in vars(group)
+        assert "_row_ops" not in vars(group._rel_snf)
+    # an SNF that is solved against keeps its log until U is replayed
+    s = _SNF(c.rels)
+    assert "_row_ops" in vars(s)
+    assert solve_left(c.rels, c.rels[0], s) == ((0, 1),)
+    assert "_row_ops" not in vars(s)
+
+
 # ---------------------------------------------------------------------------
 # a lattice that is solved against repeatedly is factored once
 
@@ -463,8 +480,8 @@ def test_subquotient_factors_its_cycle_lattice_once(snf_counts):
     cycles = mat([(1, 1, 0), (0, 2, 0), (0, 0, 1)])
     sq = Subquotient(ambient, cycles, mat([(2, 2, 0), (0, 4, 0), (0, 0, 3)]))
     assert sq.group.canonical_form == ((2, 6), 0)
-    for x in [(1, 1, 0), (0, 2, 1), (3, 5, 2)]:
-        sq.project(x)
+    for x in [((0, 1), (1, 1)), ((1, 2), (2, 1)), ((0, 3), (1, 5), (2, 2))]:
+        sq.coords(x)
     assert snf_counts[sq.cycle_basis] == 1
 
 

@@ -57,6 +57,12 @@ GOLDEN = [
      "bfc822cf92b58280aff18b469ed57099016899f4d7a3ed089027dd39edf503a5"),
     (("monoid", "DUAL_NUMBERS", "--ring", "Z", "--n", "4", "--max-degree", "1", "--json"),
      "f1f448375e5041d45dd5800805d08a062385bc4969404c1526b08cd07b3162a5"),
+    # the Green certificate (check_axioms) over Burnside, fixed-point and norm
+    # functors, and every suite on one more seed
+    (("check", "--suite", "mackey", "--json"),
+     "041cd0b6f8317e3960eb690e049fc9fc3625889a9618229bd201f986687c5c36"),
+    (("check", "--suite", "all", "--seed", "3", "--json"),
+     "3412d4cc5978c355fbf9b300d32097da9ea95684c7dc04d536518821ec478873"),
 ]
 
 

@@ -8,18 +8,24 @@ import pytest
 
 from mackeywitt import green
 from mackeywitt.cycmonoid import PointedGMonoid, monoid_algebra, splitting_check
-from mackeywitt.fgab import AbHom, NotWellDefinedError, free_group, identity_matrix
+from dense_snf import identity_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mackeywitt.fgab import AbHom, NotWellDefinedError, dense_row, free_group, nonzeros
 from mackeywitt.hochschild import twisted_cyclic_nerve
 from mackeywitt.mackey import (
     GreenFunctor,
     GroupContext,
     RingData,
-    bilinear,
     burnside,
     check_axioms,
     fixed_point_mackey,
     representable,
+    sparse_product,
 )
+from mackeywitt.norm import norm_trivial_ring
+from mackeywitt.wittcore import BaseRing
 from mackeywitt.green import (
     box,
     box_list,
@@ -171,7 +177,7 @@ def test_quotient_burnside_by_transfer_class():
     # kill [C_2] at the top: top becomes Z, bottom becomes Z/2 via res([C_2]) = 2
     ctx = GroupContext(2)
     b = burnside(ctx)
-    q = quotient_by_green_ideal(b, [(2, (1, 0))])
+    q = quotient_by_green_ideal(b, [(2, ((0, 1),))])
     assert q.level[2].canonical_form == ((), 1)
     assert q.level[1].canonical_form == ((2,), 0)
     assert check_axioms(q).passed
@@ -184,7 +190,7 @@ def weyl_difference_gens(r):
         for i in range(r.level[d].num_generators):
             row = list(w.matrix[i])
             row[i] -= 1
-            gens.append((d, tuple(row)))
+            gens.append((d, nonzeros(row)))
     return gens
 
 
@@ -280,7 +286,7 @@ def _assert_matches_reference(pres):
         for a, ref_row in enumerate(ref):
             assert len(table[a]) == len(ref_row)
             for b, ref_entry in enumerate(ref_row):
-                assert table[a][b] == ref_entry
+                assert table[a][b] == nonzeros(ref_entry)
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -387,11 +393,11 @@ def test_splitting_check_reads_few_box_products(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one bilinear product for stored, lazy and ambient ring tables
+# one bilinear product, sparse_product, for stored, lazy and ambient ring tables
 
 
 def _loop_product(table, x, y, k):
-    """The product loop that ``bilinear`` replaced, kept as its oracle."""
+    """The dense product loop over dense rows and dense cells, kept as the oracle of ``sparse_product``."""
     acc = [0] * k
     for i, xi in enumerate(x):
         if not xi:
@@ -407,14 +413,22 @@ def _loop_product(table, x, y, k):
     return tuple(acc)
 
 
-def _sparse_rows(rng, k, count):
+def _assert_sparse_product_matches_loop(table, k, x, y):
+    """sparse_product on the sparse table equals the loop on its dense cells, and is a canonical sparse row."""
+    out = sparse_product(table, nonzeros(x), nonzeros(y))
+    dense = [[dense_row(cell, k) for cell in cells] for cells in table]
+    assert out == nonzeros(dense_row(out, k))
+    assert dense_row(out, k) == _loop_product(dense, x, y, k)
+
+
+def _random_rows(rng, k, count):
     return [tuple(rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(k)) for _ in range(count)]
 
 
 def _assert_bilinear_matches_loop(table, k, rng):
-    for x in _sparse_rows(rng, k, 6):
-        for y in _sparse_rows(rng, k, 6):
-            assert bilinear(table, x, y) == _loop_product(table, x, y, k)
+    for x in _random_rows(rng, k, 6):
+        for y in _random_rows(rng, k, 6):
+            _assert_sparse_product_matches_loop(table, k, x, y)
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -428,20 +442,49 @@ def test_bilinear_matches_loop_on_lazy_box_tables(n):
             _assert_bilinear_matches_loop(g.mult[d], g.level[d].num_generators, rng)
 
 
+DUAL_SIGN = RingData(mult=(((1, 0), (0, 1)), ((0, 1), (0, 0))), unit=(1, 0))
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_bilinear_matches_loop_on_fixed_point_tables(n):
     rng = random.Random(n)
     ctx = GroupContext(n)
-    dual_sign = RingData(mult=(((1, 0), (0, 1)), ((0, 1), (0, 0))), unit=(1, 0))
     cases = [
         (trivial_Z(ctx), RingData(mult=(((1,),),), unit=(1,))),
         (product_ring_swap(ctx), RingData(mult=(((1, 0), (0, 0)), ((0, 0), (0, 1))), unit=(1, 1))),
-        (fixed_point_mackey(ctx, free_group(2), ((1, 0), (0, -1)), dual_sign), dual_sign),
+        (fixed_point_mackey(ctx, free_group(2), ((1, 0), (0, -1)), DUAL_SIGN), DUAL_SIGN),
     ]
     for g, ring in cases:
-        _assert_bilinear_matches_loop(ring.mult, len(ring.mult), rng)
+        ambient = [[nonzeros(cell) for cell in cells] for cells in ring.mult]
+        _assert_bilinear_matches_loop(ambient, len(ring.mult), rng)
         for d in ctx.divisors:
             _assert_bilinear_matches_loop(g.mult[d], g.level[d].num_generators, rng)
+
+
+@pytest.fixture(scope="module")
+def green_tables():
+    """Lazy box, fixed-point and norm Green functors, built once for the property below."""
+    ctx = GroupContext(4)
+    b = burnside(ctx)
+    _, rm = _dual_numbers_algebra(2)
+    return [
+        box(b, b).mackey,
+        box_power(rm, 2).mackey,
+        product_ring_swap(ctx),
+        fixed_point_mackey(ctx, free_group(2), ((1, 0), (0, -1)), DUAL_SIGN),
+        norm_trivial_ring(BaseRing.integers_mod(4), 4),
+        norm_trivial_ring(BaseRing.integers(), 6),
+    ]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_sparse_product_matches_loop_on_box_fixed_point_and_norm_tables(green_tables, data):
+    g = data.draw(st.sampled_from(green_tables))
+    d = data.draw(st.sampled_from(g.ctx.divisors))
+    k = g.level[d].num_generators
+    rows = st.lists(st.integers(-4, 4), min_size=k, max_size=k).map(tuple)
+    _assert_sparse_product_matches_loop(g.mult[d], k, data.draw(rows), data.draw(rows))
 
 
 def test_bilinear_reads_only_cells_at_nonzero_pairs(monkeypatch):
@@ -460,10 +503,7 @@ def _unit_or_zero_hom(pres, target, natural):
     n = pres.mackey.ctx.n
 
     def row(d, e, tup):
-        out = [0] * target.level[d].num_generators
-        if d == n:
-            out[pres.tag_pos[d][(e, tup)]] = 1
-        return tuple(out)
+        return ((pres.tag_pos[d][(e, tup)], 1),) if d == n else ()
 
     return pres.hom(target, row, natural=natural)
 
@@ -475,7 +515,7 @@ def test_hom_rejects_a_row_that_breaks_a_box_relation(natural):
     free = fixed_point_mackey(ctx, free_group(len(pres.tags[2])), identity_matrix(len(pres.tags[2])))
     assert pres.mackey.level[2].relations
     with pytest.raises(NotWellDefinedError, match="not in target relations"):
-        pres.hom(free, lambda d, e, tup: (1,) + (0,) * (free.level[d].num_generators - 1), natural=natural)
+        pres.hom(free, lambda d, e, tup: ((0, 1),), natural=natural)
 
 
 def test_hom_certifies_naturality_only_when_asked():

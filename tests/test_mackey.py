@@ -1,8 +1,12 @@
+import re
+
 import pytest
 
-from mackeywitt.fgab import AbHom, FgAbGroup, free_group, identity_matrix
+from dense_snf import identity_matrix
+from mackeywitt.cycmonoid import PointedGMonoid, bredon_green
+from mackeywitt.fgab import AbHom, FgAbGroup, Sparse, dense_row, free_group, nonzeros
 from mackeywitt.geomfix import phi, tilde_ef
-from mackeywitt.green import box, box_list, quotient_by_subgroups
+from mackeywitt.green import box, box_list, quotient_by_green_ideal, quotient_by_subgroups
 from mackeywitt.mackey import (
     GreenFunctor,
     GroupContext,
@@ -129,8 +133,8 @@ def test_yoneda_evaluation():
         for d in ctx.divisors:
             rows = []
             for (i, sp) in rep.span_basis[d]:
-                rows.append(spans.apply_span(m, t, d, sp, val))
-            maps[d] = AbHom(rep.level[d], m.level[d], rows)
+                rows.append(spans.apply_span(m, t, d, sp, nonzeros(val)))
+            maps[d] = AbHom(rep.level[d], m.level[d], Sparse(rows, m.level[d].num_generators))
         hom = MackeyHom(rep, m, maps)  # naturality checked at construction
         ident_pos = rep.span_pos[t][(0, (t, 0))]
         got = hom.maps[t].apply(identity_matrix(rep.level[t].num_generators)[ident_pos])
@@ -151,7 +155,10 @@ def test_yoneda_hom_group_matches_level():
             d: AbHom(
                 rep.level[d],
                 m.level[d],
-                [spans.apply_span(m, 1, d, sp, val) for (_, sp) in rep.span_basis[d]],
+                Sparse(
+                    (spans.apply_span(m, 1, d, sp, nonzeros(val)) for (_, sp) in rep.span_basis[d]),
+                    m.level[d].num_generators,
+                ),
             )
             for d in ctx.divisors
         }
@@ -326,9 +333,10 @@ def dense_ring_checks(m):
         lv = m.level[d]
         gens = identity_matrix(lv.num_generators)
         prod = [[m.multiply(d, x, y) for y in gens] for x in gens]
+        unit = dense_row(m.unit[d], lv.num_generators)
         for i in range(len(gens)):
             out.append((
-                lv.elements_equal(m.multiply(d, m.unit[d], gens[i]), gens[i]),
+                lv.elements_equal(m.multiply(d, unit, gens[i]), gens[i]),
                 f"unit fails at level {d}, generator {i}",
             ))
             for j in range(len(gens)):
@@ -362,7 +370,7 @@ def _torsion_swap_ring():
 
 
 def _with_products(m, d, cells):
-    """m with the products mult[d][i][j] replaced by the rows in cells {(i, j): row}."""
+    """m with the products mult[d][i][j] replaced by the sparse rows in cells {(i, j): row}."""
     table = [list(rows) for rows in m.mult[d]]
     for (i, j), row in cells.items():
         table[i][j] = row
@@ -393,8 +401,8 @@ def test_green_certificate_matches_dense_reference(build):
     ids=["burnside_C6", "norm_Z4_4"],
 )
 def test_perturbed_product_reports_the_dense_failures(m, d):
-    row = m.mult[d][1][2]
-    broken = _with_products(m, d, {(1, 2): row[:1] + (row[1] + 1,) + row[2:]})
+    row = dense_row(m.mult[d][1][2], m.level[d].num_generators)
+    broken = _with_products(m, d, {(1, 2): nonzeros(row[:1] + (row[1] + 1,) + row[2:])})
     rep = assert_ring_checks_match_dense(broken)
     assoc = [msg for msg in rep.failures if msg.startswith("associativity fails")]
     assert assoc and all(msg.startswith(f"associativity fails at level {d} (") for msg in assoc)
@@ -404,7 +412,7 @@ def test_products_associative_only_modulo_relations_pass():
     m = norm_trivial_ring(BaseRing.integers_mod(4), 6)
     lv = m.level[6]
     rel = lv.relations[0]
-    shifted = tuple(x + y for x, y in zip(m.mult[6][1][2], rel))
+    shifted = nonzeros(tuple(x + y for x, y in zip(dense_row(m.mult[6][1][2], lv.num_generators), rel)))
     broken = _with_products(m, 6, {(1, 2): shifted, (2, 1): shifted})
     # some triple now differs as integer rows and agrees only modulo the relations
     gens = identity_matrix(lv.num_generators)
@@ -415,3 +423,96 @@ def test_products_associative_only_modulo_relations_pass():
     )
     rep = assert_ring_checks_match_dense(broken)
     assert rep.passed, rep
+
+
+# ---------------------------------------------------------------------------
+# product tables and units are sparse rows, read as they are stored
+
+
+def _refuse_dense(*args):
+    raise AssertionError("a dense product or image was computed")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: burnside(GroupContext(6)), lambda: box(burnside(GroupContext(4)), burnside(GroupContext(4))).mackey],
+    ids=["burnside_C6", "box_AA_C4"],
+)
+def test_green_certificate_multiplies_no_dense_rows(monkeypatch, build):
+    m = build()
+    monkeypatch.setattr(GreenFunctor, "multiply", _refuse_dense)
+    monkeypatch.setattr(AbHom, "apply", _refuse_dense)
+    rep = check_axioms(m)
+    assert rep.passed, rep
+
+
+def _is_sparse_row(row, k):
+    """(column, value) pairs with nonzero int values and columns rising in range(k)."""
+    cols = [j for j, _ in row]
+    return (
+        isinstance(row, tuple)
+        and all(type(x) is int and x for _, x in row)
+        and cols == sorted(set(cols))
+        and all(0 <= j < k for j in cols)
+    )
+
+
+def _dual_numbers_monoid(ctx):
+    rows = [["0", "0", "0"], ["0", "1", "x"], ["0", "x", "0"]]
+    return PointedGMonoid.from_lists(ctx, ["0", "1", "x"], "0", "1", rows, ["0", "1", "x"])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: burnside(GroupContext(6)),
+        lambda: box(burnside(GroupContext(4)), burnside(GroupContext(4))).mackey,
+        lambda: norm_trivial_ring(BaseRing.integers_mod(4), 6),
+        lambda: norm_trivial_ring(BaseRing.integers(), 4),
+        _torsion_swap_ring,
+        lambda: bredon_green(GroupContext(2), _dual_numbers_monoid(GroupContext(2))),
+        lambda: restrict(norm_trivial_ring(BaseRing.integers_mod(2), 4), 2),
+        lambda: phi(norm_trivial_ring(BaseRing.integers_mod(2), 4), 2),
+        lambda: quotient_by_green_ideal(burnside(GroupContext(2)), [(2, ((0, 1),))]),
+    ],
+    ids=["burnside", "box", "norm_Z4", "norm_Z", "fixed_point", "bredon", "restrict", "phi", "quotient"],
+)
+def test_product_cells_and_units_are_sparse_rows(build):
+    m = build()
+    for d in m.ctx.divisors:
+        k = m.level[d].num_generators
+        assert _is_sparse_row(m.unit[d], k)
+        assert len(m.mult[d]) == k
+        for cells in m.mult[d]:
+            assert len(cells) == k
+            assert all(_is_sparse_row(cell, k) for cell in cells)
+
+
+def _short_row(b):
+    return {**b.mult, 2: b.mult[2][:1]}
+
+
+def _short_cells(b):
+    return {**b.mult, 2: (b.mult[2][0][:1], b.mult[2][1])}
+
+
+def _column_out_of_range(b):
+    return {**b.mult, 2: ((((2, 1),), b.mult[2][0][1]), b.mult[2][1])}
+
+
+def _negative_column(b):
+    return {**b.mult, 2: (b.mult[2][0], (b.mult[2][1][0], ((-1, 1),)))}
+
+
+@pytest.mark.parametrize("broken", [_short_row, _short_cells, _column_out_of_range, _negative_column])
+def test_green_functor_refuses_a_table_of_the_wrong_shape(broken):
+    b = burnside(GroupContext(2))
+    with pytest.raises(ValueError, match=re.escape("mult[2] has wrong shape")):
+        GreenFunctor(b.ctx, b.level, b.res, b.tr, b.weyl, broken(b), b.unit)
+
+
+@pytest.mark.parametrize("unit", [((2, 1),), ((0, 1), (5, 1)), ((-1, 1),)])
+def test_green_functor_refuses_a_unit_of_the_wrong_length(unit):
+    b = burnside(GroupContext(2))
+    with pytest.raises(ValueError, match=re.escape("unit[2] has wrong length")):
+        GreenFunctor(b.ctx, b.level, b.res, b.tr, b.weyl, b.mult, {**b.unit, 2: unit})

@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from dense_snf import identity_matrix
 from witt_enumeration import all_vectors, enumerated_level
 
 from mackeywitt import norm
 from mackeywitt.cli import main
-from mackeywitt.fgab import identity_matrix
+from mackeywitt.fgab import dense_row, nonzeros
 from mackeywitt.mackey import check_axioms
 from mackeywitt.norm import (
     WittLevel,
@@ -77,7 +78,7 @@ def test_unsupported_ring():
 def test_external_norm_element():
     nm = norm_trivial_ring(Z, 2)
     u = external_norm_element(nm, 1)
-    assert nm.level[2].elements_equal(u, nm.unit[2])
+    assert nm.level[2].elements_equal(u, dense_row(nm.unit[2], 2))
     # restriction to the bottom is r^n
     for r in (2, 3, -1):
         el = external_norm_element(nm, r)
@@ -139,11 +140,12 @@ def test_verschiebung_presentation_matches_enumeration(m, d):
     assert lv.group.relations == oracle.relations
     for w in all_vectors(lv.truncation, ring):
         c = lv.coords(w)
-        assert c == oracle.table[w.component_tuple()]
+        assert c == nonzeros(oracle.table[w.component_tuple()])
         assert lv.element(c) == w
 
 
-# relation rows of W_<6>(Z/4) replaced by rows that break one part of the certificate
+# relation rows of W_<6>(Z/4), read as dense rows, replaced by rows that break
+# one part of the certificate
 PERTURBED_ROWS = {
     "bumped": lambda r: {1: (r[1][0] + 1,) + r[1][1:]},  # does not map to 0
     "doubled": lambda r: {2: tuple(2 * x for x in r[2])},  # determinant 2·4^4
@@ -155,8 +157,9 @@ PERTURBED_ROWS = {
 def test_perturbed_relation_row_trips_the_build_certificate(name):
     lv = WittLevel(BaseRing.integers_mod(4), 6)
     lv._certify()
-    changed = PERTURBED_ROWS[name](lv._rows)
-    lv._rows = [changed.get(k, r) for k, r in enumerate(lv._rows)]
+    dense = [dense_row(r, len(lv.gens)) for r in lv._rows]
+    changed = PERTURBED_ROWS[name](dense)
+    lv._rows = [nonzeros(changed.get(k, r)) for k, r in enumerate(dense)]
     with pytest.raises(AssertionError, match="not presented exactly"):
         lv._certify()
 

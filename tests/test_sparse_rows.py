@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_snf import DenseSNF, dense_mat_mul, dense_row_hnf, dense_solve, dense_solve_left
+from dense_snf import DenseSNF, dense_mat_mul, dense_row_hnf, dense_solve, dense_solve_left, identity_matrix
 from mackeywitt import green, hochschild
 from mackeywitt.cli import main
 from mackeywitt.fgab import (
@@ -26,7 +26,6 @@ from mackeywitt.fgab import (
     NotWellDefinedError,
     Sparse,
     free_group,
-    identity_matrix,
     mat,
     mat_mul,
     preimage_basis,

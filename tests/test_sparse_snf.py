@@ -20,6 +20,7 @@ from dense_snf import (
     dense_reduce,
     dense_solve,
     dense_solve_left,
+    identity_matrix,
 )
 from mackeywitt.fgab import (
     AbHom,
@@ -27,7 +28,6 @@ from mackeywitt.fgab import (
     NotWellDefinedError,
     _SNF,
     free_group,
-    identity_matrix,
     in_rowspan,
     kernel_basis,
     mat,

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from mackeywitt import wittgreen
-from mackeywitt.fgab import FgAbGroup
+from mackeywitt.fgab import FgAbGroup, dense_row, nonzeros, sparse_row
 from mackeywitt.mackey import GroupContext, burnside
 from mackeywitt.norm import norm_trivial_ring
 from mackeywitt.wittcore import BaseRing, UnsupportedRingError, witt_scalar
@@ -71,7 +71,7 @@ def test_ghost_of_teichmuller_over_Z():
             t = teichmuller_green(w, r)
             for d in [dd for dd in range(1, n + 1) if n % dd == 0]:
                 gv = ghost_coordinate(w, t, d)
-                unit_d = w.green.unit[d]
+                unit_d = dense_row(w.green.unit[d], w.green.level[d].num_generators)
                 expected = tuple((r ** (n // d)) * u for u in unit_d)
                 assert gv.quotient.elements_equal(gv.value, expected)
 
@@ -110,7 +110,7 @@ def test_teichmuller_bottom_restriction_is_power():
         for r in range(4):
             t = teichmuller_green(w, r)
             bottom = w.green.res_full(n, 1).apply(t)
-            unit = w.green.unit[1]
+            unit = dense_row(w.green.unit[1], w.green.level[1].num_generators)
             expected = tuple((r**n) * u for u in unit)
             assert w.green.level[1].elements_equal(bottom, expected)
 
@@ -126,11 +126,11 @@ def test_teichmuller_natural_in_ring_quotients():
         # reduce the integral witt vector mod 4 and look it up in the finite table
         lvz = wz.norm.witt_levels[n]
         lvm = wm.norm.witt_levels[n]
-        w_int = lvz.element(tz)
+        w_int = lvz.element(nonzeros(tz))
         from mackeywitt.wittcore import WittVector
 
         reduced = WittVector(w_int.truncation, Z4, {d: v % 4 for d, v in w_int.components.items()})
-        assert wm.top().elements_equal(lvm.coords(reduced), tm)
+        assert wm.top().elements_equal(dense_row(lvm.coords(reduced), len(lvm.gens)), tm)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +160,13 @@ def _broken(w, relations=None, gens=None, mult=None, unit=None):
 
 def _bump(row, i=0):
     return tuple(c + (k == i) for k, c in enumerate(row))
+
+
+def _bump_sparse(row, i=0):
+    """The sparse row (a product cell or a unit) with 1 added at column i."""
+    acc = dict(row)
+    acc[i] = acc.get(i, 0) + 1
+    return sparse_row(acc)
 
 
 # (ring, n, c) with c·W_<n>(R) a proper subgroup of W_<n>(R)
@@ -237,7 +244,7 @@ def test_images_that_fail_the_leads_but_span_pass_the_search(ring, n):
 def test_certificate_refuses_perturbed_product(ring, n, c):
     w = witt_green(ring, n)
     mult = [list(rows) for rows in w.green.mult[n]]
-    mult[0][0] = _bump(mult[0][0])
+    mult[0][0] = _bump_sparse(mult[0][0])
     verdict = compare_with_classical(_broken(w, mult=mult), ring, n)
     assert not verdict.isomorphic
     assert verdict.detail == "product of generators 0,0"
@@ -246,6 +253,6 @@ def test_certificate_refuses_perturbed_product(ring, n, c):
 @pytest.mark.parametrize("ring,n,c", CERTIFIED)
 def test_certificate_refuses_perturbed_unit(ring, n, c):
     w = witt_green(ring, n)
-    verdict = compare_with_classical(_broken(w, unit=_bump(w.green.unit[n])), ring, n)
+    verdict = compare_with_classical(_broken(w, unit=_bump_sparse(w.green.unit[n])), ring, n)
     assert not verdict.isomorphic
     assert verdict.detail == "unit mismatch"
