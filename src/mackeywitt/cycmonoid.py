@@ -193,7 +193,8 @@ def bredon_green(ctx: GroupContext, m: PointedGMonoid) -> GreenFunctor:
                     if v == m.zero:
                         continue
                     i2, a = od.locate[v]
-                    key = pos[(i2, (c, spans.normalize_y(n, od.stabs[i2], d, y - a)))]
+                    y2 = spans.normalize_y(n, od.stabs[i2], d, y - a)
+                    key = pos[(i2, (c, y2))]
                     acc[key] = acc.get(key, 0) + mlt
                 rowtab.append(sparse_row(acc))
             table.append(tuple(rowtab))

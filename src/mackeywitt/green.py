@@ -30,6 +30,7 @@ from .mackey import (
     GroupContext,
     MackeyFunctor,
     MackeyHom,
+    _in_columns,
     divisors,
     prime_edges,
     prime_factors,
@@ -412,6 +413,8 @@ def quotient_by_green_ideal(g: GreenFunctor, gens) -> GreenFunctor:
         queue.append((d, row))
 
     for d, row in gens:
+        if not _in_columns(row, g.level[d].num_generators):
+            raise ValueError(f"ideal generator {row!r} of level {d} is not a sparse row")
         push(d, row)
 
     while queue:

@@ -245,19 +245,22 @@ def sparse_product(table, x, y):
     """Σ x_i y_j table[i][j] for sparse rows x, y, as a sparse row.
 
     ``table[i][j]`` is the product of generators i and j as a sparse row;
-    only the cells at nonzero (x_i, y_j) are read, and a product of two
-    single terms is its scaled cell.
+    only the cells at nonzero (x_i, y_j) are read.
     """
-    if len(x) == 1 == len(y):
-        ((i, xi),), ((j, yj),) = x, y
-        c = xi * yj
-        return table[i][j] if c == 1 else tuple((t, c * v) for t, v in table[i][j])
     acc: dict[int, int] = {}
     for i, xi in x:
         ti = table[i]
         for j, yj in y:
             _axpy(acc, ti[j], xi * yj)
-    return tuple(sorted(acc.items()))  # _axpy keeps no zero
+    return sparse_row(acc)
+
+
+def _in_columns(row, k: int) -> bool:
+    """Whether ``row`` is a sparse row: (column, value) pairs with columns in range(k)."""
+    try:
+        return all(j in range(k) for j, _ in row)
+    except (TypeError, ValueError):
+        return False
 
 
 class GreenFunctor(MackeyFunctor):
@@ -281,13 +284,14 @@ class GreenFunctor(MackeyFunctor):
         self.unit = dict(unit)
         for d in ctx.divisors:
             k = self.level[d].num_generators
-            cols = range(k)
             table = self.mult[d]
             if isinstance(table, (tuple, list)):
-                if len(table) != k or any(len(m) != k or any(j not in cols for c in m for j, _ in c) for m in table):
+                if len(table) != k or any(len(m) != k for m in table):
+                    raise ValueError(f"mult[{d}] has wrong shape")
+                if not all(_in_columns(c, k) for m in table for c in m):
                     raise ValueError(f"mult[{d}] has wrong shape")
                 self.mult[d] = tuple(map(tuple, table))
-            if any(j not in cols for j, _ in self.unit[d]):
+            if not _in_columns(self.unit[d], k):
                 raise ValueError(f"unit[{d}] has wrong length")
 
     def multiply(self, d: int, x, y):
@@ -313,11 +317,19 @@ def burnside(ctx: GroupContext) -> GreenFunctor:
         rows = (((index[e][c], 1),) for c in divisors(d))
         tr[(d, e)] = AbHom(level[d], level[e], Sparse(rows, len(divisors(e))), check=False)
     weyl = {d: AbHom.identity(level[d]) for d in ctx.divisors}
-    mult = {
-        d: tuple(tuple(((index[d][gcd(a, b)], d * gcd(a, b) // (a * b)),) for b in divisors(d)) for a in divisors(d))
-        for d in ctx.divisors
-    }
-    unit = {d: ((index[d][d], 1),) for d in ctx.divisors}
+    mult = {}
+    unit = {}
+    for d in ctx.divisors:
+        divs = divisors(d)
+        table = []
+        for a in divs:
+            rowtab = []
+            for b in divs:
+                g = gcd(a, b)
+                rowtab.append(((index[d][g], d * g // (a * b)),))
+            table.append(tuple(rowtab))
+        mult[d] = tuple(table)
+        unit[d] = ((index[d][d], 1),)
     return GreenFunctor(ctx, level, res, tr, weyl, mult, unit, name=f"A({ctx})")
 
 
@@ -413,7 +425,9 @@ def fixed_point_mackey(ctx: GroupContext, group: FgAbGroup, action, ring: RingDa
     unit = {}
     for d in ctx.divisors:
         basis = sq[d].lattice
-        mult[d] = tuple(tuple(sq[d].coords(sparse_product(table, xi, xj)) for xj in basis) for xi in basis)
+        mult[d] = tuple(
+            tuple(sq[d].coords(sparse_product(table, xi, xj)) for xj in basis) for xi in basis
+        )
         unit[d] = sq[d].coords(nonzeros(ring.unit))
     return GreenFunctor(ctx, level, res, tr, weyl, mult, unit, name="fixed-point")
 
@@ -533,24 +547,36 @@ def check_axioms(m) -> Report:
     # Green: levelwise commutative unital associative rings, read from the
     # stored product cells and hom rows; a box table fills each cell once
     for d in ctx.divisors:
-        lv, unit, k = m.level[d], m.unit[d], m.level[d].num_generators
+        lv = m.level[d]
+        k = lv.num_generators
         table = [list(cells) for cells in m.mult[d]]
         for i in range(k):
             e_i = ((i, 1),)
-            rep.note(lv.same_class(sparse_product(table, unit, e_i), e_i), f"unit fails at level {d}, generator {i}")
+            rep.note(
+                lv.same_class(sparse_product(table, m.unit[d], e_i), e_i),
+                f"unit fails at level {d}, generator {i}",
+            )
             for j in range(k):
-                rep.note(lv.same_class(table[i][j], table[j][i]), f"commutativity fails at level {d} ({i},{j})")
+                rep.note(
+                    lv.same_class(table[i][j], table[j][i]),
+                    f"commutativity fails at level {d} ({i},{j})",
+                )
                 for t in range(k):
                     # (e_i e_j) e_t and e_i (e_j e_t); rows that differ may
                     # still agree modulo the relations
                     lhs = sparse_product(table, table[i][j], ((t, 1),))
                     rhs = sparse_product(table, e_i, table[j][t])
-                    rep.note(lv.same_class(lhs, rhs), f"associativity fails at level {d} ({i},{j},{t})")
+                    rep.note(
+                        lv.same_class(lhs, rhs),
+                        f"associativity fails at level {d} ({i},{j},{t})",
+                    )
     # res are ring maps; weyl are ring automorphisms
     maps = [(e, d, m.res[(d, e)], f"res{(d, e)}") for (d, e) in prime_edges(ctx)]
     maps += [(d, d, m.weyl[d], f"weyl[{d}]") for d in ctx.divisors]
     for src, dst, f, name in maps:
-        lv, rows, table = m.level[dst], f.rows, m.mult[src]
+        lv = m.level[dst]
+        rows = f.rows
+        table = m.mult[src]
         rep.note(lv.same_class(row_mul(m.unit[src], rows), m.unit[dst]), f"{name} does not preserve the unit")
         for i, fi in enumerate(rows):
             for j, fj in enumerate(rows):
@@ -560,11 +586,15 @@ def check_axioms(m) -> Report:
                 )
     # Frobenius reciprocity: tr(x · res y) = tr(x) · y
     for (d, e) in prime_edges(ctx):
-        r, t = m.res[(d, e)].rows, m.tr[(d, e)].rows
+        r = m.res[(d, e)].rows
+        t = m.tr[(d, e)].rows
         lv = m.level[e]
         for i, tx in enumerate(t):
             for j, ry in enumerate(r):
                 lhs = row_mul(sparse_product(m.mult[d], ((i, 1),), ry), t)
                 rhs = sparse_product(m.mult[e], tx, ((j, 1),))
-                rep.note(lv.same_class(lhs, rhs), f"Frobenius reciprocity fails at {(d, e)} ({i},{j})")
+                rep.note(
+                    lv.same_class(lhs, rhs),
+                    f"Frobenius reciprocity fails at {(d, e)} ({i},{j})",
+                )
     return rep

@@ -77,9 +77,10 @@ class WittLevel:
             c.reverse()
             for k in reversed(range(len(self._rows))):
                 q = c[k] // m
-                for j, x in self._rows[k] if q else ():
-                    if j <= k:
-                        c[j] -= q * x
+                if q:
+                    for j, x in self._rows[k]:
+                        if j <= k:
+                            c[j] -= q * x
         return nonzeros(c)
 
     def element(self, row) -> WittVector:
@@ -134,14 +135,21 @@ def norm_trivial_ring(ring: BaseRing, n: int) -> NormGreenFunctor:
         p = e // d
         rows = (levels[d].coords(frobenius(p, g)) for g in levels[e].gens)
         res[(d, e)] = AbHom(group[e], group[d], Sparse(rows, group[d].num_generators))
-        rows = (levels[e].coords(verschiebung(p, g, levels[e].truncation)) for g in levels[d].gens)
+        rows = (
+            levels[e].coords(verschiebung(p, g, levels[e].truncation))
+            for g in levels[d].gens
+        )
         tr[(d, e)] = AbHom(group[d], group[e], Sparse(rows, group[e].num_generators))
     weyl = {d: AbHom.identity(group[d]) for d in ctx.divisors}
     mult = {}
     unit = {}
     for d in ctx.divisors:
         lv = levels[d]
-        mult[d] = tuple(tuple(lv.coords(witt_mul(gi, gj)) for gj in lv.gens) for gi in lv.gens)
+        k = len(lv.gens)
+        table = []
+        for i in range(k):
+            table.append(tuple(lv.coords(witt_mul(lv.gens[i], lv.gens[j])) for j in range(k)))
+        mult[d] = tuple(table)
         unit[d] = lv.coords(one(lv.truncation, ring))
     return NormGreenFunctor(ctx, group, res, tr, weyl, mult, unit, ring, levels, name=f"N({ring},{n})")
 

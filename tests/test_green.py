@@ -183,6 +183,14 @@ def test_quotient_burnside_by_transfer_class():
     assert check_axioms(q).passed
 
 
+@pytest.mark.parametrize("row", [(1, 0), ((2, 1),), ((0, 1, 0),)])
+def test_quotient_refuses_a_generator_that_is_not_a_sparse_row(row):
+    # (1, 0) is the old dense form of ((0, 1),); level 2 of A(C_2) has 2 generators
+    b = burnside(GroupContext(2))
+    with pytest.raises(ValueError, match="is not a sparse row"):
+        quotient_by_green_ideal(b, [(2, row)])
+
+
 def weyl_difference_gens(r):
     gens = []
     for d in r.ctx.divisors:

@@ -504,14 +504,21 @@ def _negative_column(b):
     return {**b.mult, 2: (b.mult[2][0], (b.mult[2][1][0], ((-1, 1),)))}
 
 
-@pytest.mark.parametrize("broken", [_short_row, _short_cells, _column_out_of_range, _negative_column])
+def _dense_cells(b):
+    """The old dense form: each cell a row of ints, not of (column, value) pairs."""
+    return {**b.mult, 2: tuple(tuple(dense_row(c, 2) for c in cells) for cells in b.mult[2])}
+
+
+@pytest.mark.parametrize(
+    "broken", [_short_row, _short_cells, _column_out_of_range, _negative_column, _dense_cells]
+)
 def test_green_functor_refuses_a_table_of_the_wrong_shape(broken):
     b = burnside(GroupContext(2))
     with pytest.raises(ValueError, match=re.escape("mult[2] has wrong shape")):
         GreenFunctor(b.ctx, b.level, b.res, b.tr, b.weyl, broken(b), b.unit)
 
 
-@pytest.mark.parametrize("unit", [((2, 1),), ((0, 1), (5, 1)), ((-1, 1),)])
+@pytest.mark.parametrize("unit", [((2, 1),), ((0, 1), (5, 1)), ((-1, 1),), (0, 1), ((0, 1, 0),)])
 def test_green_functor_refuses_a_unit_of_the_wrong_length(unit):
     b = burnside(GroupContext(2))
     with pytest.raises(ValueError, match=re.escape("unit[2] has wrong length")):
