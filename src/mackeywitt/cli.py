@@ -341,12 +341,12 @@ def main(argv=None) -> int:
     if n is not None and n > ENUMERATION_BUDGET:
         print(f"error: --n {n} exceeds the enumeration budget of {ENUMERATION_BUDGET}", file=sys.stderr)
         return 2
-    for attr in ("max_degree", "stages", "degree"):
+    for attr in ("max_degree", "degree"):
         v = getattr(args, attr, None)
         if v is not None and v < 0:
             print(f"error: {attr.replace('_', '-')} must be nonnegative", file=sys.stderr)
             return 2
-    if getattr(args, "command", None) == "tr" and getattr(args, "stages", 1) < 1:
+    if getattr(args, "stages", 1) < 1:
         print("error: stages must be at least 1", file=sys.stderr)
         return 2
     try:

@@ -21,6 +21,7 @@ All objects are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import compress, product
 from math import gcd
 
@@ -490,6 +491,60 @@ def row_hnf(rows, cols: int):
     return _like(rows, Sparse(map(sparse_row, basis), cols))
 
 
+def _eliminate_units(rels: Sparse) -> tuple[list, Sparse, Sparse]:
+    """Eliminate generators on ±1 relation entries: (pivots, proj, residual).
+
+    Take the shortest relation with a ±1 entry u and, within it, the one at
+    the column c in the fewest relations: this pivot writes generator c as
+    -u times its other terms, and substituting clears column c from the
+    other relations.  ``pivots`` lists (c, pivot as {column: value}) in
+    elimination order.  ``proj`` (k × s, the s survivors numbered in column
+    order) writes each generator over the survivors, back-substituted; a
+    survivor's row is a unit row.  ``residual`` is the distinct leftover
+    relations, which lie on the survivors, in their numbering.
+    """
+    k = rels.width
+    rows: list[dict | None] = [dict(r) for r in rels]
+    at: list[set[int]] = [set() for _ in range(k)]  # rows nonzero per column
+    for i, r in enumerate(rows):
+        for j in r:
+            at[j].add(i)
+    heap = [(len(r), i) for i, r in enumerate(rows) if r]
+    heapify(heap)
+    pivots = []
+    while heap:
+        n, i = heappop(heap)
+        r = rows[i]
+        units = [j for j, x in r.items() if x == 1 or x == -1] if r and len(r) == n else ()
+        if not units:
+            continue  # eliminated, changed since pushed (and pushed again), or no unit
+        c = min(units, key=lambda j: len(at[j]))
+        rows[i] = None
+        for j in r:
+            at[j].discard(i)
+        for i2 in list(at[c]):  # s -= s[c]·u·r, keeping the column sets
+            s = rows[i2]
+            q = -r[c] * s[c]
+            for j, x in r.items():
+                y = s.get(j, 0) + q * x
+                if y:
+                    if j not in s:
+                        at[j].add(i2)
+                    s[j] = y
+                else:
+                    del s[j]
+                    at[j].discard(i2)
+            heappush(heap, (len(s), i2))
+        pivots.append((c, r))
+    gone = {c for c, _ in pivots}
+    survivors = {j: t for t, j in enumerate(j for j in range(k) if j not in gone)}
+    proj = [((survivors[j], 1),) if j in survivors else () for j in range(k)]
+    for c, r in reversed(pivots):  # r's other columns survive or were eliminated later
+        proj[c] = row_mul([(j, -r[c] * x) for j, x in r.items() if j != c], proj)
+    residual = (sparse_row({survivors[j]: x for j, x in r.items()}) for r in rows if r)
+    return pivots, Sparse(proj, len(survivors)), Sparse.distinct(residual, len(survivors))
+
+
 # ---------------------------------------------------------------------------
 # groups and homs
 
@@ -500,8 +555,11 @@ class FgAbGroup:
     ``FgAbGroup(k, rows)`` is the quotient of ℤ^k by the row span of
     ``rows`` (Sparse, or dense int rows; for k = 0 the rows are empty, and
     none is kept), stored as the Sparse ``rels``.  The presentation keeps
-    its generators; the canonical form (invariant factors + free rank) is
-    computed lazily from SNF and is a complete isomorphism invariant.
+    its generators.  The canonical form (invariant factors + free rank, a
+    complete isomorphism invariant) and the span questions that miss the
+    relation lookup read one cached reduction with the ±1 relation entries
+    eliminated (``_reduction``); only the element API (``reduce``,
+    ``elements``, ``element_order``) factors the whole relation matrix.
     """
 
     __slots__ = ("num_generators", "rels", "__dict__")
@@ -525,10 +583,25 @@ class FgAbGroup:
 
     @cached_property
     def _rel_snf(self) -> _SNF:
-        """The relations' SNF without its row-operation log: a group never solves for U."""
+        """The relations' SNF without its row-operation log: only the element API reads it, never U."""
         s = _SNF(self.rels)
         del s._row_ops
         return s
+
+    @cached_property
+    def _reduction(self) -> tuple[Sparse, _SNF]:
+        """(proj, residual SNF) of ``_eliminate_units``: row ∈ span(R) iff proj(row) ∈ span(residual).
+
+        proj is onto and its kernel is spanned by the pivots: each maps to
+        zero, and subtracting pivots in elimination order clears the
+        eliminated columns of a kernel element, leaving a survivor row that
+        proj fixes, so zero.  The pivots lie in span(R) and proj(R) spans
+        what the residual spans, hence the claim and ℤ^k/R ≅ ℤ^s/residual.
+        """
+        _, proj, residual = _eliminate_units(self.rels)
+        s = _SNF(residual)
+        del s._row_ops
+        return proj, s
 
     @cached_property
     def _rel_index(self) -> dict:
@@ -536,12 +609,13 @@ class FgAbGroup:
         return dict.fromkeys(self.rels)
 
     def _spans(self, row: SparseRow) -> bool:
-        """Whether the sparse row lies in the relation span: zero or ± a relation, else by SNF."""
+        """Whether the sparse row lies in the relation span: zero or ± a relation, else by
+        its image in the reduced presentation (``_reduction``)."""
         index = self._rel_index
         if not row or row in index or tuple((j, -x) for j, x in row) in index:
             return True
-        s = self._rel_snf
-        return s.spans(s.coords(row))
+        proj, s = self._reduction
+        return s.spans(s.coords(row_mul(row, proj)))
 
     def same_class(self, a: SparseRow, b: SparseRow) -> bool:
         """Whether the sparse rows a and b are one element: equal, or a - b is in the relation span."""
@@ -553,9 +627,9 @@ class FgAbGroup:
 
     @cached_property
     def canonical_form(self) -> tuple[tuple[int, ...], int]:
-        s = self._rel_snf
+        proj, s = self._reduction
         inv = tuple(d for d in s.diagonal if d > 1)
-        rank = self.num_generators - s.rank
+        rank = proj.width - s.rank
         return inv, rank
 
     @property
@@ -668,7 +742,8 @@ class AbHom:
     Well-definedness (source relations land in the target relation span) is
     certified at construction, for each distinct source relation once: an
     image that is zero or ± a target relation row is accepted by lookup,
-    and only the rest are tested in the target's SNF coordinates.
+    and only the rest are tested in the target's reduced presentation
+    (``FgAbGroup._reduction``), exactly.
     Equality modulo the target relations decides each row difference the
     same way.
     """

@@ -550,10 +550,11 @@ def check_axioms(m) -> Report:
         lv = m.level[d]
         k = lv.num_generators
         table = [list(cells) for cells in m.mult[d]]
+        cols = [[cells[t] for cells in table] for t in range(k)]  # cols[t][c] = e_c e_t
         for i in range(k):
             e_i = ((i, 1),)
             rep.note(
-                lv.same_class(sparse_product(table, m.unit[d], e_i), e_i),
+                lv.same_class(row_mul(m.unit[d], cols[i]), e_i),
                 f"unit fails at level {d}, generator {i}",
             )
             for j in range(k):
@@ -564,8 +565,8 @@ def check_axioms(m) -> Report:
                 for t in range(k):
                     # (e_i e_j) e_t and e_i (e_j e_t); rows that differ may
                     # still agree modulo the relations
-                    lhs = sparse_product(table, table[i][j], ((t, 1),))
-                    rhs = sparse_product(table, e_i, table[j][t])
+                    lhs = row_mul(table[i][j], cols[t])
+                    rhs = row_mul(table[j][t], table[i])
                     rep.note(
                         lv.same_class(lhs, rhs),
                         f"associativity fails at level {d} ({i},{j},{t})",

@@ -136,6 +136,12 @@ def test_validation_errors(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("stages", ["0", "-1", "-1000000000000"])
+def test_tr_stages_below_1_is_one_line_exit_2(capsys, stages):
+    code, out, err = run_cli(capsys, "tr", "--p", "2", "--stages", stages)
+    assert (code, out, err) == (2, "", "error: stages must be at least 1\n")
+
+
 @pytest.mark.parametrize("content", [
     [],
     {"elements": ["0", "1", "x"], "zero": "0", "one": "1", "table": 5, "action": ["0", "1", "x"]},

@@ -429,19 +429,23 @@ def test_group_questions_read_no_u():
     assert g.reduce((2, 1)) == g.reduce((0, 0))
     f = AbHom(g, g, identity_matrix(2))  # certified: relations land in relations
     assert f == AbHom(g, g, [(1, 0), (2, 2)])
-    assert "u" not in vars(g._rel_snf)
+    assert "u" not in vars(g._rel_snf) and "u" not in vars(g._reduction[1])
 
 
 def test_relation_snf_keeps_no_row_operation_log():
     # a group reads V and V⁻¹ of its relation SNF, never U, so it keeps no log to replay
+    # (canonical forms and certificate misses factor the reduced presentation's
+    # residual, which keeps no log either)
     rels = [(2, 1, 0), (0, 4, 2), (6, 0, 3)]
     g, h, c = FgAbGroup(3, rels), FgAbGroup(3, rels), FgAbGroup(3, rels)
     g.canonical_form
     h.reduce((5, 7, 1))
-    AbHom(c, c, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])  # images 3·r are no relation rows: read by SNF
-    for group in (g, h, c):
-        assert "_rel_snf" in vars(group)
-        assert "_row_ops" not in vars(group._rel_snf)
+    AbHom(c, c, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])  # images 3·r are no relation rows: a miss
+    assert "_rel_snf" in vars(h) and "_row_ops" not in vars(h._rel_snf)
+    for group in (g, c):
+        assert "_rel_snf" not in vars(group)
+        assert "_reduction" in vars(group)
+        assert "_row_ops" not in vars(group._reduction[1])
     # an SNF that is solved against keeps its log until U is replayed
     s = _SNF(c.rels)
     assert "_row_ops" in vars(s)
