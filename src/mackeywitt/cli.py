@@ -275,6 +275,15 @@ class _Parser(argparse.ArgumentParser):
         """A bad flag is one stderr line and exit 2, without the usage block."""
         self.exit(2, f"error: {self.prog}: {_one_line(message)}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        """Refuse ``--flag=--``: before Python 3.13, argparse strips the ``--``
+        and hands the command the value [] instead of a string or an int."""
+        ns, rest = super().parse_known_args(args, namespace)
+        for action in self._actions:
+            if action.option_strings and isinstance(getattr(ns, action.dest, None), list):
+                self.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
+        return ns, rest
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(

@@ -86,6 +86,14 @@ def sparse_row(acc: dict) -> SparseRow:
     return tuple(sorted(p for p in acc.items() if p[1]))
 
 
+def is_sparse_row(row, k: int) -> bool:
+    """Whether ``row`` is a sparse row: (column, value) pairs with columns in range(k)."""
+    try:
+        return all(j in range(k) for j, _ in row)
+    except (TypeError, ValueError):
+        return False
+
+
 def dense_row(items, width: int) -> Row:
     """The dense row of width ``width`` with the given (column, value) pairs."""
     row = [0] * width
@@ -916,11 +924,6 @@ class Subquotient:
                 raise NotInSubgroupError("boundary not contained in cycles")
             rel.append(coeffs)
         self.group = FgAbGroup(len(lat), Sparse(rel, len(lat)))
-
-    @property
-    def cycle_basis(self) -> Matrix:
-        """The cycle lattice as dense rows, built on each read."""
-        return mat(self.lattice)
 
     @cached_property
     def _cycle_snf(self) -> _SNF:

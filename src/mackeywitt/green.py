@@ -15,7 +15,8 @@ way to build it, and certifies it well defined against the relations.
 A box product of Green functors is a Green functor, filled on read:
 ``mult[d][a][b]`` computes the product of tags a and b, a sparse row, the
 first time it is read, so a table of T² products costs only the products
-that are used.  Units, products and the ideal closure stay sparse rows.
+that are used.  Units, products and the ideal closure stay sparse rows;
+the closure asks each level's quotient group whether a row is new.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from functools import partial
 from itertools import product
 from math import gcd, lcm, prod
 
-from .fgab import _SNF, AbHom, FgAbGroup, Sparse, in_rowspan, row_mul, sparse_row
+from .fgab import AbHom, FgAbGroup, Sparse, is_sparse_row, row_mul, sparse_row
 from .mackey import (
     GreenFunctor,
     GroupContext,
     MackeyFunctor,
     MackeyHom,
-    _in_columns,
     divisors,
     prime_edges,
     prime_factors,
@@ -393,27 +393,26 @@ def quotient_by_subgroups(g: GreenFunctor, rows_per_level) -> tuple[GreenFunctor
 def quotient_by_green_ideal(g: GreenFunctor, gens) -> GreenFunctor:
     """Quotient by the Green ideal generated by (level, sparse row) pairs.
 
-    The ideal closure iterates multiplication by every generator together
-    with res, tr, and weyl images until the levelwise subgroup lattices
-    stabilize.
+    The ideal closure asks each level's quotient by the rows accepted so
+    far whether a row (a generator, a product with a generator, a res, tr
+    or weyl image) is zero there, and stops when no new row is accepted.
     """
     ctx = g.ctx
     n = ctx.n
     rows: dict[int, list] = {d: [] for d in ctx.divisors}
-    hnf = {d: g.level[d].subgroup_hnf(()) for d in ctx.divisors}
-    hnf_snf = {d: _SNF(h) for d, h in hnf.items()}
+    quot = dict(g.level)
     queue = []
 
     def push(d, row):  # row is sparse
-        if in_rowspan(hnf[d], row, hnf_snf[d]):
+        if quot[d].same_class(row, ()):
             return
         rows[d].append(row)
-        hnf[d] = g.level[d].subgroup_hnf(Sparse(rows[d], g.level[d].num_generators))
-        hnf_snf[d] = _SNF(hnf[d])
+        k = g.level[d].num_generators
+        quot[d] = FgAbGroup(k, Sparse.distinct(g.level[d].rels + tuple(rows[d]), k))
         queue.append((d, row))
 
     for d, row in gens:
-        if not _in_columns(row, g.level[d].num_generators):
+        if not is_sparse_row(row, g.level[d].num_generators):
             raise ValueError(f"ideal generator {row!r} of level {d} is not a sparse row")
         push(d, row)
 

@@ -26,9 +26,9 @@ from .fgab import (
     NotWellDefinedError,
     Sparse,
     Subquotient,
-    _axpy,
     dense_row,
     free_group,
+    is_sparse_row,
     nonzeros,
     preimage_basis,
     row_mul,
@@ -245,22 +245,10 @@ def sparse_product(table, x, y):
     """Σ x_i y_j table[i][j] for sparse rows x, y, as a sparse row.
 
     ``table[i][j]`` is the product of generators i and j as a sparse row;
-    only the cells at nonzero (x_i, y_j) are read.
+    only the cells at nonzero (x_i, y_j) are read.  It is x times the rows
+    y · table[i], so a single-term factor with coefficient 1 is a cell lookup.
     """
-    acc: dict[int, int] = {}
-    for i, xi in x:
-        ti = table[i]
-        for j, yj in y:
-            _axpy(acc, ti[j], xi * yj)
-    return sparse_row(acc)
-
-
-def _in_columns(row, k: int) -> bool:
-    """Whether ``row`` is a sparse row: (column, value) pairs with columns in range(k)."""
-    try:
-        return all(j in range(k) for j, _ in row)
-    except (TypeError, ValueError):
-        return False
+    return row_mul(x, {i: row_mul(y, table[i]) for i, _ in x})
 
 
 class GreenFunctor(MackeyFunctor):
@@ -288,10 +276,10 @@ class GreenFunctor(MackeyFunctor):
             if isinstance(table, (tuple, list)):
                 if len(table) != k or any(len(m) != k for m in table):
                     raise ValueError(f"mult[{d}] has wrong shape")
-                if not all(_in_columns(c, k) for m in table for c in m):
+                if not all(is_sparse_row(c, k) for m in table for c in m):
                     raise ValueError(f"mult[{d}] has wrong shape")
                 self.mult[d] = tuple(map(tuple, table))
-            if not _in_columns(self.unit[d], k):
+            if not is_sparse_row(self.unit[d], k):
                 raise ValueError(f"unit[{d}] has wrong length")
 
     def multiply(self, d: int, x, y):

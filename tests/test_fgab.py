@@ -486,7 +486,7 @@ def test_subquotient_factors_its_cycle_lattice_once(snf_counts):
     assert sq.group.canonical_form == ((2, 6), 0)
     for x in [((0, 1), (1, 1)), ((1, 2), (2, 1)), ((0, 3), (1, 5), (2, 2))]:
         sq.coords(x)
-    assert snf_counts[sq.cycle_basis] == 1
+    assert snf_counts[mat(sq.lattice)] == 1
 
 
 def test_fixed_point_mackey_factors_each_fixed_lattice_once(snf_counts):

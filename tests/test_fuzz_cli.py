@@ -8,16 +8,17 @@ flags, small, negative and far over every budget.  Flag values are drawn
 so that every accepted run stays small.
 """
 
+import argparse
 import contextlib
 import io
 import json
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from test_golden import DUAL_NUMBERS
 
-from mackeywitt.cli import main
+from mackeywitt.cli import build_parser, main
 from mackeywitt.wittcore import BaseRing, is_prime
 
 
@@ -133,6 +134,7 @@ RING_TEXT = st.one_of(
 
 @settings(deadline=None, max_examples=200)
 @given(RING_TEXT)
+@example(text="--")  # before Python 3.13 argparse read --ring=-- as the value []
 def test_ring_names_parse_or_are_refused_with_one_line(text):
     try:
         ring = BaseRing.parse(text)
@@ -175,6 +177,8 @@ def flag_commands(draw):
 
 @settings(deadline=None, max_examples=120)
 @given(flag_commands())
+@example(argv=["hh", "--ring", "F_2", "--n", "2", "--max-degree=--"])
+@example(argv=["tr", "--p=--"])
 def test_integer_flags_keep_the_contract(tmp_path_factory, argv):
     if "DUAL" in argv:
         path = tmp_path_factory.mktemp("monoid") / "dual.json"
@@ -193,3 +197,41 @@ def test_integer_flags_keep_the_contract(tmp_path_factory, argv):
 def test_argument_errors_are_one_line_exit_2(argv):
     code, out, err = run(argv)
     assert (code, out) == (2, "") and err.startswith("error: mackeywitt") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# --flag=--: argparse before Python 3.13 hands the command [] for the value
+
+REQUIRED = {
+    "norm": ["--ring", "F_2", "--n", "2"],
+    "hh": ["--ring", "F_2", "--n", "2"],
+    "witt": ["--ring", "F_2", "--n", "2"],
+    "tr": ["--p", "2"],
+    "check": [],
+    "monoid": ["--file", "m.json", "--ring", "Z", "--n", "2"],
+}
+
+
+def value_options():
+    """(command, flag) for every option of every subcommand that takes a value."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (cmd, a.option_strings[0])
+        for cmd, p in sub.choices.items()
+        for a in p._actions
+        if a.option_strings and a.nargs is None
+    ]
+
+
+def test_every_subcommand_has_value_options():
+    assert {cmd for cmd, _ in value_options()} == set(REQUIRED)
+
+
+@pytest.mark.parametrize("cmd,flag", value_options())
+def test_a_double_dash_value_is_one_line_exit_2(cmd, flag):
+    argv = list(REQUIRED[cmd])
+    if flag in argv:
+        del argv[argv.index(flag):argv.index(flag) + 2]
+    code, out, err = run([cmd, *argv, f"{flag}=--"])
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith(f"error: mackeywitt {cmd}: argument {flag}: ")

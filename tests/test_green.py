@@ -6,14 +6,14 @@ from math import gcd
 
 import pytest
 
-from mackeywitt import green
+from mackeywitt import fgab, green
 from mackeywitt.cycmonoid import PointedGMonoid, monoid_algebra, splitting_check
 from dense_snf import identity_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mackeywitt.fgab import AbHom, NotWellDefinedError, dense_row, free_group, nonzeros
-from mackeywitt.hochschild import twisted_cyclic_nerve
+from mackeywitt.hochschild import hh0_green, hh0_oracle, twisted_cyclic_nerve
 from mackeywitt.mackey import (
     GreenFunctor,
     GroupContext,
@@ -189,6 +189,26 @@ def test_quotient_refuses_a_generator_that_is_not_a_sparse_row(row):
     b = burnside(GroupContext(2))
     with pytest.raises(ValueError, match="is not a sparse row"):
         quotient_by_green_ideal(b, [(2, row)])
+
+
+def test_green_ideal_closure_computes_no_hermite_basis(monkeypatch):
+    # built first: a fixed-point level is a Subquotient, which takes a Hermite basis
+    rings = [
+        burnside(GroupContext(6)),
+        norm_trivial_ring(BaseRing.integers_mod(2), 4),
+        fixed_point_mackey(GroupContext(4), free_group(2), ((1, 0), (0, -1)), DUAL_SIGN),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("the ideal closure computed a Hermite basis")
+
+    with monkeypatch.context() as m:
+        m.setattr(fgab, "row_hnf", refuse)
+        oracles = [hh0_oracle(r) for r in rings]
+    for r, oracle in zip(rings, oracles):
+        q, _ = hh0_green(r)
+        for d in r.ctx.divisors:
+            assert q.level[d].subgroup_hnf(()) == oracle.level[d].subgroup_hnf(()), (r.name, d)
 
 
 def weyl_difference_gens(r):

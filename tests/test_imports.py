@@ -1,4 +1,5 @@
-"""Every name a package module imports is used there or re-exported in ``__all__``."""
+"""Every name a package module imports is used there or re-exported in ``__all__``,
+and no package module imports another one's private (``_``-prefixed) name."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,29 @@ def test_module_has_no_unused_imports(path):
 def test_unused_import_is_reported():
     source = "from .fgab import AbHom, _IntRows\nimport os\n__all__ = ['os']\nAbHom(1)\n"
     assert unused_imports(source) == ["_IntRows (line 1)"]
+
+
+def private_imports(source: str) -> list[str]:
+    """``_``-prefixed names imported from a package module (relative or ``mackeywitt``)."""
+    return [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "mackeywitt")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_no_private_name_of_another_module(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_import_is_reported():
+    source = (
+        "from .fgab import _SNF, AbHom\n"
+        "from json.encoder import encode_basestring_ascii as _jstr\n"
+        "from mackeywitt.mackey import _in_columns as ok\n"
+        "from . import spans\n"
+    )
+    assert private_imports(source) == ["_SNF (line 1)", "_in_columns (line 3)"]
