@@ -202,7 +202,7 @@ def cmd_tr(args) -> int:
         )
     if not is_prime(args.p):
         raise ValidationError(f"tr requires a prime p, got {args.p}")
-    ring = _parse_ring(args.ring) if args.ring else BaseRing.integers_mod(args.p)
+    ring = BaseRing.integers_mod(args.p) if args.ring is None else _parse_ring(args.ring)
     tower = tr_tower(ring, args.p, args.stages, args.degree)
     _emit({"kind": "tr", "p": args.p, "degree": args.degree, "tower": tower.to_json()}, args)
     return 0

@@ -235,3 +235,9 @@ def test_a_double_dash_value_is_one_line_exit_2(cmd, flag):
     code, out, err = run([cmd, *argv, f"{flag}=--"])
     assert (code, out) == (2, "") and err.count("\n") == 1
     assert err.startswith(f"error: mackeywitt {cmd}: argument {flag}: ")
+
+
+def test_tr_refuses_an_empty_ring_name():
+    # an empty name is parsed (and refused), not read as "no --ring" (F_p)
+    code, out, err = run(["tr", "--p", "2", "--ring", ""])
+    assert (code, out, err) == (2, "", "error: cannot parse ring ''\n")
