@@ -19,10 +19,10 @@ import sys
 from json.encoder import encode_basestring_ascii as _jstr
 
 from .fgab import CompositeNotZeroError, NotInSubgroupError, NotWellDefinedError
-from .hochschild import MackeyHomology, moore_complex, twisted_cyclic_nerve
+from .hochschild import MackeyHomology, moore_complex, require_nerve_budget, twisted_cyclic_nerve
 from .geomfix import tr_tower
-from .mackey import GroupContext, RingData, fixed_point_mackey, is_prime
-from .norm import norm_trivial_ring
+from .mackey import GroupContext, RingData, fixed_point_mackey
+from .norm import norm_level_sizes, norm_trivial_ring
 from .suites import SUITES, run_suites
 from .wittcore import (
     ENUMERATION_BUDGET,
@@ -30,6 +30,7 @@ from .wittcore import (
     EnumerationBudgetError,
     TruncationSet,
     UnsupportedRingError,
+    is_prime,
 )
 from .wittgreen import compare_with_classical, witt_green
 
@@ -144,6 +145,7 @@ def cmd_norm(args) -> int:
 
 def cmd_hh(args) -> int:
     ring = _parse_ring(args.ring)
+    require_nerve_budget(norm_level_sizes(ring, args.n), args.max_degree + 1)
     nm = norm_trivial_ring(ring, args.n)
     nerve = twisted_cyclic_nerve(nm, args.max_degree + 1)
     cx = moore_complex(nerve)

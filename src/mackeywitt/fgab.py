@@ -439,14 +439,6 @@ def kernel_basis(m):
     return _like(m, Sparse(map(sparse_row, s._urows[s.rank:]), s._rows))
 
 
-def in_rowspan(rel, b, _snf_cache: _SNF | None = None) -> bool:
-    """Whether b (sparse when rel is Sparse) lies in the row span of rel; never builds U."""
-    if not rel:
-        return not any(b)
-    s = _snf_cache if _snf_cache is not None else _SNF(rel)
-    return s.spans(s.coords(b) if isinstance(rel, Sparse) else s.dense_coords(b))
-
-
 def preimage_basis(m, target_rel):
     """Rows spanning {x : x · m ∈ rowspan(target_rel)}, in the form of m."""
     rows = len(m)
@@ -701,11 +693,6 @@ class FgAbGroup:
                     out[c] += t * y
             yield tuple(out)
 
-    def subgroup_hnf(self, rows) -> Sparse:
-        """Canonical lattice basis of the subgroup generated by rows (with relations)."""
-        k = self.num_generators
-        return row_hnf(Sparse(Sparse.of(rows, k) + self.rels, k), k)
-
     def element_order(self, x: Row) -> int:
         """Additive order of the class of x (0 means infinite)."""
         s = self._rel_snf
@@ -751,7 +738,8 @@ class AbHom:
     certified at construction, for each distinct source relation once: an
     image that is zero or ± a target relation row is accepted by lookup,
     and only the rest are tested in the target's reduced presentation
-    (``FgAbGroup._reduction``), exactly.
+    (``FgAbGroup._reduction``), exactly.  ``check=False`` is the one
+    uncertified constructor, for matrices this package built.
     Equality modulo the target relations decides each row difference the
     same way.
     """
@@ -759,7 +747,14 @@ class AbHom:
     __slots__ = ("source", "target", "rows")
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix, check: bool = True):
-        self._set(source, target, matrix)
+        rows = Sparse.of(matrix, target.num_generators)
+        if len(rows) != source.num_generators:
+            raise ValueError("matrix has wrong number of rows")
+        if rows.width != target.num_generators:
+            raise ValueError("matrix has wrong number of columns")
+        self.source = source
+        self.target = target
+        self.rows = rows
         if check:
             # each distinct relation once; first occurrences keep row order
             for r in source._rel_index:
@@ -769,23 +764,6 @@ class AbHom:
                         f"relation {dense_row(r, source.num_generators)} maps to "
                         f"{dense_row(img, target.num_generators)}, not in target relations"
                     )
-
-    def _set(self, source: FgAbGroup, target: FgAbGroup, matrix) -> None:
-        rows = Sparse.of(matrix, target.num_generators)
-        if len(rows) != source.num_generators:
-            raise ValueError("matrix has wrong number of rows")
-        if rows.width != target.num_generators:
-            raise ValueError("matrix has wrong number of columns")
-        self.source = source
-        self.target = target
-        self.rows = rows
-
-    @classmethod
-    def _unchecked(cls, source: FgAbGroup, target: FgAbGroup, matrix) -> "AbHom":
-        """An uncertified hom on a matrix that this package built."""
-        hom = cls.__new__(cls)
-        hom._set(source, target, matrix)
-        return hom
 
     @property
     def matrix(self) -> Matrix:
@@ -798,11 +776,11 @@ class AbHom:
     @staticmethod
     def identity(g: FgAbGroup) -> "AbHom":
         k = g.num_generators
-        return AbHom._unchecked(g, g, Sparse((((i, 1),) for i in range(k)), k))
+        return AbHom(g, g, Sparse((((i, 1),) for i in range(k)), k), check=False)
 
     @staticmethod
     def zero(source: FgAbGroup, target: FgAbGroup) -> "AbHom":
-        return AbHom._unchecked(source, target, Sparse(((),) * source.num_generators, target.num_generators))
+        return AbHom(source, target, Sparse(((),) * source.num_generators, target.num_generators), check=False)
 
     def apply(self, x: Row) -> Row:
         return vec_mat(x, self.rows)
@@ -811,7 +789,7 @@ class AbHom:
         """self followed by `then`."""
         if self.target.num_generators != then.source.num_generators:
             raise ValueError("composition shape mismatch")
-        return AbHom._unchecked(self.source, then.target, mat_mul(self.rows, then.rows))
+        return AbHom(self.source, then.target, mat_mul(self.rows, then.rows), check=False)
 
     def _plus(self, other: "AbHom", sign: int) -> "AbHom":
         out = []
@@ -819,7 +797,7 @@ class AbHom:
             acc = dict(r)
             _axpy(acc, s, sign)
             out.append(sparse_row(acc))
-        return AbHom._unchecked(self.source, self.target, Sparse(out, self.rows.width))
+        return AbHom(self.source, self.target, Sparse(out, self.rows.width), check=False)
 
     def add(self, other: "AbHom") -> "AbHom":
         return self._plus(other, 1)
@@ -829,7 +807,7 @@ class AbHom:
 
     def scale(self, c: int) -> "AbHom":
         rows = (tuple((j, c * x) for j, x in r) if c else () for r in self.rows)
-        return AbHom._unchecked(self.source, self.target, Sparse(rows, self.rows.width))
+        return AbHom(self.source, self.target, Sparse(rows, self.rows.width), check=False)
 
     def power(self, k: int) -> "AbHom":
         if self.source is not self.target and self.source != self.target:
@@ -861,13 +839,13 @@ class AbHom:
     def kernel(self) -> tuple[FgAbGroup, "AbHom"]:
         """Kernel subgroup and its inclusion into the source."""
         sq = Subquotient(self.source, preimage_basis(self.rows, self.target.rels), ())
-        return sq.group, AbHom._unchecked(sq.group, self.source, sq.lattice)
+        return sq.group, AbHom(sq.group, self.source, sq.lattice, check=False)
 
     def cokernel(self) -> tuple[FgAbGroup, "AbHom"]:
         """Cokernel on the target's own generators, with the projection."""
         k = self.target.num_generators
         q = FgAbGroup(k, Sparse.distinct(self.target.rels + self.rows, k))
-        return q, AbHom._unchecked(self.target, q, AbHom.identity(q).rows)
+        return q, AbHom(self.target, q, AbHom.identity(q).rows, check=False)
 
     def is_injective(self) -> bool:
         return self.kernel()[0].is_trivial()
@@ -899,7 +877,7 @@ def tensor_hom(f: AbHom, g: AbHom, source: FgAbGroup | None = None, target: FgAb
     tgt = target if target is not None else tensor(f.target, g.target)
     w = g.rows.width
     rows = (tuple((i * w + j, x * y) for i, x in frow for j, y in grow) for frow in f.rows for grow in g.rows)
-    return AbHom._unchecked(src, tgt, Sparse(rows, f.rows.width * w))
+    return AbHom(src, tgt, Sparse(rows, f.rows.width * w), check=False)
 
 
 class Subquotient:

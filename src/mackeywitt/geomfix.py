@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .fgab import AbHom, FgAbGroup, Sparse
 from .green import BoxPresentation
-from .hochschild import MackeyHomology, SimplicialMackey, moore_complex, twisted_cyclic_nerve
+from .hochschild import MackeyHomology, SimplicialMackey, moore_complex, require_nerve_budget, twisted_cyclic_nerve
 from .mackey import (
     GreenFunctor,
     GroupContext,
@@ -25,13 +25,12 @@ from .mackey import (
     reindexed,
     sparse_product,
 )
-from .norm import norm_trivial_ring, truncation_rows
+from .norm import norm_level_sizes, norm_trivial_ring, truncation_rows
 from .wittcore import (
     ENUMERATION_BUDGET,
     BaseRing,
     EnumerationBudgetError,
     divisors,
-    require_enumerable,
 )
 
 
@@ -282,9 +281,10 @@ def tr_tower(ring: BaseRing, p: int, stages: int, degree: int) -> TowerReport:
     infinite object.
 
     The top stage n = p^(stages-1) is checked against ENUMERATION_BUDGET
-    (and, over ℤ/m, its count of Witt vectors) before stage 0 is built.
+    (and, over ℤ/m, its count of Witt vectors), and every stage's nerve
+    against the nerve budgets, before stage 0 is built.
     """
-    _require_top_stage(ring, p, stages)
+    _require_top_stage(ring, p, stages, degree)
     homologies = []
     towers = []
     for nexp in range(0, stages):
@@ -321,7 +321,7 @@ def tr_tower(ring: BaseRing, p: int, stages: int, degree: int) -> TowerReport:
     return TowerReport(p, degree, towers, maps, limit_desc, precision)
 
 
-def _require_top_stage(ring: BaseRing, p: int, stages: int) -> None:
+def _require_top_stage(ring: BaseRing, p: int, stages: int, degree: int) -> None:
     n = 1
     for _ in range(stages - 1):
         n *= p
@@ -329,8 +329,9 @@ def _require_top_stage(ring: BaseRing, p: int, stages: int) -> None:
             raise EnumerationBudgetError(
                 f"top stage n = {p}^{stages - 1} exceeds the enumeration budget of {ENUMERATION_BUDGET}"
             )
-    if not ring.is_torsion_free:
-        require_enumerable(ring.modulus, len(divisors(n)))
+    norm_level_sizes(ring, n)  # the top norm's own refusals, before any stage's nerve
+    for nexp in range(stages):  # each stage's nerve, in the order tr_tower builds them
+        require_nerve_budget(norm_level_sizes(ring, p**nexp), degree + 1)
 
 
 def _classify_limit(p: int, stages, maps) -> tuple[str, int]:

@@ -150,12 +150,16 @@ def _product_table(factors, twisted, tags, pos, d: int) -> Lazy:
     return Lazy(len(tags), lambda a: Lazy(len(tags), partial(fn, a)))
 
 
-def require_box_budget(factors) -> None:
-    """Refuse a box product with a level d of over ``BOX_TAG_BUDGET`` tags, Σ_{e|d} Π_f gens_f(e)."""
-    for d in factors[0].ctx.divisors:
-        count = sum(prod(f.level[e].num_generators for f in factors) for e in divisors(d))
+def require_box_budget(sizes) -> None:
+    """Refuse a box product with a level d of over ``BOX_TAG_BUDGET`` tags, Σ_{e|d} Π_f sizes_f[e].
+
+    sizes has one dict per factor, from each divisor of n (ascending) to the
+    factor's number of generators there, so the count needs no built factor.
+    """
+    for d in sizes[0]:
+        count = sum(prod(s[e] for s in sizes) for e in divisors(d))
         if count > BOX_TAG_BUDGET:
-            k = len(factors)
+            k = len(sizes)
             raise EnumerationBudgetError(
                 f"box level {d} of {k} factors needs {count} tags, over the box tag budget of {BOX_TAG_BUDGET}"
             )
@@ -176,7 +180,7 @@ def box_list(factors, name: str = "") -> BoxPresentation:
             raise ValueError("context mismatch between box factors")
     n = ctx.n
     k = len(factors)
-    require_box_budget(factors)
+    require_box_budget([{d: f.level[d].num_generators for d in ctx.divisors} for f in factors])
 
     tags = {}
     tag_pos = {}
@@ -424,8 +428,7 @@ def quotient_by_green_ideal(g: GreenFunctor, gens) -> GreenFunctor:
         for p in prime_factors(d):
             push(d // p, row_mul(row, g.res[(d // p, d)].rows))
         for p in prime_factors(n // d):
-            if n % (d * p) == 0:
-                push(d * p, row_mul(row, g.tr[(d, d * p)].rows))
+            push(d * p, row_mul(row, g.tr[(d, d * p)].rows))
 
     levels = {d: Sparse(rows[d], g.level[d].num_generators) for d in ctx.divisors}
     return quotient_by_subgroups(g, levels)[0]

@@ -127,20 +127,27 @@ def moore_complex(x: SimplicialMackey) -> MackeyComplex:
     return MackeyComplex(x.degrees, boundaries)
 
 
-def twisted_cyclic_nerve(r, k_max: int) -> SimplicialMackey:
-    """HC^G(R; twisted by the distinguished generator), truncated at k_max.
-
-    Every degree is a box power of the Green functor R, so it is a Green
-    functor too; its products are computed only when they are read.
-    """
+def require_nerve_budget(sizes, k_max: int) -> None:
+    """Refuse the nerve up to degree k_max of a Green functor with these level sizes
+    (generators per divisor of n, ascending) before any box power is built:
+    the degree bound first, then the tags of each power in turn."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     if k_max > NERVE_DEGREE_BUDGET:
         raise EnumerationBudgetError(
             f"a nerve up to degree {k_max} is over the nerve degree budget of {NERVE_DEGREE_BUDGET}"
         )
-    for j in range(k_max + 1):  # refuse an oversized power before building any
-        require_box_budget([r] * (j + 1))
+    for j in range(k_max + 1):
+        require_box_budget([sizes] * (j + 1))
+
+
+def twisted_cyclic_nerve(r, k_max: int) -> SimplicialMackey:
+    """HC^G(R; twisted by the distinguished generator), truncated at k_max.
+
+    Every degree is a box power of the Green functor R, so it is a Green
+    functor too; its products are computed only when they are read.
+    """
+    require_nerve_budget({d: r.level[d].num_generators for d in r.ctx.divisors}, k_max)
     pres = [box_power(r, j + 1) for j in range(k_max + 1)]
 
     def gens(tup):
@@ -213,14 +220,14 @@ class MackeyHomology:
         return MackeyHom(self.mackey, other.mackey, maps, check=False)
 
 
-def hh(r, k: int, k_max: int | None = None, nerve: SimplicialMackey | None = None) -> MackeyFunctor:
+def hh(r, k: int, nerve: SimplicialMackey | None = None) -> MackeyFunctor:
     """Twisted Hochschild homology H̲H̲_k as a Mackey functor.
 
     Needs the nerve truncated to at least k+1; a prebuilt nerve may be
     passed to amortize construction across degrees.
     """
     if nerve is None:
-        nerve = twisted_cyclic_nerve(r, (k_max if k_max is not None else k + 1))
+        nerve = twisted_cyclic_nerve(r, k + 1)
     if k + 1 > nerve.max_degree:
         raise TruncationTooShortError(f"nerve truncated at {nerve.max_degree}, need {k + 1}")
     cx = moore_complex(nerve)

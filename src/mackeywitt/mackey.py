@@ -34,7 +34,7 @@ from .fgab import (
     row_mul,
     sparse_row,
 )
-from .wittcore import divisors, is_prime, prime_factors
+from .wittcore import divisors, prime_factors
 
 
 class GroupContext:
@@ -58,18 +58,11 @@ class GroupContext:
         return f"C_{self.n}"
 
     def prime_chain(self, d: int, e: int) -> tuple[int, ...]:
-        """One divisor chain d = c_0 | c_1 | ... | c_k = e with prime steps."""
+        """One divisor chain d = c_0 | c_1 | ... | c_k = e with prime steps: the first of
+        ``all_prime_chains``, which multiplies in the smallest primes first."""
         if e % d:
             raise ValueError(f"{d} does not divide {e}")
-        chain = [d]
-        c = d
-        rest = e // d
-        for p in sorted(prime_factors(rest)):
-            while rest % p == 0:
-                c *= p
-                rest //= p
-                chain.append(c)
-        return tuple(chain)
+        return next(self.all_prime_chains(d, e))
 
     def all_prime_chains(self, d: int, e: int):
         if d == e:
@@ -101,18 +94,15 @@ class MackeyFunctor:
         self._validate()
 
     def _validate(self):
-        n = self.ctx.n
         if set(self.level) != set(self.ctx.divisors):
             raise ValueError("levels must be indexed by the divisors of n")
-        for d in self.ctx.divisors:
-            for e in self.ctx.divisors:
-                if e > d and e % d == 0 and is_prime(e // d):
-                    if (d, e) not in self.res or (d, e) not in self.tr:
-                        raise ValueError(f"missing res/tr for prime edge {(d, e)}")
-                    if self.res[(d, e)].source != self.level[e] or self.res[(d, e)].target != self.level[d]:
-                        raise ValueError(f"res{(d, e)} has wrong endpoints")
-                    if self.tr[(d, e)].source != self.level[d] or self.tr[(d, e)].target != self.level[e]:
-                        raise ValueError(f"tr{(d, e)} has wrong endpoints")
+        for (d, e) in prime_edges(self.ctx):
+            if (d, e) not in self.res or (d, e) not in self.tr:
+                raise ValueError(f"missing res/tr for prime edge {(d, e)}")
+            if self.res[(d, e)].source != self.level[e] or self.res[(d, e)].target != self.level[d]:
+                raise ValueError(f"res{(d, e)} has wrong endpoints")
+            if self.tr[(d, e)].source != self.level[d] or self.tr[(d, e)].target != self.level[e]:
+                raise ValueError(f"tr{(d, e)} has wrong endpoints")
         for d in self.ctx.divisors:
             w = self.weyl[d]
             if w.source != self.level[d] or w.target != self.level[d]:
@@ -155,11 +145,9 @@ class MackeyFunctor:
             levels[str(d)] = {"invariant_factors": list(inv), "rank": rank}
         res = {}
         tr = {}
-        for d in self.ctx.divisors:
-            for e in self.ctx.divisors:
-                if (d, e) in self.res:
-                    res[f"{e}->{d}"] = [list(r) for r in self.res[(d, e)].matrix]
-                    tr[f"{d}->{e}"] = [list(r) for r in self.tr[(d, e)].matrix]
+        for (d, e) in prime_edges(self.ctx):
+            res[f"{e}->{d}"] = [list(r) for r in self.res[(d, e)].matrix]
+            tr[f"{d}->{e}"] = [list(r) for r in self.tr[(d, e)].matrix]
         weyl = {str(d): [list(r) for r in self.weyl[d].matrix] for d in self.ctx.divisors}
         return {"n": n, "levels": levels, "res": res, "tr": tr, "weyl": weyl}
 
@@ -173,9 +161,7 @@ def prime_edges(ctx: GroupContext):
     """All (d, e) with d | e | n and e/d prime."""
     for d in ctx.divisors:
         for p in prime_factors(ctx.n // d):
-            e = d * p
-            if ctx.n % e == 0:
-                yield (d, e)
+            yield (d, d * p)
 
 
 class MackeyHom:

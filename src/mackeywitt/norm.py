@@ -21,6 +21,7 @@ from .wittcore import (
     TruncationSet,
     UnsupportedRingError,
     WittVector,
+    divisors,
     frobenius,
     one,
     teichmuller,
@@ -116,17 +117,25 @@ class NormGreenFunctor(GreenFunctor):
         self.witt_levels = witt_levels
 
 
+def norm_level_sizes(ring: BaseRing, n: int) -> dict[int, int]:
+    """The generators of each level of ``norm_trivial_ring(ring, n)``, #divisors(d) at
+    level d, after the refusals that it makes up front and without building it."""
+    if not isinstance(ring, BaseRing):
+        raise UnsupportedRingError("base ring must be ℤ or ℤ/m")
+    ctx = GroupContext(n)
+    if not ring.is_torsion_free:
+        wittcore.require_enumerable(ring.modulus, len(ctx.divisors))
+    return {d: len(divisors(d)) for d in ctx.divisors}
+
+
 def norm_trivial_ring(ring: BaseRing, n: int) -> NormGreenFunctor:
     """The norm Green functor of a trivial-action base ring (ℤ or ℤ/m).
 
     Over ℤ/m the size m^τ of the top level is checked against the
     enumeration budget before any level is built.
     """
-    if not isinstance(ring, BaseRing):
-        raise UnsupportedRingError("base ring must be ℤ or ℤ/m")
+    norm_level_sizes(ring, n)  # the refusals made before any level is built
     ctx = GroupContext(n)
-    if not ring.is_torsion_free:
-        wittcore.require_enumerable(ring.modulus, len(ctx.divisors))
     levels = {d: WittLevel(ring, d) for d in ctx.divisors}
     group = {d: levels[d].group for d in ctx.divisors}
     res = {}

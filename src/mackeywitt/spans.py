@@ -44,20 +44,26 @@ def compose_spans(n: int, t: int, s: int, u: int, sp1: tuple[int, int], sp2: tup
     c1, y1 = sp1
     c2, y2 = sp2
     g = gcd(c1, c2)
-    # solutions with the first middle coordinate at 0: b ≡ y1 (mod n/s)
-    modulus = n // c2
-    step = n // s
-    g2 = gcd(n // c1, modulus)
-    seen_classes = set()
     out: Counter = Counter()
-    b = y1 % step
-    while b < modulus:
-        cls = b % g2
-        if cls not in seen_classes:
-            seen_classes.add(cls)
-            out[(g, normalize_y(n, t, u, b + y2))] += 1
-        b += step
+    for b in _pullback_orbits(n, c1, c2, s, y1):
+        out[(g, normalize_y(n, t, u, b + y2))] += 1
     return out
+
+
+def _pullback_orbits(n: int, c1: int, c2: int, s: int, start: int):
+    """One b per orbit of the pullback of G/C_{c1} → G/C_s ← G/C_{c2}, the one with a = 0.
+
+    The pullback is {(a, b) ∈ ℤ/(n/c1) × ℤ/(n/c2) : b ≡ a + start (mod n/s)}
+    under the diagonal shift; at a = 0, b runs over start mod n/s, and two
+    such b lie in one orbit iff they agree mod gcd(n/c1, n/c2).
+    """
+    modulus = n // c2
+    g2 = gcd(n // c1, modulus)
+    seen = set()
+    for b in range(start % (n // s), modulus, n // s):
+        if b % g2 not in seen:
+            seen.add(b % g2)
+            yield b
 
 
 def restriction_span(n: int, e: int, d: int) -> tuple[int, int]:
@@ -130,20 +136,11 @@ def span_product(n, t1, t2, e, sp1, sp2):
     a, b_stab = t1[i], t2[j]
     g_mid = gcd(c1, c2)
     out: Counter = Counter()
-    modulus = n // c2
-    step = n // e
-    g2 = gcd(n // c1, modulus)
-    seen = set()
-    b = (y1 - y2) % step
-    while b < modulus:
-        cls = b % g2
-        if cls not in seen:
-            seen.add(cls)
-            gt = gcd(n // a, n // b_stab)
-            delta = b % gt
-            w = solve_crt(0, n // a, b - delta, n // b_stab)
-            stab = gcd(a, b_stab)
-            y = normalize_y(n, stab, e, y1 - w)
-            out[((i, j, delta), g_mid, y)] += 1
-        b += step
+    for b in _pullback_orbits(n, c1, c2, e, y1 - y2):
+        gt = gcd(n // a, n // b_stab)
+        delta = b % gt
+        w = solve_crt(0, n // a, b - delta, n // b_stab)
+        stab = gcd(a, b_stab)
+        y = normalize_y(n, stab, e, y1 - w)
+        out[((i, j, delta), g_mid, y)] += 1
     return out

@@ -428,8 +428,7 @@ def _require_compatible(a: WittVector, b: WittVector):
 
 def witt_add(a: WittVector, b: WittVector) -> WittVector:
     _require_compatible(a, b)
-    gh = {d: _lift_ghost(a, d) + _lift_ghost(b, d) for d in a.truncation.elements}
-    return WittVector(a.truncation, a.ring, _solve_ghost(a.truncation, gh))
+    return witt_combination((1, 1), (a, b))
 
 
 def witt_mul(a: WittVector, b: WittVector) -> WittVector:
@@ -439,8 +438,7 @@ def witt_mul(a: WittVector, b: WittVector) -> WittVector:
 
 
 def witt_neg(a: WittVector) -> WittVector:
-    gh = {d: -_lift_ghost(a, d) for d in a.truncation.elements}
-    return WittVector(a.truncation, a.ring, _solve_ghost(a.truncation, gh))
+    return witt_combination((-1,), (a,))
 
 
 def witt_sub(a: WittVector, b: WittVector) -> WittVector:
@@ -455,7 +453,10 @@ def witt_scalar(n: int, a: WittVector) -> WittVector:
 def witt_combination(coeffs, vectors) -> WittVector:
     """The Witt sum Σ c_i·v_i of vectors over one truncation set and ring: one ghost solve."""
     S, ring = vectors[0].truncation, vectors[0].ring
-    gh = {d: sum(c * _lift_ghost(v, d) for c, v in zip(coeffs, vectors) if c) for d in S.elements}
+    gh = dict.fromkeys(S.elements, 0)
+    for c, v in zip(coeffs, vectors):
+        for d in gh if c else ():
+            gh[d] += c * _lift_ghost(v, d)
     return WittVector(S, ring, _solve_ghost(S, gh))
 
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fgab import AbHom, FgAbGroup, Sparse
-from .hochschild import hh0_green
+from .hochschild import hh0_green, require_nerve_budget
 from .mackey import GreenFunctor
-from .norm import NormGreenFunctor, external_norm_element, norm_trivial_ring, unitriangular
+from .norm import NormGreenFunctor, external_norm_element, norm_level_sizes, norm_trivial_ring, unitriangular
 from .wittcore import (
     BaseRing,
     UnsupportedRingError,
@@ -54,6 +54,7 @@ def witt_green(arg, n: int | None = None) -> GreenWittVectors:
     if isinstance(arg, BaseRing):
         if n is None:
             raise ValueError("group order n required for a base-ring input")
+        require_nerve_budget(norm_level_sizes(arg, n), 1)  # hh0_green's nerve, before the norm
         nm = norm_trivial_ring(arg, n)
         q, _ = hh0_green(nm)
         return GreenWittVectors(q, f"W_C{n}({arg!r})", norm=nm)

@@ -32,7 +32,7 @@ class DenseSNF:
     Each question reads only what it needs:
 
     - canonical forms and ranks read ``diagonal`` and ``rank``;
-    - ``in_rowspan``, ``FgAbGroup.reduce``, ``element_order`` and
+    - membership (``spans``), ``FgAbGroup.reduce``, ``element_order`` and
       ``elements`` read ``diagonal`` and ``v`` / ``vinv`` (since
       m·V = U⁻¹·D has the row span of D);
     - ``solve_left``, ``kernel_basis`` and ``snf`` also read ``u``.

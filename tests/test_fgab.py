@@ -18,7 +18,6 @@ from mackeywitt.fgab import (
     free_group,
     homology,
     homology_subquotient,
-    in_rowspan,
     kernel_basis,
     mat,
     mat_mul,
@@ -190,9 +189,9 @@ def test_internally_built_homs_keep_int_tuples_and_shape_checks():
         assert len(h.matrix) == h.source.num_generators
         assert all(len(r) == h.target.num_generators for r in h.matrix)
     with pytest.raises(ValueError):
-        AbHom._unchecked(z, z2, ((1,), (0,)))
+        AbHom(z, z2, ((1,), (0,)), check=False)
     with pytest.raises(ValueError):
-        AbHom._unchecked(z, z2, ((1, 0),))
+        AbHom(z, z2, ((1, 0),), check=False)
 
 
 def test_hom_equality_mod_relations():
@@ -306,10 +305,9 @@ def test_zero_group_everywhere():
 
 
 def test_subgroup_hnf_equality():
-    g = free_group(2)
-    a = g.subgroup_hnf(((2, 0), (0, 2), (2, 2)))
-    b = g.subgroup_hnf(((2, 2), (2, -2)))
-    c = g.subgroup_hnf(((2, 0), (0, 2)))
+    a = row_hnf(((2, 0), (0, 2), (2, 2)), 2)
+    b = row_hnf(((2, 2), (2, -2)), 2)
+    c = row_hnf(((2, 0), (0, 2)), 2)
     assert a == c
     assert b != c
 
@@ -340,14 +338,15 @@ def test_in_rowspan_agrees_with_solve_left_without_building_u(shaped, data):
     cols, m = shaped
     b = tuple(data.draw(st.lists(entries, min_size=cols, max_size=cols)))
     s = _SNF(m)
-    member = in_rowspan(m, b, s)
+    member = s.spans(s.dense_coords(b)) if m else not any(b)
     x = solve_left(m, b)
     assert member == (x is not None)
     assert x is None or _combination(x, m, cols) == b
     # an independent decision: adding b leaves the Hermite basis unchanged
     assert member == (row_hnf(m + (b,), cols) == row_hnf(m, cols))
     x = data.draw(st.lists(entries, min_size=len(m), max_size=len(m)))
-    assert in_rowspan(m, _combination(x, m, cols), s)
+    b = _combination(x, m, cols)
+    assert s.spans(s.dense_coords(b)) if m else not any(b)
     assert "u" not in vars(s), "membership must not build U"
 
 

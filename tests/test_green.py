@@ -12,7 +12,7 @@ from dense_snf import identity_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mackeywitt.fgab import AbHom, NotWellDefinedError, dense_row, free_group, nonzeros
+from mackeywitt.fgab import AbHom, NotWellDefinedError, dense_row, free_group, nonzeros, row_hnf
 from mackeywitt.hochschild import hh0_green, hh0_oracle, twisted_cyclic_nerve
 from mackeywitt.mackey import (
     GreenFunctor,
@@ -208,7 +208,8 @@ def test_green_ideal_closure_computes_no_hermite_basis(monkeypatch):
     for r, oracle in zip(rings, oracles):
         q, _ = hh0_green(r)
         for d in r.ctx.divisors:
-            assert q.level[d].subgroup_hnf(()) == oracle.level[d].subgroup_hnf(()), (r.name, d)
+            k = r.level[d].num_generators
+            assert row_hnf(q.level[d].rels, k) == row_hnf(oracle.level[d].rels, k), (r.name, d)
 
 
 def weyl_difference_gens(r):

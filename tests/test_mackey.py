@@ -1,4 +1,7 @@
 import re
+from collections import Counter
+from itertools import product
+from math import gcd, lcm
 
 import pytest
 
@@ -20,15 +23,49 @@ from mackeywitt.mackey import (
     restrict,
 )
 from mackeywitt.norm import norm_trivial_ring
-from mackeywitt.wittcore import BaseRing
+from mackeywitt.wittcore import BaseRing, divisors, is_prime
 from mackeywitt import spans
 
 
 def test_group_context():
     ctx = GroupContext(12)
     assert ctx.divisors == (1, 2, 3, 4, 6, 12)
-    assert ctx.prime_chain(1, 12) in ((1, 2, 4, 12), (1, 2, 4, 12))
+    assert ctx.prime_chain(1, 12) == (1, 2, 4, 12)
     assert len(list(ctx.all_prime_chains(1, 12))) == 3  # 2,2,3 orderings
+
+
+def test_prime_chain_multiplies_in_the_smallest_primes_first():
+    """Composite res/tr follow this chain into box relations and printed output, so it is pinned."""
+    for n in range(1, 61):
+        ctx = GroupContext(n)
+        for d, e in product(ctx.divisors, repeat=2):
+            if e % d:
+                with pytest.raises(ValueError, match="does not divide"):
+                    ctx.prime_chain(d, e)
+                continue
+            chain = ctx.prime_chain(d, e)
+            steps = [b // a for a, b in zip(chain, chain[1:])]
+            assert (chain[0], chain[-1]) == (d, e)
+            assert all(map(is_prime, steps)) and steps == sorted(steps)
+            assert chain in set(ctx.all_prime_chains(d, e))
+
+
+def test_compose_spans_counts_the_orbits_of_the_pullback():
+    """Brute force over C_n, n ≤ 12: the pullback of G/C_{c1} → G/C_s ← G/C_{c2}, its orbits
+    under the diagonal shift, and from each the representative with a = 0."""
+    for n in range(1, 13):
+        for t, s, u in product(divisors(n), repeat=3):
+            for (c1, y1), (c2, y2) in product(spans.span_basis(n, t, s), spans.span_basis(n, s, u)):
+                m1, m2 = n // c1, n // c2
+                points = {(a, b) for a in range(m1) for b in range(m2) if (a + y1 - b) % (n // s) == 0}
+                expected: Counter = Counter()
+                while points:
+                    a, b = min(points)
+                    orbit = {((a + k) % m1, (b + k) % m2) for k in range(lcm(m1, m2))}
+                    points -= orbit
+                    b0 = min(b for a, b in orbit if a == 0)
+                    expected[(gcd(c1, c2), spans.normalize_y(n, t, u, b0 + y2))] += 1
+                assert spans.compose_spans(n, t, s, u, (c1, y1), (c2, y2)) == expected, (n, t, s, u)
 
 
 def test_span_identity_composition():

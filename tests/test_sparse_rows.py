@@ -9,6 +9,7 @@ lookup and must still agree with elimination.  A box level over
 ``BOX_TAG_BUDGET`` is refused from its tag count, before any relation is
 built, a nerve counts the tags of every box power before it builds the
 first, and a nerve over ``NERVE_DEGREE_BUDGET`` is refused before either.
+A norm's nerve is counted from its level sizes before the norm is built.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_snf import DenseSNF, dense_mat_mul, dense_row_hnf, dense_solve, dense_solve_left, identity_matrix
-from mackeywitt import green, hochschild
+from mackeywitt import cli, geomfix, green, hochschild, norm, wittgreen
 from mackeywitt.cli import main
 from mackeywitt.fgab import (
     AbHom,
@@ -297,6 +298,25 @@ def test_a_nerve_over_the_degree_bound_is_refused_before_its_tags_are_counted(mo
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: a nerve up to degree 1000000001 is over the nerve degree budget of 16\n"
+
+
+@pytest.mark.parametrize("argv,line", [
+    ("witt --ring Z --n 2520", "box level 2520 of 2 factors needs 10500 tags"),
+    ("hh --ring Z --n 2520 --max-degree 0", "box level 2520 of 2 factors needs 10500 tags"),
+    ("witt --ring Z --n 5040", "box level 2520 of 2 factors needs 10500 tags"),
+    ("tr --p 2 --stages 13 --degree 2", "box level 128 of 4 factors needs 8772 tags"),
+    ("tr --p 2 --stages 9 --degree 3", "box level 32 of 5 factors needs 12201 tags"),
+])
+def test_an_over_budget_nerve_of_a_norm_is_refused_before_any_norm_is_built(monkeypatch, capsys, argv, line):
+    def never(*_args, **_kwargs):
+        raise AssertionError("a norm was built")
+
+    for module in (cli, geomfix, norm, wittgreen):
+        monkeypatch.setattr(module, "norm_trivial_ring", never)
+    assert main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {line}, over the box tag budget of 8192\n"
 
 
 def test_a_nerve_at_the_degree_bound_is_built_over_c1():
