@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _jstr
 
 from .fgab import CompositeNotZeroError, NotInSubgroupError, NotWellDefinedError
@@ -59,7 +60,9 @@ def _emit(payload: dict, args) -> None:
 def _dumps(obj, nl: str = "\n") -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, for obj on a line that
     starts with ``nl``.  The indenting encoder of ``json`` is pure Python;
-    this one joins strings, a list of plain ints in one ``str.join``."""
+    this one joins strings.  A list of plain ints is written from its
+    nonzeros over one shared ``"0"``, and each container's text is built
+    in one copy."""
     if isinstance(obj, str):
         return _jstr(obj)
     if isinstance(obj, int) and not isinstance(obj, bool):
@@ -67,7 +70,9 @@ def _dumps(obj, nl: str = "\n") -> str:
     inner = nl + "  "
     if isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) == {int}:
-            items = map(int.__repr__, obj)
+            items = ["0"] * len(obj)
+            for i in compress(range(len(obj)), obj):
+                items[i] = int.__repr__(obj[i])
         else:
             items = (_dumps(x, inner) for x in obj)
     elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
@@ -75,7 +80,7 @@ def _dumps(obj, nl: str = "\n") -> str:
     else:  # empty containers, non-str keys and other leaves
         return json.dumps(obj, indent=2).replace("\n", nl)
     brackets = "{}" if isinstance(obj, dict) else "[]"
-    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{nl}{brackets[1]}"
 
 
 def _group_str(desc: dict) -> str:

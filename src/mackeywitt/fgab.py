@@ -87,11 +87,17 @@ def sparse_row(acc: dict) -> SparseRow:
 
 
 def is_sparse_row(row, k: int) -> bool:
-    """Whether ``row`` is a sparse row: (column, value) pairs with columns in range(k)."""
+    """Whether ``row`` is a sparse row as ``Sparse`` stores one: (column, value)
+    pairs of ints (not bools), columns rising strictly in range(k), values nonzero."""
+    last = -1
     try:
-        return all(j in range(k) for j, _ in row)
+        for j, x in row:
+            if type(j) is not int or type(x) is not int or not x or not last < j < k:
+                return False
+            last = j
     except (TypeError, ValueError):
         return False
+    return True
 
 
 def dense_row(items, width: int) -> Row:

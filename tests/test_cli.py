@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 import time
+from enum import IntEnum
 from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_golden import DUAL_NUMBERS, GOLDEN
 
@@ -323,8 +324,23 @@ JSON_PAYLOADS = st.recursive(
 )
 
 
+class _Cell(IntEnum):
+    ONE = 1
+
+
+# the zero path of a plain-int list: a falsy entry that is not a plain int is not written "0"
 @settings(deadline=None, max_examples=150)
 @given(JSON_PAYLOADS)
+@example([0, False])
+@example([False, 0])
+@example([0, 0.0])
+@example([0, -0.0])
+@example([0, None])
+@example([0, ""])
+@example((0, 0, 0))
+@example([[0, 0, 5], [0, 0, 0], []])
+@example([0, 2**70, 0, -(2**70)])
+@example([0, _Cell.ONE])
 def test_json_writer_is_json_dumps_with_indent_2(payload):
     assert cli._dumps(payload) == json.dumps(payload, indent=2)
 

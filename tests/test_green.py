@@ -9,6 +9,7 @@ import pytest
 from mackeywitt import fgab, green
 from mackeywitt.cycmonoid import PointedGMonoid, monoid_algebra, splitting_check
 from dense_snf import identity_matrix
+from test_mackey import NOT_SPARSE_ROWS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -183,7 +184,7 @@ def test_quotient_burnside_by_transfer_class():
     assert check_axioms(q).passed
 
 
-@pytest.mark.parametrize("row", [(1, 0), ((2, 1),), ((0, 1, 0),)])
+@pytest.mark.parametrize("row", [(1, 0), ((2, 1),), ((0, 1, 0),), *NOT_SPARSE_ROWS])
 def test_quotient_refuses_a_generator_that_is_not_a_sparse_row(row):
     # (1, 0) is the old dense form of ((0, 1),); level 2 of A(C_2) has 2 generators
     b = burnside(GroupContext(2))

@@ -555,8 +555,33 @@ def test_green_functor_refuses_a_table_of_the_wrong_shape(broken):
         GreenFunctor(b.ctx, b.level, b.res, b.tr, b.weyl, broken(b), b.unit)
 
 
-@pytest.mark.parametrize("unit", [((2, 1),), ((0, 1), (5, 1)), ((-1, 1),), (0, 1), ((0, 1, 0),)])
+# rows with columns in range(2) that are still not sparse rows as Sparse stores them
+NOT_SPARSE_ROWS = [
+    pytest.param(((0, 0.5),), id="float_value"),
+    pytest.param(((1, 1), (0, 1)), id="unsorted"),
+    pytest.param(((0, 1), (0, 1)), id="repeated_column"),
+    pytest.param(((0, 0),), id="zero_value"),
+    pytest.param(((0, 1), (1, 0)), id="zero_among_nonzeros"),
+    pytest.param(((0.0, 1),), id="float_column"),
+    pytest.param(((False, 1),), id="bool_column"),
+    pytest.param(((0, True),), id="bool_value"),
+]
+
+
+@pytest.mark.parametrize("cell", NOT_SPARSE_ROWS)
+def test_green_functor_refuses_a_product_cell_that_is_not_a_sparse_row(cell):
+    # a float cell, once accepted, made an exact product a float: multiply(2, (1, 0), (1, 0)) was (0.5, 0)
+    b = burnside(GroupContext(2))
+    mult = {**b.mult, 2: ((cell, b.mult[2][0][1]), b.mult[2][1])}
+    with pytest.raises(ValueError, match=re.escape("mult[2] has wrong shape")):
+        GreenFunctor(b.ctx, b.level, b.res, b.tr, b.weyl, mult, b.unit)
+
+
+@pytest.mark.parametrize(
+    "unit", [((2, 1),), ((0, 1), (5, 1)), ((-1, 1),), (0, 1), ((0, 1, 0),), *NOT_SPARSE_ROWS]
+)
 def test_green_functor_refuses_a_unit_of_the_wrong_length(unit):
     b = burnside(GroupContext(2))
     with pytest.raises(ValueError, match=re.escape("unit[2] has wrong length")):
         GreenFunctor(b.ctx, b.level, b.res, b.tr, b.weyl, b.mult, {**b.unit, 2: unit})
+
