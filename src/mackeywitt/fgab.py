@@ -314,13 +314,10 @@ class _SNF:
                     set_row(i, _combine(ri, rj, x, y))
                     set_row(i + 1, _combine(ri, rj, -dj // g, di // g))
                     log((i, i + 1, x, y, -dj // g, di // g))
-                    # clear the off-diagonal entries the fold introduced
+                    # row i+1 is now (0, di·dj/g) with di, dj > 0, and clearing
+                    # the off-diagonal entry of row i touches no other row
                     if a[i].get(cj):
                         col_add(cj, ci, -(a[i][cj] // a[i][ci]))
-                    if a[i + 1].get(ci):
-                        row_add(i + 1, i, -(a[i + 1][ci] // a[i][ci]))
-                    if a[i + 1].get(cj, 0) < 0:
-                        negate_row(i + 1)
                     changed = True
         self._rows, self._cols, self._row_ops = rows, cols, ops
         # V's column j and V⁻¹'s row j are the ones labelled perm[j]
@@ -581,6 +578,11 @@ class FgAbGroup:
     def relations(self) -> Matrix:
         """The relations as dense rows, built on each read (for output and tests)."""
         return mat(self.rels)
+
+    def quotient(self, rows) -> "FgAbGroup":
+        """This group modulo the extra rows, on the same generators, each relation kept once."""
+        k = self.num_generators
+        return FgAbGroup(k, Sparse.distinct(self.rels + Sparse.of(rows, k), k))
 
     def __repr__(self):
         inv, rank = self.canonical_form
@@ -849,8 +851,7 @@ class AbHom:
 
     def cokernel(self) -> tuple[FgAbGroup, "AbHom"]:
         """Cokernel on the target's own generators, with the projection."""
-        k = self.target.num_generators
-        q = FgAbGroup(k, Sparse.distinct(self.target.rels + self.rows, k))
+        q = self.target.quotient(self.rows)
         return q, AbHom(self.target, q, AbHom.identity(q).rows, check=False)
 
     def is_injective(self) -> bool:
@@ -878,12 +879,10 @@ def tensor(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
     return FgAbGroup(na * nb, Sparse(rels, na * nb))
 
 
-def tensor_hom(f: AbHom, g: AbHom, source: FgAbGroup | None = None, target: FgAbGroup | None = None) -> AbHom:
-    src = source if source is not None else tensor(f.source, g.source)
-    tgt = target if target is not None else tensor(f.target, g.target)
+def tensor_hom(f: AbHom, g: AbHom) -> AbHom:
     w = g.rows.width
     rows = (tuple((i * w + j, x * y) for i, x in frow for j, y in grow) for frow in f.rows for grow in g.rows)
-    return AbHom(src, tgt, Sparse(rows, f.rows.width * w), check=False)
+    return AbHom(tensor(f.source, g.source), tensor(f.target, g.target), Sparse(rows, f.rows.width * w), check=False)
 
 
 class Subquotient:

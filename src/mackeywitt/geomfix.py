@@ -1,9 +1,9 @@
 """Algebraic geometric fixed points, cyclotomic structure, and the TR tower.
 
-ẼF_{C_m} quotients each level C_n/C_d with m | d by the images of transfers
-from subgroups not containing C_m (maximal ones suffice) and zeroes the
-rest; Φ^{C_m} reindexes the result over C_{n/m}.  The cyclotomic
-comparison constructs the degreewise isomorphism Φ^{C_m} HC^{C_n} ≅
+ẼF_{C_m} quotients each level C_n/C_d with m | d by the transfers from the
+maximal subgroups not containing C_m (``ef_relations``) and every other level
+by itself; Φ^{C_m} is ẼF_{C_m} on the levels with C_m, reindexed over C_{n/m}.
+The cyclotomic comparison constructs the degreewise isomorphism Φ^{C_m} HC^{C_n} ≅
 HC^{C_n/m} explicitly (on norm inputs it is Witt truncation on tags) and
 certifies that it commutes with every face, degeneracy, and structure map.
 """
@@ -16,12 +16,10 @@ from .fgab import AbHom, FgAbGroup, Sparse
 from .green import BoxPresentation
 from .hochschild import MackeyHomology, SimplicialMackey, moore_complex, require_nerve_budget, twisted_cyclic_nerve
 from .mackey import (
-    GreenFunctor,
     GroupContext,
-    MackeyFunctor,
     MackeyHom,
     Report,
-    prime_edges,
+    quotient,
     reindexed,
     sparse_product,
 )
@@ -40,50 +38,33 @@ def _maximal_non_multiples(d: int, m: int) -> list[int]:
     return [e for e in cands if not any(e != f and f % e == 0 for f in cands)]
 
 
+def ef_relations(obj, d: int, m: int) -> Sparse:
+    """The rows ẼF_{C_m} adds at level d (m | d): the transfers into level d
+    from its maximal divisors not divisible by m, stacked in that order."""
+    rows = (row for e in _maximal_non_multiples(d, m) for row in obj.tr_full(e, d).rows)
+    return Sparse(rows, obj.level[d].num_generators)
+
+
 def tilde_ef(obj, m: int):
-    """ẼF_{C_m} M: kill levels without C_m, quotient the rest by transfers."""
+    """ẼF_{C_m} M: levels with C_m modulo ``ef_relations``, the rest modulo themselves."""
     ctx = obj.ctx
     if ctx.n % m:
         raise ValueError(f"{m} does not divide {ctx.n}")
-    zero = FgAbGroup(0)
-    level = {}
+    rows = {}
     for d in ctx.divisors:
-        if d % m:
-            level[d] = zero
-            continue
-        rows = obj.level[d].rels
-        for e in _maximal_non_multiples(d, m):
-            rows += obj.tr_full(e, d).rows
-        level[d] = FgAbGroup(obj.level[d].num_generators, Sparse.distinct(rows, obj.level[d].num_generators))
-
-    def descend(hom: AbHom, src_d: int, dst_d: int) -> AbHom:
-        src, dst = level[src_d], level[dst_d]
-        if src.num_generators == 0:
-            return AbHom(src, dst, [], check=False)
-        if dst.num_generators == 0:
-            return AbHom(src, dst, [() for _ in range(src.num_generators)], check=False)
-        return AbHom(src, dst, hom.rows)
-
-    res = {}
-    tr = {}
-    for (dlo, dhi) in prime_edges(ctx):
-        res[(dlo, dhi)] = descend(obj.res[(dlo, dhi)], dhi, dlo)
-        tr[(dlo, dhi)] = descend(obj.tr[(dlo, dhi)], dlo, dhi)
-    weyl = {d: descend(obj.weyl[d], d, d) for d in ctx.divisors}
-    name = f"tilde_EF_{m}({obj.name})"
-    if not isinstance(obj, GreenFunctor):
-        return MackeyFunctor(ctx, level, res, tr, weyl, name)
-    mult = {d: () if d % m else obj.mult[d] for d in ctx.divisors}
-    unit = {d: () if d % m else obj.unit[d] for d in ctx.divisors}
-    return GreenFunctor(ctx, level, res, tr, weyl, mult, unit, name)
+        rows[d] = AbHom.identity(obj.level[d]).rows if d % m else ef_relations(obj, d, m)
+    return quotient(obj, rows, f"tilde_EF_{m}({obj.name})")
 
 
 def phi(obj, m: int):
-    """Geometric fixed points Φ^{C_m}: ẼF followed by reindexing over C_{n/m}."""
-    te = tilde_ef(obj, m)
-    new_ctx = GroupContext(te.ctx.n // m)
-    weyl = {d: te.weyl[m * d] for d in new_ctx.divisors}
-    return reindexed(te, new_ctx, m, weyl, f"phi_{m}({te.name})")
+    """Geometric fixed points Φ^{C_m}: ẼF_{C_m} on the levels with C_m only, reindexed over C_{n/m}."""
+    if obj.ctx.n % m:
+        raise ValueError(f"{m} does not divide {obj.ctx.n}")
+    ctx = GroupContext(obj.ctx.n // m)
+    name = f"phi_{m}(tilde_EF_{m}({obj.name}))"
+    weyl = {d: obj.weyl[m * d] for d in ctx.divisors}
+    rows = {d: ef_relations(obj, m * d, m) for d in ctx.divisors}
+    return quotient(reindexed(obj, ctx, m, weyl, name), rows, name)
 
 
 def phi_box_comparison(m_fun, n_fun, m: int) -> MackeyHom:

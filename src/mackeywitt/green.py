@@ -34,6 +34,7 @@ from .mackey import (
     divisors,
     prime_edges,
     prime_factors,
+    quotient,
     sparse_product,
 )
 from .wittcore import BOX_TAG_BUDGET, EnumerationBudgetError
@@ -369,29 +370,11 @@ def representable_rule_iso(ctx: GroupContext, t1, t2):
 
 
 def quotient_by_subgroups(g: GreenFunctor, rows_per_level) -> tuple[GreenFunctor, MackeyHom]:
-    """Quotient a Green functor by levelwise subgroups (assumed ideal-closed).
-
-    Well-definedness of the descended structure maps and multiplication is
-    certified by the AbHom constructor; a non-closed input fails loudly.
-    """
-    ctx = g.ctx
-    level = {}
-    for d in ctx.divisors:
-        k = g.level[d].num_generators
-        level[d] = FgAbGroup(k, Sparse.distinct(g.level[d].rels + Sparse.of(rows_per_level.get(d, ()), k), k))
-    res = {}
-    tr = {}
-    for (dlo, dhi) in prime_edges(ctx):
-        res[(dlo, dhi)] = AbHom(level[dhi], level[dlo], g.res[(dlo, dhi)].rows)
-        tr[(dlo, dhi)] = AbHom(level[dlo], level[dhi], g.tr[(dlo, dhi)].rows)
-    weyl = {d: AbHom(level[d], level[d], g.weyl[d].rows) for d in ctx.divisors}
-    out = GreenFunctor(ctx, level, res, tr, weyl, g.mult, g.unit, name=f"{g.name}/ideal")
-    proj = MackeyHom(
-        g, out,
-        {d: AbHom(g.level[d], level[d], AbHom.identity(g.level[d]).rows, check=False) for d in ctx.divisors},
-        check=False,
-    )
-    return out, proj
+    """``mackey.quotient`` by levelwise subgroups (assumed ideal-closed), with its
+    projection; subgroups that are not closed fail its certificate loudly."""
+    out = quotient(g, rows_per_level, f"{g.name}/ideal")
+    proj = {d: AbHom(g.level[d], out.level[d], AbHom.identity(g.level[d]).rows, check=False) for d in g.ctx.divisors}
+    return out, MackeyHom(g, out, proj, check=False)
 
 
 def quotient_by_green_ideal(g: GreenFunctor, gens) -> GreenFunctor:
@@ -411,8 +394,7 @@ def quotient_by_green_ideal(g: GreenFunctor, gens) -> GreenFunctor:
         if quot[d].same_class(row, ()):
             return
         rows[d].append(row)
-        k = g.level[d].num_generators
-        quot[d] = FgAbGroup(k, Sparse.distinct(g.level[d].rels + tuple(rows[d]), k))
+        quot[d] = quot[d].quotient(Sparse((row,), g.level[d].num_generators))
         queue.append((d, row))
 
     for d, row in gens:

@@ -429,6 +429,22 @@ def reindexed(m, ctx: GroupContext, c: int, weyl, name: str):
     return GreenFunctor(ctx, level, res, tr, weyl, mult, unit, name)
 
 
+def quotient(m, rows, name: str):
+    """m with level d modulo rows.get(d, ()), on the same generators; the res, tr and
+    Weyl matrices are certified on the quotients, and products and units are kept."""
+    ctx = m.ctx
+    level = {d: m.level[d].quotient(rows.get(d, ())) for d in ctx.divisors}
+    res = {}
+    tr = {}
+    for (d, e) in prime_edges(ctx):
+        res[(d, e)] = AbHom(level[e], level[d], m.res[(d, e)].rows)
+        tr[(d, e)] = AbHom(level[d], level[e], m.tr[(d, e)].rows)
+    weyl = {d: AbHom(level[d], level[d], m.weyl[d].rows) for d in ctx.divisors}
+    if not isinstance(m, GreenFunctor):
+        return MackeyFunctor(ctx, level, res, tr, weyl, name)
+    return GreenFunctor(ctx, level, res, tr, weyl, m.mult, m.unit, name)
+
+
 # ---------------------------------------------------------------------------
 # axiom checking
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fgab import AbHom, FgAbGroup, Sparse
+from .fgab import AbHom, FgAbGroup
+from .geomfix import ef_relations
 from .hochschild import hh0_green, require_nerve_budget
 from .mackey import GreenFunctor
 from .norm import NormGreenFunctor, external_norm_element, norm_level_sizes, norm_trivial_ring, unitriangular
@@ -20,7 +21,6 @@ from .wittcore import (
     BaseRing,
     UnsupportedRingError,
     one,
-    prime_factors,
     witt_add,
     witt_mul,
     zero,
@@ -79,16 +79,12 @@ class GhostValue:
 
 
 def ghost_map(w: GreenWittVectors, d: int):
-    """(quotient group, AbHom) for φ_{C_d}: restrict to C_d, kill proper transfers."""
+    """(quotient group, AbHom) for φ_{C_d}: restrict to C_d, then ẼF_{C_d} at level d."""
     g = w.green
     n = g.ctx.n
     if n % d:
         raise ValueError(f"{d} does not divide {n}")
-    k = g.level[d].num_generators
-    rows = g.level[d].rels
-    for q in prime_factors(d):
-        rows += g.tr_full(d // q, d).rows
-    quot = FgAbGroup(k, Sparse.distinct(rows, k))
+    quot = g.level[d].quotient(ef_relations(g, d, d))
     hom = AbHom(g.level[n], quot, g.res_full(n, d).rows)
     return quot, hom
 

@@ -289,6 +289,25 @@ def test_kernel_cokernel():
     assert incl2.compose(g).is_zero()
 
 
+def test_quotient_keeps_generators_and_each_relation_once():
+    g = FgAbGroup(2, [(2, 0)])
+    q = g.quotient([(0, 3), (2, 0), (0, 0), (0, 3)])
+    assert q.num_generators == 2
+    assert q.relations == ((2, 0), (0, 3))
+    assert q.canonical_form == ((6,), 0)
+    assert g.quotient(q.rels) == q  # Sparse rows are read as they are
+    assert g.quotient(()) == g
+    assert FgAbGroup(0).quotient(()).is_trivial()
+
+
+def test_cokernel_is_the_target_modulo_the_image():
+    f = AbHom(free_group(1), free_group(2), [(2, 4)])
+    q, proj = f.cokernel()
+    assert q == f.target.quotient(f.rows)
+    assert q.canonical_form == ((2,), 1)
+    assert proj.source is f.target and proj.target is q
+
+
 def test_direct_sum():
     s = direct_sum(cyclic_group(2), free_group(1))
     assert s.canonical_form == ((2,), 1)

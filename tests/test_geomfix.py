@@ -4,18 +4,20 @@ from mackeywitt.fgab import free_group, row_hnf
 from mackeywitt.geomfix import (
     cyclotomic_check_norm,
     edgewise_comparison_norm,
+    ef_relations,
     phi,
     phi_box_comparison,
     tilde_ef,
     tr_tower,
 )
-from mackeywitt.green import box
+from mackeywitt.green import box, box_power
 from mackeywitt.mackey import (
     GroupContext,
     MackeyHom,
     burnside,
     check_axioms,
     fixed_point_mackey,
+    prime_edges,
     representable,
 )
 from mackeywitt.norm import norm_trivial_ring
@@ -123,6 +125,51 @@ def test_tilde_ef_box_cross_check():
             te_probe = tilde_ef(probe, m)
             for d in ctx.divisors:
                 assert pres.mackey.level[d].canonical_form == te_probe.level[d].canonical_form
+
+
+# Φ^{C_m} and ẼF_{C_m} are one levelwise quotient: Φ's level d is ẼF's level m·d
+EF_INPUTS = {
+    "A(C_6)": lambda: burnside(GroupContext(6)),
+    "N(F_2) over C_4": lambda: norm_trivial_ring(F2, 4),
+    "N(F_3)^2 over C_6": lambda: box_power(norm_trivial_ring(F3, 6), 2).mackey,
+}
+EF_CASES = [("A(C_6)", 2), ("A(C_6)", 3), ("N(F_2) over C_4", 2), ("N(F_3)^2 over C_6", 3)]
+
+
+@pytest.mark.parametrize("name,m", EF_CASES)
+def test_phi_presents_the_levels_of_tilde_ef_with_c_m(name, m):
+    obj = EF_INPUTS[name]()
+    te = tilde_ef(obj, m)
+    ph = phi(obj, m)
+    assert ph.ctx == GroupContext(obj.ctx.n // m)
+    assert ph.name == f"phi_{m}({te.name})"
+    for d in ph.ctx.divisors:
+        assert ph.level[d].num_generators == te.level[m * d].num_generators
+        assert ph.level[d].rels == te.level[m * d].rels
+        assert ph.weyl[d].rows == te.weyl[m * d].rows
+        assert ph.unit[d] == te.unit[m * d]
+    for (d, e) in prime_edges(ph.ctx):
+        assert ph.res[(d, e)].rows == te.res[(m * d, m * e)].rows
+        assert ph.tr[(d, e)].rows == te.tr[(m * d, m * e)].rows
+
+
+@pytest.mark.parametrize("name,m", EF_CASES)
+def test_tilde_ef_kills_the_levels_without_c_m(name, m):
+    obj = EF_INPUTS[name]()
+    te = tilde_ef(obj, m)
+    for d in obj.ctx.divisors:
+        if d % m:
+            assert te.level[d].num_generators == obj.level[d].num_generators
+            assert te.level[d].is_trivial()
+        else:
+            assert te.level[d] == obj.level[d].quotient(ef_relations(obj, d, m))
+    assert check_axioms(te).passed
+
+
+@pytest.mark.parametrize("operation", [tilde_ef, phi])
+def test_tilde_ef_and_phi_refuse_a_non_divisor(operation):
+    with pytest.raises(ValueError, match="4 does not divide 6"):
+        operation(burnside(GroupContext(6)), 4)
 
 
 @pytest.mark.parametrize(

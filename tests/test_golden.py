@@ -42,6 +42,11 @@ GOLDEN = [
      "4570c1d4f1d88e6d5ddf2fb5788b2ba08872fbeee521d2600256fc923128502b"),
     (("tr", "--p", "2", "--stages", "3", "--degree", "1", "--json"),
      "014132d206b585237f4117f647fbb61e37d66e1255880b51bc3255d95a3c7d2f"),
+    # Φ over ℤ: the TR tower's connecting maps through the cyclotomic isomorphism
+    (("tr", "--p", "2", "--ring", "Z", "--stages", "4", "--degree", "1", "--json"),
+     "ac02006c0e84f7cb0adcd375eb88ae5a6003cb224b9ce66971213467335b6af3"),
+    (("tr", "--p", "3", "--ring", "Z", "--stages", "3", "--degree", "2", "--json"),
+     "2f84ea01d2fcc7559258af2707cf4eeb4a40484c2e46dbf4b271d974079e74cc"),
     (("check", "--suite", "box", "--json"),
      "c4371735c614465f5253489d866e85fcd3a4b3f45927197dd29e4bdf08ca0944"),
     (("monoid", "DUAL_NUMBERS", "--ring", "Z", "--n", "2", "--max-degree", "1", "--json"),

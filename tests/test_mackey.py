@@ -7,7 +7,7 @@ import pytest
 
 from dense_snf import identity_matrix
 from mackeywitt.cycmonoid import PointedGMonoid, bredon_green
-from mackeywitt.fgab import AbHom, FgAbGroup, Sparse, dense_row, free_group, nonzeros
+from mackeywitt.fgab import AbHom, FgAbGroup, NotWellDefinedError, Sparse, dense_row, free_group, nonzeros
 from mackeywitt.geomfix import phi, tilde_ef
 from mackeywitt.green import box, box_list, quotient_by_green_ideal, quotient_by_subgroups
 from mackeywitt.mackey import (
@@ -19,6 +19,8 @@ from mackeywitt.mackey import (
     burnside,
     check_axioms,
     fixed_point_mackey,
+    prime_edges,
+    quotient,
     representable,
     restrict,
 )
@@ -585,3 +587,62 @@ def test_green_functor_refuses_a_unit_of_the_wrong_length(unit):
     with pytest.raises(ValueError, match=re.escape("unit[2] has wrong length")):
         GreenFunctor(b.ctx, b.level, b.res, b.tr, b.weyl, b.mult, {**b.unit, 2: unit})
 
+
+
+# ---------------------------------------------------------------------------
+# the levelwise quotient and the refusals it builds through
+
+
+def test_quotient_keeps_generators_maps_and_products():
+    # 2·N(F_2) over C_4 is a Green ideal; at level 1 (F_2 itself) it is already 0
+    g = norm_trivial_ring(BaseRing.integers_mod(2), 4)
+    rows = {d: [tuple(2 * x for x in r) for r in AbHom.identity(g.level[d]).matrix] for d in (2, 4)}
+    q = quotient(g, rows, "N(F_2)/2")
+    assert isinstance(q, GreenFunctor) and q.name == "N(F_2)/2"
+    assert q.level[1] == g.level[1]
+    for d in (2, 4):
+        assert q.level[d] == g.level[d].quotient(rows[d])
+        assert q.level[d].canonical_form == ((2,), 0)  # Z/4 and Z/8 before
+    for (d, e) in prime_edges(g.ctx):
+        assert q.res[(d, e)].rows == g.res[(d, e)].rows
+        assert q.tr[(d, e)].rows == g.tr[(d, e)].rows
+    assert all(q.weyl[d].rows == g.weyl[d].rows for d in g.ctx.divisors)
+    assert q.mult == g.mult and q.unit == g.unit
+    assert check_axioms(q).passed
+
+
+def test_quotient_of_a_plain_mackey_functor_is_plain():
+    rep = representable(GroupContext(2), [1])
+    q = quotient(rep, {}, "same")
+    assert type(q) is MackeyFunctor
+    assert all(q.level[d] == rep.level[d] for d in rep.ctx.divisors)
+
+
+def test_quotient_refuses_a_subgroup_the_maps_do_not_respect():
+    # level 1 of A(C_2) modulo everything, level 2 modulo nothing: tr is not defined
+    b = burnside(GroupContext(2))
+    with pytest.raises(NotWellDefinedError):
+        quotient(b, {1: [(1,)]}, "bad")
+
+
+def test_restrict_refuses_a_non_divisor():
+    with pytest.raises(ValueError, match="4 does not divide 6"):
+        restrict(burnside(GroupContext(6)), 4)
+
+
+def test_mackey_validation_refuses_malformed_data():
+    b = burnside(GroupContext(2))
+
+    def build(level=b.level, res=b.res, tr=b.tr, weyl=b.weyl):
+        return MackeyFunctor(b.ctx, level, res, tr, weyl)
+
+    with pytest.raises(ValueError, match="levels must be indexed by the divisors of n"):
+        build(level={1: b.level[1]})
+    with pytest.raises(ValueError, match=re.escape("missing res/tr for prime edge (1, 2)")):
+        build(tr={})
+    with pytest.raises(ValueError, match=re.escape("res(1, 2) has wrong endpoints")):
+        build(res={(1, 2): b.tr[(1, 2)]})
+    with pytest.raises(ValueError, match=re.escape("tr(1, 2) has wrong endpoints")):
+        build(tr={(1, 2): b.res[(1, 2)]})
+    with pytest.raises(ValueError, match=re.escape("weyl[2] has wrong endpoints")):
+        build(weyl={1: b.weyl[1], 2: b.weyl[1]})

@@ -6,6 +6,7 @@ import pytest
 
 from mackeywitt import wittgreen
 from mackeywitt.fgab import FgAbGroup, dense_row, nonzeros, sparse_row
+from mackeywitt.geomfix import ef_relations
 from mackeywitt.mackey import GroupContext, burnside
 from mackeywitt.norm import norm_trivial_ring
 from mackeywitt.wittcore import BaseRing, UnsupportedRingError, witt_scalar
@@ -90,6 +91,20 @@ def test_ghost_map_fp_is_quotient():
         quot, hom = __import__("mackeywitt.wittgreen", fromlist=["ghost_map"]).ghost_map(w, p)
         assert quot.canonical_form == ((p,), 0)
         assert hom.is_surjective()
+
+
+def test_ghost_map_is_tilde_ef_at_its_level():
+    w = witt_green(Z, 6)
+    g = w.green
+    for d in g.ctx.divisors:
+        quot, hom = wittgreen.ghost_map(w, d)
+        assert quot == g.level[d].quotient(ef_relations(g, d, d))
+        assert hom.rows == g.res_full(6, d).rows
+
+
+def test_ghost_map_refuses_a_non_divisor():
+    with pytest.raises(ValueError, match="3 does not divide 4"):
+        wittgreen.ghost_map(witt_green(F2, 4), 3)
 
 
 def test_teichmuller_multiplicative():
