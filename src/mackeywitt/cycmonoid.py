@@ -33,6 +33,7 @@ from .mackey import (
     span_structure,
     sparse_product,
 )
+from .wittcore import ENUMERATION_BUDGET, EnumerationBudgetError
 
 
 class PointedGMonoid:
@@ -45,6 +46,12 @@ class PointedGMonoid:
         self.one = one
         self.table = {(a, b): table[(a, b)] for a in self.elements for b in self.elements}
         self.action = dict(action)
+        k = len(self.elements)
+        if k**3 > ENUMERATION_BUDGET:
+            raise EnumerationBudgetError(
+                f"{k} elements give {k}^3 associativity triples, "
+                f"over the enumeration budget of {ENUMERATION_BUDGET}"
+            )
         self._validate()
 
     @staticmethod

@@ -7,13 +7,14 @@ homology of two-term composites, tensor products.  A homomorphism acts on
 the right of row vectors, so ``compose(f, g)`` is "f then g" with matrix
 ``f.rows · g.rows``.
 
-Matrices are kept by their nonzeros (``Sparse``): relations, hom matrices,
-lattices and factorizations never store a zero entry, and the packages
-above keep Green product tables and units as the same sparse rows.  Dense
-int tuples are the element API (``FgAbGroup`` element methods,
-``AbHom.apply``) and output: the ``relations`` and ``matrix`` views,
-``mat`` and the public ``snf``.  The module functions also take dense rows,
-for callers outside the package, and answer in the form they were given.
+Matrices are kept by their nonzeros (``Sparse``) and elements are sparse
+rows: relations, hom matrices, lattices, factorizations and the element
+API never store a zero entry, and the packages above keep Green product
+tables and units as the same sparse rows.  The module functions answer
+``Sparse``.  Dense int rows come in only through ``Sparse.of`` and go out
+only through the ``relations`` and ``matrix`` views, ``mat``,
+``dense_row`` and the public ``snf``.  Every question about a group is
+answered from its one cached reduction (``FgAbGroup._reduction``).
 
 All objects are immutable after construction and all operations are pure.
 """
@@ -115,11 +116,6 @@ def mat(rows) -> Matrix:
     return tuple(tuple(map(int, row)) for row in rows)
 
 
-def _like(m, out: Sparse):
-    """out in the form of m: as is when m is Sparse, else as dense rows."""
-    return out if isinstance(m, Sparse) else mat(out)
-
-
 def row_mul(row: SparseRow, b) -> SparseRow:
     """row · b for a sparse row and the sparse rows b."""
     if len(row) == 1:
@@ -132,24 +128,12 @@ def row_mul(row: SparseRow, b) -> SparseRow:
     return sparse_row(acc)
 
 
-def mat_mul(a, b):
-    """a · b, in the form of a."""
+def mat_mul(a, b) -> Sparse:
+    """a · b."""
     sa, sb = Sparse.of(a), Sparse.of(b)
     if sa and sa.width != len(sb):
         raise ValueError("matrix shape mismatch")
-    return _like(a, Sparse((row_mul(r, sb) for r in sa), sb.width))
-
-
-def vec_mat(v: Row, m) -> Row:
-    """The dense row v · m."""
-    m = Sparse.of(m)
-    if len(v) != len(m):
-        raise ValueError("vector/matrix shape mismatch")
-    out = [0] * m.width
-    for row, x in compress(zip(m, v), v):
-        for j, y in row:
-            out[j] += x * y
-    return tuple(out)
+    return Sparse((row_mul(r, sb) for r in sa), sb.width)
 
 
 def _axpy(dst: dict, src, q: int) -> None:
@@ -365,11 +349,6 @@ class _SNF:
                 z[j] = z.get(j, 0) + x * y
         return z
 
-    def dense_coords(self, b: Row) -> dict[int, int]:
-        if len(b) != self._cols:
-            raise ValueError("rhs length mismatch")
-        return self.coords(compress(enumerate(b), b))
-
     def spans(self, z: dict[int, int]) -> bool:
         """Whether z = b·V lies in the row span of D, i.e. b in rowspan(m)."""
         diag, rank = self.diagonal, self.rank
@@ -399,30 +378,28 @@ def snf(m) -> tuple[Matrix, Matrix, Matrix]:
     including empty ones.  The factorization is re-verified by
     multiplication before returning.
     """
-    m = mat(m)
+    m = Sparse.of(m)
     s = _SNF(m)
-    cols = len(m[0]) if m else 0
     diag = s.diagonal
     d = tuple(
-        tuple(diag[i] if i == j else 0 for j in range(cols)) for i in range(len(m))
+        tuple(diag[i] if i == j else 0 for j in range(m.width)) for i in range(len(m))
     )
-    if mat_mul(mat_mul(s.u, m), s.v) != d:
+    if mat(mat_mul(mat_mul(s.u, m), s.v)) != d:
         raise AssertionError("Smith normal form round-trip failed")
     return s.u, d, s.v
 
 
 def solve_left(m, b, _snf_cache: _SNF | None = None):
-    """Solve x · m = b over ℤ; returns one solution or None.
+    """Solve x · m = b over ℤ for the sparse row b; returns one solution x, a
+    sparse row, or None.
 
-    b and x are sparse rows when m is Sparse and dense rows otherwise.  A
-    caller that solves against the same m repeatedly passes its ``_SNF`` so
-    that m is factored once.
+    A caller that solves against the same m repeatedly passes its ``_SNF``
+    so that m is factored once.
     """
     if not m:
-        return () if not any(b) else None
-    sparse = isinstance(m, Sparse)
+        return None if b else ()
     s = _snf_cache if _snf_cache is not None else _SNF(m)
-    z = s.coords(b) if sparse else s.dense_coords(b)
+    z = s.coords(b)
     if not s.spans(z):
         return None
     # y·D = b·V, so (y·U)·m = b; z is zero past the rank
@@ -431,29 +408,29 @@ def solve_left(m, b, _snf_cache: _SNF | None = None):
     for j, t in z.items():
         if t:
             _axpy(x, urows[j].items(), t // s.diagonal[j])
-    return sparse_row(x) if sparse else dense_row(x.items(), len(m))
+    return sparse_row(x)
 
 
-def kernel_basis(m):
-    """Basis of the lattice {x : x · m = 0}, in the form of m."""
+def kernel_basis(m) -> Sparse:
+    """Basis of the lattice {x : x · m = 0}."""
     if not m:
-        return _like(m, Sparse())
+        return Sparse()
     s = _SNF(m)
-    return _like(m, Sparse(map(sparse_row, s._urows[s.rank:]), s._rows))
+    return Sparse(map(sparse_row, s._urows[s.rank:]), s._rows)
 
 
-def preimage_basis(m, target_rel):
-    """Rows spanning {x : x · m ∈ rowspan(target_rel)}, in the form of m."""
+def preimage_basis(m, target_rel) -> Sparse:
+    """Rows spanning {x : x · m ∈ rowspan(target_rel)}."""
     rows = len(m)
     if rows == 0:
-        return _like(m, Sparse())
+        return Sparse()
     sm = Sparse.of(m)
     ker = kernel_basis(Sparse(sm + Sparse.of(target_rel, sm.width), sm.width))
-    return _like(m, Sparse((tuple(p for p in r if p[0] < rows) for r in ker), rows))
+    return Sparse((tuple(p for p in r if p[0] < rows) for r in ker), rows)
 
 
-def row_hnf(rows, cols: int):
-    """Canonical (row-style Hermite) basis of the lattice spanned by rows, in their form.
+def row_hnf(rows, cols: int) -> Sparse:
+    """Canonical (row-style Hermite) basis of the lattice spanned by rows.
 
     Used for subgroup equality: two spanning sets give the same lattice iff
     their HNFs are identical.  Each row in turn is reduced against the
@@ -491,11 +468,11 @@ def row_hnf(rows, cols: int):
             q = above.get(j, 0) // p
             if q:
                 _axpy(above, basis[i].items(), -q)
-    return _like(rows, Sparse(map(sparse_row, basis), cols))
+    return Sparse(map(sparse_row, basis), cols)
 
 
-def _eliminate_units(rels: Sparse) -> tuple[list, Sparse, Sparse]:
-    """Eliminate generators on ±1 relation entries: (pivots, proj, residual).
+def _eliminate_units(rels: Sparse) -> tuple[list, Sparse, Sparse, tuple]:
+    """Eliminate generators on ±1 relation entries: (pivots, proj, residual, kept).
 
     Take the shortest relation with a ±1 entry u and, within it, the one at
     the column c in the fewest relations: this pivot writes generator c as
@@ -504,7 +481,8 @@ def _eliminate_units(rels: Sparse) -> tuple[list, Sparse, Sparse]:
     elimination order.  ``proj`` (k × s, the s survivors numbered in column
     order) writes each generator over the survivors, back-substituted; a
     survivor's row is a unit row.  ``residual`` is the distinct leftover
-    relations, which lie on the survivors, in their numbering.
+    relations, which lie on the survivors, in their numbering, and ``kept``
+    the survivors' generator columns: survivor t is generator kept[t].
     """
     k = rels.width
     rows: list[dict | None] = [dict(r) for r in rels]
@@ -540,12 +518,13 @@ def _eliminate_units(rels: Sparse) -> tuple[list, Sparse, Sparse]:
             heappush(heap, (len(s), i2))
         pivots.append((c, r))
     gone = {c for c, _ in pivots}
-    survivors = {j: t for t, j in enumerate(j for j in range(k) if j not in gone)}
+    kept = tuple(j for j in range(k) if j not in gone)
+    survivors = {j: t for t, j in enumerate(kept)}
     proj = [((survivors[j], 1),) if j in survivors else () for j in range(k)]
     for c, r in reversed(pivots):  # r's other columns survive or were eliminated later
         proj[c] = row_mul([(j, -r[c] * x) for j, x in r.items() if j != c], proj)
     residual = (sparse_row({survivors[j]: x for j, x in r.items()}) for r in rows if r)
-    return pivots, Sparse(proj, len(survivors)), Sparse.distinct(residual, len(survivors))
+    return pivots, Sparse(proj, len(kept)), Sparse.distinct(residual, len(kept)), kept
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +537,12 @@ class FgAbGroup:
     ``FgAbGroup(k, rows)`` is the quotient of ℤ^k by the row span of
     ``rows`` (Sparse, or dense int rows; for k = 0 the rows are empty, and
     none is kept), stored as the Sparse ``rels``.  The presentation keeps
-    its generators.  The canonical form (invariant factors + free rank, a
-    complete isomorphism invariant) and the span questions that miss the
-    relation lookup read one cached reduction with the ±1 relation entries
-    eliminated (``_reduction``); only the element API (``reduce``,
-    ``elements``, ``element_order``) factors the whole relation matrix.
+    its generators, and its elements are sparse rows on them.  The
+    canonical form (invariant factors + free rank, a complete isomorphism
+    invariant), the span questions that miss the relation lookup and the
+    element questions (``reduce``, ``elements``, ``element_order``) read one
+    cached reduction with the ±1 relation entries eliminated
+    (``_reduction``), the group's one factorization.
     """
 
     __slots__ = ("num_generators", "rels", "__dict__")
@@ -590,26 +570,21 @@ class FgAbGroup:
         return " + ".join(parts) if parts else "0"
 
     @cached_property
-    def _rel_snf(self) -> _SNF:
-        """The relations' SNF without its row-operation log: only the element API reads it, never U."""
-        s = _SNF(self.rels)
-        del s._row_ops
-        return s
-
-    @cached_property
-    def _reduction(self) -> tuple[Sparse, _SNF]:
-        """(proj, residual SNF) of ``_eliminate_units``: row ∈ span(R) iff proj(row) ∈ span(residual).
+    def _reduction(self) -> tuple[Sparse, _SNF, tuple]:
+        """(proj, residual SNF, kept) of ``_eliminate_units``: row ∈ span(R) iff
+        proj(row) ∈ span(residual).
 
         proj is onto and its kernel is spanned by the pivots: each maps to
         zero, and subtracting pivots in elimination order clears the
         eliminated columns of a kernel element, leaving a survivor row that
         proj fixes, so zero.  The pivots lie in span(R) and proj(R) spans
         what the residual spans, hence the claim and ℤ^k/R ≅ ℤ^s/residual.
+        The SNF keeps no row-operation log: no question reads its U.
         """
-        _, proj, residual = _eliminate_units(self.rels)
+        _, proj, residual, kept = _eliminate_units(self.rels)
         s = _SNF(residual)
         del s._row_ops
-        return proj, s
+        return proj, s, kept
 
     @cached_property
     def _rel_index(self) -> dict:
@@ -622,7 +597,7 @@ class FgAbGroup:
         index = self._rel_index
         if not row or row in index or tuple((j, -x) for j, x in row) in index:
             return True
-        proj, s = self._reduction
+        proj, s, _ = self._reduction
         return s.spans(s.coords(row_mul(row, proj)))
 
     def same_class(self, a: SparseRow, b: SparseRow) -> bool:
@@ -635,7 +610,7 @@ class FgAbGroup:
 
     @cached_property
     def canonical_form(self) -> tuple[tuple[int, ...], int]:
-        proj, s = self._reduction
+        proj, s, _ = self._reduction
         inv = tuple(d for d in s.diagonal if d > 1)
         rank = proj.width - s.rank
         return inv, rank
@@ -662,50 +637,45 @@ class FgAbGroup:
             n *= d
         return n
 
-    def zero(self) -> Row:
-        return (0,) * self.num_generators
+    def _lift(self, z: dict[int, int]) -> SparseRow:
+        """z · V⁻¹ of the residual SNF, for z as {position: value}, on the surviving generators."""
+        _, s, kept = self._reduction
+        out: dict[int, int] = {}
+        for j, t in z.items():
+            _axpy(out, ((kept[c], y) for c, y in s._vinv[j]), t)
+        return sparse_row(out)
 
-    def is_zero_element(self, x: Row) -> bool:
-        return self._spans(nonzeros(x))
+    def reduce(self, x: SparseRow) -> SparseRow:
+        """Canonical representative of the class of the sparse row x.
 
-    def elements_equal(self, x: Row, y: Row) -> bool:
-        return x == y or self.is_zero_element(tuple(a - b for a, b in zip(x, y)))
-
-    def reduce(self, x: Row) -> Row:
-        """Canonical representative of the class of x.
-
-        Relations are diagonal in the coordinates z = x · V (since R·V =
-        U⁻¹·D has the row span of D), so reduce there and come back via V⁻¹.
+        x − lift(proj(x)) lies in the pivots' span, inside R, and the
+        residual relations are diagonal in the coordinates z = proj(x) · V
+        (R·V = U⁻¹·D has the row span of D), so reduce z there and lift
+        z · V⁻¹ back onto the surviving generators; a lifted residual row is
+        in R.  So reduce(x) ≡ x, and reduce(x) = reduce(y) iff
+        ``same_class(x, y)``.
         """
-        if not self.rels:
-            return tuple(x)
-        s = self._rel_snf
-        out = [0] * self.num_generators
-        for j, t in s.dense_coords(tuple(x)).items():
+        proj, s, _ = self._reduction
+        z = s.coords(row_mul(x, proj))
+        for j in z:
             if j < s.rank:
-                t %= s.diagonal[j]
-            for c, y in s._vinv[j] if t else ():
-                out[c] += t * y
-        return tuple(out)
+                z[j] %= s.diagonal[j]
+        return self._lift(z)
 
     def elements(self):
-        """Iterate over canonical representatives (finite groups only)."""
+        """Iterate over canonical representatives, as sparse rows (finite groups only)."""
         if not self.is_finite():
             raise ValueError("infinite group")
-        s = self._rel_snf
-        cyclic = [(s._vinv[j], d) for j, d in enumerate(s.diagonal) if d > 1]
-        for zs in product(*(range(d) for _, d in cyclic)):
-            out = [0] * self.num_generators
-            for (row, _), t in zip(cyclic, zs):
-                for c, y in row if t else ():
-                    out[c] += t * y
-            yield tuple(out)
+        diag = self._reduction[1].diagonal
+        cyclic = [j for j, d in enumerate(diag) if d > 1]
+        for zs in product(*(range(diag[j]) for j in cyclic)):
+            yield self._lift(dict(zip(cyclic, zs)))
 
-    def element_order(self, x: Row) -> int:
-        """Additive order of the class of x (0 means infinite)."""
-        s = self._rel_snf
+    def element_order(self, x: SparseRow) -> int:
+        """Additive order of the class of the sparse row x (0 means infinite)."""
+        proj, s, _ = self._reduction
         n = 1
-        for j, t in s.dense_coords(tuple(x)).items():
+        for j, t in s.coords(row_mul(x, proj)).items():
             if j >= s.rank:
                 if t:
                     return 0
@@ -790,8 +760,8 @@ class AbHom:
     def zero(source: FgAbGroup, target: FgAbGroup) -> "AbHom":
         return AbHom(source, target, Sparse(((),) * source.num_generators, target.num_generators), check=False)
 
-    def apply(self, x: Row) -> Row:
-        return vec_mat(x, self.rows)
+    def apply(self, x: SparseRow) -> SparseRow:
+        return row_mul(x, self.rows)
 
     def compose(self, then: "AbHom") -> "AbHom":
         """self followed by `then`."""

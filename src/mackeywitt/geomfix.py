@@ -23,7 +23,7 @@ from .mackey import (
     reindexed,
     sparse_product,
 )
-from .norm import norm_level_sizes, norm_trivial_ring, truncation_rows
+from .norm import norm_level_sizes, norm_trivial_ring, truncation_slots
 from .wittcore import (
     ENUMERATION_BUDGET,
     BaseRing,
@@ -165,14 +165,7 @@ def cyclotomic_check_norm(ring: BaseRing, n: int, m: int, max_degree: int) -> Re
         raise ValueError("m must divide n")
     big = norm_trivial_ring(ring, n)
     small = norm_trivial_ring(ring, n // m)
-    cache = {}
-
-    def slot_rows(_s, e):
-        if e not in cache:
-            cache[e] = truncation_rows(big, e, small, e // m)
-        return cache[e]
-
-    return cyclotomic_check(big, small, m, slot_rows, max_degree)
+    return cyclotomic_check(big, small, m, truncation_slots(big, small, m), max_degree)
 
 
 def edgewise_comparison_norm(ring: BaseRing, n: int, j: int, max_degree: int) -> Report:
@@ -282,13 +275,7 @@ def tr_tower(ring: BaseRing, p: int, stages: int, degree: int) -> TowerReport:
         nexp, nm_big, nerve_big, h_big = homologies[idx]
         _, nm_small, nerve_small, h_small = homologies[idx - 1]
         n = p**nexp
-        cache = {}
-
-        def slot_rows(_s, e, _big=nm_big, _small=nm_small, _c=cache):
-            if e not in _c:
-                _c[e] = truncation_rows(_big, e, _small, e // p)
-            return _c[e]
-
+        slot_rows = truncation_slots(nm_big, nm_small, p)
         psi = _psi_degree(nerve_big.presentations[degree], p, slot_rows, nerve_small.presentations[degree])
         # top-level chain map: project to the transfer quotient, then Ψ
         top = nerve_big.degrees[degree].level[n]

@@ -8,9 +8,9 @@ prime-index data; path independence is a checked property rather than
 redundant storage.
 
 A Green functor's product table cells and units are sparse rows, the form
-of every hom matrix row, and ``sparse_product`` multiplies them; dense
-rows appear only in the element API (``GreenFunctor.multiply``), in
-``RingData`` input and in output.
+of every hom matrix row and of every element, and ``sparse_product``
+multiplies them; dense rows appear only in ``RingData`` input and in
+output.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .fgab import (
     NotWellDefinedError,
     Sparse,
     Subquotient,
-    dense_row,
     free_group,
     is_sparse_row,
     nonzeros,
@@ -241,8 +240,8 @@ class GreenFunctor(MackeyFunctor):
     """A Mackey functor with a levelwise commutative ring structure.
 
     ``mult[d][i][j]`` is the product of generators i and j of level d and
-    ``unit[d]`` the multiplicative unit, both sparse rows; dense element
-    rows are multiplied by ``multiply``.  Restrictions are ring maps, Weyl
+    ``unit[d]`` the multiplicative unit, both sparse rows; element rows
+    are multiplied by ``multiply``.  Restrictions are ring maps, Weyl
     actions are ring automorphisms, and transfers satisfy Frobenius
     reciprocity: all checked by check_axioms, never assumed.  Every Mackey
     operation (box products, restriction, geometric fixed points, homology)
@@ -269,9 +268,8 @@ class GreenFunctor(MackeyFunctor):
                 raise ValueError(f"unit[{d}] has wrong length")
 
     def multiply(self, d: int, x, y):
-        """The product of two dense element rows at level d, as a dense row."""
-        k = self.level[d].num_generators
-        return dense_row(sparse_product(self.mult[d], nonzeros(x), nonzeros(y)), k)
+        """The product of two sparse element rows at level d."""
+        return sparse_product(self.mult[d], x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import prod
 
 from . import wittcore
-from .fgab import AbHom, FgAbGroup, Sparse, dense_row, nonzeros, row_mul, sparse_row
+from .fgab import AbHom, FgAbGroup, Sparse, SparseRow, nonzeros, row_mul, sparse_row
 from .mackey import GreenFunctor, GroupContext, Report, prime_edges, sparse_product
 from .wittcore import (
     BaseRing,
@@ -163,22 +163,30 @@ def norm_trivial_ring(ring: BaseRing, n: int) -> NormGreenFunctor:
     return NormGreenFunctor(ctx, group, res, tr, weyl, mult, unit, ring, levels, name=f"N({ring},{n})")
 
 
-def external_norm_element(norm: NormGreenFunctor, r: int) -> tuple[int, ...]:
-    """Teichmüller vector [r] as a top-level (dense) element row; multiplicative in r."""
+def external_norm_element(norm: NormGreenFunctor, r: int) -> SparseRow:
+    """Teichmüller vector [r] as a top-level (sparse) element row; multiplicative in r."""
     top = norm.witt_levels[norm.ctx.n]
-    return dense_row(top.coords(teichmuller(top.truncation, norm.base_ring, r)), len(top.gens))
+    return top.coords(teichmuller(top.truncation, norm.base_ring, r))
 
 
-def truncation_rows(src: NormGreenFunctor, e: int, dst: NormGreenFunctor, e2: int):
-    """Matrix (Sparse) of the Witt truncation W_⟨e⟩(R) → W_⟨e2⟩(R) on norm generators."""
-    lv_src = src.witt_levels[e]
-    lv_dst = dst.witt_levels[e2]
-    trunc = lv_dst.truncation
-    rows = []
-    for g in lv_src.gens:
-        w = WittVector(trunc, src.base_ring, {u: g.components[u] for u in trunc.elements})
-        rows.append(lv_dst.coords(w))
-    return Sparse(rows, lv_dst.group.num_generators)
+def truncation_slots(src: NormGreenFunctor, dst: NormGreenFunctor, m: int):
+    """slot_rows(s, e) of Φ^{C_m} from src's box to dst's: the matrix (Sparse) of
+    the Witt truncation W_⟨e⟩(R) → W_⟨e/m⟩(R) on norm generators, the same
+    for every slot s and built once per e."""
+    cache = {}
+
+    def slot_rows(_s, e):
+        if e not in cache:
+            lv_src, lv_dst = src.witt_levels[e], dst.witt_levels[e // m]
+            trunc = lv_dst.truncation
+            rows = []
+            for g in lv_src.gens:
+                w = WittVector(trunc, src.base_ring, {u: g.components[u] for u in trunc.elements})
+                rows.append(lv_dst.coords(w))
+            cache[e] = Sparse(rows, lv_dst.group.num_generators)
+        return cache[e]
+
+    return slot_rows
 
 
 def check_norm_restriction_identity(ring: BaseRing, n: int, j: int) -> Report:

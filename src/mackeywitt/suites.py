@@ -70,7 +70,7 @@ def suite_snf_roundtrip(seed: int) -> Report:
         c = rng.randint(0, 8)
         m = mat([[rng.randint(-20, 20) for _ in range(c)] for _ in range(r)])
         u, d, v = snf(m)
-        ok = mat_mul(mat_mul(u, m), v) == d
+        ok = mat(mat_mul(mat_mul(u, m), v)) == d
         k = min(r, c)
         diag = [d[i][i] for i in range(k)]
         nz = [x for x in diag if x]

@@ -36,11 +36,12 @@ class InexactWittDivision(ArithmeticError):
     """Integrality of a Witt solve failed; indicates an implementation bug."""
 
 
-# The most elements a norm level W_S(ℤ/m) may have, m^{#S}; it also bounds
-# the classical comparison's fallback search over W.  The largest case in the
-# tests, the acceptance suite, the README and the benchmark is W_⟨12⟩(ℤ/4)
-# with 4^6 = 4096; `norm --ring F_2 --n 360` would need 2^24.  Moduli above
-# it are refused when a ring is parsed.
+# The most elements a norm level W_S(ℤ/m) may have, m^{#S}.  The largest
+# case in the tests, the acceptance suite, the README and the benchmark is
+# W_⟨12⟩(ℤ/4) with 4^6 = 4096; `norm --ring F_2 --n 360` would need 2^24.
+# Moduli above it are refused when a ring is parsed.  It also bounds k³ for
+# a pointed monoid of k elements, whose associativity check reads every
+# triple, so a monoid has at most 40 elements.
 ENUMERATION_BUDGET = 1 << 16
 # The most tags one level of a box product may have (Σ_{e|d} Π_f gens_f(e)),
 # checked before the level is built.  Every command in the tests, the README

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fgab import AbHom, FgAbGroup
+from .fgab import AbHom, FgAbGroup, SparseRow
 from .geomfix import ef_relations
 from .hochschild import hh0_green, require_nerve_budget
 from .mackey import GreenFunctor
@@ -21,7 +21,6 @@ from .wittcore import (
     BaseRing,
     UnsupportedRingError,
     one,
-    witt_add,
     witt_mul,
     zero,
 )
@@ -90,18 +89,19 @@ def ghost_map(w: GreenWittVectors, d: int):
 
 
 def ghost_coordinate(w: GreenWittVectors, x_row, d: int) -> GhostValue:
-    """φ_{C_d}(x): the top-cell evaluation of the d-th ghost coordinate."""
+    """φ_{C_d}(x) for the sparse top-level row x: the top-cell evaluation of
+    the d-th ghost coordinate, as a sparse row of the quotient."""
     quot, hom = ghost_map(w, d)
     return GhostValue(
         level=d,
         quotient=quot,
-        value=hom.apply(tuple(x_row)),
+        value=hom.apply(x_row),
         description=f"level-{d} value modulo transfers from proper subgroups",
     )
 
 
-def teichmuller_green(w: GreenWittVectors, r: int) -> tuple:
-    """Image of the external norm of r in H̲H̲_0's top level; multiplicative."""
+def teichmuller_green(w: GreenWittVectors, r: int) -> SparseRow:
+    """Image of the external norm of r in H̲H̲_0's top level, as a sparse row; multiplicative."""
     if w.norm is None:
         raise UnsupportedRingError("Teichmüller lift needs a base-ring source")
     return external_norm_element(w.norm, r)
@@ -133,8 +133,9 @@ def compare_with_classical(w: GreenWittVectors, ring: BaseRing, n: int) -> Compa
     - bijective: the images are unitriangular in the Witt components, so
       they generate W (``norm.unitriangular``), and the top level is as
       large as W: free of rank #⟨n⟩ over ℤ, of order m^{#⟨n⟩} over ℤ/m.
-      Over ℤ/m images that fail the leads are searched instead, and accepted
-      when their additive closure is all of W;
+      The generators are the V_s([1]), unitriangular over ℤ by construction
+      and certified so over ℤ/m when the level is built, so images that fail
+      the leads are refused over both rings;
     - multiplicative and unital: φ(g_i)·φ(g_j) = φ(mult[n][i][j]) for every
       pair of generators, and φ(unit[n]) = 1.
 
@@ -166,11 +167,7 @@ def compare_with_classical(w: GreenWittVectors, ring: BaseRing, n: int) -> Compa
         if lv.element(rel) != zero_w:
             return refuse(f"relation {r} does not map to 0")
     if not unitriangular(lv.gens, k):
-        if over_Z:
-            return refuse("generator images are not a basis")
-        reached = _additive_closure(lv.gens, zero_w)
-        if reached != size:
-            return refuse(f"generator images span {reached} of {size} elements")
+        return refuse("generator images are not a basis")
     mult = w.green.mult[n]
     for i, gi in enumerate(lv.gens):
         for j, gj in enumerate(lv.gens):
@@ -180,20 +177,3 @@ def compare_with_classical(w: GreenWittVectors, ring: BaseRing, n: int) -> Compa
         return refuse("unit mismatch")
     detail = f"free rank {k}, products match on ghosts" if over_Z else f"{size} elements"
     return ComparisonVerdict(True, method, detail)
-
-
-def _additive_closure(vectors, zero_w) -> int:
-    """Size of the subgroup of a finite W generated by vectors (BFS under witt_add)."""
-    seen = {zero_w.component_tuple()}
-    frontier = [zero_w]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for v in vectors:
-                y = witt_add(x, v)
-                key = y.component_tuple()
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(y)
-        frontier = nxt
-    return len(seen)

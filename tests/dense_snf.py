@@ -5,10 +5,11 @@ used before its sparse engine: every row operation walks every column and
 every column operation every row.  The sparse ``_SNF`` must perform exactly
 the same integer operations, so its ``diagonal``, ``rank``, ``u``, ``v``
 and ``vinv`` are compared against this class entry for entry, and the
-group questions against the dense readers below.  ``dense_row_hnf`` and
-``dense_mat_mul`` are the dense Hermite basis and product that the sparse
-rows of ``fgab`` are checked against, and ``identity_matrix`` the dense
-identity the tests build maps and element rows from.
+group questions against the dense readers below.  ``dense_row_hnf``,
+``dense_mat_mul`` and ``vec_mat`` are the dense Hermite basis and products
+that the sparse rows of ``fgab`` are checked against, and
+``identity_matrix`` the dense identity the tests build maps and element
+rows from.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ from functools import cached_property
 from itertools import product
 from math import gcd
 
-from mackeywitt.fgab import Matrix, _xgcd, mat, vec_mat
+from mackeywitt.fgab import Matrix, _xgcd, mat
+
+
+def vec_mat(v, m):
+    """The dense row v · m for dense rows m, every cell computed."""
+    width = len(m[0]) if m else 0
+    return tuple(sum(x * row[j] for x, row in zip(v, m)) for j in range(width))
 
 
 class DenseSNF:
@@ -32,9 +39,9 @@ class DenseSNF:
     Each question reads only what it needs:
 
     - canonical forms and ranks read ``diagonal`` and ``rank``;
-    - membership (``spans``), ``FgAbGroup.reduce``, ``element_order`` and
-      ``elements`` read ``diagonal`` and ``v`` / ``vinv`` (since
-      m·V = U⁻¹·D has the row span of D);
+    - membership, reduction, element orders and the elements read
+      ``diagonal`` and ``v`` / ``vinv`` (since m·V = U⁻¹·D has the row span
+      of D);
     - ``solve_left``, ``kernel_basis`` and ``snf`` also read ``u``.
 
     ``u`` (rows × rows) is built on first access by replaying the logged row

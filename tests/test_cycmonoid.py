@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from mackeywitt.cli import main
 from mackeywitt.cycmonoid import (
     PointedGMonoid,
     bredon_green,
@@ -17,6 +20,7 @@ from mackeywitt.mackey import (
     check_axioms,
     fixed_point_mackey,
 )
+from mackeywitt.wittcore import EnumerationBudgetError
 
 
 def two_point_monoid(ctx):
@@ -62,6 +66,33 @@ def test_monoid_validation():
             [["0", "0", "0"], ["0", "1", "x"], ["0", "x", "0"]],
             ["0", "x", "1"],
         )
+
+
+def square_zero_monoid_json(k):
+    """{0, 1, a_2, ..., a_{k-1}} with every product of two a's zero, trivial action."""
+    elements = [str(i) for i in range(k)]
+    table = [[elements[i * j] if min(i, j) <= 1 else "0" for j in range(k)] for i in range(k)]
+    return {"elements": elements, "zero": "0", "one": "1", "table": table, "action": elements}
+
+
+def test_a_monoid_over_the_enumeration_budget_is_refused_before_validation(monkeypatch, tmp_path, capsys):
+    # 41^3 associativity triples exceed ENUMERATION_BUDGET = 2^16; 40^3 do not
+    def no_validation(self):
+        raise AssertionError("the monoid was validated")
+
+    monkeypatch.setattr(PointedGMonoid, "_validate", no_validation)
+    with pytest.raises(EnumerationBudgetError, match="^41 elements give 41\\^3 associativity triples"):
+        PointedGMonoid.from_json(GroupContext(2), square_zero_monoid_json(41))
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(square_zero_monoid_json(41)))
+    assert main(["monoid", "--file", str(path), "--ring", "Z", "--n", "2", "--max-degree", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "enumeration budget" in err
+
+
+def test_a_monoid_at_the_enumeration_budget_is_validated():
+    m = PointedGMonoid.from_json(GroupContext(2), square_zero_monoid_json(40))
+    assert len(m.elements) == 40 and m.mult("2", "39") == "0" and m.mult("1", "39") == "39"
 
 
 def test_monoid_json_roundtrip():

@@ -74,7 +74,7 @@ def test_ghost_of_teichmuller_over_Z():
                 gv = ghost_coordinate(w, t, d)
                 unit_d = dense_row(w.green.unit[d], w.green.level[d].num_generators)
                 expected = tuple((r ** (n // d)) * u for u in unit_d)
-                assert gv.quotient.elements_equal(gv.value, expected)
+                assert gv.quotient.same_class(gv.value, nonzeros(expected))
 
 
 def test_ghost_bottom_is_evaluation():
@@ -116,7 +116,7 @@ def test_teichmuller_multiplicative():
             r = rng.randrange(ring.modulus)
             s = rng.randrange(ring.modulus)
             lhs = w.green.multiply(n, teichmuller_green(w, r), teichmuller_green(w, s))
-            assert top.elements_equal(lhs, teichmuller_green(w, r * s))
+            assert top.same_class(lhs, teichmuller_green(w, r * s))
 
 
 def test_teichmuller_bottom_restriction_is_power():
@@ -127,7 +127,7 @@ def test_teichmuller_bottom_restriction_is_power():
             bottom = w.green.res_full(n, 1).apply(t)
             unit = dense_row(w.green.unit[1], w.green.level[1].num_generators)
             expected = tuple((r**n) * u for u in unit)
-            assert w.green.level[1].elements_equal(bottom, expected)
+            assert w.green.level[1].same_class(bottom, nonzeros(expected))
 
 
 def test_teichmuller_natural_in_ring_quotients():
@@ -141,11 +141,11 @@ def test_teichmuller_natural_in_ring_quotients():
         # reduce the integral witt vector mod 4 and look it up in the finite table
         lvz = wz.norm.witt_levels[n]
         lvm = wm.norm.witt_levels[n]
-        w_int = lvz.element(nonzeros(tz))
+        w_int = lvz.element(tz)
         from mackeywitt.wittcore import WittVector
 
         reduced = WittVector(w_int.truncation, Z4, {d: v % 4 for d, v in w_int.components.items()})
-        assert wm.top().elements_equal(dense_row(lvm.coords(reduced), len(lvm.gens)), tm)
+        assert wm.top().same_class(lvm.coords(reduced), tm)
 
 
 # ---------------------------------------------------------------------------
@@ -228,31 +228,18 @@ def test_certificate_refuses_images_that_do_not_span(ring, n, c):
     gens = [witt_scalar(c, g) for g in w.norm.witt_levels[n].gens]
     verdict = compare_with_classical(_broken(w, gens=gens), ring, n)
     assert not verdict.isomorphic
-    if ring.is_torsion_free:
-        assert verdict.detail == "generator images are not a basis"
-    else:
-        size = ring.modulus ** len(gens)
-        assert verdict.detail.startswith("generator images span ")
-        assert verdict.detail.endswith(f" of {size} elements")
-
-
-@pytest.mark.parametrize("ring,n,c", CERTIFIED)
-def test_unitriangular_images_are_certified_without_a_search(monkeypatch, ring, n, c):
-    def no_search(*args):
-        raise AssertionError("the additive closure was searched")
-
-    monkeypatch.setattr(wittgreen, "_additive_closure", no_search)
-    assert compare_with_classical(witt_green(ring, n), ring, n).isomorphic
+    assert verdict.detail == "generator images are not a basis"
 
 
 @pytest.mark.parametrize("ring,n", [(Z4, 4), (F3, 3)])
-def test_images_that_fail_the_leads_but_span_pass_the_search(ring, n):
-    # −g has leading component m − 1, not 1, so only the search sees that the images span
+def test_images_that_fail_the_leads_are_refused_though_they_span(ring, n):
+    # −g has leading component m − 1, not 1: the images span W, but only the
+    # V_s([1]), unitriangular by construction, are accepted as generators
     w = witt_green(ring, n)
     gens = [witt_scalar(-1, g) for g in w.norm.witt_levels[n].gens]
     verdict = compare_with_classical(_broken(w, gens=gens), ring, n)
     assert not verdict.isomorphic
-    assert verdict.detail.startswith("product of generators ")
+    assert verdict.detail == "generator images are not a basis"
 
 
 @pytest.mark.parametrize("ring,n,c", CERTIFIED)
