@@ -244,7 +244,7 @@ def _constant_green(ring: BaseRing, n: int):
 
 
 def cmd_monoid(args) -> int:
-    from .cycmonoid import PointedGMonoid, monoid_algebra, splitting_check
+    from .cycmonoid import PointedGMonoid, algebra_level_sizes, monoid_algebra, splitting_check
 
     try:
         with open(args.file) as fh:
@@ -258,6 +258,8 @@ def cmd_monoid(args) -> int:
         raise ValidationError(f"invalid monoid: {exc}") from exc
     ring = _parse_ring(args.ring)
     r = _constant_green(ring, args.n)
+    if args.max_degree is not None:  # the splitting's nerve, refused before A̅[M] is built
+        require_nerve_budget(algebra_level_sizes(r, m), args.max_degree + 1)
     pres = monoid_algebra(r, m)
     payload = {
         "kind": "monoid",
@@ -266,7 +268,7 @@ def cmd_monoid(args) -> int:
         "monoid_algebra": {"mackey": pres.mackey.to_json()},
     }
     if args.max_degree is not None:
-        rep = splitting_check(r, m, args.max_degree)
+        rep = splitting_check(pres, m, args.max_degree)
         payload["splitting"] = {
             "passed": rep.passed,
             "checks": [{"ok": ok, "message": msg} for ok, msg in rep.checks],

@@ -33,7 +33,7 @@ from .mackey import (
     span_structure,
     sparse_product,
 )
-from .wittcore import ENUMERATION_BUDGET, EnumerationBudgetError
+from .wittcore import ENUMERATION_BUDGET, EnumerationBudgetError, divisors
 
 
 class PointedGMonoid:
@@ -212,6 +212,15 @@ def bredon_green(ctx: GroupContext, m: PointedGMonoid) -> GreenFunctor:
     return green
 
 
+def algebra_level_sizes(r, m: PointedGMonoid) -> dict[int, int]:
+    """The generators of each level of ``monoid_algebra(r, m)``, Σ_{e|d} gens_R(e) · gens_A̅[M](e),
+    from the orbit stabilizers of M and without building A̅[M]."""
+    n = m.ctx.n
+    stabs = monoid_orbits(m).stabs
+    am = {e: sum(len(spans.span_basis(n, t, e)) for t in stabs) for e in m.ctx.divisors}
+    return {d: sum(r.level[e].num_generators * am[e] for e in divisors(d)) for d in m.ctx.divisors}
+
+
 def monoid_algebra(r, m: PointedGMonoid) -> BoxPresentation:
     """R̲[M] = R̲ □ A̅[M] with the induced Green structure."""
     if r.ctx != m.ctx:
@@ -345,21 +354,21 @@ class SplittingReport(Report):
     homology_right: dict = field(default_factory=dict)
 
 
-def splitting_check(r, m: PointedGMonoid, max_k: int) -> SplittingReport:
+def splitting_check(pres: BoxPresentation, m: PointedGMonoid, max_k: int) -> SplittingReport:
     """HC(R̲) □ C̲^cell(N^cyc M) → HC(R̲[M]): homology agreement in degrees ≤ max_k.
 
+    pres is ``monoid_algebra(r, m)``: R̲[M] with its factors R̲ and A̅[M].
     The right-hand side is the degreewise box with diagonal structure maps;
     the comparison map multiplies the image of HC(R̲) against the Yoneda
     image of the cellular chains inside HC(R̲[M]).
     """
+    r, am = pres.factors
     ctx = r.ctx
     report = SplittingReport("splitting")
     k_max = max_k + 1
 
-    am = bredon_green(ctx, m)
     od = am.orbit_data
-    rm_pres = box(r, am)
-    rm = rm_pres.mackey
+    rm = pres.mackey
     nerve_rm = twisted_cyclic_nerve(rm, k_max)
     nerve_r = twisted_cyclic_nerve(r, k_max)
     cells = cellular_chains(cyclic_nerve_monoid(m, k_max), k_max)
@@ -367,7 +376,7 @@ def splitting_check(r, m: PointedGMonoid, max_k: int) -> SplittingReport:
     # unit-against-A̅[M] inclusion R → R[M]
     iota_maps = {}
     for d in ctx.divisors:
-        rows = [rm_pres.expand(d, d, [((i, 1),), am.unit[d]]) for i in range(r.level[d].num_generators)]
+        rows = [pres.expand(d, d, [((i, 1),), am.unit[d]]) for i in range(r.level[d].num_generators)]
         iota_maps[d] = AbHom(r.level[d], rm.level[d], Sparse(rows, rm.level[d].num_generators))
     iota = MackeyHom(r, rm, iota_maps)
 
@@ -391,7 +400,7 @@ def splitting_check(r, m: PointedGMonoid, max_k: int) -> SplittingReport:
             slot_rows = []
             for mm in rep_tuple:
                 u = ((am.span_pos[s][element_span(ctx, od, mm, s)], 1),)
-                slot_rows.append(rm_pres.expand(s, s, [r.unit[s], u]))
+                slot_rows.append(pres.expand(s, s, [r.unit[s], u]))
             beta_values[oi] = nerve_rm.presentations[j].expand(s, s, slot_rows)
         hc_rm_j = nerve_rm.presentations[j].mackey
 

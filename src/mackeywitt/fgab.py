@@ -792,10 +792,11 @@ class AbHom:
             raise ValueError("power of non-endomorphism")
         if k < 0:
             raise ValueError("negative power of a hom")
-        h = AbHom.identity(self.source) if k == 0 else self
-        for _ in range(k - 1):
-            h = h.compose(self)
-        return h
+        if k <= 1:
+            return self if k else AbHom.identity(self.source)
+        half = self.power(k // 2)  # by repeated squaring: at most 2·log2(k) compositions
+        h = half.compose(half)
+        return h.compose(self) if k % 2 else h
 
     def __eq__(self, other):
         """Equality modulo target relations."""

@@ -52,7 +52,6 @@ class BoxPresentation:
         self.mackey: MackeyFunctor | None = None
         self.tags = tags          # d -> tuple of (e, gen_index_tuple)
         self.tag_pos = tag_pos    # d -> {tag: position}
-        self.twisted_res = _twisted_res(self.factors)
 
     def expand(self, d: int, e: int, slot_rows):
         """Multilinear expansion of per-slot sparse rows into a sparse row of tags."""
@@ -76,22 +75,7 @@ class BoxPresentation:
         return MackeyHom(src, target, maps, check=natural)
 
 
-def _twisted_res(factors):
-    """twisted(s, e, g, k): the matrix of res_{e→g} then weyl^k on factor s, built once per key."""
-    cache: dict[tuple, Sparse] = {}
-
-    def twisted(s: int, e: int, g: int, k: int) -> Sparse:
-        m = factors[s]
-        key = (s, e, g, k % (m.ctx.n // g))
-        rows = cache.get(key)
-        if rows is None:
-            rows = cache[key] = m.res_full(e, g).compose(m.weyl_power(g, k)).rows
-        return rows
-
-    return twisted
-
-
-def tag_product(factors, twisted, tags, pos, d: int, a: int, b: int):
+def tag_product(factors, tags, pos, d: int, a: int, b: int):
     """Product of tags a and b of level d (tags, pos) by the double-coset formula, as a sparse row."""
     (e, tup), (f, tup2) = tags[a], tags[b]
     g0 = gcd(e, f)
@@ -99,9 +83,9 @@ def tag_product(factors, twisted, tags, pos, d: int, a: int, b: int):
     acc: dict[int, int] = {}
     for j in range(d // lcm(e, f)):
         slot_rows = []
-        for s, (fct, x, y) in enumerate(zip(factors, tup, tup2)):
+        for fct, x, y in zip(factors, tup, tup2):
             x_row = fct.res_full(e, g0).rows[x]
-            y_row = twisted(s, f, g0, j * step)[y]
+            y_row = fct.twisted_res(f, g0, j * step).rows[y]
             slot_rows.append(sparse_product(fct.mult[g0], x_row, y_row))
         _expand_into(acc, pos, g0, slot_rows)
     return sparse_row(acc)
@@ -144,10 +128,10 @@ class Lazy:
         return (self[i] for i in range(self._len))
 
 
-def _product_table(factors, twisted, tags, pos, d: int) -> Lazy:
+def _product_table(factors, tags, pos, d: int) -> Lazy:
     """The product table of level d, filled on read.  It holds the tag data and never the
     BoxPresentation, whose ``mackey`` holds it, so no cycle keeps a dropped box alive."""
-    fn = partial(tag_product, factors, twisted, tags, pos, d)
+    fn = partial(tag_product, factors, tags, pos, d)
     return Lazy(len(tags), lambda a: Lazy(len(tags), partial(fn, a)))
 
 
@@ -166,7 +150,7 @@ def require_box_budget(sizes) -> None:
             )
 
 
-def box_list(factors, name: str = "") -> BoxPresentation:
+def box_list(factors) -> BoxPresentation:
     """Box product of a list of Mackey functors over one group context.
 
     A box product of commutative Green functors is one (Mazur, J. Pure
@@ -248,7 +232,7 @@ def box_list(factors, name: str = "") -> BoxPresentation:
             g0 = gcd(dlo, e)
             acc = {}
             for j in range(dhi // lcm(e, dlo)):
-                slot_rows = [pres.twisted_res(s, e, g0, j * (n // dhi))[i] for s, i in enumerate(tup)]
+                slot_rows = [f.twisted_res(e, g0, j * (n // dhi)).rows[i] for f, i in zip(factors, tup)]
                 _expand_into(acc, tag_pos[dlo], g0, slot_rows)
             rows.append(sparse_row(acc))
         res[(dlo, dhi)] = AbHom(level[dhi], level[dlo], Sparse(rows, len(tags[dlo])))
@@ -262,11 +246,11 @@ def box_list(factors, name: str = "") -> BoxPresentation:
         weyl[d] = AbHom(level[d], level[d], Sparse(rows, len(tags[d])))
 
     if all(isinstance(f, GreenFunctor) for f in factors):
-        mult = {d: _product_table(pres.factors, pres.twisted_res, tags[d], tag_pos[d], d) for d in ctx.divisors}
+        mult = {d: _product_table(pres.factors, tags[d], tag_pos[d], d) for d in ctx.divisors}
         unit = {d: pres.expand(d, d, [fct.unit[d] for fct in factors]) for d in ctx.divisors}
-        pres.mackey = GreenFunctor(ctx, level, res, tr, weyl, mult, unit, name=name or "box")
+        pres.mackey = GreenFunctor(ctx, level, res, tr, weyl, mult, unit, name="box")
     else:
-        pres.mackey = MackeyFunctor(ctx, level, res, tr, weyl, name=name or "box")
+        pres.mackey = MackeyFunctor(ctx, level, res, tr, weyl, name="box")
     return pres
 
 
@@ -369,14 +353,6 @@ def representable_rule_iso(ctx: GroupContext, t1, t2):
 # quotients by Green ideals
 
 
-def quotient_by_subgroups(g: GreenFunctor, rows_per_level) -> tuple[GreenFunctor, MackeyHom]:
-    """``mackey.quotient`` by levelwise subgroups (assumed ideal-closed), with its
-    projection; subgroups that are not closed fail its certificate loudly."""
-    out = quotient(g, rows_per_level, f"{g.name}/ideal")
-    proj = {d: AbHom(g.level[d], out.level[d], AbHom.identity(g.level[d]).rows, check=False) for d in g.ctx.divisors}
-    return out, MackeyHom(g, out, proj, check=False)
-
-
 def quotient_by_green_ideal(g: GreenFunctor, gens) -> GreenFunctor:
     """Quotient by the Green ideal generated by (level, sparse row) pairs.
 
@@ -413,4 +389,4 @@ def quotient_by_green_ideal(g: GreenFunctor, gens) -> GreenFunctor:
             push(d * p, row_mul(row, g.tr[(d, d * p)].rows))
 
     levels = {d: Sparse(rows[d], g.level[d].num_generators) for d in ctx.divisors}
-    return quotient_by_subgroups(g, levels)[0]
+    return quotient(g, levels, f"{g.name}/ideal")

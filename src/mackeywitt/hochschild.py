@@ -14,10 +14,9 @@ from .green import (
     box_power,
     full_transfer_identification,
     quotient_by_green_ideal,
-    quotient_by_subgroups,
     require_box_budget,
 )
-from .mackey import GreenFunctor, MackeyFunctor, MackeyHom, prime_edges, sparse_product
+from .mackey import GreenFunctor, MackeyFunctor, MackeyHom, prime_edges, quotient, sparse_product
 from .wittcore import EnumerationBudgetError
 
 # The highest nerve degree built: over C_1 box levels have one tag, so only
@@ -260,8 +259,7 @@ def hh0_green(r, nerve: SimplicialMackey | None = None):
     cx = moore_complex(nerve)
     boundary = cx.boundaries[1].compose(iota)
     rows = {d: boundary.maps[d].rows for d in r.ctx.divisors}
-    quotient, _ = quotient_by_subgroups(r, rows)
-    return quotient, rows
+    return quotient(r, rows, f"{r.name}/ideal"), rows
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,7 @@ class MackeyFunctor:
         self._res_cache: dict[tuple[int, int], AbHom] = {}
         self._tr_cache: dict[tuple[int, int], AbHom] = {}
         self._weyl_cache: dict[tuple[int, int], AbHom] = {}
+        self._twisted_cache: dict[tuple[int, int, int], AbHom] = {}
         self._validate()
 
     def _validate(self):
@@ -133,8 +134,16 @@ class MackeyFunctor:
         """The generator's action on level d raised to the k-th power."""
         key = (d, k % (self.ctx.n // d))
         if key not in self._weyl_cache:
-            self._weyl_cache[key] = _composite(self.level[d], [self.weyl[d]] * key[1])
+            self._weyl_cache[key] = self.weyl[d].power(key[1])
         return self._weyl_cache[key]
+
+    def twisted_res(self, e: int, d: int, k: int) -> AbHom:
+        """Restriction level(e) → level(d) followed by the k-th power of the generator's
+        action on level d: the composite of the double-coset formula."""
+        key = (e, d, k % (self.ctx.n // d))
+        if key not in self._twisted_cache:
+            self._twisted_cache[key] = self.res_full(e, d).compose(self.weyl_power(d, k))
+        return self._twisted_cache[key]
 
     def to_json(self) -> dict:
         n = self.ctx.n
@@ -521,12 +530,7 @@ def check_axioms(m) -> Report:
                 lhs = m.tr_full(b, e).compose(m.res_full(e, a))
                 rhs = AbHom.zero(m.level[b], m.level[a])
                 for j in range(e // l):
-                    piece = (
-                        m.res_full(b, g)
-                        .compose(m.weyl_power(g, j * (n // e)))
-                        .compose(m.tr_full(g, a))
-                    )
-                    rhs = rhs.add(piece)
+                    rhs = rhs.add(m.twisted_res(b, g, j * (n // e)).compose(m.tr_full(g, a)))
                 rep.note(lhs == rhs, f"double coset fails at (a={a}, b={b}, e={e})")
 
     if not isinstance(m, GreenFunctor):

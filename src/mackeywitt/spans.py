@@ -92,8 +92,7 @@ def apply_span(mackey, t: int, s: int, span: tuple[int, int], value):
     (restriction), which is how a Mackey functor consumes it.
     """
     c, y = span
-    v = row_mul(value, mackey.res_full(t, c).rows)
-    v = row_mul(v, mackey.weyl_power(c, y).rows)
+    v = row_mul(value, mackey.twisted_res(t, c, y).rows)
     return row_mul(v, mackey.tr_full(c, s).rows)
 
 

@@ -204,7 +204,7 @@ def test_criterion_8_edgewise_subdivision():
 
 
 def test_criterion_9_monoid_splitting():
-    from mackeywitt.cycmonoid import PointedGMonoid, splitting_check
+    from mackeywitt.cycmonoid import PointedGMonoid, monoid_algebra, splitting_check
 
     def dual_monoid(ctx):
         return PointedGMonoid.from_lists(
@@ -219,10 +219,12 @@ def test_criterion_9_monoid_splitting():
         )
 
     ok = True
-    rep1 = splitting_check(const_z(1), dual_monoid(GroupContext(1)), 0)
+    m1 = dual_monoid(GroupContext(1))
+    rep1 = splitting_check(monoid_algebra(const_z(1), m1), m1, 0)
     ok = ok and rep1.passed
     ok = ok and rep1.homology_right[0][1] == ((), 2)  # Z[x]/x^2
-    rep2 = splitting_check(const_z(2), dual_monoid(GroupContext(2)), 0)
+    m2 = dual_monoid(GroupContext(2))
+    rep2 = splitting_check(monoid_algebra(const_z(2), m2), m2, 0)
     ok = ok and rep2.passed
     report(9, ok, "H_0 agreement for dual numbers over n in {1,2}; Z[x]/x^2 at n=1")
 

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from mackeywitt import cycmonoid
 from mackeywitt.cli import main
 from mackeywitt.cycmonoid import (
     PointedGMonoid,
+    algebra_level_sizes,
     bredon_green,
     cellular_chains,
     cyclic_nerve_monoid,
@@ -93,6 +95,28 @@ def test_a_monoid_over_the_enumeration_budget_is_refused_before_validation(monke
 def test_a_monoid_at_the_enumeration_budget_is_validated():
     m = PointedGMonoid.from_json(GroupContext(2), square_zero_monoid_json(40))
     assert len(m.elements) == 40 and m.mult("2", "39") == "0" and m.mult("1", "39") == "39"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12])
+def test_algebra_level_sizes_are_the_built_levels(n):
+    ctx = GroupContext(n)
+    monoids = [two_point_monoid(ctx), dual_numbers_monoid(ctx)] + ([swap_pair_monoid(ctx)] if n % 2 == 0 else [])
+    for r in (trivial_Z(n), burnside(ctx)):
+        for m in monoids:
+            built = monoid_algebra(r, m).mackey
+            assert algebra_level_sizes(r, m) == {d: built.level[d].num_generators for d in ctx.divisors}
+
+
+def test_the_splitting_nerve_is_refused_before_the_monoid_algebra_is_built(monkeypatch, tmp_path, capsys):
+    def no_build(ctx, m):
+        raise AssertionError("bredon_green must not be built for a refused nerve")
+
+    monkeypatch.setattr(cycmonoid, "bredon_green", no_build)
+    path = tmp_path / "dual.json"
+    path.write_text(json.dumps(dual_numbers_monoid(GroupContext(1)).to_json()))
+    assert main(["monoid", "--file", str(path), "--ring", "Z", "--n", "65536", "--max-degree", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "box tag budget" in err
 
 
 def test_monoid_json_roundtrip():
@@ -230,12 +254,14 @@ def test_cellular_h0_dual_numbers_c1():
 
 def test_splitting_two_point_monoid():
     ctx = GroupContext(2)
-    rep = splitting_check(burnside(ctx), two_point_monoid(ctx), 1)
+    m = two_point_monoid(ctx)
+    rep = splitting_check(monoid_algebra(burnside(ctx), m), m, 1)
     assert rep.passed, rep
 
 
 def test_splitting_dual_numbers_c1():
-    rep = splitting_check(trivial_Z(1), dual_numbers_monoid(GroupContext(1)), 1)
+    m = dual_numbers_monoid(GroupContext(1))
+    rep = splitting_check(monoid_algebra(trivial_Z(1), m), m, 1)
     assert rep.passed, rep
     # classical values: H_0 = Z[x]/x^2, H_1 = Kähler differentials
     assert rep.homology_right[0][1] == ((), 2)
@@ -245,11 +271,13 @@ def test_splitting_dual_numbers_c1():
 
 def test_splitting_dual_numbers_c2_degree0():
     ctx = GroupContext(2)
-    rep = splitting_check(burnside(ctx), dual_numbers_monoid(ctx), 0)
+    m = dual_numbers_monoid(ctx)
+    rep = splitting_check(monoid_algebra(burnside(ctx), m), m, 0)
     assert rep.passed, rep
 
 
 def test_splitting_swap_monoid_c2_degree0():
     ctx = GroupContext(2)
-    rep = splitting_check(trivial_Z(2), swap_pair_monoid(ctx), 0)
+    m = swap_pair_monoid(ctx)
+    rep = splitting_check(monoid_algebra(trivial_Z(2), m), m, 0)
     assert rep.passed, rep

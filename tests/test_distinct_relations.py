@@ -11,9 +11,9 @@ import pytest
 from mackeywitt import fgab
 from mackeywitt.fgab import AbHom, FgAbGroup, NotInSubgroupError, Sparse, Subquotient, row_hnf
 from mackeywitt.geomfix import _maximal_non_multiples, tilde_ef
-from mackeywitt.green import box_power, quotient_by_subgroups
+from mackeywitt.green import box_power
 from mackeywitt.hochschild import MackeyHomology, moore_complex, twisted_cyclic_nerve
-from mackeywitt.mackey import prime_factors
+from mackeywitt.mackey import prime_factors, quotient
 from mackeywitt.norm import norm_trivial_ring
 from mackeywitt.wittcore import BaseRing
 from mackeywitt.wittgreen import ghost_map, witt_green
@@ -100,7 +100,7 @@ def test_cokernel_keeps_each_relation_once():
     assert proj.target is q
 
 
-def test_quotient_by_subgroups_keeps_each_relation_once():
+def test_green_quotient_keeps_each_relation_once():
     g = norm_trivial_ring(Z, 4)
     # 2·g is a Green ideal; stack its rows twice, with zero rows and g's own relations
     rows = {}
@@ -108,7 +108,7 @@ def test_quotient_by_subgroups_keeps_each_relation_once():
         k = g.level[d].num_generators
         twice = [((i, 2),) for i in range(k)]
         rows[d] = Sparse(twice + [()] + twice + list(g.level[d].rels), k)
-    q, _ = quotient_by_subgroups(g, rows)
+    q = quotient(g, rows, f"{g.name}/ideal")
     for d in g.ctx.divisors:
         assert_distinct(q.level[d])
         assert_same_span(q.level[d], g.level[d].rels + rows[d])

@@ -26,7 +26,7 @@ from mackeywitt.mackey import (
     sparse_product,
 )
 from mackeywitt.norm import norm_trivial_ring
-from mackeywitt.wittcore import BaseRing
+from mackeywitt.wittcore import BaseRing, divisors
 from mackeywitt.green import (
     box,
     box_list,
@@ -354,7 +354,7 @@ def test_box_products_and_nerves_hold_no_reference_cycle():
     def boxes():
         pres = box(b, b)
         pres.mackey.mult[4][2][3]  # a filled cell: the table now holds rows and products
-        return [pres, pres.mackey, pres.twisted_res]
+        return [pres, pres.mackey]
 
     def nerve():
         x = twisted_cyclic_nerve(rm, 2)
@@ -376,6 +376,37 @@ def test_weyl_power_matches_uncached_power(n):
                     h = h.compose(m.weyl[d])
                 assert m.weyl_power(d, k) == h
                 assert m.weyl_power(d, k).matrix == h.matrix
+            # AbHom.power squares; it must agree with k - 1 compositions on the matrix
+            h = AbHom.identity(m.level[d])
+            for k in range(2 * (n // d) + 1):
+                assert m.weyl[d].power(k).matrix == h.matrix
+                h = h.compose(m.weyl[d])
+            with pytest.raises(ValueError, match="negative power"):
+                m.weyl[d].power(-1)
+    with pytest.raises(ValueError, match="non-endomorphism"):
+        AbHom(free_group(1), free_group(2), [[1, 0]]).power(2)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_twisted_res_is_res_then_weyl_power(n):
+    ctx = GroupContext(n)
+    for m in (representable(ctx, [1, 2]), product_ring_swap(ctx), norm_trivial_ring(BaseRing.integers_mod(2), n)):
+        for e in ctx.divisors:
+            for g in divisors(e):
+                for k in range(-n, 2 * n + 1):
+                    expected = m.res_full(e, g).compose(m.weyl_power(g, k))
+                    assert m.twisted_res(e, g, k).matrix == expected.matrix
+
+
+@pytest.mark.parametrize("make", [lambda: _dual_numbers_algebra(2)[1], lambda: burnside(GroupContext(4))])
+def test_box_powers_share_the_factors_twisted_restrictions(make):
+    r = make()
+    twisted_cyclic_nerve(r, 3)
+    keys = set(r._twisted_cache)
+    assert keys
+    top = box_power(r, 2).mackey
+    top.mult[top.ctx.n][3][5]
+    assert set(r._twisted_cache) == keys
 
 
 def _count_products(monkeypatch):
@@ -383,9 +414,9 @@ def _count_products(monkeypatch):
     calls = []
     real = green.tag_product
 
-    def counted(factors, twisted, tags, pos, d, a, b):
+    def counted(factors, tags, pos, d, a, b):
         calls.append((tags, d, a, b))
-        return real(factors, twisted, tags, pos, d, a, b)
+        return real(factors, tags, pos, d, a, b)
 
     monkeypatch.setattr(green, "tag_product", counted)
     return calls
@@ -418,7 +449,7 @@ def test_box_power_computes_products_only_when_read(monkeypatch):
 def test_splitting_check_reads_few_box_products(monkeypatch):
     calls = _count_products(monkeypatch)
     m, _ = _dual_numbers_algebra(2)
-    rep = splitting_check(trivial_Z(GroupContext(2)), m, 1)
+    rep = splitting_check(monoid_algebra(trivial_Z(GroupContext(2)), m), m, 1)
     assert rep.passed
     assert 0 < len(calls) <= 500
 

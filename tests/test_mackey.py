@@ -9,7 +9,7 @@ from dense_snf import identity_matrix
 from mackeywitt.cycmonoid import PointedGMonoid, bredon_green
 from mackeywitt.fgab import AbHom, FgAbGroup, NotWellDefinedError, Sparse, dense_row, free_group, nonzeros
 from mackeywitt.geomfix import phi, tilde_ef
-from mackeywitt.green import box, box_list, quotient_by_green_ideal, quotient_by_subgroups
+from mackeywitt.green import box, box_list, quotient_by_green_ideal
 from mackeywitt.mackey import (
     GreenFunctor,
     GroupContext,
@@ -334,6 +334,7 @@ def test_green_constructions_are_mackey_functors():
     lambda m: restrict(m, 2),
     lambda m: tilde_ef(m, 2),
     lambda m: phi(m, 2),
+    lambda m: quotient(m, {}, f"{m.name}/ideal"),
 ])
 def test_operations_return_green_exactly_for_green_input(operation):
     ctx = GroupContext(4)
@@ -342,13 +343,6 @@ def test_operations_return_green_exactly_for_green_input(operation):
     assert isinstance(operation(green), GreenFunctor)
     out = operation(plain)
     assert isinstance(out, MackeyFunctor) and not isinstance(out, GreenFunctor)
-
-
-def test_quotient_by_subgroups_of_green_is_green():
-    g = burnside(GroupContext(2))
-    out, proj = quotient_by_subgroups(g, {})
-    assert isinstance(out, GreenFunctor)
-    assert proj.source is g and proj.target is out
 
 
 def test_box_of_mixed_factors_is_plain_mackey():

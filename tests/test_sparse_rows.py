@@ -75,7 +75,7 @@ def test_products_images_and_sums_match_the_dense_ones(ch, data):
 
 
 @settings(deadline=None, max_examples=100)
-@given(st.integers(0, 5).flatmap(lambda k: dense(k, k).map(lambda m: (k, m))), st.integers(0, 4))
+@given(st.integers(0, 5).flatmap(lambda k: dense(k, k).map(lambda m: (k, m))), st.integers(0, 9))
 def test_powers_match_dense_products_from_the_identity(km, k):
     n, m = km
     expected = identity_matrix(n)
