@@ -57,6 +57,13 @@ def _emit(payload: dict, args) -> None:
         print(_render_table(payload))
 
 
+def _violation(certificate: str) -> int:
+    """Exit status 1 once stdout is written, with one stderr line naming the failed certificate."""
+    sys.stdout.flush()  # a closed stdout is exit 141 with an empty stderr, as in main
+    print(f"internal invariant violation: {certificate}", file=sys.stderr)
+    return 1
+
+
 def _dumps(obj, nl: str = "\n") -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, for obj on a line that
     starts with ``nl``.  The indenting encoder of ``json`` is pure Python;
@@ -199,7 +206,7 @@ def cmd_witt(args) -> int:
         "verdict_detail": repr(verdict),
     }
     _emit(payload, args)
-    return 0 if verdict.isomorphic else 1
+    return 0 if verdict.isomorphic else _violation(f"classical comparison of {payload['description']}: NOT isomorphic")
 
 
 def cmd_tr(args) -> int:
@@ -231,7 +238,8 @@ def cmd_check(args) -> int:
         "total_failures": sum(len(r.failures) for r in results),
     }
     _emit(payload, args)
-    return 0 if payload["total_failures"] == 0 else 1
+    failed = [r.name for r in results if not r.passed]
+    return _violation(f"suites failed: {', '.join(failed)}") if failed else 0
 
 
 def _constant_green(ring: BaseRing, n: int):
@@ -274,8 +282,8 @@ def cmd_monoid(args) -> int:
             "checks": [{"ok": ok, "message": msg} for ok, msg in rep.checks],
         }
     _emit(payload, args)
-    if "splitting" in payload and not payload["splitting"]["passed"]:
-        return 1
+    if "splitting" in payload and not rep.passed:
+        return _violation(f"splitting check failed: {rep.failures[0]}")
     return 0
 
 

@@ -168,15 +168,15 @@ def monoid_orbits(m: PointedGMonoid) -> OrbitData:
     return orbit_data(m.ctx, m.elements, m.act, m.zero)
 
 
-def element_span(ctx, od: OrbitData, m, level: int):
-    """The span-basis datum of "evaluate at m" in A̅[M](G/C_level).
+def element_span(n: int, od: OrbitData, v, span, level: int):
+    """The span-basis key at ``level`` of the span (c, y) anchored at the element v.
 
-    m must be fixed by C_level; writing m = g^a · rep, the normalized span
-    anchors the orbit representative and carries translation -a.
+    Writing v = g^a · rep, it anchors the orbit representative and carries
+    translation y - a; (level, 0) at a v fixed by C_level is "evaluate at v".
     """
-    i, a = od.locate[m]
-    y = spans.normalize_y(ctx.n, od.stabs[i], level, -a)
-    return (i, (level, y))
+    i, a = od.locate[v]
+    c, y = span
+    return (i, (c, spans.normalize_y(n, od.stabs[i], level, y - a)))
 
 
 def bredon_green(ctx: GroupContext, m: PointedGMonoid) -> GreenFunctor:
@@ -199,14 +199,12 @@ def bredon_green(ctx: GroupContext, m: PointedGMonoid) -> GreenFunctor:
                     v = m.mult(od.reps[oi], m.act(delta, od.reps[oj]))
                     if v == m.zero:
                         continue
-                    i2, a = od.locate[v]
-                    y2 = spans.normalize_y(n, od.stabs[i2], d, y - a)
-                    key = pos[(i2, (c, y2))]
+                    key = pos[element_span(n, od, v, (c, y), d)]
                     acc[key] = acc.get(key, 0) + mlt
                 rowtab.append(sparse_row(acc))
             table.append(tuple(rowtab))
         mult[d] = tuple(table)
-        unit[d] = ((pos[element_span(ctx, od, m.one, d)], 1),)
+        unit[d] = ((pos[element_span(n, od, m.one, (d, 0), d)], 1),)
     green = GreenFunctor(*maps, mult, unit, name=f"A_T{list(od.stabs)}")
     green.span_basis, green.span_pos, green.orbit_data = span_basis, span_pos, od
     return green
@@ -290,18 +288,15 @@ def _relabel_hom(ctx, src_rep, src_od: OrbitData, dst_rep, dst_od: OrbitData, fm
     fmap sends source orbit representatives to elements of the target set
     (None for the basepoint); spans relabel their anchor along it.
     """
-    n = ctx.n
     maps = {}
     for d in ctx.divisors:
         rows = []
-        for (i, (c, y)) in src_rep.span_basis[d]:
+        for (i, sp) in src_rep.span_basis[d]:
             v = fmap(src_od.reps[i])
             if v is None:
                 rows.append(())
                 continue
-            i2, a = dst_od.locate[v]
-            y2 = spans.normalize_y(n, dst_od.stabs[i2], d, y - a)
-            rows.append(((dst_rep.span_pos[d][(i2, (c, y2))], 1),))
+            rows.append(((dst_rep.span_pos[d][element_span(ctx.n, dst_od, v, sp, d)], 1),))
         maps[d] = AbHom(src_rep.level[d], dst_rep.level[d], Sparse(rows, dst_rep.level[d].num_generators))
     return MackeyHom(src_rep, dst_rep, maps)
 
@@ -399,7 +394,7 @@ def splitting_check(pres: BoxPresentation, m: PointedGMonoid, max_k: int) -> Spl
             s = cells.orbit_data[j].stabs[oi]
             slot_rows = []
             for mm in rep_tuple:
-                u = ((am.span_pos[s][element_span(ctx, od, mm, s)], 1),)
+                u = ((am.span_pos[s][element_span(ctx.n, od, mm, (s, 0), s)], 1),)
                 slot_rows.append(pres.expand(s, s, [r.unit[s], u]))
             beta_values[oi] = nerve_rm.presentations[j].expand(s, s, slot_rows)
         hc_rm_j = nerve_rm.presentations[j].mackey

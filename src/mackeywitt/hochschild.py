@@ -32,6 +32,16 @@ class SimplicialIdentityError(AssertionError):
     """A face/degeneracy identity failed; indicates a construction bug."""
 
 
+def _delta(m: int, i: int) -> tuple[int, ...]:
+    """δ_i : [m-1] → [m], the map of Δ of the face d_i out of degree m."""
+    return tuple(v for v in range(m + 1) if v != i)
+
+
+def _sigma(m: int, j: int) -> tuple[int, ...]:
+    """σ_j : [m+1] → [m], the map of Δ of the degeneracy s_j out of degree m."""
+    return tuple(range(j + 1)) + tuple(range(j, m + 1))
+
+
 class SimplicialMackey:
     """A finitely truncated simplicial Mackey functor.
 
@@ -68,37 +78,31 @@ class SimplicialMackey:
         return SimplicialMackey(ctx, degrees, faces, degens)
 
     def check_identities(self):
-        """Verify all simplicial identities inside the truncation."""
+        """Verify all simplicial identities inside the truncation: the composites of two faces
+        or degeneracies out of one degree that have one map of Δ are equal, and the identity
+        where that map is."""
         k = self.max_degree
-        for m in range(2, k + 1):
-            for j in range(1, m + 1):
-                for i in range(j):
-                    lhs = self.face(m, j).compose(self.face(m - 1, i))
-                    rhs = self.face(m, i).compose(self.face(m - 1, j - 1))
-                    if lhs != rhs:
-                        raise SimplicialIdentityError(f"d_{i} d_{j} at degree {m}")
-        for m in range(0, k - 1):
-            for j in range(m + 1):
-                for i in range(j + 1):
-                    lhs = self.degeneracy(m, j).compose(self.degeneracy(m + 1, i))
-                    rhs = self.degeneracy(m, i).compose(self.degeneracy(m + 1, j + 1))
-                    if lhs != rhs:
-                        raise SimplicialIdentityError(f"s_{i} s_{j} at degree {m}")
-        for m in range(0, k):
-            for j in range(m + 1):
-                for i in range(m + 2):
-                    comp = self.degeneracy(m, j).compose(self.face(m + 1, i))
-                    if i < j:
-                        ref = self.face(m, i).compose(self.degeneracy(m - 1, j - 1)) if m >= 1 else None
-                        if ref is not None and comp != ref:
-                            raise SimplicialIdentityError(f"d_{i} s_{j} at degree {m}")
-                    elif i in (j, j + 1):
-                        if comp != MackeyHom.identity(self.degrees[m]):
-                            raise SimplicialIdentityError(f"d_{i} s_{j} != id at degree {m}")
-                    else:
-                        ref = self.face(m, i - 1).compose(self.degeneracy(m - 1, j)) if m >= 1 else None
-                        if ref is not None and comp != ref:
-                            raise SimplicialIdentityError(f"d_{i} s_{j} at degree {m}")
+
+        def ops(m):  # (name, hom, its map of Δ, target degree) out of degree m
+            out = [(f"d_{i}", self.face(m, i), _delta(m, i), m - 1) for i in range(m + 1) if m]
+            return out + [(f"s_{j}", self.degeneracy(m, j), _sigma(m, j), m + 1) for j in range(m + 1) if m < k]
+
+        for m in range(k + 1):
+            groups: dict = {}
+            for n1, h1, f1, m1 in ops(m):
+                for n2, h2, f2, _ in ops(m1):
+                    groups.setdefault(tuple(f1[t] for t in f2), []).append((f"{n2} {n1}", h1, h2))
+            for f, comps in groups.items():
+                if f == tuple(range(m + 1)):
+                    ref, ref_name = MackeyHom.identity(self.degrees[m]), "id"
+                elif len(comps) > 1:
+                    ref_name, h1, h2 = comps.pop(0)
+                    ref = h1.compose(h2)
+                else:
+                    continue
+                for name, h1, h2 in comps:
+                    if h1.compose(h2) != ref:
+                        raise SimplicialIdentityError(f"{name} != {ref_name} at degree {m}")
 
 
 class MackeyComplex:
@@ -297,32 +301,11 @@ def edgewise_subdivision(x: SimplicialMackey, r: int) -> SimplicialMackey:
         raise TruncationTooShortError("input truncation too short for any output degree")
     degrees = [x.degrees[r * (j + 1) - 1] for j in range(out_max + 1)]
 
-    def block_delta(i, j):
-        # δ_i repeated across r blocks: [rj-1] → [r(j+1)-1]
-        out = []
-        for t in range(r):
-            for y in range(j):
-                out.append(t * (j + 1) + (y if y < i else y + 1))
-        return tuple(out)
+    def block(f, j):  # f on each of the r blocks of j + 1 vertices of [r(j+1)-1]
+        return apply_monotone(x, tuple(t * (j + 1) + v for t in range(r) for v in f), r * (j + 1) - 1)
 
-    def block_sigma(i, j):
-        # σ_i repeated across r blocks: [r(j+2)-1] → [r(j+1)-1]
-        out = []
-        for t in range(r):
-            for y in range(j + 2):
-                out.append(t * (j + 1) + (y if y <= i else y - 1))
-        return tuple(out)
-
-    faces: list = [None]
-    for j in range(1, out_max + 1):
-        faces.append([
-            apply_monotone(x, block_delta(i, j), r * (j + 1) - 1) for i in range(j + 1)
-        ])
-    degens = []
-    for j in range(out_max):
-        degens.append([
-            apply_monotone(x, block_sigma(i, j), r * (j + 1) - 1) for i in range(j + 1)
-        ])
+    faces = [None] + [[block(_delta(j, i), j) for i in range(j + 1)] for j in range(1, out_max + 1)]
+    degens = [[block(_sigma(j, i), j) for i in range(j + 1)] for j in range(out_max)]
     out = SimplicialMackey(x.ctx, degrees, faces, degens)
     out.check_identities()
     return out

@@ -7,10 +7,10 @@ translation class of the right leg,
 
     basis element  =  (c, y)   with c | gcd(t, s),  y ∈ ℤ/gcd(n/t, n/s).
 
-Composition is computed by enumerating pullback orbits explicitly, which is
-finite and canonical here.  These spans are the morphisms of the Burnside
-category, so they drive representable Mackey functors and the Yoneda-style
-evaluation of arbitrary spans on Mackey functor values.
+Composition runs over the pullback orbits, one point each, in closed form.
+These spans are the morphisms of the Burnside category, so they drive
+representable Mackey functors and the Yoneda-style evaluation of arbitrary
+spans on Mackey functor values.
 """
 
 from __future__ import annotations
@@ -50,20 +50,15 @@ def compose_spans(n: int, t: int, s: int, u: int, sp1: tuple[int, int], sp2: tup
     return out
 
 
-def _pullback_orbits(n: int, c1: int, c2: int, s: int, start: int):
+def _pullback_orbits(n: int, c1: int, c2: int, s: int, start: int) -> range:
     """One b per orbit of the pullback of G/C_{c1} → G/C_s ← G/C_{c2}, the one with a = 0.
 
     The pullback is {(a, b) ∈ ℤ/(n/c1) × ℤ/(n/c2) : b ≡ a + start (mod n/s)}
     under the diagonal shift; at a = 0, b runs over start mod n/s, and two
-    such b lie in one orbit iff they agree mod gcd(n/c1, n/c2).
+    such b lie in one orbit iff they agree mod gcd(n/c1, n/c2), which n/s
+    divides: so the b below that gcd are one per orbit.
     """
-    modulus = n // c2
-    g2 = gcd(n // c1, modulus)
-    seen = set()
-    for b in range(start % (n // s), modulus, n // s):
-        if b % g2 not in seen:
-            seen.add(b % g2)
-            yield b
+    return range(start % (n // s), gcd(n // c1, n // c2), n // s)
 
 
 def restriction_span(n: int, e: int, d: int) -> tuple[int, int]:
@@ -133,13 +128,11 @@ def span_product(n, t1, t2, e, sp1, sp2):
     i, c1, y1 = sp1
     j, c2, y2 = sp2
     a, b_stab = t1[i], t2[j]
-    g_mid = gcd(c1, c2)
+    g_mid, gt, stab = gcd(c1, c2), gcd(n // a, n // b_stab), gcd(a, b_stab)
     out: Counter = Counter()
     for b in _pullback_orbits(n, c1, c2, e, y1 - y2):
-        gt = gcd(n // a, n // b_stab)
         delta = b % gt
         w = solve_crt(0, n // a, b - delta, n // b_stab)
-        stab = gcd(a, b_stab)
         y = normalize_y(n, stab, e, y1 - w)
         out[((i, j, delta), g_mid, y)] += 1
     return out

@@ -12,10 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_golden import DUAL_NUMBERS, GOLDEN
 
-from mackeywitt import cli, geomfix, mackey, norm, wittcore
+from mackeywitt import cli, cycmonoid, geomfix, mackey, norm, wittcore
 from mackeywitt.cli import main
 from mackeywitt.fgab import CompositeNotZeroError, NotInSubgroupError, NotWellDefinedError
 from mackeywitt.hochschild import hh0_oracle
+from mackeywitt.wittgreen import ComparisonVerdict
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +184,49 @@ def test_internal_certificate_failure_is_one_line_exit_1(capsys, monkeypatch, er
     assert out == ""
     assert err.startswith("internal invariant violation: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _failing_report(name):
+    rep = mackey.Report(name)
+    rep.note(True, "holds")
+    rep.note(False, "the forged check")
+    return rep
+
+
+def _forge_witt(monkeypatch):
+    monkeypatch.setattr(cli, "compare_with_classical", lambda w, ring, n: ComparisonVerdict(False, "forged"))
+
+
+def _forge_check(monkeypatch):
+    monkeypatch.setattr(cli, "run_suites", lambda names, seed: [_failing_report(names[0])])
+
+
+def _forge_splitting(monkeypatch):
+    def splitting_check(pres, m, max_k):
+        rep = _failing_report("splitting")
+        return cycmonoid.SplittingReport(rep.name, rep.checks)
+
+    monkeypatch.setattr(cycmonoid, "splitting_check", splitting_check)
+
+
+# A certificate that fails after the answer is written: the answer on stdout as
+# always, then exit 1 and one stderr line naming the failed certificate.
+@pytest.mark.parametrize("forge,argv,named,stdout_says", [
+    (_forge_witt, ("witt", "--ring", "Z", "--n", "2", "--json"),
+     "classical comparison of W_C_2(Z): NOT isomorphic", '"verdict": "NOT isomorphic"'),
+    (_forge_check, ("check", "--suite", "mackey", "--json"),
+     "suites failed: mackey", '"total_failures": 1'),
+    (_forge_splitting, ("monoid", "--file", "DUAL", "--ring", "Z", "--n", "2", "--max-degree", "0", "--json"),
+     "splitting check failed: the forged check", '"passed": false'),
+], ids=["witt", "check", "monoid"])
+def test_a_failed_certificate_is_one_line_exit_1(capsys, monkeypatch, tmp_path, forge, argv, named, stdout_says):
+    mfile = tmp_path / "dual.json"
+    mfile.write_text(json.dumps(DUAL_NUMBERS))
+    forge(monkeypatch)
+    code, out, err = run_cli(capsys, *(str(mfile) if a == "DUAL" else a for a in argv))
+    assert code == 1
+    assert stdout_says in out and json.loads(out)
+    assert err == f"internal invariant violation: {named}\n"
 
 
 # (argv, what runs before the refusal): a huge modulus is refused before

@@ -5,7 +5,8 @@ traceback: malformed monoid files (bad shapes, bytes that are not JSON,
 tables that are not associative or have no unit, actions that are not
 monoid maps, 0 = 1), ring names for ``BaseRing.parse`` and the integer
 flags, small, negative and far over every budget.  Flag values are drawn
-so that every accepted run stays small.
+so that every accepted run stays small.  Each refusal of a monoid table or
+action is also reached by one fixed file.
 """
 
 import argparse
@@ -109,6 +110,27 @@ def test_monoid_files_keep_the_contract(tmp_path_factory, content, n, ring):
     path = tmp_path_factory.mktemp("monoid") / "m.json"
     path.write_bytes(content)
     assert_contract(["monoid", "--file", str(path), "--ring", ring, "--n", n])
+
+
+def _monoid(rows, action, n="2"):
+    """A monoid file on the elements 0, 1, x, ...: row i of the table and the action as strings."""
+    els = list("01xy"[: len(rows)])
+    return {"elements": els, "zero": "0", "one": "1", "table": [list(r) for r in rows], "action": list(action)}, n
+
+
+# Each file passes every check before the one it fails, so the refusal names that check.
+@pytest.mark.parametrize("data,n,refusal", [
+    (*_monoid(["00x", "01x", "0x0"], "01x"), "0 must be absorbing"),  # 0·x = x
+    (*_monoid(["0000", "01xy", "0x0y", "0y00"], "01xy"), "associativity fails at (x,x,y)"),  # (xx)y = 0 ≠ x(xy) = y
+    (*_monoid(["0000", "01xy", "0xx0", "0y00"], "01yx"), "action must be by monoid maps"),  # x² = x but y² = 0
+    (*_monoid(["0000", "01xy", "0x00", "0y00"], "01yx", n="3"), "action order must divide n"),  # a swap over C_3
+], ids=["absorbing", "associativity", "monoid-maps", "action-order"])
+def test_each_monoid_refusal_is_one_line_exit_2(tmp_path, data, n, refusal):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(["monoid", "--file", str(path), "--ring", "Z", "--n", n])
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid monoid: {refusal}\n"
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,10 @@ from mackeywitt.green import box_power
 from mackeywitt.hochschild import (
     MackeyComplex,
     MackeyHomology,
+    SimplicialIdentityError,
+    SimplicialMackey,
     TruncationTooShortError,
+    apply_monotone,
     edgewise_subdivision,
     hh,
     hh0_green,
@@ -15,6 +18,7 @@ from mackeywitt.hochschild import (
 )
 from mackeywitt.mackey import (
     GroupContext,
+    MackeyFunctor,
     MackeyHom,
     RingData,
     burnside,
@@ -253,3 +257,103 @@ def test_nerve_certifies_as_many_maps_as_before(monkeypatch):
     monkeypatch.setattr(MackeyHom, "__init__", mackey)
     twisted_cyclic_nerve(r, 2)
     assert counts == {"ab": 39, "mackey": 8}
+
+
+# ℤ ⊕ ℤ̃[S¹] ⊕ ℤ̃[S²] over C_1 to degree 2: the constant ℤ on c, the reduced chains on
+# S¹ = Δ[1]/∂Δ[1] (τ and its degeneracies s_0τ, s_1τ) and on S² = Δ[2]/∂Δ[2] (σ).
+# Generators: degree 0 (c), degree 1 (c, τ), degree 2 (c, s_0τ, s_1τ, σ); row b of a
+# matrix is the image of generator b.
+SPHERE_FACES = {
+    (1, 0): ((1,), (0,)),
+    (1, 1): ((1,), (0,)),
+    (2, 0): ((1, 0), (0, 1), (0, 0), (0, 0)),
+    (2, 1): ((1, 0), (0, 1), (0, 1), (0, 0)),
+    (2, 2): ((1, 0), (0, 0), (0, 1), (0, 0)),
+}
+SPHERE_DEGENERACIES = {
+    (0, 0): ((1, 0),),
+    (1, 0): ((1, 0, 0, 0), (0, 1, 0, 0)),
+    (1, 1): ((1, 0, 0, 0), (0, 0, 1, 0)),
+}
+
+
+def spheres(k, faces=None, degeneracies=None):
+    """The simplicial abelian group above, truncated at degree k, with the given maps replaced."""
+    ctx = GroupContext(1)
+    degrees = []
+    for rank in (1, 2, 4)[: k + 1]:
+        g = free_group(rank)
+        degrees.append(MackeyFunctor(ctx, {1: g}, {}, {}, {1: AbHom.identity(g)}))
+    face_mats = {**SPHERE_FACES, **(faces or {})}
+    degen_mats = {**SPHERE_DEGENERACIES, **(degeneracies or {})}
+
+    def hom(j, k2, matrix):
+        return MackeyHom(degrees[j], degrees[k2], {1: AbHom(degrees[j].level[1], degrees[k2].level[1], matrix)})
+
+    fs = [None] + [[hom(j, j - 1, face_mats[(j, i)]) for i in range(j + 1)] for j in range(1, k + 1)]
+    ds = [[hom(j, j + 1, degen_mats[(j, i)]) for i in range(j + 1)] for j in range(k)]
+    return SimplicialMackey(ctx, degrees, fs, ds)
+
+
+def test_the_sphere_chains_satisfy_every_identity():
+    for k in (0, 1, 2):
+        spheres(k).check_identities()
+
+
+# Each forgery breaks the identities of one family only, so the message names that family.
+@pytest.mark.parametrize("k,forged,family", [
+    # d_0 out of degree 1 sends c to 0: d_0 s_0 = id fails at degree 0
+    (1, {"faces": {(1, 0): ((0,), (0,))}}, r"^d_\d s_\d != id"),
+    # d_0 out of degree 2 sends σ to c, which every face keeps: d_0 d_0 = d_0 d_1 fails
+    (2, {"faces": {(2, 0): ((1, 0), (0, 1), (0, 0), (1, 0))}}, r"^d_\d d_\d"),
+    # s_0 out of degree 1 sends c to c + σ, which every face kills: s_0 s_0 = s_1 s_0 fails
+    (2, {"degeneracies": {(1, 0): ((1, 0, 0, 1), (0, 1, 0, 0))}}, r"^s_\d s_\d"),
+    # d_2 out of degree 2 sends s_0τ to τ, which every face kills: d_2 s_0 = s_0 d_1 fails
+    (2, {"faces": {(2, 2): ((1, 0), (0, 1), (0, 1), (0, 0))}}, r"^d_\d s_\d (at|!= s_)"),
+], ids=["degeneracy-then-face-is-id", "face-face", "degeneracy-degeneracy", "mixed"])
+def test_a_forged_simplicial_object_is_refused(k, forged, family):
+    with pytest.raises(SimplicialIdentityError, match=family):
+        spheres(k, **forged).check_identities()
+
+
+def test_a_forged_nerve_face_is_refused():
+    """The degree-3 nerve of N(ℤ) over C_2 with d_0 at degree 1 replaced by zero."""
+    x = twisted_cyclic_nerve(trivial_Z(2), 3)
+    zero = MackeyHom(x.degrees[1], x.degrees[0], {d: AbHom.zero(x.degrees[1].level[d], x.degrees[0].level[d])
+                                                  for d in (1, 2)})
+    x.faces[1] = [zero, x.faces[1][1]]
+    with pytest.raises(SimplicialIdentityError):
+        x.check_identities()
+
+
+def test_identities_compose_and_compare_the_textbook_pairs(monkeypatch):
+    """To degree 4: every d_i d_j and s_i s_j pair and every d_i s_j against its other
+    side or the identity, 69 comparisons of 118 composites (the count depends on the
+    degree only)."""
+    x = twisted_cyclic_nerve(trivial_Z(1), 4)
+    counts = {"compose": 0, "eq": 0}
+    compose, eq = MackeyHom.compose, MackeyHom.__eq__
+
+    def counted_compose(self, then):
+        counts["compose"] += 1
+        return compose(self, then)
+
+    def counted_eq(self, other):
+        counts["eq"] += 1
+        return eq(self, other)
+
+    monkeypatch.setattr(MackeyHom, "compose", counted_compose)
+    monkeypatch.setattr(MackeyHom, "__eq__", counted_eq)
+    x.check_identities()
+    assert counts == {"compose": 118, "eq": 69}
+
+
+def test_edgewise_structure_maps_repeat_the_maps_of_delta_on_each_block():
+    """sd_2 X_1 = X_3: d_0 and d_1 are δ_0 = (1,) and δ_1 = (0,) on both blocks of two,
+    s_0 is σ_0 = (0, 0) on both."""
+    x = twisted_cyclic_nerve(trivial_Z(2), 3)
+    sd = edgewise_subdivision(x, 2)
+    assert sd.max_degree == 1 and sd.degrees == [x.degrees[1], x.degrees[3]]
+    assert sd.face(1, 0) == apply_monotone(x, (1, 3), 3)
+    assert sd.face(1, 1) == apply_monotone(x, (0, 2), 3)
+    assert sd.degeneracy(0, 0) == apply_monotone(x, (0, 0, 1, 1), 1)

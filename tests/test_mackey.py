@@ -85,6 +85,21 @@ def test_compose_spans_counts_the_orbits_of_the_pullback():
                 assert spans.compose_spans(n, t, s, u, (c1, y1), (c2, y2)) == expected, (n, t, s, u)
 
 
+def test_pullback_orbits_are_the_first_point_of_each_class():
+    """The closed form against an enumeration for n ≤ 60: of the b ≡ start (mod n/s) below
+    n/c2, the first of each class mod gcd(n/c1, n/c2), for every start in [-n/s, n/s)."""
+    for n in range(1, 61):
+        for s in divisors(n):
+            for c1, c2 in product(divisors(s), repeat=2):
+                g2 = gcd(n // c1, n // c2)
+                for start in range(-(n // s), n // s):
+                    first: dict[int, int] = {}
+                    for b in range(start % (n // s), n // c2, n // s):
+                        first.setdefault(b % g2, b)
+                    orbits = list(spans._pullback_orbits(n, c1, c2, s, start))
+                    assert orbits == list(first.values()), (n, s, c1, c2, start)
+
+
 def test_span_identity_composition():
     n = 6
     for t in (1, 2, 3, 6):
@@ -309,6 +324,34 @@ def test_axiom_checker_catches_bad_transfer():
     rep = check_axioms(bad)
     assert not rep.passed
     assert any("double coset" in f for f in rep.failures)
+
+
+def test_axiom_checker_compares_every_further_chain_with_the_first():
+    """Over C_6 the chains 1 | 2 | 6 (the first) and 1 | 3 | 6 are compared once for res and
+    once for tr; a zero res 3 → 1 makes only the restriction path-dependent."""
+    b = burnside(GroupContext(6))
+    assert [msg for _, msg in check_axioms(b).checks if "path-dependent" in msg] == [
+        "res 6->1 path-dependent", "tr 1->6 path-dependent"]
+    res = dict(b.res)
+    res[(1, 3)] = AbHom.zero(b.level[3], b.level[1])
+    rep = check_axioms(MackeyFunctor(b.ctx, b.level, res, b.tr, b.weyl))
+    assert "res 6->1 path-dependent" in rep.failures
+    assert "tr 1->6 path-dependent" not in rep.failures
+
+
+def test_a_level_map_that_is_not_weyl_equivariant_is_refused():
+    """Over C_2 with level 2 zero every level map commutes with res and tr; projecting
+    the swapped ℤ² at level 1 onto its first coordinate does not commute with the swap."""
+    ctx = GroupContext(2)
+    lo, hi = free_group(2), free_group(0)
+    m = MackeyFunctor(
+        ctx, {1: lo, 2: hi}, {(1, 2): AbHom.zero(hi, lo)}, {(1, 2): AbHom.zero(lo, hi)},
+        {1: AbHom(lo, lo, ((0, 1), (1, 0))), 2: AbHom.identity(hi)},
+    )
+    maps = {1: AbHom(lo, lo, ((1, 0), (0, 0))), 2: AbHom.identity(hi)}
+    assert MackeyHom(m, m, maps, check=False).naturality_failures() == ["weyl[1] not natural"]
+    with pytest.raises(NotWellDefinedError, match=r"^weyl\[1\] not natural$"):
+        MackeyHom(m, m, maps)
 
 
 def test_json_serialization():
