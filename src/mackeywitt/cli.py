@@ -19,7 +19,7 @@ import sys
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _jstr
 
-from .fgab import CompositeNotZeroError, NotInSubgroupError, NotWellDefinedError
+from .fgab import CompositeNotZeroError, NotInSubgroupError, NotWellDefinedError, group_str
 from .hochschild import MackeyHomology, moore_complex, require_nerve_budget, twisted_cyclic_nerve
 from .geomfix import tr_tower
 from .mackey import GroupContext, RingData, fixed_point_mackey
@@ -90,15 +90,10 @@ def _dumps(obj, nl: str = "\n") -> str:
     return f"{brackets[0]}{inner}{(',' + inner).join(items)}{nl}{brackets[1]}"
 
 
-def _group_str(desc: dict) -> str:
-    parts = [f"Z/{d}" for d in desc["invariant_factors"]] + ["Z"] * desc["rank"]
-    return " + ".join(parts) if parts else "0"
-
-
 def _render_mackey(name: str, mj: dict, indent: str = "  ") -> list[str]:
     lines = [f"{name} (C_{mj['n']}-Mackey functor)"]
     for d in sorted(mj["levels"], key=int, reverse=True):
-        lines.append(f"{indent}level {d} (C_{mj['n']}/C_{d}): {_group_str(mj['levels'][d])}")
+        lines.append(f"{indent}level {d} (C_{mj['n']}/C_{d}): {group_str(mj['levels'][d])}")
     for key, matrix in mj.get("res", {}).items():
         lines.append(f"{indent}res {key}: {matrix}")
     for key, matrix in mj.get("tr", {}).items():
@@ -120,11 +115,11 @@ def _render_table(payload: dict) -> str:
         lines += _render_mackey(payload["description"], payload["green_side"]["mackey"])
         lines.append("classical side: W_<%d>(%s)" % (payload["n"], payload["ring"]))
         lines.append("  components indexed by " + str(payload["classical_side"]["truncation"]))
-        lines.append("  additive group: " + _group_str(payload["classical_side"]["group"]))
+        lines.append("  additive group: " + group_str(payload["classical_side"]["group"]))
         lines.append("comparison verdict: " + payload["verdict"])
     elif kind == "tr":
         for stage in payload["tower"]["stages"]:
-            lines.append(f"stage n={stage['n']} (C_{payload['p']}^{stage['n']}): {_group_str(stage['group'])}")
+            lines.append(f"stage n={stage['n']} (C_{payload['p']}^{stage['n']}): {group_str(stage['group'])}")
         lines.append("limit: %s (precision %d)" % (
             payload["tower"]["limit"]["description"], payload["tower"]["limit"]["precision"]))
     elif kind == "check":
@@ -185,7 +180,6 @@ def cmd_witt(args) -> int:
     verdict = compare_with_classical(w, ring, args.n)
     trunc = TruncationSet.of(args.n)
     top = w.top()
-    inv, rank = top.canonical_form
     payload = {
         "kind": "witt",
         "description": f"W_C_{args.n}({args.ring})",
@@ -193,11 +187,11 @@ def cmd_witt(args) -> int:
         "n": args.n,
         "green_side": {
             "mackey": w.green.to_json(),
-            "top": {"invariant_factors": list(inv), "rank": rank},
+            "top": top.to_json(),
         },
         "classical_side": {
             "truncation": list(trunc.sorted()),
-            "group": {"invariant_factors": list(inv), "rank": rank},
+            "group": top.to_json(),
             "generator_components": [
                 list(g.component_tuple()) for g in w.norm.witt_levels[args.n].gens
             ],

@@ -98,33 +98,33 @@ class PointedGMonoid:
         }
 
     def _validate(self):
-        els = set(self.elements)
+        order, els = self.elements, set(self.elements)  # file order for loops, the set for membership
         if self.zero not in els or self.one not in els:
             raise ValueError("basepoint and unit must be elements")
         if self.zero == self.one:
             raise ValueError("basepoint and unit must differ (0 = 1 only in the zero monoid)")
-        for a in els:
+        for a in order:
             if self.table[(self.zero, a)] != self.zero or self.table[(a, self.zero)] != self.zero:
                 raise ValueError("0 must be absorbing")
             if self.table[(self.one, a)] != a or self.table[(a, self.one)] != a:
                 raise ValueError("1 must be a two-sided unit")
-        for a in els:
-            for b in els:
-                for c in els:
+        for a in order:
+            for b in order:
+                for c in order:
                     if self.mult(self.mult(a, b), c) != self.mult(a, self.mult(b, c)):
                         raise ValueError(f"associativity fails at ({a},{b},{c})")
         if set(self.action) != els or set(self.action.values()) != els:
             raise ValueError("action must be a permutation of the elements")
         if self.action[self.zero] != self.zero or self.action[self.one] != self.one:
             raise ValueError("action must fix 0 and 1")
-        for a in els:
-            for b in els:
+        for a in order:
+            for b in order:
                 if self.act(1, self.mult(a, b)) != self.mult(self.act(1, a), self.act(1, b)):
                     raise ValueError("action must be by monoid maps")
-        a = {e: e for e in els}
+        a = {e: e for e in order}
         for _ in range(self.ctx.n):
-            a = {e: self.action[a[e]] for e in els}
-        if any(a[e] != e for e in els):
+            a = {e: self.action[a[e]] for e in order}
+        if any(a[e] != e for e in order):
             raise ValueError("action order must divide n")
 
     def mult(self, a, b):

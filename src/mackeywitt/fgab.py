@@ -163,7 +163,9 @@ class _SNF:
     visits only those rows.  Columns keep their original labels; a column
     swap only exchanges two entries of the position → label permutation.
     V is kept by columns and V⁻¹ by rows, both sparse and labelled the
-    same way.
+    same way.  U is kept by rows, sparse, and each row operation (swap,
+    ``row_add``, ``negate_row``, the 2×2 combination of the divisibility
+    fold) updates U in the step that changes the working matrix.
 
     The pivot is the smallest nonzero |x| in the remaining block, the first
     in row-major order, and the search stops at the first ±1.  Each row's
@@ -171,18 +173,20 @@ class _SNF:
     so the search rescans only rows an elimination step touched.  Every row
     and column operation is the one the dense elimination performs, so the
     diagonal, U, V and V⁻¹ equal the dense ones (the tests keep the dense
-    elimination as an oracle).  A fill-reducing pivot order would change V,
-    which reaches output through ``reduce`` and ``elements``.
+    elimination as an oracle).  No command prints the representatives
+    that V gives ``reduce`` and ``elements``, but U's rows past the rank
+    are ``kernel_basis``, whose rows reach printed homology coordinates
+    through ``row_hnf``; so a fill-reducing pivot order would change
+    output.
 
     D is kept as its ``diagonal`` (length min(rows, cols), zeros last: the
     nonzero entries are exactly the first ``rank``).  ``cols`` (a Sparse
     m carries its ``width``) gives the width of a matrix without rows,
     whose V is the identity.  Membership, ``reduce``, ``element_order``
     and ``elements`` read the sparse rows of V and V⁻¹ over the nonzeros
-    of their input (m·V = U⁻¹·D has the row span of D); ``solve_left``
-    and ``kernel_basis`` also read U, replayed sparsely from the logged
-    row operations on first use.  The dense ``u``, ``v`` and ``vinv``
-    tuples are built only when read.
+    of their input (m·V = U⁻¹·D has the row span of D); ``kernel_basis``
+    reads U.  The dense ``u``, ``v`` and ``vinv`` tuples are built only
+    when read.
     """
 
     def __init__(self, m, cols: int | None = None):
@@ -195,13 +199,9 @@ class _SNF:
                 at[j].add(i)
         vcols = [{j: 1} for j in range(cols)]
         vinv = [{j: 1} for j in range(cols)]
+        u = [{i: 1} for i in range(rows)]
         perm = list(range(cols))  # position → column label
         pos = list(range(cols))  # column label → position
-        # row operations, replayed by ``_urows``: (i, j) swaps rows i and j;
-        # (dst, src, q) adds q·row src to row dst; (i,) negates row i;
-        # (i, j, x, y, c, e) replaces rows i, j by x·ri + y·rj, c·ri + e·rj.
-        ops: list[tuple[int, ...]] = []
-        log = ops.append
         low: list[int | None] = [None] * rows  # min |x| of row i (0 if empty); None: stale
 
         def add_entry(i, j, x):  # a[i][j] += x with x != 0, keeping the column sets
@@ -225,9 +225,10 @@ class _SNF:
             a[i] = new
 
         def row_add(dst, src, q):
-            for j, x in a[src].items() if q else ():
-                add_entry(dst, j, q * x)
-            log((dst, src, q))
+            if q:
+                for j, x in a[src].items():
+                    add_entry(dst, j, q * x)
+                _axpy(u[dst], u[src].items(), q)
 
         def col_add(dst, src, q):
             for i in at[src] if q else ():
@@ -237,7 +238,7 @@ class _SNF:
 
         def negate_row(i):
             a[i] = {j: -x for j, x in a[i].items()}
-            log((i,))
+            u[i] = {j: -x for j, x in u[i].items()}
 
         # Rows t, t+1, ... are zero left of position t, so their nonzeros
         # are exactly the remaining block's.
@@ -260,7 +261,7 @@ class _SNF:
                 set_row(t, {})
                 set_row(pi, r1)
                 set_row(t, r2)
-                log((t, pi))
+                u[t], u[pi] = u[pi], u[t]
             perm[t], perm[pj] = perm[pj], perm[t]
             pos[perm[t]], pos[perm[pj]] = t, pj
             c = perm[t]
@@ -294,16 +295,16 @@ class _SNF:
                     col_add(ci, cj, 1)
                     g = gcd(di, dj)
                     x, y = _xgcd(di, dj)
-                    ri, rj = a[i], a[i + 1]
+                    ri, rj, ui, uj = a[i], a[i + 1], u[i], u[i + 1]
                     set_row(i, _combine(ri, rj, x, y))
                     set_row(i + 1, _combine(ri, rj, -dj // g, di // g))
-                    log((i, i + 1, x, y, -dj // g, di // g))
+                    u[i], u[i + 1] = _combine(ui, uj, x, y), _combine(ui, uj, -dj // g, di // g)
                     # row i+1 is now (0, di·dj/g) with di, dj > 0, and clearing
                     # the off-diagonal entry of row i touches no other row
                     if a[i].get(cj):
                         col_add(cj, ci, -(a[i][cj] // a[i][ci]))
                     changed = True
-        self._rows, self._cols, self._row_ops = rows, cols, ops
+        self._rows, self._cols, self._u = rows, cols, u
         # V's column j and V⁻¹'s row j are the ones labelled perm[j]
         self._vrows: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
         for j, c in enumerate(perm):
@@ -314,24 +315,8 @@ class _SNF:
         self.rank = sum(1 for x in self.diagonal if x)
 
     @cached_property
-    def _urows(self) -> list[dict]:
-        u = [{i: 1} for i in range(self._rows)]
-        for op in self._row_ops:
-            if len(op) == 3:
-                _axpy(u[op[0]], u[op[1]].items(), op[2])
-            elif len(op) == 2:
-                u[op[0]], u[op[1]] = u[op[1]], u[op[0]]
-            elif len(op) == 1:
-                u[op[0]] = {j: -x for j, x in u[op[0]].items()}
-            else:
-                i, j, x, y, c, e = op
-                u[i], u[j] = _combine(u[i], u[j], x, y), _combine(u[i], u[j], c, e)
-        del self._row_ops  # no longer needed once U exists
-        return u
-
-    @cached_property
     def u(self) -> Matrix:
-        return tuple(dense_row(r.items(), self._rows) for r in self._urows)
+        return tuple(dense_row(r.items(), self._rows) for r in self._u)
 
     @cached_property
     def v(self) -> Matrix:
@@ -389,34 +374,36 @@ def snf(m) -> tuple[Matrix, Matrix, Matrix]:
     return s.u, d, s.v
 
 
-def solve_left(m, b, _snf_cache: _SNF | None = None):
-    """Solve x · m = b over ℤ for the sparse row b; returns one solution x, a
-    sparse row, or None.
+def solve_left(h, b, pivot: dict[int, int] | None = None):
+    """Solve x · h = b over ℤ for the rows h of ``row_hnf`` and the sparse row
+    b, by back-substitution; returns the solution x, a sparse row, or None.
 
-    A caller that solves against the same m repeatedly passes its ``_SNF``
-    so that m is factored once.
+    ``pivot`` maps each leading column of h to its row; a caller that solves
+    against the same h repeatedly builds it once.  The residual r = b − x·h
+    is kept throughout, and x is returned only when r is zero.
     """
-    if not m:
-        return None if b else ()
-    s = _snf_cache if _snf_cache is not None else _SNF(m)
-    z = s.coords(b)
-    if not s.spans(z):
-        return None
-    # y·D = b·V, so (y·U)·m = b; z is zero past the rank
-    x: dict[int, int] = {}
-    urows = s._urows
-    for j, t in z.items():
-        if t:
-            _axpy(x, urows[j].items(), t // s.diagonal[j])
-    return sparse_row(x)
+    if pivot is None:
+        pivot = {row[0][0]: i for i, row in enumerate(h)}
+    r, x = dict(b), []
+    while r:
+        j = min(r)
+        i = pivot.get(j)
+        if i is None:
+            return None
+        q, rest = divmod(r[j], h[i][0][1])
+        if rest:
+            return None
+        x.append((i, q))
+        _axpy(r, h[i], -q)
+    return tuple(x)
 
 
 def kernel_basis(m) -> Sparse:
-    """Basis of the lattice {x : x · m = 0}."""
+    """Basis of the lattice {x : x · m = 0}: U's rows past the rank."""
     if not m:
         return Sparse()
     s = _SNF(m)
-    return Sparse(map(sparse_row, s._urows[s.rank:]), s._rows)
+    return Sparse(map(sparse_row, s._u[s.rank:]), s._rows)
 
 
 def preimage_basis(m, target_rel) -> Sparse:
@@ -430,12 +417,14 @@ def preimage_basis(m, target_rel) -> Sparse:
 
 
 def row_hnf(rows, cols: int) -> Sparse:
-    """Canonical (row-style Hermite) basis of the lattice spanned by rows.
+    """An echelon basis of the lattice spanned by rows: leading columns rise
+    strictly and every pivot is positive.
 
-    Used for subgroup equality: two spanning sets give the same lattice iff
-    their HNFs are identical.  Each row in turn is reduced against the
-    basis row with its leading column (by the extended gcd when the leading
-    entries do not divide), then the entries above each pivot are reduced.
+    Deterministic for a given row list, but not canonical: two spanning
+    sets of one lattice can give different bases.  Each row in turn is
+    reduced against the basis row with its leading column (by the extended
+    gcd when the leading entries do not divide), then the entries above
+    each pivot are reduced, from the last pivot up.
     """
     basis: list[dict] = []
     pivot_of: dict[int, int] = {}
@@ -565,9 +554,12 @@ class FgAbGroup:
         return FgAbGroup(k, Sparse.distinct(self.rels + Sparse.of(rows, k), k))
 
     def __repr__(self):
+        return group_str(self.to_json())
+
+    def to_json(self) -> dict:
+        """The canonical form as {"invariant_factors": [...], "rank": r}, the one group description."""
         inv, rank = self.canonical_form
-        parts = [f"Z/{d}" for d in inv] + ["Z"] * rank
-        return " + ".join(parts) if parts else "0"
+        return {"invariant_factors": list(inv), "rank": rank}
 
     @cached_property
     def _reduction(self) -> tuple[Sparse, _SNF, tuple]:
@@ -579,12 +571,9 @@ class FgAbGroup:
         eliminated columns of a kernel element, leaving a survivor row that
         proj fixes, so zero.  The pivots lie in span(R) and proj(R) spans
         what the residual spans, hence the claim and ℤ^k/R ≅ ℤ^s/residual.
-        The SNF keeps no row-operation log: no question reads its U.
         """
         _, proj, residual, kept = _eliminate_units(self.rels)
-        s = _SNF(residual)
-        del s._row_ops
-        return proj, s, kept
+        return proj, _SNF(residual), kept
 
     @cached_property
     def _rel_index(self) -> dict:
@@ -696,6 +685,12 @@ class FgAbGroup:
 
     def __hash__(self):
         return hash((self.num_generators, self.rels))
+
+
+def group_str(desc: dict) -> str:
+    """A group description (``FgAbGroup.to_json``) written Z/d1 + ... + Z + ..., or 0."""
+    parts = [f"Z/{d}" for d in desc["invariant_factors"]] + ["Z"] * desc["rank"]
+    return " + ".join(parts) if parts else "0"
 
 
 def free_group(rank: int) -> FgAbGroup:
@@ -863,29 +858,28 @@ class Subquotient:
     coordinates: kernels (no boundary rows), fixed-point levels and homology
     all go through it.  Keeps the cycle lattice (the Sparse ``lattice``) so
     that elements of the ambient group can be projected to classes and chain
-    maps can be pushed to induced maps.  The lattice is factored once, on
-    the first solve.
+    maps can be pushed to induced maps.  The lattice is the echelon basis
+    of ``row_hnf``, so coordinates are found by back-substitution
+    (``solve_left``) through the leading-column index ``pivot``, built once
+    beside it; the lattice is never factored.
     """
 
     def __init__(self, ambient: FgAbGroup, cycle_rows, boundary_rows):
         k = ambient.num_generators
         self.ambient = ambient
         self.lattice = lat = row_hnf(Sparse(Sparse.of(cycle_rows, k) + ambient.rels, k), k)
+        self.pivot = {row[0][0]: i for i, row in enumerate(lat)}
         rel = []
         for r in Sparse.distinct(Sparse.of(boundary_rows, k) + ambient.rels, k):
-            coeffs = solve_left(lat, r, self._cycle_snf)
+            coeffs = solve_left(lat, r, self.pivot)
             if coeffs is None:
                 raise NotInSubgroupError("boundary not contained in cycles")
             rel.append(coeffs)
         self.group = FgAbGroup(len(lat), Sparse(rel, len(lat)))
 
-    @cached_property
-    def _cycle_snf(self) -> _SNF:
-        return _SNF(self.lattice)
-
     def coords(self, x: SparseRow) -> SparseRow:
         """Coordinates of the cycle x in the lattice basis, as sparse rows."""
-        coeffs = solve_left(self.lattice, x, self._cycle_snf)
+        coeffs = solve_left(self.lattice, x, self.pivot)
         if coeffs is None:
             raise NotInSubgroupError("element is not a cycle")
         return coeffs

@@ -231,13 +231,7 @@ class TowerReport:
     def to_json(self):
         return {
             "stages": [
-                {
-                    "n": s.exponent,
-                    "group": {
-                        "invariant_factors": list(s.group.invariant_factors),
-                        "rank": s.group.free_rank,
-                    },
-                }
+                {"n": s.exponent, "group": s.group.to_json()}
                 for s in self.stages
             ],
             "maps": [[list(r) for r in h.matrix] for h in self.maps],

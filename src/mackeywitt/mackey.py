@@ -147,10 +147,7 @@ class MackeyFunctor:
 
     def to_json(self) -> dict:
         n = self.ctx.n
-        levels = {}
-        for d in self.ctx.divisors:
-            inv, rank = self.level[d].canonical_form
-            levels[str(d)] = {"invariant_factors": list(inv), "rank": rank}
+        levels = {str(d): self.level[d].to_json() for d in self.ctx.divisors}
         res = {}
         tr = {}
         for (d, e) in prime_edges(self.ctx):

@@ -435,3 +435,27 @@ def test_closed_stdout_exits_141_without_stderr(tmp_path, argv, unbuffered):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+# x·x = y, y·y = x and x·y = y·x = 0: associativity fails at (x,x,y) and at (y,y,x)
+NON_ASSOCIATIVE = {
+    "elements": ["0", "1", "x", "y"], "zero": "0", "one": "1",
+    "table": [["0", "0", "0", "0"], ["0", "1", "x", "y"], ["0", "x", "y", "0"], ["0", "y", "0", "x"]],
+    "action": ["0", "1", "x", "y"],
+}
+
+
+def test_monoid_refusal_names_the_same_triple_under_every_hash_seed(tmp_path):
+    # string hashes differ between the two seeds, so a loop over a set would
+    # meet a different failing triple first (under seed 1 or 2, one each)
+    mfile = tmp_path / "nonassoc.json"
+    mfile.write_text(json.dumps(NON_ASSOCIATIVE))
+    results = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mackeywitt.cli", "monoid", "--file", str(mfile), "--ring", "Z", "--n", "2"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        results.append((proc.returncode, proc.stdout, proc.stderr))
+    assert results[0] == results[1] == (2, "", "error: invalid monoid: associativity fails at (x,x,y)\n")

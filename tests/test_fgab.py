@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_snf import identity_matrix
+from dense_snf import dense_solve_left, identity_matrix
 from mackeywitt.fgab import (
     AbHom,
     CompositeNotZeroError,
@@ -26,6 +26,7 @@ from mackeywitt.fgab import (
     nonzeros,
     preimage_basis,
     row_hnf,
+    row_mul,
     snf,
     solve_left,
     tensor,
@@ -362,15 +363,62 @@ def test_in_rowspan_agrees_with_solve_left_without_building_u(shaped, data):
     b = tuple(data.draw(st.lists(entries, min_size=cols, max_size=cols)))
     s = _SNF(m)
     member = s.spans(s.coords(nonzeros(b))) if m else not any(b)
-    x = solve_left(m, nonzeros(b))
+    h = row_hnf(m, cols)
+    x = solve_left(h, nonzeros(b))
     assert member == (x is not None)
-    assert x is None or _combination(dense_row(x, len(m)), m, cols) == b
+    assert x is None or _combination(dense_row(x, len(h)), mat(h), cols) == b
     # an independent decision: adding b leaves the Hermite basis unchanged
     assert member == (row_hnf(m + (b,), cols) == row_hnf(m, cols))
     x = data.draw(st.lists(entries, min_size=len(m), max_size=len(m)))
     b = _combination(x, m, cols)
     assert s.spans(s.coords(nonzeros(b))) if m else not any(b)
     assert "u" not in vars(s), "membership must not build U"
+
+
+@st.composite
+def matrices_with_repeats(draw):
+    """(cols, m): a matrix of ``shaped_matrices`` with some rows repeated and zero rows added, shuffled."""
+    cols, m = draw(shaped_matrices())
+    extra = draw(st.lists(st.sampled_from(m + ((0,) * cols,)), max_size=3))
+    return cols, tuple(draw(st.permutations(m + tuple(extra))))
+
+
+def test_row_hnf_is_not_canonical():
+    # two spanning sets of one lattice, two different echelon bases
+    a, b = [(1, 1, 0), (0, 1, 6), (0, 0, 8)], [(1, 0, 2), (0, 1, 6), (0, 0, 8)]
+    assert mat(row_hnf(a, 3)) == ((1, 0, -6), (0, 1, 6), (0, 0, 8))
+    assert mat(row_hnf(b, 3)) == ((1, 0, 2), (0, 1, 6), (0, 0, 8))
+    for x, y in ((a, b), (b, a)):
+        assert all(FgAbGroup(3, x).same_class(nonzeros(r), ()) for r in y)
+
+
+@settings(deadline=None)
+@given(matrices_with_repeats())
+def test_row_hnf_is_an_echelon_basis_of_its_lattice(shaped):
+    cols, m = shaped
+    h = row_hnf(m, cols)
+    assert all(h)
+    lead = [row[0][0] for row in h]
+    assert lead == sorted(set(lead)), "leading columns rise strictly"
+    assert all(row[0][1] > 0 for row in h), "pivots are positive"
+    assert all(solve_left(h, nonzeros(r)) is not None for r in m)
+    g = FgAbGroup(cols, m)
+    assert all(g.same_class(row, ()) for row in h)
+
+
+@settings(deadline=None)
+@given(matrices_with_repeats(), st.data())
+def test_solve_left_back_substitutes_on_the_echelon_basis(shaped, data):
+    cols, m = shaped
+    h = row_hnf(m, cols)
+    pivot = {row[0][0]: i for i, row in enumerate(h)}
+    x = data.draw(st.lists(entries, min_size=len(m), max_size=len(m)))
+    b = tuple(data.draw(st.lists(entries, min_size=cols, max_size=cols)))
+    for rhs in (b, _combination(x, m, cols)):
+        y = solve_left(h, nonzeros(rhs))
+        assert (y is None) == (dense_solve_left(m, rhs) is None)
+        assert y is None or row_mul(y, h) == nonzeros(rhs)
+        assert solve_left(h, nonzeros(rhs), pivot) == y
 
 
 @settings(deadline=None)
@@ -456,8 +504,7 @@ def test_group_questions_read_no_u():
 
 def test_relation_snf_keeps_no_row_operation_log():
     # whatever is asked of a group, it caches no factorization but its one
-    # reduction, whose residual SNF keeps no row-operation log: no question
-    # reads its U
+    # reduction, and no question builds the residual SNF's dense U
     rels = [(2, 1, 0), (0, 4, 2), (6, 0, 3)]
     g = FgAbGroup(3, rels)
     assert g.order() == 36
@@ -467,16 +514,11 @@ def test_relation_snf_keeps_no_row_operation_log():
     assert g.same_class(((0, 6), (2, 3)), ())
     AbHom(g, g, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])  # images 3·r are no relation rows: a miss
     assert set(vars(g)) == {"_reduction", "_rel_index", "canonical_form"}
-    assert "_row_ops" not in vars(g._reduction[1]) and "u" not in vars(g._reduction[1])
-    # an SNF that is solved against keeps its log until U is replayed
-    s = _SNF(g.rels)
-    assert "_row_ops" in vars(s)
-    assert solve_left(g.rels, g.rels[0], s) == ((0, 1),)
-    assert "_row_ops" not in vars(s)
+    assert "u" not in vars(g._reduction[1])
 
 
 # ---------------------------------------------------------------------------
-# a lattice that is solved against repeatedly is factored once
+# a lattice that is solved against is never factored: it is an echelon basis
 
 
 @pytest.fixture
@@ -498,7 +540,7 @@ def test_kernel_factors_its_lattice_once(snf_counts):
     f = AbHom(src, cyclic_group(2), [(1,), (1,), (1,)])
     k, incl = f.kernel()
     assert k.order() == 120
-    assert snf_counts[incl.matrix] == 1
+    assert snf_counts[incl.matrix] == 0
 
 
 def test_subquotient_factors_its_cycle_lattice_once(snf_counts):
@@ -508,15 +550,15 @@ def test_subquotient_factors_its_cycle_lattice_once(snf_counts):
     assert sq.group.canonical_form == ((2, 6), 0)
     for x in [((0, 1), (1, 1)), ((1, 2), (2, 1)), ((0, 3), (1, 5), (2, 2))]:
         sq.coords(x)
-    assert snf_counts[mat(sq.lattice)] == 1
+    assert snf_counts[mat(sq.lattice)] == 0
 
 
 def test_fixed_point_mackey_factors_each_fixed_lattice_once(snf_counts):
     rotation = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
     m = fixed_point_mackey(GroupContext(3), free_group(3), rotation)
     assert m.level[3].canonical_form == ((), 1)
-    assert snf_counts[identity_matrix(3)] == 1  # C_1 fixes every vector
-    assert snf_counts[((1, 1, 1),)] == 1  # C_3 fixes the diagonal
+    assert snf_counts[identity_matrix(3)] == 0  # C_1 fixes every vector
+    assert snf_counts[((1, 1, 1),)] == 0  # C_3 fixes the diagonal
 
 
 # ---------------------------------------------------------------------------

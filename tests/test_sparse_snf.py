@@ -35,6 +35,7 @@ from mackeywitt.fgab import (
     mat,
     mat_mul,
     nonzeros,
+    row_hnf,
     row_mul,
     snf,
     solve_left,
@@ -138,8 +139,10 @@ def test_readers_agree_with_the_dense_oracle(shaped, data):
     for rhs in (b, member):
         expected = dense_solve(dense, rhs) is not None if m else not any(rhs)
         assert (sparse.spans(sparse.coords(nonzeros(rhs))) if m else not any(rhs)) == expected
-        x = solve_left(m, nonzeros(rhs), sparse)
-        assert (x if x is None else dense_row(x, len(m))) == dense_solve_left(m, rhs)
+        h = row_hnf(m, cols)
+        x = solve_left(h, nonzeros(rhs))
+        assert (x is None) == (dense_solve_left(m, rhs) is None)
+        assert x is None or row_mul(x, h) == nonzeros(rhs)
     assert sparse.spans(sparse.coords(nonzeros(member))) if m else not any(member)
     assert mat(kernel_basis(m)) == (dense.u[dense.rank:] if m else ())
     u, d, v = snf(m)
@@ -216,7 +219,7 @@ def test_random_dense_matrices_including_divisibility_folds():
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         m = mat([[rng.randint(-12, 12) for _ in range(cols)] for _ in range(rows)])
         sparse, dense = _SNF(m), DenseSNF(m)
-        folds += any(len(op) == 6 for op in sparse._row_ops)  # d_i ∤ d_{i+1} was repaired
+        folds += any(len(op) == 6 for op in dense._row_ops)  # d_i ∤ d_{i+1} was repaired
         assert (sparse.diagonal, sparse.u, sparse.v, sparse.vinv) == (dense.diagonal, dense.u, dense.v, dense.vinv)
     assert folds
 
@@ -266,6 +269,6 @@ def repivot_and_fold_matrices(draw):
 @settings(deadline=None, max_examples=150)
 @given(repivot_and_fold_matrices())
 def test_pivot_cache_survives_repivots_and_folds(m):
-    sparse = _SNF(m)
-    assert any(len(op) == 6 for op in sparse._row_ops)  # a fold was made
-    assert _factorization(sparse) == _factorization(DenseSNF(m))
+    dense = DenseSNF(m)
+    assert any(len(op) == 6 for op in dense._row_ops)  # a fold was made
+    assert _factorization(_SNF(m)) == _factorization(dense)
