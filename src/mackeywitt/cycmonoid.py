@@ -2,25 +2,27 @@
 
 A pointed monoid M gives the Green functor R̲[M] = R̲ □ A̅[M], where A̅[M] is
 the sum of representables on the nonzero orbits with multiplication induced
-by M.  The relative cyclic nerve of M is a simplicial pointed C_n-set; its
-equivariant cellular chains, boxed degreewise against the twisted cyclic
-nerve of R̲, map to the twisted cyclic nerve of R̲[M] by multiplication.
+by M.  The relative cyclic nerve of M is a simplicial pointed C_n-set, the
+cyclic bar construction (``hochschild.cyclic_bar``) on M; its equivariant
+cellular chains, boxed degreewise against the twisted cyclic nerve of R̲,
+map to the twisted cyclic nerve of R̲[M] by multiplication.
 Homology agreement of that map in bounded degrees is the checkable form of
 the splitting.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import product
 
 from . import spans
 from .fgab import AbHom, Sparse, row_mul, sparse_row
 from .green import BoxPresentation, box, box_hom
 from .hochschild import (
-    MackeyComplex,
     MackeyHomology,
     SimplicialMackey,
+    cyclic_bar,
     moore_complex,
     twisted_cyclic_nerve,
 )
@@ -230,58 +232,6 @@ def monoid_algebra(r, m: PointedGMonoid) -> BoxPresentation:
 # the relative cyclic nerve of a pointed monoid
 
 
-@dataclass
-class SimplicialPointedGSet:
-    """Truncated simplicial pointed C_n-set; None encodes the basepoint.
-
-    action(k, simplex) is the generator's k-th power acting on a simplex.
-    """
-
-    ctx: GroupContext
-    degrees: list          # list of tuples (nonzero simplices)
-    faces: list            # faces[j][i]: dict simplex -> simplex | None
-    degeneracies: list
-    action: Callable
-
-
-def cyclic_nerve_monoid(m: PointedGMonoid, k_max: int) -> SimplicialPointedGSet:
-    """N^cyc_{C_n} M truncated at k_max; j-simplices are smash powers M^∧(j+1)."""
-    ctx = m.ctx
-    degrees = []
-    nonzero = [e for e in m.elements if e != m.zero]
-    cur = [(e,) for e in nonzero]
-    degrees.append(tuple(cur))
-    for j in range(1, k_max + 1):
-        cur = [t + (e,) for t in cur for e in nonzero]
-        degrees.append(tuple(cur))
-
-    def smash(tup):
-        return None if m.zero in tup else tup
-
-    faces = [None]
-    for j in range(1, k_max + 1):
-        fj = []
-        for i in range(j):
-            fj.append({
-                t: smash(t[:i] + (m.mult(t[i], t[i + 1]),) + t[i + 2:])
-                for t in degrees[j]
-            })
-        fj.append({
-            t: smash((m.mult(m.act(1, t[j]), t[0]),) + t[1:j])
-            for t in degrees[j]
-        })
-        faces.append(fj)
-    degens = []
-    for j in range(k_max):
-        degens.append([
-            {t: t[: i + 1] + (m.one,) + t[i + 1:] for t in degrees[j]}
-            for i in range(j + 1)
-        ])
-    return SimplicialPointedGSet(
-        ctx, degrees, faces, degens, action=lambda k, t: None if t is None else tuple(m.act(k, e) for e in t)
-    )
-
-
 def _relabel_hom(ctx, src_rep, src_od: OrbitData, dst_rep, dst_od: OrbitData, fmap) -> MackeyHom:
     """Mackey hom A̅_{src} → A̅_{dst} induced by an equivariant pointed map.
 
@@ -301,40 +251,31 @@ def _relabel_hom(ctx, src_rep, src_od: OrbitData, dst_rep, dst_od: OrbitData, fm
     return MackeyHom(src_rep, dst_rep, maps)
 
 
-@dataclass
-class CellularChains:
-    """Bredon cellular chains of a simplicial pointed C_n-set, Mackey-extended."""
+def cellular_chains(m: PointedGMonoid, k_max: int) -> tuple[SimplicialMackey, list]:
+    """Bredon cellular chains of N^cyc_{C_n} M to degree k_max, Mackey-extended, with the
+    orbit data of each degree.
 
-    simplicial: SimplicialMackey
-    complex: MackeyComplex
-    orbit_data: list  # per degree
+    The j-simplices are the (j+1)-tuples of nonzero elements (the smash power M^∧(j+1)),
+    X(f) of a map f of Δ is ``cyclic_bar`` with M's product, the generator's action and 1,
+    and a simplex that contains 0 is the basepoint.
+    """
+    ctx = m.ctx
+    nonzero = [e for e in m.elements if e != m.zero]
+    twist = partial(m.act, 1)
+    ods = [
+        orbit_data(ctx, product(nonzero, repeat=j + 1), lambda k, t: tuple(m.act(k, e) for e in t), None)
+        for j in range(k_max + 1)
+    ]
+    reps = [representable(ctx, od.stabs) for od in ods]
 
+    def op(f, j: int) -> MackeyHom:
+        def fmap(t):
+            t = tuple(cyclic_bar(f, t, m.mult, twist, m.one))
+            return None if m.zero in t else t
 
-def cellular_chains(x: SimplicialPointedGSet, k_max: int) -> CellularChains:
-    ctx = x.ctx
-    if k_max > len(x.degrees) - 1:
-        raise ValueError("simplicial set truncated too low")
-    ods = []
-    reps = []
-    for j in range(k_max + 1):
-        od = orbit_data(ctx, x.degrees[j], x.action, None)
-        ods.append(od)
-        reps.append(representable(ctx, od.stabs))
-    faces = [None]
-    for j in range(1, k_max + 1):
-        faces.append([
-            _relabel_hom(ctx, reps[j], ods[j], reps[j - 1], ods[j - 1], x.faces[j][i].get)
-            for i in range(j + 1)
-        ])
-    degens = []
-    for j in range(k_max):
-        degens.append([
-            _relabel_hom(ctx, reps[j], ods[j], reps[j + 1], ods[j + 1], x.degeneracies[j][i].get)
-            for i in range(j + 1)
-        ])
-    simp = SimplicialMackey(ctx, reps, faces, degens)
-    simp.check_identities()
-    return CellularChains(simp, moore_complex(simp), ods)
+        return _relabel_hom(ctx, reps[j], ods[j], reps[len(f) - 1], ods[len(f) - 1], fmap)
+
+    return SimplicialMackey.from_delta(ctx, reps, op), ods
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +307,7 @@ def splitting_check(pres: BoxPresentation, m: PointedGMonoid, max_k: int) -> Spl
     rm = pres.mackey
     nerve_rm = twisted_cyclic_nerve(rm, k_max)
     nerve_r = twisted_cyclic_nerve(r, k_max)
-    cells = cellular_chains(cyclic_nerve_monoid(m, k_max), k_max)
+    cells, cell_orbits = cellular_chains(m, k_max)
 
     # unit-against-A̅[M] inclusion R → R[M]
     iota_maps = {}
@@ -380,7 +321,7 @@ def splitting_check(pres: BoxPresentation, m: PointedGMonoid, max_k: int) -> Spl
     z_faces = [None]
     phis = []
     for j in range(k_max + 1):
-        zp = box(nerve_r.degrees[j], cells.simplicial.degrees[j])
+        zp = box(nerve_r.degrees[j], cells.degrees[j])
         z_pres.append(zp)
 
         alpha = box_hom(
@@ -390,8 +331,8 @@ def splitting_check(pres: BoxPresentation, m: PointedGMonoid, max_k: int) -> Spl
         )
         # Yoneda image of each cell orbit: the class of its R[M]-monomial tuple
         beta_values = {}
-        for oi, rep_tuple in enumerate(cells.orbit_data[j].reps):
-            s = cells.orbit_data[j].stabs[oi]
+        for oi, rep_tuple in enumerate(cell_orbits[j].reps):
+            s = cell_orbits[j].stabs[oi]
             slot_rows = []
             for mm in rep_tuple:
                 u = ((am.span_pos[s][element_span(ctx.n, od, mm, (s, 0), s)], 1),)
@@ -401,8 +342,8 @@ def splitting_check(pres: BoxPresentation, m: PointedGMonoid, max_k: int) -> Spl
 
         def phi_row(d, e, tup):
             x_idx, c_idx = tup
-            (oi, sp) = cells.simplicial.degrees[j].span_basis[e][c_idx]
-            beta_row = spans.apply_span(hc_rm_j, cells.orbit_data[j].stabs[oi], e, sp, beta_values[oi])
+            (oi, sp) = cells.degrees[j].span_basis[e][c_idx]
+            beta_row = spans.apply_span(hc_rm_j, cell_orbits[j].stabs[oi], e, sp, beta_values[oi])
             prod = sparse_product(hc_rm_j.mult[e], alpha.maps[e].rows[x_idx], beta_row)
             return row_mul(prod, hc_rm_j.tr_full(e, d).rows)
 
@@ -410,7 +351,7 @@ def splitting_check(pres: BoxPresentation, m: PointedGMonoid, max_k: int) -> Spl
 
     for j in range(1, k_max + 1):
         z_faces.append([
-            box_hom(z_pres[j], z_pres[j - 1], [nerve_r.face(j, i), cells.simplicial.face(j, i)])
+            box_hom(z_pres[j], z_pres[j - 1], [nerve_r.face(j, i), cells.face(j, i)])
             for i in range(j + 1)
         ])
 

@@ -11,6 +11,7 @@ certifies that it commutes with every face, degeneracy, and structure map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .fgab import AbHom, FgAbGroup, Sparse
 from .green import BoxPresentation
@@ -171,12 +172,13 @@ def cyclotomic_check_norm(ring: BaseRing, n: int, m: int, max_degree: int) -> Re
 def edgewise_comparison_norm(ring: BaseRing, n: int, j: int, max_degree: int) -> Report:
     """i_J^* HC^{C_n}(norm R) ≅ sd_{n/j} HC^{C_j}(norm R) degreewise.
 
-    The comparison map groups each block of n/j consecutive box slots into
-    one slot by Witt multiplication; it must be a natural isomorphism
+    The comparison map θ groups each block of n/j consecutive box slots into
+    one slot by Witt multiplication, ``cyclic_bar`` of the block map
+    t ↦ (n/j)·t + n/j - 1; it must be a natural isomorphism
     commuting with all faces and degeneracies (the subdivided ones on the
     source, the restricted ones on the target).
     """
-    from .hochschild import edgewise_subdivision
+    from .hochschild import cyclic_bar, edgewise_subdivision
     from .mackey import restrict
 
     if n % j:
@@ -190,18 +192,15 @@ def edgewise_comparison_norm(ring: BaseRing, n: int, j: int, max_degree: int) ->
     nerve_big = twisted_cyclic_nerve(big, max_degree)
     restricted = nerve_big.reindexed([restrict(x, j) for x in nerve_big.degrees], lambda d: d)
 
+    mul = {e: partial(sparse_product, big.mult[e]) for e in big.ctx.divisors}
     thetas = []
     for deg in range(max_degree + 1):
         dst_pres = nerve_big.presentations[deg]
+        # slot t is the block r·t .. r·t + r - 1, so no unit and no twist is read
+        blocks = tuple(r * t + r - 1 for t in range(deg + 1))
 
         def row(d, e, tup):
-            slot_rows = []
-            for t in range(deg + 1):
-                acc = ((tup[r * t], 1),)
-                for s in range(1, r):
-                    acc = sparse_product(big.mult[e], acc, ((tup[r * t + s], 1),))
-                slot_rows.append(acc)
-            return dst_pres.expand(d, e, slot_rows)
+            return dst_pres.expand(d, e, cyclic_bar(blocks, [((t, 1),) for t in tup], mul[e], None, None))
 
         src_pres = nerve_small.presentations[r * (deg + 1) - 1]
         thetas.append(src_pres.hom(restricted.degrees[deg], row, natural=False))

@@ -1,15 +1,18 @@
 """Twisted cyclic nerve and twisted Hochschild homology of a Green functor.
 
 Degree j of the nerve is the (j+1)-fold box power, a Green functor like
-R itself; inner faces multiply adjacent slots, the last face rotates the
-final slot to the front, twists it by the distinguished generator, and
-multiplies.  Homology is taken from the unnormalized (Moore) complex, which
-has the same homology as the normalized one.
+R itself.  Every face and degeneracy is ``cyclic_bar`` of its map of Δ:
+inner faces multiply adjacent slots, the last face rotates the final slot
+to the front, twists it by the distinguished generator, and multiplies,
+and degeneracies insert the unit.  Homology is taken from the unnormalized
+(Moore) complex, which has the same homology as the normalized one.
 """
 
 from __future__ import annotations
 
-from .fgab import AbHom, FgAbGroup, homology_subquotient
+from functools import partial, reduce
+
+from .fgab import AbHom, FgAbGroup, homology_subquotient, row_mul
 from .green import (
     box_power,
     full_transfer_identification,
@@ -32,14 +35,34 @@ class SimplicialIdentityError(AssertionError):
     """A face/degeneracy identity failed; indicates a construction bug."""
 
 
-def _delta(m: int, i: int) -> tuple[int, ...]:
+def face_map(m: int, i: int) -> tuple[int, ...]:
     """δ_i : [m-1] → [m], the map of Δ of the face d_i out of degree m."""
     return tuple(v for v in range(m + 1) if v != i)
 
 
-def _sigma(m: int, j: int) -> tuple[int, ...]:
+def degeneracy_map(m: int, j: int) -> tuple[int, ...]:
     """σ_j : [m+1] → [m], the map of Δ of the degeneracy s_j out of degree m."""
     return tuple(range(j + 1)) + tuple(range(j, m + 1))
+
+
+def cyclic_bar(f: tuple[int, ...], slots, mul, twist, unit) -> list:
+    """The slots of X(f)(x) for a map f : [a] → [b] of Δ and the slots x_0..x_b of a
+    cyclic bar construction X.
+
+    Slot t is the left-to-right product under ``mul`` of the x_v with f(t-1) < v ≤ f(t);
+    slot 0 has the twisted slots past f(a), ``twist(x_v)`` for v > f(a), in front.  An
+    empty product is ``unit`` and a one-slot product is that slot itself.
+    """
+    if f[0] == 0 and f[-1] == len(slots) - 1:  # slot 0 is x_0 alone
+        out = [slots[0]]
+    else:  # never empty: slot 0 has x_0
+        out = [reduce(mul, [*map(twist, slots[f[-1] + 1:]), *slots[: f[0] + 1]])]
+    for lo, hi in zip(f, f[1:]):
+        if hi == lo + 1:
+            out.append(slots[hi])
+        else:
+            out.append(reduce(mul, slots[lo + 1 : hi + 1]) if hi > lo else unit)
+    return out
 
 
 class SimplicialMackey:
@@ -55,6 +78,17 @@ class SimplicialMackey:
         self.faces = list(faces)
         self.degeneracies = list(degeneracies)
         self.presentations = presentations
+
+    @classmethod
+    def from_delta(cls, ctx, degrees, op, presentations=None) -> "SimplicialMackey":
+        """The simplicial object whose face or degeneracy out of degree j with map f of Δ
+        is op(f, j) : X_j → X_{len(f)-1}, its identities certified."""
+        k = len(degrees) - 1
+        faces = [None] + [[op(face_map(j, i), j) for i in range(j + 1)] for j in range(1, k + 1)]
+        degens = [[op(degeneracy_map(j, i), j) for i in range(j + 1)] for j in range(k)]
+        x = cls(ctx, degrees, faces, degens, presentations)
+        x.check_identities()
+        return x
 
     @property
     def max_degree(self) -> int:
@@ -84,8 +118,9 @@ class SimplicialMackey:
         k = self.max_degree
 
         def ops(m):  # (name, hom, its map of Δ, target degree) out of degree m
-            out = [(f"d_{i}", self.face(m, i), _delta(m, i), m - 1) for i in range(m + 1) if m]
-            return out + [(f"s_{j}", self.degeneracy(m, j), _sigma(m, j), m + 1) for j in range(m + 1) if m < k]
+            out = [(f"d_{i}", self.face(m, i), face_map(m, i), m - 1) for i in range(m + 1) if m]
+            degens = range(m + 1) if m < k else ()
+            return out + [(f"s_{j}", self.degeneracy(m, j), degeneracy_map(m, j), m + 1) for j in degens]
 
         for m in range(k + 1):
             groups: dict = {}
@@ -152,35 +187,20 @@ def twisted_cyclic_nerve(r, k_max: int) -> SimplicialMackey:
     """
     require_nerve_budget({d: r.level[d].num_generators for d in r.ctx.divisors}, k_max)
     pres = [box_power(r, j + 1) for j in range(k_max + 1)]
+    mul = {e: partial(sparse_product, r.mult[e]) for e in r.ctx.divisors}
+    twist = {e: partial(row_mul, b=r.weyl[e].rows) for e in r.ctx.divisors}
+    gen = {e: [((t, 1),) for t in range(r.level[e].num_generators)] for e in r.ctx.divisors}  # generator rows
 
-    def gens(tup):
-        return [((t, 1),) for t in tup]
-
-    def face(i: int, j: int) -> MackeyHom:
-        """d_i from the (j+1)-slot box power to the j-slot one."""
+    def op(f, j: int) -> MackeyHom:
+        """X(f) from the (j+1)-slot box power to the len(f)-slot one."""
+        dst = pres[len(f) - 1]
 
         def row(d, e, tup):
-            if i < j:
-                slot_rows = gens(tup[:i]) + [r.mult[e][tup[i]][tup[i + 1]]] + gens(tup[i + 2:])
-            else:
-                twisted = r.weyl[e].rows[tup[j]]
-                slot_rows = [sparse_product(r.mult[e], twisted, ((tup[0], 1),))] + gens(tup[1:j])
-            return pres[j - 1].expand(d, e, slot_rows)
+            return dst.expand(d, e, cyclic_bar(f, [*map(gen[e].__getitem__, tup)], mul[e], twist[e], r.unit[e]))
 
-        return pres[j].hom(pres[j - 1].mackey, row)
+        return pres[j].hom(dst.mackey, row)
 
-    def degeneracy(i: int, j: int) -> MackeyHom:
-        def row(d, e, tup):
-            slot_rows = gens(tup[: i + 1]) + [r.unit[e]] + gens(tup[i + 1:])
-            return pres[j + 1].expand(d, e, slot_rows)
-
-        return pres[j].hom(pres[j + 1].mackey, row)
-
-    faces = [None] + [[face(i, j) for i in range(j + 1)] for j in range(1, k_max + 1)]
-    degens = [[degeneracy(i, j) for i in range(j + 1)] for j in range(k_max)]
-    x = SimplicialMackey(r.ctx, [p.mackey for p in pres], faces, degens, presentations=pres)
-    x.check_identities()
-    return x
+    return SimplicialMackey.from_delta(r.ctx, [p.mackey for p in pres], op, presentations=pres)
 
 
 class MackeyHomology:
@@ -249,12 +269,9 @@ def hh0_oracle(r) -> GreenFunctor:
     return quotient_by_green_ideal(r, gens)
 
 
-def hh0_green(r, nerve: SimplicialMackey | None = None):
-    """HH_0 presented as a quotient of R itself (Green structure descends).
-
-    Returns (green_quotient, boundary_image_rows) where the rows, per
-    level, span the image of ∂_1 transported along R^{□1} ≅ R.
-    """
+def hh0_green(r, nerve: SimplicialMackey | None = None) -> GreenFunctor:
+    """HH_0 presented as a quotient of R itself (Green structure descends): R modulo,
+    at each level, the image of ∂_1 transported along R^{□1} ≅ R."""
     if nerve is None:
         nerve = twisted_cyclic_nerve(r, 1)
     iota = full_transfer_identification(nerve.presentations[0])
@@ -263,7 +280,7 @@ def hh0_green(r, nerve: SimplicialMackey | None = None):
     cx = moore_complex(nerve)
     boundary = cx.boundaries[1].compose(iota)
     rows = {d: boundary.maps[d].rows for d in r.ctx.divisors}
-    return quotient(r, rows, f"{r.name}/ideal"), rows
+    return quotient(r, rows, f"{r.name}/ideal")
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +321,5 @@ def edgewise_subdivision(x: SimplicialMackey, r: int) -> SimplicialMackey:
     def block(f, j):  # f on each of the r blocks of j + 1 vertices of [r(j+1)-1]
         return apply_monotone(x, tuple(t * (j + 1) + v for t in range(r) for v in f), r * (j + 1) - 1)
 
-    faces = [None] + [[block(_delta(j, i), j) for i in range(j + 1)] for j in range(1, out_max + 1)]
-    degens = [[block(_sigma(j, i), j) for i in range(j + 1)] for j in range(out_max)]
-    out = SimplicialMackey(x.ctx, degrees, faces, degens)
-    out.check_identities()
-    return out
+    return SimplicialMackey.from_delta(x.ctx, degrees, block)
 

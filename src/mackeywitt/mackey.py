@@ -239,6 +239,8 @@ def sparse_product(table, x, y):
     only the cells at nonzero (x_i, y_j) are read.  It is x times the rows
     y · table[i], so a single-term factor with coefficient 1 is a cell lookup.
     """
+    if len(x) == 1 and x[0][1] == 1:
+        return row_mul(y, table[x[0][0]])
     return row_mul(x, {i: row_mul(y, table[i]) for i, _ in x})
 
 

@@ -164,7 +164,7 @@ def suite_hh0_oracle(seed: int) -> Report:
         )
     for builder in builders:
         r = builder()
-        q, _ = hh0_green(r)
+        q = hh0_green(r)
         oracle = hh0_oracle(r)
         # the same subgroup at each level: either quotient's relations are zero in the other
         ok = all(

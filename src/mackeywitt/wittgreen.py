@@ -55,8 +55,7 @@ def witt_green(arg, n: int | None = None) -> GreenWittVectors:
             raise ValueError("group order n required for a base-ring input")
         require_nerve_budget(norm_level_sizes(arg, n), 1)  # hh0_green's nerve, before the norm
         nm = norm_trivial_ring(arg, n)
-        q, _ = hh0_green(nm)
-        return GreenWittVectors(q, f"W_C{n}({arg!r})", norm=nm)
+        return GreenWittVectors(hh0_green(nm), f"W_C{n}({arg!r})", norm=nm)
     if not isinstance(arg, GreenFunctor):
         raise UnsupportedRingError("expected a BaseRing or a Green functor")
     if n is not None and n != arg.ctx.n:
@@ -65,8 +64,7 @@ def witt_green(arg, n: int | None = None) -> GreenWittVectors:
             "norm N_{C_k}^{C_nk}, which is out of scope; pass n equal to the "
             "input's group order"
         )
-    q, _ = hh0_green(arg)
-    return GreenWittVectors(q, f"W_C{arg.ctx.n}(GreenFunctor)")
+    return GreenWittVectors(hh0_green(arg), f"W_C{arg.ctx.n}(GreenFunctor)")
 
 
 @dataclass

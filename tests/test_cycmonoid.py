@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import pytest
 
@@ -9,12 +10,12 @@ from mackeywitt.cycmonoid import (
     algebra_level_sizes,
     bredon_green,
     cellular_chains,
-    cyclic_nerve_monoid,
+    element_span,
     monoid_algebra,
     splitting_check,
 )
 from mackeywitt.fgab import free_group
-from mackeywitt.hochschild import MackeyHomology
+from mackeywitt.hochschild import MackeyHomology, cyclic_bar, face_map, moore_complex
 from mackeywitt.mackey import (
     GroupContext,
     RingData,
@@ -213,42 +214,49 @@ def test_monoid_algebra_agrees_with_orbitwise_sum(n):
 
 
 def test_cyclic_nerve_two_point_monoid_is_point():
-    ctx = GroupContext(2)
-    nv = cyclic_nerve_monoid(two_point_monoid(ctx), 3)
+    _, orbits = cellular_chains(two_point_monoid(GroupContext(2)), 3)
     for j in range(4):
-        assert nv.degrees[j] == (tuple(["1"] * (j + 1)),)
+        assert tuple(orbits[j].locate) == (tuple(["1"] * (j + 1)),)
 
 
 def test_cyclic_nerve_dual_numbers_simplices():
-    ctx = GroupContext(1)
-    nv = cyclic_nerve_monoid(dual_numbers_monoid(ctx), 2)
-    assert sorted(nv.degrees[1]) == [("1", "1"), ("1", "x"), ("x", "1"), ("x", "x")]
+    _, orbits = cellular_chains(dual_numbers_monoid(GroupContext(1)), 2)
+    assert sorted(orbits[1].locate) == [("1", "1"), ("1", "x"), ("x", "1"), ("x", "x")]
 
 
 def test_cyclic_nerve_last_face_twist():
-    ctx = GroupContext(2)
-    nv = cyclic_nerve_monoid(swap_pair_monoid(ctx), 1)
+    m = swap_pair_monoid(GroupContext(2))
+    twist = partial(m.act, 1)
     # d_1 (1, a) = (gamma a) * 1 = b
-    assert nv.faces[1][1][("1", "a")] == ("b",)
-    assert nv.faces[1][0][("1", "a")] == ("a",)
+    assert cyclic_bar(face_map(1, 1), ("1", "a"), m.mult, twist, m.one) == ["b"]
+    assert cyclic_bar(face_map(1, 0), ("1", "a"), m.mult, twist, m.one) == ["a"]
+    # and on the cells: at level 1, "evaluate at (1, a)" goes to "evaluate at b" under d_1
+    cells, orbits = cellular_chains(m, 1)
+
+    def evaluate_at(j, simplex):
+        return cells.degrees[j].span_pos[1][element_span(2, orbits[j], simplex, (1, 0), 1)]
+
+    src = evaluate_at(1, ("1", "a"))
+    assert cells.face(1, 1).maps[1].rows[src] == ((evaluate_at(0, ("b",)), 1),)
+    assert cells.face(1, 0).maps[1].rows[src] == ((evaluate_at(0, ("a",)), 1),)
 
 
 def test_cellular_chains_point():
     ctx = GroupContext(2)
-    cells = cellular_chains(cyclic_nerve_monoid(two_point_monoid(ctx), 2), 2)
-    h0 = MackeyHomology(cells.complex, 0)
+    cells, _ = cellular_chains(two_point_monoid(ctx), 2)
+    cx = moore_complex(cells)
+    h0 = MackeyHomology(cx, 0)
     b = burnside(ctx)
     for d in ctx.divisors:
         assert h0.mackey.level[d].canonical_form == b.level[d].canonical_form
-    h1 = MackeyHomology(cells.complex, 1)
+    h1 = MackeyHomology(cx, 1)
     for d in ctx.divisors:
         assert h1.mackey.level[d].is_trivial()
 
 
 def test_cellular_h0_dual_numbers_c1():
-    ctx = GroupContext(1)
-    cells = cellular_chains(cyclic_nerve_monoid(dual_numbers_monoid(ctx), 2), 2)
-    h0 = MackeyHomology(cells.complex, 0)
+    cells, _ = cellular_chains(dual_numbers_monoid(GroupContext(1)), 2)
+    h0 = MackeyHomology(moore_complex(cells), 0)
     assert h0.mackey.level[1].canonical_form == ((), 2)
 
 

@@ -7,9 +7,10 @@ subgroups, ẼF levels and ghost quotients pass their stacked rows through
 """
 
 import pytest
+from subgroups import same_subgroup
 
 from mackeywitt import fgab
-from mackeywitt.fgab import AbHom, FgAbGroup, NotInSubgroupError, Sparse, Subquotient, row_hnf
+from mackeywitt.fgab import AbHom, FgAbGroup, NotInSubgroupError, Sparse, Subquotient
 from mackeywitt.geomfix import _maximal_non_multiples, tilde_ef
 from mackeywitt.green import box_power
 from mackeywitt.hochschild import MackeyHomology, moore_complex, twisted_cyclic_nerve
@@ -30,7 +31,7 @@ def assert_distinct(group: FgAbGroup):
 
 def assert_same_span(group: FgAbGroup, stacked):
     k = group.num_generators
-    assert row_hnf(group.rels, k) == row_hnf(Sparse(stacked, k), k)
+    assert same_subgroup(group, FgAbGroup(k, Sparse(stacked, k)))
 
 
 def test_distinct_keeps_first_occurrences_of_nonzero_rows():

@@ -13,6 +13,8 @@ import json
 import pytest
 
 from mackeywitt.cli import main
+from mackeywitt.geomfix import edgewise_comparison_norm
+from mackeywitt.wittcore import BaseRing
 
 # The README's dual-numbers monoid {0, 1, x}, x^2 = 0, with trivial action.
 DUAL_NUMBERS = {
@@ -22,6 +24,17 @@ DUAL_NUMBERS = {
     "table": [["0", "0", "0"], ["0", "1", "x"], ["0", "x", "0"]],
     "action": ["0", "1", "x"],
 }
+
+# The noncommutative right-zero band {0, 1, a, b}, xy = y on {a, b}, with trivial action.
+RIGHT_ZERO_BAND = {
+    "elements": ["0", "1", "a", "b"],
+    "zero": "0",
+    "one": "1",
+    "table": [["0", "0", "0", "0"], ["0", "1", "a", "b"], ["0", "a", "a", "b"], ["0", "b", "a", "b"]],
+    "action": ["0", "1", "a", "b"],
+}
+
+MONOIDS = {"DUAL_NUMBERS": DUAL_NUMBERS, "RIGHT_ZERO_BAND": RIGHT_ZERO_BAND}
 
 GOLDEN = [
     (("norm", "--ring", "F_2", "--n", "8", "--json"),
@@ -68,17 +81,32 @@ GOLDEN = [
      "041cd0b6f8317e3960eb690e049fc9fc3625889a9618229bd201f986687c5c36"),
     (("check", "--suite", "all", "--seed", "3", "--json"),
      "3412d4cc5978c355fbf9b300d32097da9ea95684c7dc04d536518821ec478873"),
+    # the cyclic bar construction on a monoid: cells to degree 3 over C_2, to degree 4
+    # over C_1, and a noncommutative monoid
+    (("monoid", "DUAL_NUMBERS", "--ring", "Z", "--n", "2", "--max-degree", "2", "--json"),
+     "2584eb2f2115617bfa611aa6b070ddfa897de2ba0c947cdcf8ea9aac89ad5236"),
+    (("monoid", "DUAL_NUMBERS", "--ring", "Z", "--n", "1", "--max-degree", "3", "--json"),
+     "8a1a80437bfe261265eeaa4ef05abf0d2656afecca5ec4e33e8f29554ae8324b"),
+    (("monoid", "RIGHT_ZERO_BAND", "--ring", "Z", "--n", "2", "--max-degree", "1", "--json"),
+     "1364a3030d2ae7d01fffecdc689afefbb4bcf05911b458ef3733ff30c348cad7"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
 def test_stdout_digest_is_pinned(tmp_path, argv, digest):
     if argv[0] == "monoid":
-        path = tmp_path / "dual-numbers.json"
-        path.write_text(json.dumps(DUAL_NUMBERS))
+        path = tmp_path / "monoid.json"
+        path.write_text(json.dumps(MONOIDS[argv[1]]))
         argv = ("monoid", "--file", str(path)) + argv[2:]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(list(argv))
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+def test_edgewise_checks_are_pinned():
+    """The edgewise report's checks (θ built by the block map) for C_4 over C_2 to degree 2."""
+    checks = edgewise_comparison_norm(BaseRing.parse("F_2"), 4, 2, 2).checks
+    digest = hashlib.sha256(repr(checks).encode()).hexdigest()
+    assert digest == "9166ead875038b27472ab98b5f12c734f22ec8e78339f8245d712a7d5d87e5b8"
