@@ -67,27 +67,44 @@ def _violation(certificate: str) -> int:
 def _dumps(obj, nl: str = "\n") -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, for obj on a line that
     starts with ``nl``.  The indenting encoder of ``json`` is pure Python;
-    this one joins strings.  A list of plain ints is written from its
-    nonzeros over one shared ``"0"``, and each container's text is built
-    in one copy."""
+    this one appends the pieces of the text to one list (``_write``) and
+    joins them once."""
+    out: list[str] = []
+    _write(obj, nl, out)
+    return "".join(out)
+
+
+def _write(obj, nl: str, out: list) -> None:
+    """Append the pieces of ``_dumps(obj, nl)`` to out.  A list of plain
+    ints is written from its nonzeros over one shared ``"0"``."""
     if isinstance(obj, str):
-        return _jstr(obj)
+        out.append(_jstr(obj))
+        return
     if isinstance(obj, int) and not isinstance(obj, bool):
-        return int.__repr__(obj)
+        out.append(int.__repr__(obj))
+        return
     inner = nl + "  "
+    sep = "," + inner
     if isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) == {int}:
             items = ["0"] * len(obj)
             for i in compress(range(len(obj)), obj):
                 items[i] = int.__repr__(obj[i])
-        else:
-            items = (_dumps(x, inner) for x in obj)
+            out += ("[", inner, sep.join(items), nl, "]")
+            return
+        out.append("[")
+        for i, x in enumerate(obj):
+            out.append(sep if i else inner)
+            _write(x, inner, out)
+        out += (nl, "]")
     elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
-        items = (f"{_jstr(k)}: {_dumps(v, inner)}" for k, v in obj.items())
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            out += (sep if i else inner, _jstr(k), ": ")
+            _write(v, inner, out)
+        out += (nl, "}")
     else:  # empty containers, non-str keys and other leaves
-        return json.dumps(obj, indent=2).replace("\n", nl)
-    brackets = "{}" if isinstance(obj, dict) else "[]"
-    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{nl}{brackets[1]}"
+        out.append(json.dumps(obj, indent=2).replace("\n", nl))
 
 
 def _render_mackey(name: str, mj: dict, indent: str = "  ") -> list[str]:

@@ -516,6 +516,24 @@ def _eliminate_units(rels: Sparse) -> tuple[list, Sparse, Sparse, tuple]:
     return pivots, Sparse(proj, len(kept)), Sparse.distinct(residual, len(kept)), kept
 
 
+class _Reduction:
+    """A group's unit-eliminated presentation (``FgAbGroup._reduction``): ``proj``
+    (k × s) writes each generator over the s survivors, survivor t is generator
+    ``kept[t]`` (the survivors generate the group), ``residual`` holds the
+    leftover relations on the survivors, and ``generators`` are sparse rows on
+    all k generators that span the relations.  The residual's ``snf`` is built
+    when a span or element question first reads it."""
+
+    __slots__ = ("proj", "kept", "residual", "generators", "__dict__")
+
+    def __init__(self, proj: Sparse, kept: tuple, residual: Sparse, generators: tuple):
+        self.proj, self.kept, self.residual, self.generators = proj, kept, residual, generators
+
+    @cached_property
+    def snf(self) -> _SNF:
+        return _SNF(self.residual)
+
+
 # ---------------------------------------------------------------------------
 # groups and homs
 
@@ -549,9 +567,21 @@ class FgAbGroup:
         return mat(self.rels)
 
     def quotient(self, rows) -> "FgAbGroup":
-        """This group modulo the extra rows, on the same generators, each relation kept once."""
+        """This group modulo the extra rows, on the same generators, each relation kept once.
+
+        Its reduction is this group's with proj(rows) added to the residual and
+        the rows to the generators: the pivots still lie in the relations, so
+        the ``_reduction`` proof holds as it stands.
+        """
         k = self.num_generators
-        return FgAbGroup(k, Sparse.distinct(self.rels + Sparse.of(rows, k), k))
+        rows = Sparse.distinct(Sparse.of(rows, k), k)
+        q = FgAbGroup(k, Sparse.distinct(self.rels + rows, k))
+        red = self._reduction
+        if rows:  # else q has this group's relation span, and its reduction
+            residual = Sparse.distinct(red.residual + tuple(row_mul(r, red.proj) for r in rows), len(red.kept))
+            red = _Reduction(red.proj, red.kept, residual, red.generators + rows)
+        q._reduction = red
+        return q
 
     def __repr__(self):
         return group_str(self.to_json())
@@ -562,18 +592,22 @@ class FgAbGroup:
         return {"invariant_factors": list(inv), "rank": rank}
 
     @cached_property
-    def _reduction(self) -> tuple[Sparse, _SNF, tuple]:
-        """(proj, residual SNF, kept) of ``_eliminate_units``: row ∈ span(R) iff
-        proj(row) ∈ span(residual).
+    def _reduction(self) -> "_Reduction":
+        """The ``_eliminate_units`` reduction: row ∈ span(R) iff proj(row) ∈ span(residual).
 
         proj is onto and its kernel is spanned by the pivots: each maps to
         zero, and subtracting pivots in elimination order clears the
         eliminated columns of a kernel element, leaving a survivor row that
         proj fixes, so zero.  The pivots lie in span(R) and proj(R) spans
         what the residual spans, hence the claim and ℤ^k/R ≅ ℤ^s/residual.
+        The elimination changes rows only by adding multiples of pivot rows,
+        so the pivots, as they were eliminated, and the residual rows lifted
+        onto the survivors' columns span R: they are ``generators``.
         """
-        _, proj, residual, kept = _eliminate_units(self.rels)
-        return proj, _SNF(residual), kept
+        pivots, proj, residual, kept = _eliminate_units(self.rels)
+        gens = [sparse_row(r) for _, r in pivots]
+        gens += (tuple((kept[j], x) for j, x in r) for r in residual)
+        return _Reduction(proj, kept, residual, tuple(gens))
 
     @cached_property
     def _rel_index(self) -> dict:
@@ -586,8 +620,8 @@ class FgAbGroup:
         index = self._rel_index
         if not row or row in index or tuple((j, -x) for j, x in row) in index:
             return True
-        proj, s, _ = self._reduction
-        return s.spans(s.coords(row_mul(row, proj)))
+        red = self._reduction
+        return red.snf.spans(red.snf.coords(row_mul(row, red.proj)))
 
     def same_class(self, a: SparseRow, b: SparseRow) -> bool:
         """Whether the sparse rows a and b are one element: equal, or a - b is in the relation span."""
@@ -599,9 +633,9 @@ class FgAbGroup:
 
     @cached_property
     def canonical_form(self) -> tuple[tuple[int, ...], int]:
-        proj, s, _ = self._reduction
-        inv = tuple(d for d in s.diagonal if d > 1)
-        rank = proj.width - s.rank
+        red = self._reduction
+        inv = tuple(d for d in red.snf.diagonal if d > 1)
+        rank = len(red.kept) - red.snf.rank
         return inv, rank
 
     @property
@@ -628,7 +662,8 @@ class FgAbGroup:
 
     def _lift(self, z: dict[int, int]) -> SparseRow:
         """z · V⁻¹ of the residual SNF, for z as {position: value}, on the surviving generators."""
-        _, s, kept = self._reduction
+        red = self._reduction
+        s, kept = red.snf, red.kept
         out: dict[int, int] = {}
         for j, t in z.items():
             _axpy(out, ((kept[c], y) for c, y in s._vinv[j]), t)
@@ -644,8 +679,9 @@ class FgAbGroup:
         in R.  So reduce(x) ≡ x, and reduce(x) = reduce(y) iff
         ``same_class(x, y)``.
         """
-        proj, s, _ = self._reduction
-        z = s.coords(row_mul(x, proj))
+        red = self._reduction
+        s = red.snf
+        z = s.coords(row_mul(x, red.proj))
         for j in z:
             if j < s.rank:
                 z[j] %= s.diagonal[j]
@@ -655,16 +691,17 @@ class FgAbGroup:
         """Iterate over canonical representatives, as sparse rows (finite groups only)."""
         if not self.is_finite():
             raise ValueError("infinite group")
-        diag = self._reduction[1].diagonal
+        diag = self._reduction.snf.diagonal
         cyclic = [j for j, d in enumerate(diag) if d > 1]
         for zs in product(*(range(diag[j]) for j in cyclic)):
             yield self._lift(dict(zip(cyclic, zs)))
 
     def element_order(self, x: SparseRow) -> int:
         """Additive order of the class of the sparse row x (0 means infinite)."""
-        proj, s, _ = self._reduction
+        red = self._reduction
+        s = red.snf
         n = 1
-        for j, t in s.coords(row_mul(x, proj)).items():
+        for j, t in s.coords(row_mul(x, red.proj)).items():
             if j >= s.rank:
                 if t:
                     return 0
@@ -708,13 +745,16 @@ class AbHom:
 
     The matrix (Sparse, or dense int rows) is stored as the Sparse ``rows``.
     Well-definedness (source relations land in the target relation span) is
-    certified at construction, for each distinct source relation once: an
-    image that is zero or ± a target relation row is accepted by lookup,
-    and only the rest are tested in the target's reduced presentation
-    (``FgAbGroup._reduction``), exactly.  ``check=False`` is the one
-    uncertified constructor, for matrices this package built.
-    Equality modulo the target relations decides each row difference the
-    same way.
+    certified at construction on the rows that span the source relations,
+    the pivots and lifted residual of its reduction
+    (``FgAbGroup._reduction``'s ``generators``): an image that is zero or
+    ± a target relation row is accepted by lookup, and only the rest are
+    tested in the target's reduced presentation, exactly.  A failure is
+    reported as the first distinct source relation, in row order, whose
+    image fails.  ``check=False`` is the one uncertified constructor, for
+    matrices this package built.  Equality modulo the target relations
+    decides each row difference the same way; certificates that compare
+    certified homs use ``composites_agree`` instead.
     """
 
     __slots__ = ("source", "target", "rows")
@@ -728,10 +768,10 @@ class AbHom:
         self.source = source
         self.target = target
         self.rows = rows
-        if check:
-            # each distinct relation once; first occurrences keep row order
+        if check and not all(target._spans(row_mul(r, rows)) for r in source._reduction.generators):
+            # then some relation fails too: name the first in row order
             for r in source._rel_index:
-                img = row_mul(r, self.rows)
+                img = row_mul(r, rows)
                 if not target._spans(img):
                     raise NotWellDefinedError(
                         f"relation {dense_row(r, source.num_generators)} maps to "
@@ -831,6 +871,30 @@ class AbHom:
         return self.source.canonical_form == self.target.canonical_form and self.is_surjective()
 
 
+def composites_agree(left, right) -> bool:
+    """Whether two chains of composable homs, each read first to last, have one
+    composite (``right`` may be empty, the identity): both are evaluated
+    on the source's surviving generators (``FgAbGroup._reduction``'s ``kept``)
+    only, and each pair of images is compared with the target's ``same_class``.
+
+    Exact for well-defined homs: certified ones, those defined on a free
+    source, and those this module's algebra (identity, zero, compose, add,
+    sub, scale, power) builds from them.  The survivors generate the source
+    group, and well-defined homs that agree on generators are equal.  No
+    composite matrix is formed.
+    """
+    source, target = left[0].source, left[-1].target
+    for g in source._reduction.kept:
+        a = b = ((g, 1),)
+        for f in left:
+            a = row_mul(a, f.rows)
+        for f in right:
+            b = row_mul(b, f.rows)
+        if not target.same_class(a, b):
+            return False
+    return True
+
+
 def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
     na, k = a.num_generators, a.num_generators + b.num_generators
     shifted = tuple(tuple((j + na, x) for j, x in r) for r in b.rels)
@@ -893,8 +957,7 @@ class Subquotient:
 def homology_subquotient(d_in: AbHom, d_out: AbHom) -> Subquotient:
     if d_in.target != d_out.source:
         raise ValueError("middle groups differ")
-    comp = d_in.compose(d_out)
-    if not comp.is_zero():
+    if not composites_agree((d_in, d_out), (AbHom.zero(d_in.source, d_out.target),)):
         raise CompositeNotZeroError("d_out ∘ d_in is not zero")
     cycles = preimage_basis(d_out.rows, d_out.target.rels)
     return Subquotient(d_in.target, cycles, d_in.rows)

@@ -272,7 +272,7 @@ def tr_tower(ring: BaseRing, p: int, stages: int, degree: int) -> TowerReport:
         psi = _psi_degree(nerve_big.presentations[degree], p, slot_rows, nerve_small.presentations[degree])
         # top-level chain map: project to the transfer quotient, then Ψ
         top = nerve_big.degrees[degree].level[n]
-        quot = AbHom(top, psi.source.level[n // p], AbHom.identity(top).rows, check=False)
+        quot = AbHom(top, psi.source.level[n // p], AbHom.identity(top).rows)
         induced = h_big.subquotients[n].induced(
             quot.compose(psi.maps[n // p]), h_small.subquotients[n // p]
         )

@@ -225,7 +225,7 @@ def box_list(factors) -> BoxPresentation:
     tr = {}
     for (dlo, dhi) in prime_edges(ctx):
         rows = Sparse((((tag_pos[dhi][t], 1),) for t in tags[dlo]), len(tags[dhi]))
-        tr[(dlo, dhi)] = AbHom(level[dlo], level[dhi], rows, check=False)
+        tr[(dlo, dhi)] = AbHom(level[dlo], level[dhi], rows)
 
         rows = []
         for (e, tup) in tags[dhi]:

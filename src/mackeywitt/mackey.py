@@ -26,6 +26,7 @@ from .fgab import (
     NotWellDefinedError,
     Sparse,
     Subquotient,
+    composites_agree,
     free_group,
     is_sparse_row,
     nonzeros,
@@ -184,15 +185,18 @@ class MackeyHom:
                 raise NotWellDefinedError("; ".join(errs[:3]))
 
     def naturality_failures(self) -> list[str]:
+        """Each structure map's square, compared on the surviving generators of its
+        source (``composites_agree``): the maps and both functors' structure maps
+        are certified homs."""
         out = []
         src, tgt = self.source, self.target
         for (d, e) in prime_edges(src.ctx):
-            if src.res[(d, e)].compose(self.maps[d]) != self.maps[e].compose(tgt.res[(d, e)]):
+            if not composites_agree((src.res[(d, e)], self.maps[d]), (self.maps[e], tgt.res[(d, e)])):
                 out.append(f"res{(d, e)} not natural")
-            if src.tr[(d, e)].compose(self.maps[e]) != self.maps[d].compose(tgt.tr[(d, e)]):
+            if not composites_agree((src.tr[(d, e)], self.maps[e]), (self.maps[d], tgt.tr[(d, e)])):
                 out.append(f"tr{(d, e)} not natural")
         for d in src.ctx.divisors:
-            if src.weyl[d].compose(self.maps[d]) != self.maps[d].compose(tgt.weyl[d]):
+            if not composites_agree((src.weyl[d], self.maps[d]), (self.maps[d], tgt.weyl[d])):
                 out.append(f"weyl[{d}] not natural")
         return out
 

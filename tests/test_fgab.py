@@ -499,7 +499,7 @@ def test_group_questions_read_no_u():
     assert g.reduce(((0, 2), (1, 1))) == g.reduce(())
     f = AbHom(g, g, identity_matrix(2))  # certified: relations land in relations
     assert f == AbHom(g, g, [(1, 0), (2, 2)])
-    assert "u" not in vars(g._reduction[1])
+    assert "u" not in vars(g._reduction.snf)
 
 
 def test_relation_snf_keeps_no_row_operation_log():
@@ -514,7 +514,7 @@ def test_relation_snf_keeps_no_row_operation_log():
     assert g.same_class(((0, 6), (2, 3)), ())
     AbHom(g, g, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])  # images 3·r are no relation rows: a miss
     assert set(vars(g)) == {"_reduction", "_rel_index", "canonical_form"}
-    assert "u" not in vars(g._reduction[1])
+    assert "u" not in vars(g._reduction.snf)
 
 
 # ---------------------------------------------------------------------------
