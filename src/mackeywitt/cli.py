@@ -13,13 +13,13 @@ When the reader of stdout goes away early (``| head``), the exit status is
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from itertools import compress
 from json.encoder import encode_basestring_ascii as _jstr
 
-from .fgab import CompositeNotZeroError, NotInSubgroupError, NotWellDefinedError, group_str
+from .fgab import AbHom, CompositeNotZeroError, FgAbGroup, NotInSubgroupError, NotWellDefinedError, Sparse, group_str
 from .hochschild import MackeyHomology, moore_complex, require_nerve_budget, twisted_cyclic_nerve
 from .geomfix import tr_tower
 from .mackey import GroupContext, RingData, fixed_point_mackey
@@ -65,33 +65,29 @@ def _violation(certificate: str) -> int:
 
 
 def _dumps(obj, nl: str = "\n") -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, for obj on a line that
-    starts with ``nl``.  The indenting encoder of ``json`` is pure Python;
-    this one appends the pieces of the text to one list (``_write``) and
-    joins them once."""
+    """``json.dumps(obj, indent=2)``, byte for byte, for obj on a line that starts
+    with ``nl``, an ``AbHom`` leaf written as its dense matrix.  The indenting
+    encoder of ``json`` is pure Python; this one appends the pieces of the text
+    to one list (``_write``) and joins them once."""
     out: list[str] = []
     _write(obj, nl, out)
     return "".join(out)
 
 
 def _write(obj, nl: str, out: list) -> None:
-    """Append the pieces of ``_dumps(obj, nl)`` to out.  A list of plain
-    ints is written from its nonzeros over one shared ``"0"``."""
+    """Append the pieces of ``_dumps(obj, nl)`` to out."""
     if isinstance(obj, str):
         out.append(_jstr(obj))
         return
     if isinstance(obj, int) and not isinstance(obj, bool):
         out.append(int.__repr__(obj))
         return
+    if isinstance(obj, AbHom):
+        _write_rows(obj.rows, nl, out)
+        return
     inner = nl + "  "
     sep = "," + inner
     if isinstance(obj, (list, tuple)) and obj:
-        if set(map(type, obj)) == {int}:
-            items = ["0"] * len(obj)
-            for i in compress(range(len(obj)), obj):
-                items[i] = int.__repr__(obj[i])
-            out += ("[", inner, sep.join(items), nl, "]")
-            return
         out.append("[")
         for i, x in enumerate(obj):
             out.append(sep if i else inner)
@@ -107,16 +103,36 @@ def _write(obj, nl: str, out: list) -> None:
         out.append(json.dumps(obj, indent=2).replace("\n", nl))
 
 
+def _write_rows(rows: Sparse, nl: str, out: list) -> None:
+    """Append the text of the dense matrix of ``rows`` at ``nl``.  The text of
+    an all-zero row is built once; a row with nonzeros is written as that
+    text's slices around them."""
+    if not rows:
+        out.append("[]")
+        return
+    inner = nl + "  "
+    sep, cell = "," + inner, "," + inner + "  "
+    zero = "[" + cell[1:] + cell.join(["0"] * rows.width) + inner + "]" if rows.width else "[]"
+    first, step = len(cell), len(cell) + 1  # the offset of column 0's "0" and of each next one
+    out.append("[")
+    for i, r in enumerate(rows):
+        out.append(sep if i else inner)
+        at = 0
+        for j, x in r:
+            p = first + j * step
+            out += (zero[at:p], int.__repr__(x))
+            at = p + 1
+        out.append(zero[at:])
+    out += (nl, "]")
+
+
 def _render_mackey(name: str, mj: dict, indent: str = "  ") -> list[str]:
     lines = [f"{name} (C_{mj['n']}-Mackey functor)"]
     for d in sorted(mj["levels"], key=int, reverse=True):
         lines.append(f"{indent}level {d} (C_{mj['n']}/C_{d}): {group_str(mj['levels'][d])}")
-    for key, matrix in mj.get("res", {}).items():
-        lines.append(f"{indent}res {key}: {matrix}")
-    for key, matrix in mj.get("tr", {}).items():
-        lines.append(f"{indent}tr  {key}: {matrix}")
-    for d, matrix in mj.get("weyl", {}).items():
-        lines.append(f"{indent}weyl {d}: {matrix}")
+    for field, label in (("res", "res "), ("tr", "tr  "), ("weyl", "weyl ")):
+        for key, h in mj[field].items():
+            lines.append(f"{indent}{label}{key}: {[list(r) for r in h.matrix]}")
     return lines
 
 
@@ -179,10 +195,7 @@ def cmd_hh(args) -> int:
     ]
     complex_json = {
         "degrees": [m.to_json() for m in cx.degrees],
-        "boundaries": [
-            {str(d): [list(r) for r in b.maps[d].matrix] for d in nerve.ctx.divisors}
-            for b in cx.boundaries[1:]
-        ],
+        "boundaries": [{str(d): b.maps[d] for d in nerve.ctx.divisors} for b in cx.boundaries[1:]],
     }
     _emit(
         {"kind": "hh", "ring": args.ring, "n": args.n, "homology": entries, "complex": complex_json},
@@ -254,8 +267,6 @@ def cmd_check(args) -> int:
 
 
 def _constant_green(ring: BaseRing, n: int):
-    from .fgab import FgAbGroup
-
     group = FgAbGroup(1, () if ring.is_torsion_free else ((ring.modulus,),))
     return fixed_point_mackey(
         GroupContext(n), group, ((1,),), RingData(mult=(((1,),),), unit=(1,))
@@ -313,7 +324,9 @@ class _Parser(argparse.ArgumentParser):
         return ns, rest
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per interpreter; ``main`` calls ``cmd_<command>``."""
     parser = _Parser(
         prog="mackeywitt",
         description="Exact twisted Hochschild homology for Green functors over cyclic groups.",
@@ -329,20 +342,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", required=True, help="Z, Z/m, or F_p")
     p.add_argument("--n", type=int, required=True, help="order of the cyclic group")
     add_output_flags(p)
-    p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("hh", help="twisted Hochschild homology of a base ring")
     p.add_argument("--ring", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-degree", type=int, default=2)
     add_output_flags(p)
-    p.set_defaults(func=cmd_hh)
 
     p = sub.add_parser("witt", help="Green Witt vectors and the classical comparison")
     p.add_argument("--ring", required=True)
     p.add_argument("--n", type=int, required=True)
     add_output_flags(p)
-    p.set_defaults(func=cmd_witt)
 
     p = sub.add_parser("tr", help="algebraic TR tower")
     p.add_argument("--p", type=int, required=True, help="prime")
@@ -350,13 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages", type=int, default=3)
     p.add_argument("--degree", type=int, default=0)
     add_output_flags(p)
-    p.set_defaults(func=cmd_tr)
 
     p = sub.add_parser("check", help="run the property suites")
     p.add_argument("--suite", default="all")
     p.add_argument("--seed", type=int, default=0)
     add_output_flags(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("monoid", help="pointed-monoid algebra and splitting check")
     p.add_argument("--file", required=True, help="monoid JSON file")
@@ -364,30 +372,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-degree", type=int, default=None, help="run the splitting check up to this degree")
     add_output_flags(p)
-    p.set_defaults(func=cmd_monoid)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    n = getattr(args, "n", None)
-    if n is not None and n < 1:
-        print("error: n must be a positive integer", file=sys.stderr)
-        return 2
-    if n is not None and n > ENUMERATION_BUDGET:
-        print(f"error: --n {n} exceeds the enumeration budget of {ENUMERATION_BUDGET}", file=sys.stderr)
-        return 2
-    for attr in ("max_degree", "degree"):
-        v = getattr(args, attr, None)
-        if v is not None and v < 0:
-            print(f"error: {attr.replace('_', '-')} must be nonnegative", file=sys.stderr)
-            return 2
-    if getattr(args, "stages", 1) < 1:
-        print("error: stages must be at least 1", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        n = getattr(args, "n", None)
+        if n is not None and n < 1:
+            raise ValidationError("n must be a positive integer")
+        if n is not None and n > ENUMERATION_BUDGET:
+            raise EnumerationBudgetError(f"--n {n} exceeds the enumeration budget of {ENUMERATION_BUDGET}")
+        for attr in ("max_degree", "degree"):
+            v = getattr(args, attr, None)
+            if v is not None and v < 0:
+                raise ValidationError(f"{attr.replace('_', '-')} must be nonnegative")
+        if getattr(args, "stages", 1) < 1:
+            raise ValidationError("stages must be at least 1")
+        code = globals()[f"cmd_{args.command}"](args)  # read at call time, so a patched command runs
         sys.stdout.flush()  # a closed stdout surfaces here, not in the exit flush
         return code
     except BrokenPipeError:

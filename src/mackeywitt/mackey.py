@@ -147,15 +147,16 @@ class MackeyFunctor:
         return self._twisted_cache[key]
 
     def to_json(self) -> dict:
-        n = self.ctx.n
-        levels = {str(d): self.level[d].to_json() for d in self.ctx.divisors}
-        res = {}
-        tr = {}
-        for (d, e) in prime_edges(self.ctx):
-            res[f"{e}->{d}"] = [list(r) for r in self.res[(d, e)].matrix]
-            tr[f"{d}->{e}"] = [list(r) for r in self.tr[(d, e)].matrix]
-        weyl = {str(d): [list(r) for r in self.weyl[d].matrix] for d in self.ctx.divisors}
-        return {"n": n, "levels": levels, "res": res, "tr": tr, "weyl": weyl}
+        """A ``--json`` payload whose res, tr and weyl leaves are the ``AbHom``s
+        themselves: ``cli._dumps`` writes their matrices; ``json.dumps`` raises."""
+        divs, edges = self.ctx.divisors, list(prime_edges(self.ctx))
+        return {
+            "n": self.ctx.n,
+            "levels": {str(d): self.level[d].to_json() for d in divs},
+            "res": {f"{e}->{d}": self.res[(d, e)] for d, e in edges},
+            "tr": {f"{d}->{e}": self.tr[(d, e)] for d, e in edges},
+            "weyl": {str(d): self.weyl[d] for d in divs},
+        }
 
 
 def _composite(level: FgAbGroup, homs) -> AbHom:
@@ -444,11 +445,8 @@ def quotient(m, rows, name: str):
     Weyl matrices are certified on the quotients, and products and units are kept."""
     ctx = m.ctx
     level = {d: m.level[d].quotient(rows.get(d, ())) for d in ctx.divisors}
-    res = {}
-    tr = {}
-    for (d, e) in prime_edges(ctx):
-        res[(d, e)] = AbHom(level[e], level[d], m.res[(d, e)].rows)
-        tr[(d, e)] = AbHom(level[d], level[e], m.tr[(d, e)].rows)
+    res = {(d, e): AbHom(level[e], level[d], m.res[(d, e)].rows) for (d, e) in prime_edges(ctx)}
+    tr = {(d, e): AbHom(level[d], level[e], m.tr[(d, e)].rows) for (d, e) in prime_edges(ctx)}
     weyl = {d: AbHom(level[d], level[d], m.weyl[d].rows) for d in ctx.divisors}
     if not isinstance(m, GreenFunctor):
         return MackeyFunctor(ctx, level, res, tr, weyl, name)

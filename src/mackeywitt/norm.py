@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import prod
 
 from . import wittcore
-from .fgab import AbHom, FgAbGroup, Sparse, SparseRow, nonzeros, row_mul, sparse_row
+from .fgab import AbHom, FgAbGroup, Sparse, SparseRow, composites_agree, nonzeros, row_mul, sparse_row
 from .mackey import GreenFunctor, GroupContext, Report, prime_edges, sparse_product
 from .wittcore import (
     BaseRing,
@@ -246,7 +246,8 @@ def check_norm_restriction_identity(ring: BaseRing, n: int, j: int) -> Report:
         w = small.weyl_power(e, 1).rows  # trivial here, kept for clarity
         return pres.expand(d, e, [w[tup[-1]]] + [((i, 1),) for i in tup[:-1]])
 
+    # compared on the surviving generators: exact, as rot, θ and the Weyl action are certified
     rot = pres.hom(src, rotation_row, natural=False)
-    ok_rot = all(rot.maps[d].compose(maps[d]) == maps[d].compose(big.weyl[d]) for d in ctxj.divisors)
+    ok_rot = all(composites_agree((rot.maps[d], maps[d]), (maps[d], big.weyl[d])) for d in ctxj.divisors)
     report.note(ok_rot, "restricted Weyl generator acts as rotation-with-twist")
     return report

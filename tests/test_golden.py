@@ -89,6 +89,16 @@ GOLDEN = [
      "8a1a80437bfe261265eeaa4ef05abf0d2656afecca5ec4e33e8f29554ae8324b"),
     (("monoid", "RIGHT_ZERO_BAND", "--ring", "Z", "--n", "2", "--max-degree", "1", "--json"),
      "1364a3030d2ae7d01fffecdc689afefbb4bcf05911b458ef3733ff30c348cad7"),
+    # the table renderer over the matrices of a nerve's homology, a Green
+    # functor, a TR tower and a monoid algebra with its splitting
+    (("hh", "--ring", "F_2", "--n", "4", "--max-degree", "2"),
+     "fe4f5a204849e65859ad4d06e673bea23765e7670efa991af6e7ef2d30aab1f8"),
+    (("witt", "--ring", "Z/4", "--n", "6"),
+     "12f4a7cbfc3fe10b0693c9fa2c8a191beed7bab1d36ca39eda7d4a007b78fa14"),
+    (("tr", "--p", "2", "--stages", "3", "--degree", "1"),
+     "1ec37ca398e2183cc3188e74eaa11ae4d0f051e3b8f890e8fbfcb90cf9128502"),
+    (("monoid", "DUAL_NUMBERS", "--ring", "Z", "--n", "2", "--max-degree", "1"),
+     "7b73c7bbba8c74a486424b32c6ad2f4fabf097ea9cabecabb709e6437a436403"),
 ]
 
 

@@ -1,3 +1,4 @@
+import json
 import re
 from collections import Counter
 from itertools import product
@@ -361,6 +362,12 @@ def test_json_serialization():
     assert list(j["levels"]) == ["1", "2", "4"]
     assert j["levels"]["4"] == {"invariant_factors": [], "rank": 3}
     assert "2->1" in j["res"] and "1->2" in j["tr"]
+
+
+def test_json_payload_holds_homs_that_json_dumps_refuses():
+    # the matrix leaves are the homs; only cli._dumps writes them
+    with pytest.raises(TypeError, match="AbHom"):
+        json.dumps(burnside(GroupContext(4)).to_json())
 
 
 # ---------------------------------------------------------------------------
