@@ -41,13 +41,15 @@ from .wittcore import ENUMERATION_BUDGET, EnumerationBudgetError, divisors
 class PointedGMonoid:
     """Finite pointed monoid with a C_n-action by monoid maps fixing 0 and 1."""
 
-    def __init__(self, ctx: GroupContext, elements, zero, one, table, action):
+    def __init__(self, ctx: GroupContext, elements, zero, one, rows, action):
+        """rows[a][b] is the product of elements a and b, and action[a] the generator's
+        image of element a, both aligned with ``elements``."""
         self.ctx = ctx
         self.elements = tuple(elements)
         self.zero = zero
         self.one = one
-        self.table = {(a, b): table[(a, b)] for a in self.elements for b in self.elements}
-        self.action = dict(action)
+        self.table = {(a, b): v for a, row in zip(self.elements, rows) for b, v in zip(self.elements, row)}
+        self.action = dict(zip(self.elements, action))
         k = len(self.elements)
         if k**3 > ENUMERATION_BUDGET:
             raise EnumerationBudgetError(
@@ -55,16 +57,6 @@ class PointedGMonoid:
                 f"over the enumeration budget of {ENUMERATION_BUDGET}"
             )
         self._validate()
-
-    @staticmethod
-    def from_lists(ctx, elements, zero, one, rows, action_perm):
-        """Table given as rows aligned with `elements`; action as a permutation list."""
-        table = {}
-        for a, row in zip(elements, rows):
-            for b, v in zip(elements, row):
-                table[(a, b)] = v
-        action = dict(zip(elements, action_perm))
-        return PointedGMonoid(ctx, elements, zero, one, table, action)
 
     @staticmethod
     def from_json(ctx, data):
@@ -88,7 +80,7 @@ class PointedGMonoid:
         entries = [data["zero"], data["one"], *action, *(x for r in rows for x in r)]
         if not all(isinstance(x, (str, int)) and x in known for x in entries):
             raise ValueError("zero, one, table and action entries must be elements")
-        return PointedGMonoid.from_lists(ctx, elements, data["zero"], data["one"], rows, action)
+        return PointedGMonoid(ctx, elements, data["zero"], data["one"], rows, action)
 
     def to_json(self):
         return {
@@ -318,7 +310,6 @@ def splitting_check(pres: BoxPresentation, m: PointedGMonoid, max_k: int) -> Spl
 
     # degreewise data
     z_pres = []
-    z_faces = [None]
     phis = []
     for j in range(k_max + 1):
         zp = box(nerve_r.degrees[j], cells.degrees[j])
@@ -349,15 +340,12 @@ def splitting_check(pres: BoxPresentation, m: PointedGMonoid, max_k: int) -> Spl
 
         phis.append(zp.hom(hc_rm_j, phi_row))
 
-    for j in range(1, k_max + 1):
-        z_faces.append([
-            box_hom(z_pres[j], z_pres[j - 1], [nerve_r.face(j, i), cells.face(j, i)])
-            for i in range(j + 1)
-        ])
+    def z_op(f, j: int) -> MackeyHom:  # Z(f) is the box of X(f) on both factors
+        return box_hom(z_pres[j], z_pres[len(f) - 1], [nerve_r.map(f, j), cells.map(f, j)])
 
     # chain map: Φ commutes with the Moore boundaries, compared levelwise on the surviving
     # generators; exact, as Φ and every face are certified and a boundary is their alternating sum
-    z_complex = moore_complex(SimplicialMackey(ctx, [p.mackey for p in z_pres], z_faces, []))
+    z_complex = moore_complex(SimplicialMackey(ctx, [p.mackey for p in z_pres], z_op))
     rm_complex = moore_complex(nerve_rm)
     for j in range(1, k_max + 1):
         zb, rb = z_complex.boundaries[j].maps, rm_complex.boundaries[j].maps

@@ -10,7 +10,7 @@ and degeneracies insert the unit.  Homology is taken from the unnormalized
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import cache, partial, reduce
 
 from .fgab import AbHom, FgAbGroup, composites_agree, homology_subquotient, row_mul
 from .green import (
@@ -66,27 +66,22 @@ def cyclic_bar(f: tuple[int, ...], slots, mul, twist, unit) -> list:
 
 
 class SimplicialMackey:
-    """A finitely truncated simplicial Mackey functor.
+    """A finitely truncated simplicial Mackey functor, held as its rule on Δ.
 
-    faces[j][i] : X_j → X_{j-1} for 1 ≤ j ≤ k_max, 0 ≤ i ≤ j;
-    degeneracies[j][i] : X_j → X_{j+1} for 0 ≤ j < k_max, 0 ≤ i ≤ j.
+    op(f, j) is X(f) : X_j → X_{len(f)-1} for a map f of Δ into [j]; ``map`` reads
+    it.  The faces and degeneracies are X of ``face_map`` and ``degeneracy_map``.
     """
 
-    def __init__(self, ctx, degrees, faces, degeneracies, presentations=None):
+    def __init__(self, ctx, degrees, op, presentations=None):
         self.ctx = ctx
         self.degrees = list(degrees)
-        self.faces = list(faces)
-        self.degeneracies = list(degeneracies)
         self.presentations = presentations
+        self._op = cache(op)
 
     @classmethod
     def from_delta(cls, ctx, degrees, op, presentations=None) -> "SimplicialMackey":
-        """The simplicial object whose face or degeneracy out of degree j with map f of Δ
-        is op(f, j) : X_j → X_{len(f)-1}, its identities certified."""
-        k = len(degrees) - 1
-        faces = [None] + [[op(face_map(j, i), j) for i in range(j + 1)] for j in range(1, k + 1)]
-        degens = [[op(degeneracy_map(j, i), j) for i in range(j + 1)] for j in range(k)]
-        x = cls(ctx, degrees, faces, degens, presentations)
+        """The simplicial object with rule op, its identities certified."""
+        x = cls(ctx, degrees, op, presentations)
         x.check_identities()
         return x
 
@@ -94,22 +89,25 @@ class SimplicialMackey:
     def max_degree(self) -> int:
         return len(self.degrees) - 1
 
+    def map(self, f: tuple[int, ...], j: int) -> MackeyHom:
+        """X(f) : X_j → X_{len(f)-1}, built once, on its first read."""
+        return self._op(f, j)
+
     def face(self, j: int, i: int) -> MackeyHom:
-        return self.faces[j][i]
+        return self.map(face_map(j, i), j)
 
     def degeneracy(self, j: int, i: int) -> MackeyHom:
-        return self.degeneracies[j][i]
+        return self.map(degeneracy_map(j, i), j)
 
     def reindexed(self, degrees, level) -> "SimplicialMackey":
-        """The same faces and degeneracies on new degrees; level d reads old level level(d)."""
+        """The same rule on new degrees; level d reads old level level(d)."""
         ctx = degrees[0].ctx
 
-        def move(hom: MackeyHom, j: int, k: int) -> MackeyHom:
-            return MackeyHom(degrees[j], degrees[k], {d: hom.maps[level(d)] for d in ctx.divisors}, check=False)
+        def op(f, j: int) -> MackeyHom:
+            maps = self.map(f, j).maps
+            return MackeyHom(degrees[j], degrees[len(f) - 1], {d: maps[level(d)] for d in ctx.divisors}, check=False)
 
-        faces = [None] + [[move(h, j, j - 1) for h in self.faces[j]] for j in range(1, self.max_degree + 1)]
-        degens = [[move(h, j, j + 1) for h in self.degeneracies[j]] for j in range(self.max_degree)]
-        return SimplicialMackey(ctx, degrees, faces, degens)
+        return SimplicialMackey(ctx, degrees, op)
 
     def check_identities(self):
         """Verify all simplicial identities inside the truncation: the composites of two faces
@@ -123,10 +121,11 @@ class SimplicialMackey:
             degens = range(m + 1) if m < k else ()
             return out + [(f"s_{j}", self.degeneracy(m, j), degeneracy_map(m, j), m + 1) for j in degens]
 
+        ops_of = [ops(m) for m in range(k + 1)]
         for m in range(k + 1):
             groups: dict = {}
-            for n1, h1, f1, m1 in ops(m):
-                for n2, h2, f2, _ in ops(m1):
+            for n1, h1, f1, m1 in ops_of[m]:
+                for n2, h2, f2, _ in ops_of[m1]:
                     groups.setdefault(tuple(f1[t] for t in f2), []).append((f"{n2} {n1}", h1, h2))
             for f, comps in groups.items():
                 if f == tuple(range(m + 1)):
@@ -285,29 +284,7 @@ def hh0_green(r, nerve: SimplicialMackey | None = None) -> GreenFunctor:
 
 
 # ---------------------------------------------------------------------------
-# simplicial operators and edgewise subdivision
-
-
-def apply_monotone(x: SimplicialMackey, f: tuple[int, ...], target_degree: int) -> MackeyHom:
-    """X(f) : X_b → X_a for a monotone map f : [a] → [b], via face/degeneracy peeling."""
-    a = len(f) - 1
-    b = target_degree
-    f = tuple(f)
-    if any(f[i] > f[i + 1] for i in range(a)):
-        raise ValueError("map is not monotone")
-    if f and (f[0] < 0 or f[-1] > b):
-        raise ValueError("map out of range")
-    image = set(f)
-    missing = [v for v in range(b + 1) if v not in image]
-    if missing:
-        v = max(missing)
-        f2 = tuple(t if t < v else t - 1 for t in f)
-        return x.face(b, v).compose(apply_monotone(x, f2, b - 1))
-    if a == b:
-        return MackeyHom.identity(x.degrees[b])
-    p = next(i for i in range(a) if f[i] == f[i + 1])
-    f2 = f[:p] + f[p + 1:]
-    return apply_monotone(x, f2, b).compose(x.degeneracy(a - 1, p))
+# edgewise subdivision
 
 
 def edgewise_subdivision(x: SimplicialMackey, r: int) -> SimplicialMackey:
@@ -320,7 +297,7 @@ def edgewise_subdivision(x: SimplicialMackey, r: int) -> SimplicialMackey:
     degrees = [x.degrees[r * (j + 1) - 1] for j in range(out_max + 1)]
 
     def block(f, j):  # f on each of the r blocks of j + 1 vertices of [r(j+1)-1]
-        return apply_monotone(x, tuple(t * (j + 1) + v for t in range(r) for v in f), r * (j + 1) - 1)
+        return x.map(tuple(t * (j + 1) + v for t in range(r) for v in f), r * (j + 1) - 1)
 
     return SimplicialMackey.from_delta(x.ctx, degrees, block)
 

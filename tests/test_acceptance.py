@@ -198,7 +198,7 @@ def test_criterion_9_monoid_splitting():
     from mackeywitt.cycmonoid import PointedGMonoid, monoid_algebra, splitting_check
 
     def dual_monoid(ctx):
-        return PointedGMonoid.from_lists(
+        return PointedGMonoid(
             ctx, ["0", "1", "x"], "0", "1",
             [["0", "0", "0"], ["0", "1", "x"], ["0", "x", "0"]],
             ["0", "1", "x"],

@@ -28,7 +28,7 @@ from mackeywitt.wittcore import EnumerationBudgetError
 
 def two_point_monoid(ctx):
     # {0, 1}: the monoidal unit; R[M] = R
-    return PointedGMonoid.from_lists(
+    return PointedGMonoid(
         ctx, ["0", "1"], "0", "1", [["0", "0"], ["0", "1"]], ["0", "1"]
     )
 
@@ -36,7 +36,7 @@ def two_point_monoid(ctx):
 def dual_numbers_monoid(ctx, action=None):
     # {0, 1, x} with x^2 = 0
     rows = [["0", "0", "0"], ["0", "1", "x"], ["0", "x", "0"]]
-    return PointedGMonoid.from_lists(
+    return PointedGMonoid(
         ctx, ["0", "1", "x"], "0", "1", rows, action or ["0", "1", "x"]
     )
 
@@ -49,7 +49,7 @@ def swap_pair_monoid(ctx):
         ["0", "a", "0", "0"],
         ["0", "b", "0", "0"],
     ]
-    return PointedGMonoid.from_lists(ctx, ["0", "1", "a", "b"], "0", "1", rows, ["0", "1", "b", "a"])
+    return PointedGMonoid(ctx, ["0", "1", "a", "b"], "0", "1", rows, ["0", "1", "b", "a"])
 
 
 def trivial_Z(n):
@@ -61,10 +61,10 @@ def trivial_Z(n):
 def test_monoid_validation():
     ctx = GroupContext(2)
     with pytest.raises(ValueError):
-        PointedGMonoid.from_lists(ctx, ["0", "1"], "0", "1", [["0", "1"], ["0", "1"]], ["0", "1"])
+        PointedGMonoid(ctx, ["0", "1"], "0", "1", [["0", "1"], ["0", "1"]], ["0", "1"])
     with pytest.raises(ValueError):
         # action must fix the unit
-        PointedGMonoid.from_lists(
+        PointedGMonoid(
             ctx, ["0", "1", "x"], "0", "1",
             [["0", "0", "0"], ["0", "1", "x"], ["0", "x", "0"]],
             ["0", "x", "1"],

@@ -303,7 +303,7 @@ def _reference_table(pres, d):
 def _dual_numbers_algebra(n):
     ctx = GroupContext(n)
     rows = [["0", "0", "0"], ["0", "1", "x"], ["0", "x", "0"]]
-    m = PointedGMonoid.from_lists(ctx, ["0", "1", "x"], "0", "1", rows, ["0", "1", "x"])
+    m = PointedGMonoid(ctx, ["0", "1", "x"], "0", "1", rows, ["0", "1", "x"])
     return m, monoid_algebra(trivial_Z(ctx), m).mackey
 
 

@@ -1,3 +1,4 @@
+from itertools import combinations_with_replacement
 from operator import add
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 from subgroups import same_levels
 
 from mackeywitt import hochschild
+from mackeywitt.cycmonoid import PointedGMonoid, cellular_chains
 from mackeywitt.fgab import AbHom, CompositeNotZeroError, Subquotient, free_group
 from mackeywitt.green import box_power
 from mackeywitt.hochschild import (
@@ -14,7 +16,6 @@ from mackeywitt.hochschild import (
     SimplicialIdentityError,
     SimplicialMackey,
     TruncationTooShortError,
-    apply_monotone,
     cyclic_bar,
     degeneracy_map,
     edgewise_subdivision,
@@ -283,15 +284,14 @@ def spheres(k, faces=None, degeneracies=None):
     for rank in (1, 2, 4)[: k + 1]:
         g = free_group(rank)
         degrees.append(MackeyFunctor(ctx, {1: g}, {}, {}, {1: AbHom.identity(g)}))
-    face_mats = {**SPHERE_FACES, **(faces or {})}
-    degen_mats = {**SPHERE_DEGENERACIES, **(degeneracies or {})}
+    mats = {(face_map(j, i), j): m for (j, i), m in {**SPHERE_FACES, **(faces or {})}.items()}
+    mats |= {(degeneracy_map(j, i), j): m for (j, i), m in {**SPHERE_DEGENERACIES, **(degeneracies or {})}.items()}
 
-    def hom(j, k2, matrix):
-        return MackeyHom(degrees[j], degrees[k2], {1: AbHom(degrees[j].level[1], degrees[k2].level[1], matrix)})
+    def op(f, j):
+        source, target = degrees[j], degrees[len(f) - 1]
+        return MackeyHom(source, target, {1: AbHom(source.level[1], target.level[1], mats[(f, j)])})
 
-    fs = [None] + [[hom(j, j - 1, face_mats[(j, i)]) for i in range(j + 1)] for j in range(1, k + 1)]
-    ds = [[hom(j, j + 1, degen_mats[(j, i)]) for i in range(j + 1)] for j in range(k)]
-    return SimplicialMackey(ctx, degrees, fs, ds)
+    return SimplicialMackey(ctx, degrees, op)
 
 
 def test_the_sphere_chains_satisfy_every_identity():
@@ -320,9 +320,9 @@ def test_a_forged_nerve_face_is_refused():
     x = twisted_cyclic_nerve(trivial_Z(2), 3)
     zero = MackeyHom(x.degrees[1], x.degrees[0], {d: AbHom.zero(x.degrees[1].level[d], x.degrees[0].level[d])
                                                   for d in (1, 2)})
-    x.faces[1] = [zero, x.faces[1][1]]
+    forged = SimplicialMackey(x.ctx, x.degrees, lambda f, j: zero if (f, j) == (face_map(1, 0), 1) else x.map(f, j))
     with pytest.raises(SimplicialIdentityError):
-        x.check_identities()
+        forged.check_identities()
 
 
 def test_identities_compose_and_compare_the_textbook_pairs(monkeypatch):
@@ -352,9 +352,9 @@ def test_edgewise_structure_maps_repeat_the_maps_of_delta_on_each_block():
     x = twisted_cyclic_nerve(trivial_Z(2), 3)
     sd = edgewise_subdivision(x, 2)
     assert sd.max_degree == 1 and sd.degrees == [x.degrees[1], x.degrees[3]]
-    assert sd.face(1, 0) == apply_monotone(x, (1, 3), 3)
-    assert sd.face(1, 1) == apply_monotone(x, (0, 2), 3)
-    assert sd.degeneracy(0, 0) == apply_monotone(x, (0, 0, 1, 1), 1)
+    assert sd.face(1, 0) == x.face(3, 2).compose(x.face(2, 0))
+    assert sd.face(1, 1) == x.face(3, 3).compose(x.face(2, 1))
+    assert sd.degeneracy(0, 0) == x.degeneracy(1, 1).compose(x.degeneracy(2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -386,18 +386,23 @@ def textbook_face(j: int, i: int, x: list) -> list:
     return x[:i] + [x[i] + x[i + 1]] + x[i + 2:] if i < j else [shift(x[j]) + x[0]] + x[1:j]
 
 
-def peeled(f: tuple, b: int, x: list) -> list:
-    """X(f)(x) for f : [a] → [b], peeling f into faces and degeneracies as apply_monotone does."""
+def peel(f: tuple, b: int, x, face, degeneracy):
+    """X(f)(x) for f : [a] → [b], peeling f into faces and degeneracies: face(j, i, y) is
+    d_i out of degree j applied to y, and degeneracy(j, i, y) is s_i out of degree j."""
     a = len(f) - 1
     missing = [v for v in range(b + 1) if v not in f]
     if missing:
         v = max(missing)
-        return peeled(tuple(t if t < v else t - 1 for t in f), b - 1, textbook_face(b, v, x))
+        return peel(tuple(t if t < v else t - 1 for t in f), b - 1, face(b, v, x), face, degeneracy)
     if a == b:
         return x
     p = next(i for i in range(a) if f[i] == f[i + 1])
-    y = peeled(f[:p] + f[p + 1:], b, x)
-    return y[: p + 1] + [""] + y[p + 1:]  # s_p out of degree a - 1 inserts the unit after slot p
+    return degeneracy(a - 1, p, peel(f[:p] + f[p + 1:], b, x, face, degeneracy))
+
+
+def peeled(f: tuple, b: int, x: list) -> list:
+    """``peel`` on words: s_p out of degree a - 1 inserts the unit after slot p."""
+    return peel(f, b, x, textbook_face, lambda j, p, y: y[: p + 1] + [""] + y[p + 1:])
 
 
 @settings(deadline=None)
@@ -426,3 +431,38 @@ def test_cyclic_bar_of_the_maps_of_delta_are_the_textbook_operators():
     ]
     # the block map t ↦ 2t + 1 of edgewise θ multiplies each block of two slots
     assert bar((1, 3), ["a", "b", "c", "a"]) == ["ab", "ca"]
+
+
+# ---------------------------------------------------------------------------
+# X(f) of the rule against its faces and degeneracies, peeled as the test oracle
+
+
+def peeled_hom(x: SimplicialMackey, f: tuple, b: int) -> MackeyHom:
+    """X(f) : X_b → X_a as the composite of the faces and degeneracies f peels into."""
+    return peel(
+        f,
+        b,
+        MackeyHom.identity(x.degrees[b]),
+        lambda j, i, h: h.compose(x.face(j, i)),
+        lambda j, i, h: h.compose(x.degeneracy(j, i)),
+    )
+
+
+def dual_numbers_cells(n: int, k: int) -> SimplicialMackey:
+    """The cellular chains of the cyclic nerve of {0, 1, x} with x² = 0 over C_n, to degree k."""
+    rows = [["0", "0", "0"], ["0", "1", "x"], ["0", "x", "0"]]
+    return cellular_chains(PointedGMonoid(GroupContext(n), ["0", "1", "x"], "0", "1", rows, ["0", "1", "x"]), k)[0]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: twisted_cyclic_nerve(norm_trivial_ring(BaseRing.integers(), 2), 3),
+    lambda: dual_numbers_cells(2, 3),
+], ids=["nerve-of-norm-Z-over-C2", "dual-numbers-cells-over-C2"])
+def test_x_of_every_map_of_delta_is_its_peeled_composite(build):
+    """Every monotone f : [a] → [b] with a, b ≤ 3: the one X(f) of the rule is the
+    composite of faces and degeneracies that peeling f gives."""
+    x = build()
+    for b in range(4):
+        for a in range(4):
+            for f in combinations_with_replacement(range(b + 1), a + 1):
+                assert x.map(f, b) == peeled_hom(x, f, b), f

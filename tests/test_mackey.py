@@ -558,7 +558,7 @@ def _is_sparse_row(row, k):
 
 def _dual_numbers_monoid(ctx):
     rows = [["0", "0", "0"], ["0", "1", "x"], ["0", "x", "0"]]
-    return PointedGMonoid.from_lists(ctx, ["0", "1", "x"], "0", "1", rows, ["0", "1", "x"])
+    return PointedGMonoid(ctx, ["0", "1", "x"], "0", "1", rows, ["0", "1", "x"])
 
 
 @pytest.mark.parametrize(
