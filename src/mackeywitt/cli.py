@@ -52,7 +52,7 @@ def _parse_ring(text: str) -> BaseRing:
 def _emit(payload: dict, args) -> None:
     payload = {"schema": SCHEMA, **payload}
     if args.json:
-        print(_dumps(payload))
+        _dump(payload, sys.stdout)
     else:
         print(_render_table(payload))
 
@@ -68,13 +68,41 @@ def _dumps(obj, nl: str = "\n") -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, for obj on a line that starts
     with ``nl``, an ``AbHom`` leaf written as its dense matrix.  The indenting
     encoder of ``json`` is pure Python; this one appends the pieces of the text
-    to one list (``_write``) and joins them once."""
-    out: list[str] = []
+    to one list (``_write``) and joins them once; ``_dump`` writes them as it goes."""
+    out = _Pending()
     _write(obj, nl, out)
     return "".join(out)
 
 
-def _write(obj, nl: str, out: list) -> None:
+def _dump(obj, file) -> None:
+    """Write ``_dumps(obj)`` and a newline to file, a few MB at a time (``_Pending``).
+    The newline is a write of its own, as in ``print``: an unbuffered stdout drops
+    what a reader that left did not take, and only the next write raises."""
+    out = _Pending()
+    out.file = file
+    _write(obj, "\n", out)
+    file.write("".join(out))
+    file.write("\n")
+
+
+SPILL_BYTES = 1 << 22  # pending --json text is written out each time it passes 4 MB
+
+
+class _Pending(list):
+    """Pieces of JSON text.  ``_write_rows`` counts the ASCII bytes of each run of rows
+    it appends (its zero rows' text, which nonzero cells only widen), and ``spill``
+    writes and drops the pieces once that count passes SPILL_BYTES, if there is a file."""
+
+    file, size = None, 0
+
+    def spill(self, size: int) -> None:
+        self.size += size
+        if self.size >= SPILL_BYTES and self.file is not None:
+            self.file.write("".join(self))
+            self[:], self.size = [], 0
+
+
+def _write(obj, nl: str, out: _Pending) -> None:
     """Append the pieces of ``_dumps(obj, nl)`` to out."""
     if isinstance(obj, str):
         out.append(_jstr(obj))
@@ -103,7 +131,7 @@ def _write(obj, nl: str, out: list) -> None:
         out.append(json.dumps(obj, indent=2).replace("\n", nl))
 
 
-def _write_rows(rows: Sparse, nl: str, out: list) -> None:
+def _write_rows(rows: Sparse, nl: str, out: _Pending) -> None:
     """Append the text of the dense matrix of ``rows`` at ``nl``.  The text of
     an all-zero row is built once; a row with nonzeros is written as that
     text's slices around them."""
@@ -114,15 +142,18 @@ def _write_rows(rows: Sparse, nl: str, out: list) -> None:
     sep, cell = "," + inner, "," + inner + "  "
     zero = "[" + cell[1:] + cell.join(["0"] * rows.width) + inner + "]" if rows.width else "[]"
     first, step = len(cell), len(cell) + 1  # the offset of column 0's "0" and of each next one
+    run = SPILL_BYTES // len(zero) + 1  # rows of at least SPILL_BYTES of text
     out.append("[")
-    for i, r in enumerate(rows):
-        out.append(sep if i else inner)
-        at = 0
-        for j, x in r:
-            p = first + j * step
-            out += (zero[at:p], int.__repr__(x))
-            at = p + 1
-        out.append(zero[at:])
+    for lo in range(0, len(rows), run):
+        for i, r in enumerate(rows[lo:lo + run], lo):
+            out.append(sep if i else inner)
+            at = 0
+            for j, x in r:
+                p = first + j * step
+                out += (zero[at:p], int.__repr__(x))
+                at = p + 1
+            out.append(zero[at:])
+        out.spill(len(zero) * min(run, len(rows) - lo))
     out += (nl, "]")
 
 

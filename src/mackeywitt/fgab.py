@@ -881,18 +881,21 @@ def composites_agree(left, right) -> bool:
     source, and those this module's algebra (identity, zero, compose, add,
     sub, scale, power) builds from them.  The survivors generate the source
     group, and well-defined homs that agree on generators are equal.  No
-    composite matrix is formed.
+    composite matrix is formed (``chain_image``).
     """
-    source, target = left[0].source, left[-1].target
-    for g in source._reduction.kept:
-        a = b = ((g, 1),)
-        for f in left:
-            a = row_mul(a, f.rows)
-        for f in right:
-            b = row_mul(b, f.rows)
-        if not target.same_class(a, b):
+    target = left[-1].target
+    for g in left[0].source._reduction.kept:
+        x = ((g, 1),)
+        if not target.same_class(chain_image(x, left), chain_image(x, right)):
             return False
     return True
+
+
+def chain_image(row: SparseRow, homs) -> SparseRow:
+    """The sparse row pushed through the homs, first to last: its image under their composite, never formed."""
+    for f in homs:
+        row = row_mul(row, f.rows)
+    return row
 
 
 def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:

@@ -428,6 +428,30 @@ def test_json_writer_writes_homs_as_their_dense_matrices(payload):
     assert cli._dumps(payload) == json.dumps(payload, indent=2, default=dense)
 
 
+class Writes(list):
+    """A text file that keeps each write."""
+
+    def write(self, text):
+        self.append(text)
+
+
+@pytest.mark.parametrize("rows,width", [(300, 400), (5, 20000)], ids=["many-rows", "wide-rows"])
+def test_json_is_written_a_few_mb_at_a_time(monkeypatch, rows, width):
+    """``_dump`` writes ``_dumps``'s text and a newline, and never holds much more
+    than SPILL_BYTES of it: a 64 KB threshold splits a 1.2 MB matrix into runs of
+    rows, and a matrix whose zero row alone is 200 KB into single rows."""
+    limit = 1 << 16
+    monkeypatch.setattr(cli, "SPILL_BYTES", limit)
+    cells = [tuple((i * j) % 7 - 3 if (i + j) % 50 == 0 else 0 for j in range(width)) for i in range(rows)]
+    payload = {"kind": "test", "m": AbHom(free_group(rows), free_group(width), cells, check=False), "n": [1, {"a": 2}]}
+    out = Writes()
+    cli._dump(payload, out)
+    assert "".join(out) == cli._dumps(payload) + "\n" == json.dumps(payload, indent=2, default=dense) + "\n"
+    row = len("".join(out)) // rows  # about the text of one row
+    assert len(out) > 4
+    assert max(map(len, out)) < 2 * limit + 2 * row
+
+
 def test_json_writer_never_builds_a_dense_matrix(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("dense matrix built")
@@ -456,14 +480,13 @@ def test_json_stdout_is_json_dumps_of_the_payload(capsys, monkeypatch, tmp_path,
         path.write_text(json.dumps(DUAL_NUMBERS))
         argv = ("monoid", "--file", str(path)) + argv[2:]
     payloads = []
-    write = cli._dumps
+    write = cli._dump
 
-    def spy(obj, nl="\n"):
-        if nl == "\n":  # the outermost call: the whole payload
-            payloads.append(obj)
-        return write(obj, nl)
+    def spy(obj, file):  # the whole payload, written to stdout
+        payloads.append(obj)
+        return write(obj, file)
 
-    monkeypatch.setattr(cli, "_dumps", spy)
+    monkeypatch.setattr(cli, "_dump", spy)
     code, out, err = run_cli(capsys, *argv, "--json")
     assert (code, err, len(payloads)) == (0, "", 1)
     assert out == json.dumps(payloads[0], indent=2, default=dense) + "\n"
@@ -490,6 +513,26 @@ def test_closed_stdout_exits_141_without_stderr(tmp_path, argv, unbuffered):
         [sys.executable, "-m", "mackeywitt.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_reader_that_leaves_after_100_bytes_gets_exit_141(unbuffered):
+    # as in `| head -c 100`: the 2.7 MB text is cut short by the reader, and that is
+    # exit 141 even when an unbuffered stdout drops the rest of a write without an error
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mackeywitt.cli", "hh", "--ring", "F_2", "--n", "4", "--max-degree", "3", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

@@ -1,10 +1,13 @@
 import json
 import re
 from collections import Counter
+from functools import reduce
 from itertools import product
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_snf import identity_matrix
 from mackeywitt.cycmonoid import PointedGMonoid, bredon_green
@@ -27,7 +30,7 @@ from mackeywitt.mackey import (
 )
 from mackeywitt.norm import norm_trivial_ring
 from mackeywitt.wittcore import BaseRing, divisors, is_prime
-from mackeywitt import spans
+from mackeywitt import fgab, spans
 
 
 def apply(f, x):
@@ -413,6 +416,130 @@ def test_green_functor_runs_mackey_validation():
     bad_mult[2] = b.mult[2][:1]
     with pytest.raises(ValueError, match="wrong shape"):
         GreenFunctor(b.ctx, b.level, b.res, b.tr, b.weyl, bad_mult, b.unit)
+
+
+# ---------------------------------------------------------------------------
+# the Mackey certificate against its composite reference
+
+
+def composite_mackey_checks(m):
+    """The Weyl-order, Weyl, path-independence and double-coset checks of
+    ``check_axioms`` as they read before they went row by row: each side a
+    composite ``AbHom`` (powers by ``AbHom.power``, sums by ``AbHom.add``),
+    compared with ``AbHom.__eq__``."""
+    ctx, n = m.ctx, m.ctx.n
+
+    def composite(level, homs):
+        return reduce(AbHom.compose, homs) if homs else AbHom.identity(level)
+
+    def res_chain(c):
+        return composite(m.level[c[-1]], [m.res[s] for s in zip(c[-2::-1], c[::-1])])
+
+    def tr_chain(c):
+        return composite(m.level[c[0]], [m.tr[s] for s in zip(c, c[1:])])
+
+    out = [(m.weyl[d].power(n // d) == AbHom.identity(m.level[d]), f"weyl[{d}]^{n // d} != id") for d in ctx.divisors]
+    for d, e in prime_edges(ctx):
+        r, t = m.res[(d, e)], m.tr[(d, e)]
+        out.append((r.compose(m.weyl[d]) == m.weyl[e].compose(r), f"res{(d, e)} does not commute with weyl"))
+        out.append((t.compose(m.weyl[e]) == m.weyl[d].compose(t), f"tr{(d, e)} does not commute with weyl"))
+    for d in ctx.divisors:
+        for e in ctx.divisors:
+            if e % d == 0:
+                first, *rest = ctx.all_prime_chains(d, e)
+                for c in rest:
+                    out.append((res_chain(c) == res_chain(first), f"res {e}->{d} path-dependent"))
+                    out.append((tr_chain(c) == tr_chain(first), f"tr {d}->{e} path-dependent"))
+    for e in ctx.divisors:
+        for a in divisors(e):
+            for b in divisors(e):
+                g = gcd(a, b)
+                lhs = tr_chain(ctx.prime_chain(b, e)).compose(res_chain(ctx.prime_chain(a, e)))
+                rhs = AbHom.zero(m.level[b], m.level[a])
+                for j in range(e // lcm(a, b)):
+                    twisted = res_chain(ctx.prime_chain(g, b)).compose(m.weyl[g].power(j * (n // e) % (n // g)))
+                    rhs = rhs.add(twisted.compose(tr_chain(ctx.prime_chain(g, a))))
+                out.append((lhs == rhs, f"double coset fails at (a={a}, b={b}, e={e})"))
+    return out
+
+
+def _uncertified_hom(draw, source, target):
+    width = target.num_generators
+    rows = draw(st.lists(
+        st.lists(st.sampled_from([0, 0, 1, -1, 2]), min_size=width, max_size=width).map(tuple),
+        min_size=source.num_generators, max_size=source.num_generators,
+    ))
+    return AbHom(source, target, rows, check=False)
+
+
+@st.composite
+def uncertified_mackey(draw):
+    """A functor over C_2, C_4 or C_6 on small presented levels whose res, tr and
+    Weyl matrices are drawn at random and never certified: most are not well
+    defined, and many notes fail or pass only modulo the relations."""
+    ctx = GroupContext(draw(st.sampled_from([2, 4, 6])))
+    level = {}
+    for d in ctx.divisors:
+        k = draw(st.integers(0, 3))
+        row = st.lists(st.sampled_from([0, 1, -1, 2, 3]), min_size=k, max_size=k).map(tuple)
+        level[d] = FgAbGroup(k, draw(st.lists(row, max_size=2)) if k else ())
+    res = {(d, e): _uncertified_hom(draw, level[e], level[d]) for d, e in prime_edges(ctx)}
+    tr = {(d, e): _uncertified_hom(draw, level[d], level[e]) for d, e in prime_edges(ctx)}
+    weyl = {d: _uncertified_hom(draw, level[d], level[d]) for d in ctx.divisors}
+    return MackeyFunctor(ctx, level, res, tr, weyl, name="drawn")
+
+
+@settings(deadline=None, max_examples=200)
+@given(uncertified_mackey())
+def test_mackey_notes_match_the_composite_reference_on_uncertified_maps(m):
+    assert check_axioms(m).checks == composite_mackey_checks(m)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: burnside(GroupContext(12)),
+        lambda: representable(GroupContext(6), (1, 2)),
+        lambda: fixed_point_mackey(GroupContext(4), FgAbGroup(4, ((0, 0, 3, 0), (0, 0, 0, 3))), ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))),
+        lambda: norm_trivial_ring(BaseRing.integers_mod(4), 6),
+        lambda: box(burnside(GroupContext(6)), burnside(GroupContext(6))).mackey,
+    ],
+    ids=["burnside_C12", "representable_C6", "fixed_point_torsion_C4", "norm_Z4_6", "box_AA_C6"],
+)
+def test_mackey_notes_match_the_composite_reference(build):
+    m = build()
+    ref = composite_mackey_checks(m)
+    rep = check_axioms(m)
+    assert rep.checks[: len(ref)] == ref and rep.passed
+
+
+def _refuse_hom(*args, **kwargs):
+    raise AssertionError("check_axioms built a hom")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: burnside(GroupContext(12)),
+        lambda: fixed_point_mackey(GroupContext(6), FgAbGroup(4, ((0, 0, 2, 0), (0, 0, 0, 2))), ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))),
+        lambda: norm_trivial_ring(BaseRing.integers_mod(4), 12),
+        lambda: box(burnside(GroupContext(6)), burnside(GroupContext(6))).mackey,
+    ],
+    ids=["burnside_C12", "fixed_point_torsion_C6", "norm_Z4_12", "box_AA_C6"],
+)
+def test_check_axioms_builds_no_hom(monkeypatch, build):
+    m = build()
+    if isinstance(m, GreenFunctor):
+        for d in m.ctx.divisors:  # a box table computes each product on its first read
+            for cells in m.mult[d]:
+                list(cells)
+    for name in ("__init__", "compose", "add", "sub", "power", "identity", "zero"):
+        monkeypatch.setattr(AbHom, name, _refuse_hom)
+    monkeypatch.setattr(fgab, "mat_mul", _refuse_hom)
+    for name in ("res_full", "tr_full", "twisted_res", "weyl_power"):
+        monkeypatch.setattr(MackeyFunctor, name, _refuse_hom)
+    rep = check_axioms(m)
+    assert rep.passed, rep
 
 
 # ---------------------------------------------------------------------------

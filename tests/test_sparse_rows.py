@@ -26,6 +26,7 @@ from mackeywitt.fgab import (
     FgAbGroup,
     NotWellDefinedError,
     Sparse,
+    cyclic_group,
     dense_row,
     free_group,
     mat,
@@ -36,7 +37,7 @@ from mackeywitt.fgab import (
 )
 from mackeywitt.green import box, box_power
 from mackeywitt.hochschild import twisted_cyclic_nerve
-from mackeywitt.mackey import GroupContext, burnside, check_axioms
+from mackeywitt.mackey import GroupContext, MackeyFunctor, burnside, check_axioms, fixed_point_mackey, representable
 from mackeywitt.norm import norm_trivial_ring
 from mackeywitt.wittcore import BaseRing, EnumerationBudgetError
 
@@ -229,23 +230,89 @@ def test_equal_elements_are_equal_without_a_factorization():
 
 
 # check_axioms(...).checks at the commit before the certificate reused basis
-# products: every note keeps its text and its order.
+# products (box, F_2, Z), and at the commit before the Mackey identities were
+# checked row by row instead of on composite homs (the rest): every note keeps
+# its bool, its text and its order.
 AXIOM_DIGESTS = {
     ("box", 4): "83038f6f40cf06760a2312227579f71b7e2bda5e3e810cfe7fe677d9b76c8d7d",
     ("box", 6): "bfeb5abeb9d0ef695642d179cfb4a84d60f6a3363aca45b8cc1b48ba1ef2fc2f",
     ("F_2", 6): "a7bec49e85c6ca3035d4a2f5887791fc353ab72ffe289c0ab73e3aa022989a14",
     ("Z", 4): "4eac3a5d5138c85a653cef38308e18416113844ad53fb38822ea5fa9168dab1b",
+    ("burnside", 12): "59ecfea205490f1697050ec9412307769aa35388b57e932a2e867de857c2a87e",
+    ("representable", 12): "605a5dc59df1faec7698d96fe2ec5540a1b597b6a2f3fc8ac236e6808de00e0b",
+    ("torsion-2", 12): "605a5dc59df1faec7698d96fe2ec5540a1b597b6a2f3fc8ac236e6808de00e0b",
+    ("torsion-3", 6): "6828a9e92f21e876db928b58be3df8416de18b36802d461369e326ba497e973a",
+    ("torsion-4", 8): "6f934d3f1339d35b50bfc2253b0c07bde96ce186257bbfc46e976ab9c0d0da40",
+    ("broken", 4): "b12f39cab7cc3cebd143be05844488181bfcf630b93775d0cac78e8d453ac3d1",
 }
+
+# the failing notes of the broken functor, at the same commit
+BROKEN_FAILURES = [
+    "weyl[4]^1 != id",
+    "tr(1, 2) does not commute with weyl",
+    "double coset fails at (a=1, b=1, e=2)",
+    "double coset fails at (a=1, b=1, e=4)",
+    "double coset fails at (a=2, b=1, e=4)",
+]
+
+
+def torsion_fixed_point(n, k, t):
+    """The fixed points of ℤ^k ⊕ (ℤ/t)^k, C_n cycling both blocks (k | n): levels
+    with torsion, on more generators than survive their reduction."""
+    group = FgAbGroup(2 * k, [dense_row(((k + i, t),), 2 * k) for i in range(k)])
+    action = [dense_row(((i // k * k + (i + 1) % k, 1),), 2 * k) for i in range(2 * k)]
+    return fixed_point_mackey(GroupContext(n), group, action)
+
+
+def broken_mackey():
+    """A C_4 functor of uncertified maps: tr 1 → 2 is not well defined (it sends the
+    relation 2·e_0 to 2 in ℤ/4, and e_1 = e_2 in level 1 to the classes 1 and 2), and
+    weyl[4] = −1 on ℤ is not of order n/4 = 1."""
+    ctx = GroupContext(4)
+    level = {1: FgAbGroup(3, [(2, 0, 0), (0, 1, -1)]), 2: cyclic_group(4), 4: free_group(1)}
+    res = {
+        (1, 2): AbHom(level[2], level[1], [(1, 0, 0)], check=False),
+        (2, 4): AbHom(level[4], level[2], [(1,)], check=False),
+    }
+    tr = {
+        (1, 2): AbHom(level[1], level[2], [(1,), (1,), (2,)], check=False),
+        (2, 4): AbHom(level[2], level[4], [(0,)], check=False),
+    }
+    weyl = {
+        1: AbHom(level[1], level[1], [(1, 0, 0), (1, 1, 0), (0, 0, 1)], check=False),
+        2: AbHom(level[2], level[2], [(-1,)], check=False),
+        4: AbHom(level[4], level[4], [(-1,)], check=False),
+    }
+    return MackeyFunctor(ctx, level, res, tr, weyl, name="broken")
+
+
+def axiom_functor(kind, n):
+    if kind == "box":
+        b = burnside(GroupContext(n))
+        return box(b, b).mackey
+    if kind == "burnside":
+        return burnside(GroupContext(n))
+    if kind == "representable":
+        return representable(GroupContext(n), (2, 3))
+    if kind.startswith("torsion-"):
+        return torsion_fixed_point(n, {12: 4, 6: 6, 8: 4}[n], int(kind.removeprefix("torsion-")))
+    if kind == "broken":
+        return broken_mackey()
+    return norm_trivial_ring(BaseRing.parse(kind), n)
 
 
 @pytest.mark.parametrize("kind,n", sorted(AXIOM_DIGESTS))
 def test_green_axiom_notes_are_pinned(kind, n):
-    if kind == "box":
-        b = burnside(GroupContext(n))
-        m = box(b, b).mackey
-    else:
-        m = norm_trivial_ring(BaseRing.parse(kind), n)
-    assert hashlib.sha256(repr(check_axioms(m).checks).encode()).hexdigest() == AXIOM_DIGESTS[(kind, n)]
+    rep = check_axioms(axiom_functor(kind, n))
+    assert hashlib.sha256(repr(rep.checks).encode()).hexdigest() == AXIOM_DIGESTS[(kind, n)]
+    assert rep.failures == (BROKEN_FAILURES if kind == "broken" else [])
+
+
+def test_pinned_torsion_levels_have_generators_that_do_not_survive():
+    for kind, n in AXIOM_DIGESTS:
+        if kind.startswith("torsion-") or kind == "broken":
+            m = axiom_functor(kind, n)
+            assert any(len(g._reduction.kept) < g.num_generators for g in m.level.values()), (kind, n)
 
 
 # ---------------------------------------------------------------------------
