@@ -22,7 +22,6 @@ All objects are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from functools import cached_property
-from heapq import heapify, heappop, heappush
 from itertools import compress, product
 from math import gcd
 
@@ -463,56 +462,74 @@ def row_hnf(rows, cols: int) -> Sparse:
 def _eliminate_units(rels: Sparse) -> tuple[list, Sparse, Sparse, tuple]:
     """Eliminate generators on ±1 relation entries: (pivots, proj, residual, kept).
 
-    Take the shortest relation with a ±1 entry u and, within it, the one at
-    the column c in the fewest relations: this pivot writes generator c as
-    -u times its other terms, and substituting clears column c from the
-    other relations.  ``pivots`` lists (c, pivot as {column: value}) in
-    elimination order.  ``proj`` (k × s, the s survivors numbered in column
-    order) writes each generator over the survivors, back-substituted; a
-    survivor's row is a unit row.  ``residual`` is the distinct leftover
-    relations, which lie on the survivors, in their numbering, and ``kept``
-    the survivors' generator columns: survivor t is generator kept[t].
+    The relations are read shortest first (a stable sort), each on arrival:
+    it is reduced in one pass by writing every eliminated generator as its
+    live expression, which lies on the generators not yet eliminated, and is
+    dropped if that leaves zero.  Otherwise its first ±1 entry u, at column
+    c, makes it a pivot: generator c is -u times its other terms, and that
+    expression is substituted into the expressions that hold c (a column →
+    expressions index), so every expression stays on the live columns.  A
+    reduced row without a ±1 entry is parked, and the parked rows are
+    reduced again until none gains one.  ``pivots`` lists (c, pivot as
+    {column: value}) in elimination order.  ``proj`` (k × s, the s survivors
+    numbered in column order) is read off the live expressions; a survivor's
+    row is a unit row.  ``residual`` is the distinct parked rows, which lie
+    on the survivors, in their numbering, and ``kept`` the survivors'
+    generator columns: survivor t is generator kept[t].
     """
-    k = rels.width
-    rows: list[dict | None] = [dict(r) for r in rels]
-    at: list[set[int]] = [set() for _ in range(k)]  # rows nonzero per column
-    for i, r in enumerate(rows):
-        for j in r:
-            at[j].add(i)
-    heap = [(len(r), i) for i, r in enumerate(rows) if r]
-    heapify(heap)
+    expr: dict[int, dict] = {}  # eliminated column -> its expression on the live columns
+    holders: dict[int, set] = {}  # live column -> the eliminated columns whose expression holds it
     pivots = []
-    while heap:
-        n, i = heappop(heap)
-        r = rows[i]
-        units = [j for j, x in r.items() if x == 1 or x == -1] if r and len(r) == n else ()
-        if not units:
-            continue  # eliminated, changed since pushed (and pushed again), or no unit
-        c = min(units, key=lambda j: len(at[j]))
-        rows[i] = None
-        for j in r:
-            at[j].discard(i)
-        for i2 in list(at[c]):  # s -= s[c]·u·r, keeping the column sets
-            s = rows[i2]
-            q = -r[c] * s[c]
-            for j, x in r.items():
+
+    def reduce(row) -> dict:
+        acc: dict[int, int] = {}
+        for j, x in row:
+            _axpy(acc, expr[j].items() if j in expr else ((j, 1),), x)
+        return acc
+
+    def pivot(r: dict) -> bool:
+        for c, u in r.items():
+            if u == 1 or u == -1:
+                break
+        else:
+            return False
+        e = {j: -u * x for j, x in r.items() if j != c}
+        for d in holders.pop(c, ()):  # write e for c in each expression that holds c, keeping the index
+            s = expr[d]
+            q = s.pop(c)
+            for j, x in e.items():
                 y = s.get(j, 0) + q * x
                 if y:
                     if j not in s:
-                        at[j].add(i2)
+                        holders.setdefault(j, set()).add(d)
                     s[j] = y
                 else:
                     del s[j]
-                    at[j].discard(i2)
-            heappush(heap, (len(s), i2))
+                    holders[j].discard(d)
+        for j in e:
+            holders.setdefault(j, set()).add(c)
+        expr[c] = e
         pivots.append((c, r))
-    gone = {c for c, _ in pivots}
-    kept = tuple(j for j in range(k) if j not in gone)
+        return True
+
+    parked, grew = sorted(rels, key=len), True
+    while grew:  # a parked row gains a ±1 entry only through a later pivot's expression
+        rows, parked, grew = parked, [], False
+        for row in rows:
+            r = reduce(row)
+            if not r:
+                continue
+            if pivot(r):
+                grew = True
+            else:
+                parked.append(r.items())
+    kept = tuple(j for j in range(rels.width) if j not in expr)
     survivors = {j: t for t, j in enumerate(kept)}
-    proj = [((survivors[j], 1),) if j in survivors else () for j in range(k)]
-    for c, r in reversed(pivots):  # r's other columns survive or were eliminated later
-        proj[c] = row_mul([(j, -r[c] * x) for j, x in r.items() if j != c], proj)
-    residual = (sparse_row({survivors[j]: x for j, x in r.items()}) for r in rows if r)
+    proj = (
+        sparse_row({survivors[i]: x for i, x in expr[j].items()}) if j in expr else ((survivors[j], 1),)
+        for j in range(rels.width)
+    )
+    residual = (sparse_row({survivors[j]: x for j, x in r}) for r in parked)
     return pivots, Sparse(proj, len(kept)), Sparse.distinct(residual, len(kept)), kept
 
 
@@ -595,14 +612,19 @@ class FgAbGroup:
     def _reduction(self) -> "_Reduction":
         """The ``_eliminate_units`` reduction: row ∈ span(R) iff proj(row) ∈ span(residual).
 
-        proj is onto and its kernel is spanned by the pivots: each maps to
-        zero, and subtracting pivots in elimination order clears the
-        eliminated columns of a kernel element, leaving a survivor row that
-        proj fixes, so zero.  The pivots lie in span(R) and proj(R) spans
-        what the residual spans, hence the claim and ℤ^k/R ≅ ℤ^s/residual.
-        The elimination changes rows only by adding multiples of pivot rows,
-        so the pivots, as they were eliminated, and the residual rows lifted
-        onto the survivors' columns span R: they are ``generators``.
+        Each eliminated generator c minus its live expression is a
+        combination of pivots (u times c's pivot when it is made, and each
+        later substitution adds a multiple of another such difference), so
+        every row is its reduced form plus a combination of pivots, and proj
+        sends a row to its reduced form on the survivors.  Hence proj is onto
+        with kernel spanned by the pivots: each pivot reduces to zero, and a
+        kernel element is its reduced form, zero, plus pivots.  The pivots are
+        reduced relations, so they lie in span(R); every relation reduces to
+        zero, to a pivot or to a residual row, so proj(R) spans what the
+        residual spans, hence the claim and ℤ^k/R ≅ ℤ^s/residual.  By the
+        same decomposition the pivots, as they were made, and the residual
+        rows lifted onto the survivors' columns span R: they are
+        ``generators``.
         """
         pivots, proj, residual, kept = _eliminate_units(self.rels)
         gens = [sparse_row(r) for _, r in pivots]

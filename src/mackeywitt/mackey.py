@@ -228,13 +228,6 @@ class MackeyHom:
     def is_isomorphism(self) -> bool:
         return all(h.is_isomorphism() for h in self.maps.values())
 
-    def is_zero(self) -> bool:
-        return all(h.is_zero() for h in self.maps.values())
-
-    @staticmethod
-    def identity(m: MackeyFunctor) -> "MackeyHom":
-        return MackeyHom(m, m, {d: AbHom.identity(m.level[d]) for d in m.ctx.divisors}, check=False)
-
 
 def sparse_product(table, x, y):
     """Σ x_i y_j table[i][j] for sparse rows x, y, as a sparse row.
