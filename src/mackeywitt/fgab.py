@@ -8,13 +8,15 @@ the right of row vectors, so ``compose(f, g)`` is "f then g" with matrix
 ``f.rows · g.rows``.
 
 Matrices are kept by their nonzeros (``Sparse``) and elements are sparse
-rows: relations, hom matrices, lattices, factorizations and the element
-API never store a zero entry, and the packages above keep Green product
-tables and units as the same sparse rows.  The module functions answer
-``Sparse``.  Dense int rows come in only through ``Sparse.of`` and go out
-only through the ``relations`` and ``matrix`` views, ``mat``,
-``dense_row`` and the public ``snf``.  Every question about a group is
-answered from its one cached reduction (``FgAbGroup._reduction``).
+rows: relations, hom matrices, lattices and factorizations never store a
+zero entry, and the packages above keep Green product tables and units as
+the same sparse rows.  The module functions answer ``Sparse``.  Dense int
+rows come in only through ``Sparse.of`` and go out only through the
+``relations`` and ``matrix`` views, ``mat``, ``dense_row`` and the public
+``snf``.  Every question about a group is answered from its one cached
+reduction (``FgAbGroup._reduction``).  A factorization (``_SNF``) keeps
+only what its readers take: canonical forms read its diagonal, span tests
+its V, kernels its U, and the public ``snf`` U and V together.
 
 All objects are immutable after construction and all operations are pure.
 """
@@ -22,7 +24,7 @@ All objects are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress, product
+from itertools import compress
 from math import gcd
 
 Row = tuple[int, ...]
@@ -161,31 +163,30 @@ class _SNF:
     column, the set of rows nonzero there, so clearing a pivot column
     visits only those rows.  Columns keep their original labels; a column
     swap only exchanges two entries of the position → label permutation.
-    V is kept by columns and V⁻¹ by rows, both sparse and labelled the
-    same way.  U is kept by rows, sparse, and each row operation (swap,
-    ``row_add``, ``negate_row``, the 2×2 combination of the divisibility
-    fold) updates U in the step that changes the working matrix.
+    V is kept by columns, sparse and labelled the same way.  U is kept by
+    rows, sparse, and each row operation (swap, ``row_add``, ``negate_row``,
+    the 2×2 combination of the divisibility fold) updates U in the step that
+    changes the working matrix.
 
     The pivot is the smallest nonzero |x| in the remaining block, the first
     in row-major order, and the search stops at the first ±1.  Each row's
     smallest |x| is cached and recomputed only after the row has changed,
     so the search rescans only rows an elimination step touched.  Every row
     and column operation is the one the dense elimination performs, so the
-    diagonal, U, V and V⁻¹ equal the dense ones (the tests keep the dense
-    elimination as an oracle).  No command prints the representatives
-    that V gives ``reduce`` and ``elements``, but U's rows past the rank
-    are ``kernel_basis``, whose rows reach printed homology coordinates
-    through ``row_hnf``; so a fill-reducing pivot order would change
-    output.
+    diagonal, U and V equal the dense ones (the tests keep the dense
+    elimination as an oracle).  U's rows past the rank are
+    ``kernel_basis``, whose rows reach printed homology coordinates through
+    ``row_hnf``; so a fill-reducing pivot order would change output.
 
-    D is kept as its ``diagonal`` (length min(rows, cols), zeros last: the
-    nonzero entries are exactly the first ``rank``).  ``cols`` (a Sparse
-    m carries its ``width``) gives the width of a matrix without rows,
-    whose V is the identity.  Membership, ``reduce``, ``element_order``
-    and ``elements`` read the sparse rows of V and V⁻¹ over the nonzeros
-    of their input (m·V = U⁻¹·D has the row span of D); ``kernel_basis``
-    reads U.  The dense ``u``, ``v`` and ``vinv`` tuples are built only
-    when read.
+    The factorization holds what its readers take and nothing more.  D is
+    kept as its ``diagonal`` (length min(rows, cols), zeros last: the
+    nonzero entries are exactly the first ``rank``), which canonical forms
+    read.  Span tests (``coords``, ``spans``) read the sparse rows of V over
+    the nonzeros of their input (m·V = U⁻¹·D has the row span of D);
+    ``kernel_basis`` reads the sparse rows of U; the public ``snf`` reads
+    both as the dense ``u`` and ``v`` tuples, built only when read.
+    ``cols`` (a Sparse m carries its ``width``) gives the width of a matrix
+    without rows, whose V is the identity.
     """
 
     def __init__(self, m, cols: int | None = None):
@@ -197,7 +198,6 @@ class _SNF:
             for j in r:
                 at[j].add(i)
         vcols = [{j: 1} for j in range(cols)]
-        vinv = [{j: 1} for j in range(cols)]
         u = [{i: 1} for i in range(rows)]
         perm = list(range(cols))  # position → column label
         pos = list(range(cols))  # column label → position
@@ -233,7 +233,6 @@ class _SNF:
             for i in at[src] if q else ():
                 add_entry(i, dst, q * a[i][src])
             _axpy(vcols[dst], vcols[src].items(), q)
-            _axpy(vinv[src], vinv[dst].items(), -q)
 
         def negate_row(i):
             a[i] = {j: -x for j, x in a[i].items()}
@@ -304,12 +303,11 @@ class _SNF:
                         col_add(cj, ci, -(a[i][cj] // a[i][ci]))
                     changed = True
         self._rows, self._cols, self._u = rows, cols, u
-        # V's column j and V⁻¹'s row j are the ones labelled perm[j]
+        # V's column j is the one labelled perm[j]
         self._vrows: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
         for j, c in enumerate(perm):
             for i, x in vcols[c].items():
                 self._vrows[i].append((j, x))
-        self._vinv = [tuple(vinv[c].items()) for c in perm]
         self.diagonal = tuple(a[i].get(perm[i], 0) for i in range(k))
         self.rank = sum(1 for x in self.diagonal if x)
 
@@ -320,10 +318,6 @@ class _SNF:
     @cached_property
     def v(self) -> Matrix:
         return tuple(dense_row(r, self._cols) for r in self._vrows)
-
-    @cached_property
-    def vinv(self) -> Matrix:
-        return tuple(dense_row(r, self._cols) for r in self._vinv)
 
     def coords(self, b) -> dict[int, int]:
         """b·V as {position: value}, from the (index, value) pairs of b."""
@@ -481,7 +475,7 @@ def _eliminate_units(rels: Sparse) -> tuple[list, Sparse, Sparse, tuple]:
     holders: dict[int, set] = {}  # live column -> the eliminated columns whose expression holds it
     pivots = []
 
-    def reduce(row) -> dict:
+    def rewrite(row) -> dict:
         acc: dict[int, int] = {}
         for j, x in row:
             _axpy(acc, expr[j].items() if j in expr else ((j, 1),), x)
@@ -516,7 +510,7 @@ def _eliminate_units(rels: Sparse) -> tuple[list, Sparse, Sparse, tuple]:
     while grew:  # a parked row gains a ±1 entry only through a later pivot's expression
         rows, parked, grew = parked, [], False
         for row in rows:
-            r = reduce(row)
+            r = rewrite(row)
             if not r:
                 continue
             if pivot(r):
@@ -539,7 +533,8 @@ class _Reduction:
     ``kept[t]`` (the survivors generate the group), ``residual`` holds the
     leftover relations on the survivors, and ``generators`` are sparse rows on
     all k generators that span the relations.  The residual's ``snf`` is built
-    when a span or element question first reads it."""
+    when the canonical form or a span test first reads it: the canonical form
+    takes its diagonal, a span test its V, and no group question its U."""
 
     __slots__ = ("proj", "kept", "residual", "generators", "__dict__")
 
@@ -561,12 +556,13 @@ class FgAbGroup:
     ``FgAbGroup(k, rows)`` is the quotient of ℤ^k by the row span of
     ``rows`` (Sparse, or dense int rows; for k = 0 the rows are empty, and
     none is kept), stored as the Sparse ``rels``.  The presentation keeps
-    its generators, and its elements are sparse rows on them.  The
-    canonical form (invariant factors + free rank, a complete isomorphism
-    invariant), the span questions that miss the relation lookup and the
-    element questions (``reduce``, ``elements``, ``element_order``) read one
-    cached reduction with the ±1 relation entries eliminated
-    (``_reduction``), the group's one factorization.
+    its generators, and its elements are sparse rows on them; two rows are
+    one element when ``same_class`` says so.  The canonical form (invariant
+    factors + free rank, a complete isomorphism invariant) and the span
+    questions that miss the relation lookup read one cached reduction with
+    the ±1 relation entries eliminated (``_reduction``), the group's one
+    factorization: the canonical form its residual's diagonal, a span
+    question its residual's V.
     """
 
     __slots__ = ("num_generators", "rels", "__dict__")
@@ -680,59 +676,6 @@ class FgAbGroup:
         n = 1
         for d in self.invariant_factors:
             n *= d
-        return n
-
-    def _lift(self, z: dict[int, int]) -> SparseRow:
-        """z · V⁻¹ of the residual SNF, for z as {position: value}, on the surviving generators."""
-        red = self._reduction
-        s, kept = red.snf, red.kept
-        out: dict[int, int] = {}
-        for j, t in z.items():
-            _axpy(out, ((kept[c], y) for c, y in s._vinv[j]), t)
-        return sparse_row(out)
-
-    def reduce(self, x: SparseRow) -> SparseRow:
-        """Canonical representative of the class of the sparse row x.
-
-        x − lift(proj(x)) lies in the pivots' span, inside R, and the
-        residual relations are diagonal in the coordinates z = proj(x) · V
-        (R·V = U⁻¹·D has the row span of D), so reduce z there and lift
-        z · V⁻¹ back onto the surviving generators; a lifted residual row is
-        in R.  So reduce(x) ≡ x, and reduce(x) = reduce(y) iff
-        ``same_class(x, y)``.
-        """
-        red = self._reduction
-        s = red.snf
-        z = s.coords(row_mul(x, red.proj))
-        for j in z:
-            if j < s.rank:
-                z[j] %= s.diagonal[j]
-        return self._lift(z)
-
-    def elements(self):
-        """Iterate over canonical representatives, as sparse rows (finite groups only)."""
-        if not self.is_finite():
-            raise ValueError("infinite group")
-        diag = self._reduction.snf.diagonal
-        cyclic = [j for j, d in enumerate(diag) if d > 1]
-        for zs in product(*(range(diag[j]) for j in cyclic)):
-            yield self._lift(dict(zip(cyclic, zs)))
-
-    def element_order(self, x: SparseRow) -> int:
-        """Additive order of the class of the sparse row x (0 means infinite)."""
-        red = self._reduction
-        s = red.snf
-        n = 1
-        for j, t in s.coords(row_mul(x, red.proj)).items():
-            if j >= s.rank:
-                if t:
-                    return 0
-            else:
-                d = s.diagonal[j]
-                t %= d
-                if t:
-                    o = d // gcd(t, d)
-                    n = n * o // gcd(n, o)
         return n
 
     def __eq__(self, other):
@@ -868,9 +811,6 @@ class AbHom:
 
     def __hash__(self):
         raise TypeError("AbHom is unhashable (equality is modulo relations)")
-
-    def is_zero(self) -> bool:
-        return self == AbHom.zero(self.source, self.target)
 
     def kernel(self) -> tuple[FgAbGroup, "AbHom"]:
         """Kernel subgroup and its inclusion into the source."""

@@ -235,7 +235,3 @@ def run_suites(names, seed: int):
     for name in names:
         out.append(SUITES[name](seed))
     return out
-
-
-def run_all(seed: int):
-    return run_suites(sorted(SUITES), seed)

@@ -3,9 +3,9 @@
 ``DenseSNF`` is the row-major dense elimination that ``mackeywitt.fgab``
 used before its sparse engine: every row operation walks every column and
 every column operation every row.  The sparse ``_SNF`` must perform exactly
-the same integer operations, so its ``diagonal``, ``rank``, ``u``, ``v``
-and ``vinv`` are compared against this class entry for entry, and the
-group questions against the dense readers below.  ``dense_row_hnf``,
+the same integer operations, so its ``diagonal``, ``rank``, ``u`` and ``v``
+are compared against this class entry for entry, and the span questions
+against the dense readers below.  ``dense_row_hnf``,
 ``dense_mat_mul`` and ``vec_mat`` are the dense Hermite basis and products
 that the sparse rows of ``fgab`` are checked against, and
 ``identity_matrix`` the dense identity the tests build maps and element
@@ -15,7 +15,6 @@ rows from.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
 from math import gcd
 
 from mackeywitt.fgab import Matrix, _xgcd, mat
@@ -31,17 +30,14 @@ class DenseSNF:
     """Smith normal form with transforms: U · m · V = D.
 
     Pivoting picks the smallest nonzero absolute value in the remaining
-    block, which bounds entry growth at the matrix sizes used here.  V's
-    inverse is tracked alongside so that generator coordinates can be
-    converted to and from diagonal coordinates.
+    block, which bounds entry growth at the matrix sizes used here.
 
     D is kept as its ``diagonal`` (length min(rows, cols), zeros last).
     Each question reads only what it needs:
 
     - canonical forms and ranks read ``diagonal`` and ``rank``;
-    - membership, reduction, element orders and the elements read
-      ``diagonal`` and ``v`` / ``vinv`` (since m·V = U⁻¹·D has the row span
-      of D);
+    - membership reads ``diagonal`` and ``v`` (since m·V = U⁻¹·D has the
+      row span of D);
     - ``solve_left``, ``kernel_basis`` and ``snf`` also read ``u``.
 
     ``u`` (rows × rows) is built on first access by replaying the logged row
@@ -54,7 +50,6 @@ class DenseSNF:
         cols = len(m[0]) if rows else 0
         a = [list(r) for r in m]
         v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-        vinv = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
         # row operations, replayed by ``u``: (i, j) swaps rows i and j;
         # (dst, src, q) adds q·row src to row dst; (i,) negates row i;
         # (i, j, x, y, c, e) replaces rows i, j by x·ri + y·rj, c·ri + e·rj.
@@ -76,17 +71,12 @@ class DenseSNF:
                 r[j1], r[j2] = r[j2], r[j1]
             for r in v:
                 r[j1], r[j2] = r[j2], r[j1]
-            vinv[j1], vinv[j2] = vinv[j2], vinv[j1]
 
         def col_add(dst, src, q):
             for r in a:
                 r[dst] += q * r[src]
             for r in v:
                 r[dst] += q * r[src]
-            vsrc = vinv[src]
-            vdst = vinv[dst]
-            for j in range(cols):
-                vsrc[j] -= q * vdst[j]
 
         def negate_row(i):
             a[i] = [-x for x in a[i]]
@@ -169,7 +159,6 @@ class DenseSNF:
         self._rows = rows
         self._row_ops = ops
         self.v = mat(v)
-        self.vinv = mat(vinv)
         self.diagonal = tuple(a[i][i] for i in range(k))
         self.rank = sum(1 for x in self.diagonal if x)
 
@@ -224,37 +213,6 @@ def dense_solve_left(m, b):
     if y is None:
         return None
     return vec_mat(tuple(y) + (0,) * (len(m) - s.rank), s.u)
-
-
-def dense_reduce(s: DenseSNF, x):
-    z = list(vec_mat(tuple(x), s.v))
-    for j in range(len(z)):
-        d = s.diagonal[j] if j < len(s.diagonal) else 0
-        if d:
-            z[j] %= d
-    return vec_mat(tuple(z), s.vinv)
-
-
-def dense_element_order(s: DenseSNF, x) -> int:
-    y = vec_mat(tuple(x), s.v)
-    n = 1
-    for j, t in enumerate(y):
-        d = s.diagonal[j] if j < len(s.diagonal) else 0
-        if d == 0:
-            if t:
-                return 0
-        else:
-            t %= d
-            if t:
-                o = d // gcd(t, d)
-                n = n * o // gcd(n, o)
-    return n
-
-
-def dense_elements(s: DenseSNF, k: int):
-    moduli = [s.diagonal[j] if j < len(s.diagonal) else 0 for j in range(k)]
-    for zs in product(*[range(d if d else 1) for d in moduli]):
-        yield vec_mat(tuple(zs), s.vinv)
 
 
 def dense_row_hnf(rows, cols: int):

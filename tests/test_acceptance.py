@@ -25,7 +25,7 @@ from mackeywitt.mackey import (
     representable,
 )
 from mackeywitt.norm import norm_trivial_ring
-from mackeywitt.suites import run_all
+from mackeywitt.suites import SUITES, run_suites
 from mackeywitt.wittcore import BaseRing
 from mackeywitt.wittgreen import compare_with_classical, teichmuller_green, witt_green
 
@@ -221,7 +221,7 @@ def test_criterion_9_monoid_splitting():
 
 
 def test_criterion_10_structural_suites():
-    results = run_all(20260809)
+    results = run_suites(sorted(SUITES), 20260809)
     total = sum(r.cases for r in results)
     failures = [f for r in results for f in r.failures]
     report(

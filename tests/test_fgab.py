@@ -133,30 +133,34 @@ def test_negative_power_is_refused():
         f.power(-1)
 
 
+def _order(g, x):
+    """The additive order of the sparse row x in the finite group g: the least n ≥ 1 with n·x ≡ 0."""
+    return next(n for n in range(1, g.order() + 1) if g.same_class(tuple((j, n * v) for j, v in x), ()))
+
+
+def _distinct_classes(g, rows):
+    return not any(g.same_class(a, b) for i, a in enumerate(rows) for b in rows[i + 1:])
+
+
 def test_elements_and_orders():
+    # Z/2 x Z/4: the rows a·e1 + b·e2, 0 ≤ a < 2 and 0 ≤ b < 4, are its 8 elements
     g = FgAbGroup(2, [(2, 0), (0, 4)])
-    els = list(g.elements())
-    assert len(els) == 8
-    reduced = {g.reduce(e) for e in els}
-    assert len(reduced) == 8
-    assert g.element_order(()) == 1
-    orders = sorted(g.element_order(e) for e in els)
+    els = [nonzeros((a, b)) for a in range(2) for b in range(4)]
+    assert g.order() == 8 and _distinct_classes(g, els)
+    assert _order(g, ()) == 1
+    orders = sorted(_order(g, e) for e in els)
     assert orders.count(4) == 4  # Z/2 x Z/4 has four elements of order 4
 
 
 def test_elements_and_orders_nondiagonal_relations():
-    # Z^2 / <(2,1),(0,4)> = Z/8; exercises the z = x·V coordinate change
+    # Z^2 / <(2,1),(0,4)> = Z/8 on e1, with e2 = -2·e1; exercises the z = x·V coordinate change
     g = FgAbGroup(2, [(2, 1), (0, 4)])
     assert g.canonical_form == ((8,), 0)
-    els = list(g.elements())
-    assert len(els) == 8
-    assert len({g.reduce(e) for e in els}) == 8
-    from collections import Counter
-
-    hist = Counter(g.element_order(e) for e in els)
+    els = [nonzeros((a, 0)) for a in range(8)]
+    assert _distinct_classes(g, els)
+    hist = Counter(_order(g, e) for e in els)
     assert hist == {1: 1, 2: 1, 4: 2, 8: 4}
-    for e in els:
-        assert g.same_class(e, g.reduce(e))
+    assert g.same_class(((1, 1),), ((0, -2),))
 
 
 def test_hom_well_definedness():
@@ -291,7 +295,7 @@ def test_kernel_cokernel():
     g = AbHom(free_group(2), z, [(1,), (1,)])
     k2, incl2 = g.kernel()
     assert k2.canonical_form == ((), 1)
-    assert incl2.compose(g).is_zero()
+    assert incl2.compose(g) == AbHom.zero(k2, z)
 
 
 def test_quotient_keeps_generators_and_each_relation_once():
@@ -486,20 +490,23 @@ def test_homology_with_an_empty_lattice_certifies_its_induced_maps(cx):
     # every induced map below is certified well defined by AbHom(check=True)
     assert sq.induced(AbHom.identity(mid), sq).is_isomorphism()
     other = Subquotient(free_group(2), identity_matrix(2), [(2, 0)])  # Z/2 + Z
-    assert sq.induced(AbHom.zero(mid, other.ambient), other).is_zero()
-    assert other.induced(AbHom.zero(other.ambient, mid), sq).is_zero()
+    assert sq.induced(AbHom.zero(mid, other.ambient), other) == AbHom.zero(sq.group, other.group)
+    assert other.induced(AbHom.zero(other.ambient, mid), sq) == AbHom.zero(other.group, sq.group)
 
 
 def test_group_questions_read_no_u():
     # Z^2 / <(2,1),(0,4)> = Z/8 on e1, with e2 = -2·e1
     g = FgAbGroup(2, [(2, 1), (0, 4)])
     assert g.canonical_form == ((8,), 0)
-    assert g.same_class(((0, 4), (1, 2)), ()) and not g.same_class(((1, 2),), ())
-    assert g.element_order(((1, 1),)) == 4
-    assert g.reduce(((0, 2), (1, 1))) == g.reduce(())
+    assert g.same_class(((0, 4), (1, 2)), ())
+    # e2 has order 4: 4·e2 ≡ 0 while 2·e2 is not
+    assert g.same_class(((1, 4),), ()) and not g.same_class(((1, 2),), ())
+    assert g.same_class(((0, 2), (1, 1)), ())
     f = AbHom(g, g, identity_matrix(2))  # certified: relations land in relations
     assert f == AbHom(g, g, [(1, 0), (2, 2)])
     assert "u" not in vars(g._reduction.snf)
+    # a factorization holds exactly what its readers take: diagonal and rank, sparse U and V, their sizes
+    assert set(vars(g._reduction.snf)) == {"diagonal", "rank", "_u", "_vrows", "_rows", "_cols"}
 
 
 def test_relation_snf_keeps_no_row_operation_log():
@@ -508,9 +515,11 @@ def test_relation_snf_keeps_no_row_operation_log():
     rels = [(2, 1, 0), (0, 4, 2), (6, 0, 3)]
     g = FgAbGroup(3, rels)
     assert g.order() == 36
-    assert g.same_class(g.reduce(((0, 5), (1, 7), (2, 1))), ((0, 5), (1, 7), (2, 1)))
-    assert len(set(g.elements())) == 36
-    assert g.element_order(((2, 1),)) == 18
+    assert g.same_class(((0, 5), (1, 7), (2, 1)), ((0, 41), (1, 7), (2, 1)))  # differ by 36·e1
+    assert not g.same_class(((0, 5), (1, 7), (2, 1)), ((0, 23), (1, 7), (2, 1)))  # by 18·e1
+    # e3 has order 18: 18·e3 ≡ 0 while 9·e3 and 6·e3 are not
+    assert g.same_class(((2, 18),), ())
+    assert not g.same_class(((2, 9),), ()) and not g.same_class(((2, 6),), ())
     assert g.same_class(((0, 6), (2, 3)), ())
     AbHom(g, g, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])  # images 3·r are no relation rows: a miss
     assert set(vars(g)) == {"_reduction", "_rel_index", "canonical_form"}

@@ -72,7 +72,6 @@ def test_a_quotient_derives_its_reduction_and_answers_as_the_dense_oracle(pres, 
         candidates = data.draw(st.lists(row_of(k), max_size=3))
         for b in candidates + list(extra):
             assert q._spans(nonzeros(b)) is dense_spans(k, rows, b)
-            assert q.same_class(q.reduce(nonzeros(b)), nonzeros(b))
         g = q
 
 
@@ -128,7 +127,7 @@ def test_survivor_comparison_agrees_with_the_full_composite(steps, picks):
     assert composites_agree(left, right) is (left[0].compose(left[1]) == right[0].compose(right[1]))
     assert composites_agree((f0,), (g0,)) is (f0 == g0)
     zero = AbHom.zero(f0.source, f1.target)
-    assert composites_agree(left, (zero,)) is left[0].compose(left[1]).is_zero()
+    assert composites_agree(left, (zero,)) is (left[0].compose(left[1]) == zero)
 
 
 def test_a_face_wrong_only_on_an_eliminated_generator_is_refused():
