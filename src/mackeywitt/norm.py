@@ -7,10 +7,16 @@ basis of W_⟨d⟩(ℤ) and so generators of its quotient W_⟨d⟩(ℤ/m), whos
 presentation is certified exact when it is built.  A Witt vector's
 coordinates on those generators are a sparse row, the form of the product
 tables, units and hom matrices built from them.
+
+A level depends only on (R, d), and the restriction and transfer of an edge
+d | e only on (R, d, e), not on n: ``witt_level`` and ``witt_edge`` build
+each once per process, certificates included, and every norm over R shares
+them.
 """
 
 from __future__ import annotations
 
+from functools import cache, cached_property
 from math import prod
 
 from . import wittcore
@@ -91,6 +97,38 @@ class WittLevel:
         idx, coeffs = zip(*row)
         return witt_combination(coeffs, [self.gens[j] for j in idx])
 
+    @cached_property
+    def products(self) -> tuple:
+        """The Witt products g_i·g_j of the generators, ``products[i][j]``."""
+        return tuple(tuple(witt_mul(gi, gj) for gj in self.gens) for gi in self.gens)
+
+    @cached_property
+    def table(self) -> tuple:
+        """The product table: ``table[i][j]`` is g_i·g_j on the generators."""
+        return tuple(tuple(map(self.coords, row)) for row in self.products)
+
+    @cached_property
+    def unit(self) -> SparseRow:
+        """The unit 1 on the generators."""
+        return self.coords(one(self.truncation, self.ring))
+
+
+@cache
+def witt_level(ring: BaseRing, d: int) -> WittLevel:
+    """The certified level W_⟨d⟩(R), built once per (ring, d)."""
+    return WittLevel(ring, d)
+
+
+@cache
+def witt_edge(ring: BaseRing, d: int, e: int) -> tuple[AbHom, AbHom]:
+    """The certified (res, tr) of the prime edge d | e: Frobenius and
+    Verschiebung by e/d on generators, built once per (ring, d, e)."""
+    low, high = witt_level(ring, d), witt_level(ring, e)
+    p = e // d
+    res = Sparse((low.coords(frobenius(p, g)) for g in high.gens), low.group.num_generators)
+    tr = Sparse((high.coords(verschiebung(p, g, high.truncation)) for g in low.gens), high.group.num_generators)
+    return AbHom(high.group, low.group, res), AbHom(low.group, high.group, tr)
+
 
 def unitriangular(vectors, k: int) -> bool:
     """Leading Witt components are ±1, one at each of the k positions.
@@ -132,34 +170,19 @@ def norm_trivial_ring(ring: BaseRing, n: int) -> NormGreenFunctor:
     """The norm Green functor of a trivial-action base ring (ℤ or ℤ/m).
 
     Over ℤ/m the size m^τ of the top level is checked against the
-    enumeration budget before any level is built.
+    enumeration budget before any level is built.  The levels and edges
+    are the shared ones of ``witt_level`` and ``witt_edge``.
     """
     norm_level_sizes(ring, n)  # the refusals made before any level is built
     ctx = GroupContext(n)
-    levels = {d: WittLevel(ring, d) for d in ctx.divisors}
-    group = {d: levels[d].group for d in ctx.divisors}
-    res = {}
-    tr = {}
-    for (d, e) in prime_edges(ctx):
-        p = e // d
-        rows = (levels[d].coords(frobenius(p, g)) for g in levels[e].gens)
-        res[(d, e)] = AbHom(group[e], group[d], Sparse(rows, group[d].num_generators))
-        rows = (
-            levels[e].coords(verschiebung(p, g, levels[e].truncation))
-            for g in levels[d].gens
-        )
-        tr[(d, e)] = AbHom(group[d], group[e], Sparse(rows, group[e].num_generators))
+    levels = {d: witt_level(ring, d) for d in ctx.divisors}
+    group = {d: lv.group for d, lv in levels.items()}
+    edges = {(d, e): witt_edge(ring, d, e) for (d, e) in prime_edges(ctx)}
+    res = {de: r for de, (r, _) in edges.items()}
+    tr = {de: t for de, (_, t) in edges.items()}
     weyl = {d: AbHom.identity(group[d]) for d in ctx.divisors}
-    mult = {}
-    unit = {}
-    for d in ctx.divisors:
-        lv = levels[d]
-        k = len(lv.gens)
-        table = []
-        for i in range(k):
-            table.append(tuple(lv.coords(witt_mul(lv.gens[i], lv.gens[j])) for j in range(k)))
-        mult[d] = tuple(table)
-        unit[d] = lv.coords(one(lv.truncation, ring))
+    mult = {d: lv.table for d, lv in levels.items()}
+    unit = {d: lv.unit for d, lv in levels.items()}
     return NormGreenFunctor(ctx, group, res, tr, weyl, mult, unit, ring, levels, name=f"N({ring},{n})")
 
 

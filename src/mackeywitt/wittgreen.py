@@ -21,7 +21,6 @@ from .wittcore import (
     BaseRing,
     UnsupportedRingError,
     one,
-    witt_mul,
     zero,
 )
 
@@ -135,7 +134,8 @@ def compare_with_classical(w: GreenWittVectors, ring: BaseRing, n: int) -> Compa
       and certified so over ℤ/m when the level is built, so images that fail
       the leads are refused over both rings;
     - multiplicative and unital: φ(g_i)·φ(g_j) = φ(mult[n][i][j]) for every
-      pair of generators, and φ(unit[n]) = 1.
+      pair of generators, and φ(unit[n]) = 1.  Each product g_i·g_j is the
+      level's own (``WittLevel.products``), multiplied once per level.
 
     Over ℤ every Witt operation is solved from ghost components, which are
     injective there, so equal Witt vectors are equal ghosts.  The verdict's
@@ -167,9 +167,9 @@ def compare_with_classical(w: GreenWittVectors, ring: BaseRing, n: int) -> Compa
     if not unitriangular(lv.gens, k):
         return refuse("generator images are not a basis")
     mult = w.green.mult[n]
-    for i, gi in enumerate(lv.gens):
-        for j, gj in enumerate(lv.gens):
-            if lv.element(mult[i][j]) != witt_mul(gi, gj):
+    for i, row in enumerate(lv.products):
+        for j, gij in enumerate(row):
+            if lv.element(mult[i][j]) != gij:
                 return refuse(f"product of generators {i},{j}")
     if lv.element(w.green.unit[n]) != one(lv.truncation, ring):
         return refuse("unit mismatch")

@@ -8,21 +8,15 @@ bounds assert them.
 import random
 import time
 
-import pytest
-
-from dense_snf import identity_matrix
 from subgroups import same_levels
-from mackeywitt.fgab import dense_row, free_group, mat, mat_mul, nonzeros, snf
+from mackeywitt.fgab import dense_row, free_group, nonzeros
 from mackeywitt.geomfix import cyclotomic_check_norm, edgewise_comparison_norm, tr_tower
-from mackeywitt.green import box, box_swap_hom, representable_rule_iso, unit_iso
-from mackeywitt.hochschild import hh, hh0_green, hh0_oracle, moore_complex, twisted_cyclic_nerve
+from mackeywitt.hochschild import hh, hh0_green, hh0_oracle, twisted_cyclic_nerve
 from mackeywitt.mackey import (
     GroupContext,
     RingData,
     burnside,
-    check_axioms,
     fixed_point_mackey,
-    representable,
 )
 from mackeywitt.norm import norm_trivial_ring
 from mackeywitt.suites import SUITES, run_suites

@@ -102,8 +102,8 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
-def test_stdout_digest_is_pinned(tmp_path, argv, digest):
+def stdout_digest(tmp_path, argv) -> str:
+    """The sha256 of the command's stdout; it must exit 0."""
     if argv[0] == "monoid":
         path = tmp_path / "monoid.json"
         path.write_text(json.dumps(MONOIDS[argv[1]]))
@@ -112,7 +112,19 @@ def test_stdout_digest_is_pinned(tmp_path, argv, digest):
     with contextlib.redirect_stdout(out):
         code = main(list(argv))
     assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_stdout_digest_is_pinned(tmp_path, argv, digest):
+    assert stdout_digest(tmp_path, argv) == digest
+
+
+def test_digests_hold_whatever_norm_levels_were_built_before(tmp_path):
+    """Norm levels and edges are built once per process and shared: every pinned
+    command, run forward and then in reverse in one interpreter, keeps its digest."""
+    for argv, digest in GOLDEN + GOLDEN[::-1]:
+        assert stdout_digest(tmp_path, argv) == digest, " ".join(argv)
 
 
 def test_edgewise_checks_are_pinned():

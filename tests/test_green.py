@@ -30,7 +30,6 @@ from mackeywitt.norm import norm_trivial_ring
 from mackeywitt.wittcore import BaseRing, divisors
 from mackeywitt.green import (
     box,
-    box_list,
     box_power,
     box_swap_hom,
     full_transfer_identification,

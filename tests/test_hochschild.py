@@ -9,7 +9,6 @@ from subgroups import same_levels
 from mackeywitt import hochschild
 from mackeywitt.cycmonoid import PointedGMonoid, cellular_chains
 from mackeywitt.fgab import AbHom, CompositeNotZeroError, Subquotient, free_group
-from mackeywitt.green import box_power
 from mackeywitt.hochschild import (
     MackeyComplex,
     MackeyHomology,

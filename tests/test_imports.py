@@ -1,5 +1,6 @@
-"""Every name a package module imports is used there or re-exported in ``__all__``,
-and no package module imports another one's private (``_``-prefixed) name."""
+"""Every name a package or test module imports is used there or re-exported in
+``__all__``, and no package module imports another one's private (``_``-prefixed)
+name."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import mackeywitt
 
 MODULES = sorted(Path(mackeywitt.__file__).parent.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,6 +36,11 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
+def test_test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 

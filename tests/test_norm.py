@@ -1,7 +1,6 @@
-import random
+from collections import Counter
 
 import pytest
-from dense_snf import identity_matrix
 from witt_enumeration import all_vectors, enumerated_level
 
 from mackeywitt import norm
@@ -175,3 +174,36 @@ def test_wrong_relation_row_fails_the_build_and_the_cli_exits_1(monkeypatch, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal invariant violation: ") and captured.err.count("\n") == 1
+
+
+def test_levels_and_edges_are_built_once_per_ring_and_shared():
+    Z, F2, Z2, Z4 = (BaseRing.parse(r) for r in ("Z", "F_2", "Z/2", "Z/4"))
+    for ring in (Z, F2, Z4):
+        six, three = norm_trivial_ring(ring, 6), norm_trivial_ring(ring, 3)
+        for d in (1, 3):
+            assert six.witt_levels[d] is three.witt_levels[d]
+            assert six.level[d] is three.level[d]
+            assert six.unit[d] is three.unit[d] and six.mult[d] == three.mult[d]
+        assert six.res[(1, 3)] is three.res[(1, 3)] and six.tr[(1, 3)] is three.tr[(1, 3)]
+    # F_2 and Z/2 are one ring; Z and Z/4 are not
+    assert norm_trivial_ring(F2, 2).witt_levels[2] is norm_trivial_ring(Z2, 4).witt_levels[2]
+    assert norm_trivial_ring(F2, 2).res[(1, 2)] is norm_trivial_ring(Z2, 2).res[(1, 2)]
+    assert norm_trivial_ring(Z, 2).witt_levels[2] is not norm_trivial_ring(Z4, 2).witt_levels[2]
+    assert norm_trivial_ring(Z, 2).tr[(1, 2)] is not norm_trivial_ring(Z4, 2).tr[(1, 2)]
+
+
+def test_each_level_and_edge_is_built_and_certified_once(monkeypatch):
+    certified = Counter()
+    certify = WittLevel._certify
+
+    def counting_certify(self):
+        certified[(self.ring.modulus, self.d)] += 1
+        certify(self)
+
+    monkeypatch.setattr(WittLevel, "_certify", counting_certify)
+    ring = BaseRing.integers_mod(4)
+    for n in (6, 3, 2, 6):
+        norm_trivial_ring(ring, n)
+    assert certified == {(4, d): 1 for d in (1, 2, 3, 6)}
+    # the edges of C_6, each built (and its res and tr certified) once
+    assert norm.witt_edge.cache_info().misses == 4 and norm.witt_edge.cache_info().currsize == 4

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from witt_enumeration import all_vectors
 
-from mackeywitt.fgab import FgAbGroup
 from mackeywitt.wittcore import (
     _universal_poly,
     BaseRing,

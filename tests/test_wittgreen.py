@@ -8,7 +8,6 @@ from mackeywitt import wittgreen
 from mackeywitt.fgab import FgAbGroup, dense_row, nonzeros, sparse_row
 from mackeywitt.geomfix import ef_relations
 from mackeywitt.mackey import GroupContext, burnside
-from mackeywitt.norm import norm_trivial_ring
 from mackeywitt.wittcore import BaseRing, UnsupportedRingError, witt_scalar
 from mackeywitt.wittgreen import (
     GreenWittVectors,
