@@ -186,12 +186,8 @@ class _SNF:
     ``kernel_basis`` reads the sparse rows of U; the public ``snf`` reads
     both as the dense ``u`` and ``v`` tuples, built only when read.
     ``cols`` (a Sparse m carries its ``width``) gives the width of a matrix
-    without rows, whose V is the identity.  A class that sets ``keeps_u``
-    false (``_ResidualSNF``) keeps no U: its rows start empty, so every
-    update of U leaves them empty.
+    without rows, whose V is the identity.
     """
-
-    keeps_u = True
 
     def __init__(self, m, cols: int | None = None):
         m = Sparse.of(m, cols)
@@ -202,7 +198,7 @@ class _SNF:
             for j in r:
                 at[j].add(i)
         vcols = [{j: 1} for j in range(cols)]
-        u = [{i: 1} if self.keeps_u else {} for i in range(rows)]
+        u = [{i: 1} for i in range(rows)]
         perm = list(range(cols))  # position → column label
         pos = list(range(cols))  # column label → position
         low: list[int | None] = [None] * rows  # min |x| of row i (0 if empty); None: stale
@@ -306,9 +302,7 @@ class _SNF:
                     if a[i].get(cj):
                         col_add(cj, ci, -(a[i][cj] // a[i][ci]))
                     changed = True
-        self._rows, self._cols = rows, cols
-        if self.keeps_u:
-            self._u = u
+        self._rows, self._cols, self._u = rows, cols, u
         # V's column j is the one labelled perm[j]
         self._vrows: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
         for j, c in enumerate(perm):
@@ -340,13 +334,6 @@ class _SNF:
             if t and (j >= rank or t % diag[j]):
                 return False
         return True
-
-
-class _ResidualSNF(_SNF):
-    """The factorization of a group's residual relations, without U: a group
-    question reads only the diagonal and V."""
-
-    keeps_u = False
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int]:
@@ -547,8 +534,7 @@ class _Reduction:
     leftover relations on the survivors, and ``generators`` are sparse rows on
     all k generators that span the relations.  The residual's ``snf`` is built
     when the canonical form or a span test first reads it: the canonical form
-    takes its diagonal, a span test its V, and no group question its U, which
-    it therefore does not keep (``_ResidualSNF``)."""
+    takes its diagonal, a span test its V, and no group question its U."""
 
     __slots__ = ("proj", "kept", "residual", "generators", "__dict__")
 
@@ -557,7 +543,7 @@ class _Reduction:
 
     @cached_property
     def snf(self) -> _SNF:
-        return _ResidualSNF(self.residual)
+        return _SNF(self.residual)
 
 
 # ---------------------------------------------------------------------------
